@@ -27,7 +27,7 @@ def main() -> None:
     train_ids, test_ids = split_train_test(by_id, 0.7, args.seed)
     train = [by_id[i] for i in train_ids]
     test = [by_id[i] for i in test_ids]
-    actual = np.concatenate([[s.fuel_rate for s in v.samples] for v in test])
+    actual = np.concatenate([v.fuel for v in test])
 
     print(f"train {len(train)} voyages / test {len(test)} voyages")
     print(f"{'case':>5s} {'channels':>9s} {'rmse':>8s} {'r2':>7s}")

@@ -26,11 +26,12 @@ from .efficiency import (
 from .geo import (
     GeoPoint,
     RouteSegmentSpec,
-    SamplePoint,
+    Track,
     Voyage,
     assign_segment,
     euclidean_distance,
     haversine_distance,
+    merge_tracks,
     split_into_voyages,
 )
 from .hmm import WeatherStateModel, fit_weather_hmm, hmm_predict
@@ -58,7 +59,6 @@ from .path_id import (
 )
 from .speed_opt import (
     GainReport,
-    SpeedProfile,
     dtw_distance,
     knn_predict,
     predict_1nn_dtw,

@@ -25,7 +25,7 @@ from .errors import (
     SchemaError,
     VoyagekitError,
 )
-from .geo import RouteSegmentSpec, split_into_voyages
+from .geo import RouteSegmentSpec, merge_tracks, split_into_voyages
 from .ingestion import attach_weather, parse_onboard_csv, parse_weather_grid, resample_voyage
 
 
@@ -93,21 +93,20 @@ def cmd_ingest(config: RunConfig) -> None:
     if config.port_regions:
         port_spec = RouteSegmentSpec.from_json(config.port_regions)
 
-    samples = []
+    streams = []
     skipped = 0
     files = sorted(onboard_dir.glob("*.csv"))
     if not files:
         raise InvalidInputError(f"no onboard CSV files in {onboard_dir}")
     for path in files:
-        file_samples, file_skipped = parse_onboard_csv(path)
-        samples.extend(file_samples)
+        stream, file_skipped = parse_onboard_csv(path)
+        streams.append(stream)
         skipped += file_skipped
         if file_skipped:
             log.log("ingest", "rows_skipped", file=path.name, count=file_skipped)
-    samples.sort(key=lambda s: s.timestamp)
 
     result = split_into_voyages(
-        samples,
+        merge_tracks(streams),
         gap_threshold=config.gap_threshold_s,
         port_regions=port_spec,
         dwell_threshold=config.port_dwell_s,
@@ -221,7 +220,7 @@ def cmd_optimize(config: RunConfig, plots: bool = False) -> None:
     profiles_dir.mkdir(exist_ok=True)
     for row in gain_report.rows:
         for vid, sog_pred in row.profiles.items():
-            measured = [s.sog for s in by_id[vid].samples]
+            measured = by_id[vid].sog.tolist()
             name = f"{_safe_name(row.cluster)}_{_safe_name(row.model)}_{vid}.csv"
             with open(profiles_dir / name, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
@@ -236,7 +235,7 @@ def cmd_optimize(config: RunConfig, plots: bool = False) -> None:
             if not row.profiles:
                 continue
             vid = sorted(row.profiles)[0]
-            measured = [(float(i), s.sog) for i, s in enumerate(by_id[vid].samples)]
+            measured = [(float(i), m) for i, m in enumerate(by_id[vid].sog.tolist())]
             suggested = [(float(i), float(v)) for i, v in enumerate(row.profiles[vid])]
             svg = report.svg_lines(
                 {"measured": measured, "suggested": suggested},

@@ -25,7 +25,6 @@ from .errors import (
     DegenerateFleetError,
     InsufficientDataError,
     InvalidInputError,
-    MissingDataError,
     UndefinedGainError,
 )
 from .geo import Voyage
@@ -102,13 +101,9 @@ class PercentileClusters:
 
 def voyage_totals(v: Voyage) -> tuple[float, float]:
     """Total fuel (liters, left-rectangle rule) and duration (hours)."""
-    if len(v.samples) < 2:
-        raise InvalidInputError(f"voyage {v.voyage_id!r}: need >= 2 samples for totals")
-    fuel = 0.0
-    for a, b in zip(v.samples, v.samples[1:]):
-        fuel += a.fuel_rate * (b.timestamp - a.timestamp) / 3600.0
-    hours = (v.samples[-1].timestamp - v.samples[0].timestamp) / 3600.0
-    return fuel, hours
+    # cumsum adds left to right; ndarray.sum's pairwise order would change the last bits.
+    fuel = np.cumsum(v.fuel[:-1] * np.diff(v.t) / 3600.0)[-1]
+    return float(fuel), float((v.t[-1] - v.t[0]) / 3600.0)
 
 
 def efficiency_score(fuel_norm: float, time_norm: float) -> float:
@@ -227,22 +222,6 @@ class KnnRegressor:
         return out
 
 
-def _sample_features(v: Voyage, channels: tuple[str, ...], with_motion: bool) -> np.ndarray:
-    rows = []
-    for s in v.samples:
-        row = [s.position.lat, s.position.lon]
-        if with_motion:
-            row += [s.sog, s.heading]
-        for name in channels:
-            if name not in s.weather:
-                raise MissingDataError(
-                    f"voyage {v.voyage_id!r}: weather channel {name!r} missing"
-                )
-            row.append(s.weather[name])
-        rows.append(row)
-    return np.array(rows, dtype=float)
-
-
 @dataclass
 class EfficiencyEstimator:
     """Fuel-rate estimator: (lat, lon, sog, heading, case channels) -> L/h."""
@@ -253,11 +232,11 @@ class EfficiencyEstimator:
     k: int = 5
 
     def predict_rates(self, v: Voyage, sog_override: np.ndarray | None = None) -> np.ndarray:
-        feats = _sample_features(v, self.channels, with_motion=True)
+        feats = v.columns("lat", "lon", "sog", "heading", *self.channels)
         if sog_override is not None:
-            if len(sog_override) != len(v.samples):
+            if len(sog_override) != len(v):
                 raise InvalidInputError(
-                    f"profile length {len(sog_override)} != voyage length {len(v.samples)}"
+                    f"profile length {len(sog_override)} != voyage length {len(v)}"
                 )
             feats[:, 2] = sog_override
         return np.maximum(self.regressor.predict(feats), 0.0)
@@ -274,8 +253,8 @@ def train_estimator(
     if not voyages:
         raise InsufficientDataError("no voyages to train the estimator on")
     channels = FEATURE_CASES[feature_case]
-    feats = np.vstack([_sample_features(v, channels, with_motion=True) for v in voyages])
-    targets = np.concatenate([[s.fuel_rate for s in v.samples] for v in voyages])
+    feats = np.vstack([v.columns("lat", "lon", "sog", "heading", *channels) for v in voyages])
+    targets = np.concatenate([v.fuel for v in voyages])
     if len(feats) < MIN_TRAINING_SAMPLES:
         raise InsufficientDataError(
             f"estimator needs >= {MIN_TRAINING_SAMPLES} samples, got {len(feats)}"
@@ -295,18 +274,15 @@ def estimate_fuel_time(
     left-rectangle rule over the rescaled durations.
     """
     sog_pred = np.asarray(profile, dtype=float)
-    if len(sog_pred) != len(context.samples):
+    if len(sog_pred) != len(context):
         raise InvalidInputError(
-            f"profile length {len(sog_pred)} != voyage length {len(context.samples)}"
+            f"profile length {len(sog_pred)} != voyage length {len(context)}"
         )
     rates = est.predict_rates(context, sog_override=sog_pred)
-    fuel = 0.0
-    hours = 0.0
-    for i in range(len(context.samples) - 1):
-        dt = context.samples[i + 1].timestamp - context.samples[i].timestamp
-        scaled = dt * context.samples[i].sog / max(sog_pred[i], SPEED_FLOOR)
-        fuel += rates[i] * scaled / 3600.0
-        hours += scaled / 3600.0
+    scaled = np.diff(context.t) * context.sog[:-1] / np.maximum(sog_pred[:-1], SPEED_FLOOR)
+    # Left-to-right sums (cumsum), as in the per-step accumulation they replace.
+    fuel = np.cumsum(rates[:-1] * scaled / 3600.0)[-1]
+    hours = np.cumsum(scaled / 3600.0)[-1]
     return float(fuel), float(hours)
 
 

@@ -1,22 +1,25 @@
-"""Geographic primitives, voyage segmentation, and route-segment assignment.
+"""Geographic primitives, columnar voyages, segmentation, and segment assignment.
 
-All coordinates are WGS84 latitude/longitude in decimal degrees. Distances
-come in two flavors: great-circle meters for metric-correct work and plain
-degree-space Euclidean for path-similarity math, where the raw coordinate
-differences are the quantity of interest.
+All coordinates are WGS84 latitude/longitude in decimal degrees. Samples are
+held as columns: a Track is a stream of float64 arrays (time, position,
+speed, heading, fuel rate) plus named weather channels, and a Voyage is a
+validated port-to-port Track. Distances come in two flavors: great-circle
+meters for metric-correct work and plain degree-space Euclidean for
+path-similarity math, where the raw coordinate differences are the quantity
+of interest.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError
+from .errors import ConfigurationError, InvalidInputError, MissingDataError
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -42,46 +45,113 @@ class GeoPoint:
             raise InvalidInputError(f"longitude {self.lon} outside [-180, 180]")
 
 
-@dataclass
-class SamplePoint:
-    """One timestamped onboard record with attached weather channels.
+#: Core per-sample columns of a Track, in store/onboard column order.
+CORE_FIELDS = ("t", "lat", "lon", "sog", "heading", "fuel")
 
-    ``weather`` maps channel names (e.g. ``WindSpeed_onb``, ``WaveHeight``)
-    to values in the units the channel was recorded in.
+
+@dataclass
+class Track:
+    """A columnar stream of timestamped samples.
+
+    One float64 array per core column (epoch seconds, degrees, m/s,
+    degrees, L/h) plus named weather channels in ``channels``. NaN in a
+    channel marks a sample for which the channel was not recorded.
     """
 
-    timestamp: float
-    position: GeoPoint
-    sog: float
-    heading: float
-    fuel_rate: float
-    weather: dict[str, float] = field(default_factory=dict)
+    t: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    sog: np.ndarray
+    heading: np.ndarray
+    fuel: np.ndarray
+    channels: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in CORE_FIELDS:
+            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=float))
+        self.channels = {
+            name: np.ascontiguousarray(values, dtype=float)
+            for name, values in self.channels.items()
+        }
+        lengths = {len(getattr(self, name)) for name in CORE_FIELDS}
+        lengths.update(len(values) for values in self.channels.values())
+        if len(lengths) > 1:
+            raise InvalidInputError(f"columns differ in length: {sorted(lengths)}")
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def take(self, index):
+        """This track (same type and metadata) restricted to ``index``."""
+        return replace(
+            self,
+            **{name: getattr(self, name)[index] for name in CORE_FIELDS},
+            channels={name: values[index] for name, values in self.channels.items()},
+        )
 
 
-@dataclass
-class Voyage:
-    """An ordered port-to-port sequence of samples (n >= 2)."""
+def merge_tracks(tracks: Sequence[Track]) -> Track:
+    """Concatenate sample streams and sort them by time.
+
+    The sort is stable, so samples with equal timestamps keep their input
+    order. A channel absent from one stream is NaN over its samples.
+    """
+    names = sorted({name for track in tracks for name in track.channels})
+    nan = [np.full(len(track), np.nan) for track in tracks]
+    merged = Track(
+        *[np.concatenate([getattr(track, c) for track in tracks]) for c in CORE_FIELDS],
+        channels={
+            name: np.concatenate([tr.channels.get(name, gap) for tr, gap in zip(tracks, nan)])
+            for name in names
+        },
+    )
+    return merged.take(np.argsort(merged.t, kind="stable"))
+
+
+@dataclass(kw_only=True)
+class Voyage(Track):
+    """An ordered port-to-port track (n >= 2) with valid positions and speeds."""
 
     voyage_id: str
-    samples: list[SamplePoint]
     origin: str = ""
     destination: str = ""
 
     def __post_init__(self):
-        if len(self.samples) < 2:
+        super().__post_init__()
+        label = f"voyage {self.voyage_id!r}"
+        if len(self) < 2:
+            raise InvalidInputError(f"{label} has {len(self)} samples, need >= 2")
+        if np.any(np.diff(self.t) < 0):
+            raise InvalidInputError(f"{label} samples not time-ordered")
+        bad = np.flatnonzero(~((np.abs(self.lat) <= 90.0) & (np.abs(self.lon) <= 180.0)))
+        if len(bad):
+            i = bad[0]
             raise InvalidInputError(
-                f"voyage {self.voyage_id!r} has {len(self.samples)} samples, need >= 2"
+                f"{label} sample {i}: invalid coordinates ({self.lat[i]}, {self.lon[i]})"
             )
-        ts = [s.timestamp for s in self.samples]
-        if any(b < a for a, b in zip(ts, ts[1:])):
-            raise InvalidInputError(f"voyage {self.voyage_id!r} samples not time-ordered")
+        bad = np.flatnonzero(~(np.isfinite(self.sog) & (self.sog >= 0.0)))
+        if len(bad):
+            i = bad[0]
+            raise InvalidInputError(f"{label} sample {i}: invalid speed {self.sog[i]}")
 
-    def __len__(self) -> int:
-        return len(self.samples)
+    def columns(self, *names: str) -> np.ndarray:
+        """(n, len(names)) array of core columns and channels, in the order given.
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples[-1].timestamp - self.samples[0].timestamp
+        Raises MissingDataError for a channel that is absent or has a
+        missing (NaN) sample.
+        """
+        stacked = []
+        for name in names:
+            if name in CORE_FIELDS:
+                stacked.append(getattr(self, name))
+                continue
+            values = self.channels.get(name)
+            if values is None or np.isnan(values).any():
+                raise MissingDataError(
+                    f"voyage {self.voyage_id!r}: weather channel {name!r} missing"
+                )
+            stacked.append(values)
+        return np.column_stack(stacked)
 
 
 class RouteSegmentSpec:
@@ -172,7 +242,7 @@ def assign_segment(p: GeoPoint, spec: RouteSegmentSpec) -> str:
 @dataclass
 class SplitResult:
     voyages: list[Voyage]
-    dropped_samples: list[SamplePoint]
+    dropped_samples: Track
 
     @property
     def dropped_count(self) -> int:
@@ -180,7 +250,7 @@ class SplitResult:
 
 
 def split_into_voyages(
-    samples: Sequence[SamplePoint],
+    samples: Track,
     gap_threshold: float,
     port_regions: RouteSegmentSpec | None = None,
     *,
@@ -200,56 +270,41 @@ def split_into_voyages(
     """
     if gap_threshold <= 0:
         raise ConfigurationError(f"gap_threshold must be > 0, got {gap_threshold}")
-    ts = [s.timestamp for s in samples]
-    if any(b < a for a, b in zip(ts, ts[1:])):
+    if np.any(np.diff(samples.t) < 0):
         raise InvalidInputError("samples are not time-ordered")
 
-    def in_port_dwell(s: SamplePoint) -> bool:
-        if port_regions is None or s.sog >= dwell_max_sog:
+    def in_port_dwell(lat: float, lon: float, sog: float) -> bool:
+        if port_regions is None or sog >= dwell_max_sog:
             return False
-        return assign_segment(s.position, port_regions) != "unassigned"
+        return any(point_in_polygon(lat, lon, poly) for _, poly in port_regions.segments)
 
-    segments: list[list[SamplePoint]] = []
-    current: list[SamplePoint] = []
+    # Index where each segment starts; the loop tracks the open dwell.
+    starts = [0]
     dwell_start: float | None = None
-    prev: SamplePoint | None = None
-    for s in samples:
-        split_here = False
-        if prev is not None and s.timestamp - prev.timestamp > gap_threshold:
-            split_here = True
-        if prev is not None and not split_here and dwell_start is not None:
+    prev_ts: float | None = None
+    rows = zip(samples.t.tolist(), samples.lat.tolist(), samples.lon.tolist(), samples.sog.tolist())
+    for i, (ts, lat, lon, sog) in enumerate(rows):
+        split_here = prev_ts is not None and ts - prev_ts > gap_threshold
+        if prev_ts is not None and not split_here and dwell_start is not None:
             # The dwell ends at this sample; split if it lasted long enough.
-            if not in_port_dwell(s) and prev.timestamp - dwell_start >= dwell_threshold:
+            if not in_port_dwell(lat, lon, sog) and prev_ts - dwell_start >= dwell_threshold:
                 split_here = True
-        if split_here and current:
-            segments.append(current)
-            current = []
+        if split_here:
+            starts.append(i)
             dwell_start = None
-        if in_port_dwell(s):
+        if in_port_dwell(lat, lon, sog):
             if dwell_start is None:
-                dwell_start = s.timestamp
+                dwell_start = ts
         else:
             dwell_start = None
-        current.append(s)
-        prev = s
-    if current:
-        segments.append(current)
+        prev_ts = ts
 
     voyages: list[Voyage] = []
-    dropped: list[SamplePoint] = []
-    counter = 0
-    for seg in segments:
-        if len(seg) < 2:
-            dropped.extend(seg)
+    dropped: list[int] = []
+    for a, b in zip(starts, [*starts[1:], len(samples)]):
+        if b - a < 2:
+            dropped.extend(range(a, b))
             continue
-        counter += 1
-        voyages.append(Voyage(voyage_id=f"{id_prefix}{counter:04d}", samples=seg))
-    return SplitResult(voyages=voyages, dropped_samples=dropped)
-
-
-def polyline_length_deg(points: Iterable[tuple[float, float]]) -> float:
-    """Total degree-space length of a [lat, lon] polyline."""
-    pts = list(points)
-    return sum(
-        math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(pts, pts[1:])
-    )
+        part = vars(samples.take(slice(a, b)))
+        voyages.append(Voyage(**part, voyage_id=f"{id_prefix}{len(voyages) + 1:04d}"))
+    return SplitResult(voyages=voyages, dropped_samples=samples.take(np.array(dropped, dtype=int)))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateDataError, InsufficientDataError, MissingDataError
+from .errors import DegenerateDataError, InsufficientDataError
 from .geo import Voyage
 
 N_STATES = 3
@@ -97,29 +97,6 @@ class WeatherStateModel:
             states[t] = back[t + 1][states[t + 1]]
         return states
 
-    def path_log_likelihood(self, obs: np.ndarray, states: Sequence[int]) -> float:
-        """Joint log p(states, obs) for an arbitrary state path."""
-        log_b = self.emission_log_density(obs)
-        with np.errstate(divide="ignore"):
-            log_pi = np.log(self.start_probs)
-            log_a = np.log(self.transitions)
-        total = log_pi[states[0]] + log_b[0, states[0]]
-        for t in range(1, len(obs)):
-            total += log_a[states[t - 1], states[t]] + log_b[t, states[t]]
-        return float(total)
-
-
-def _voyage_features(v: Voyage, feature_names: tuple[str, ...]) -> np.ndarray:
-    rows = []
-    for s in v.samples:
-        try:
-            rows.append([s.weather[name] for name in feature_names])
-        except KeyError as exc:
-            raise MissingDataError(
-                f"voyage {v.voyage_id!r}: weather channel {exc.args[0]!r} missing"
-            ) from exc
-    return np.array(rows, dtype=float)
-
 
 def _tercile_states(wind: np.ndarray) -> np.ndarray:
     """Rank-based 3-quantile split of wind speed (stable under ties)."""
@@ -144,7 +121,7 @@ def fit_weather_hmm(
     speed and per-state SOG statistics are taken from the Viterbi
     decoding of the training voyages.
     """
-    sequences = [_voyage_features(v, features) for v in voyages]
+    sequences = [v.columns(*features) for v in voyages]
     if not sequences:
         raise InsufficientDataError("no voyages to fit the weather model on")
     stacked = np.vstack(sequences)
@@ -223,25 +200,21 @@ def fit_weather_hmm(
     model.means = model.means[order]
     model.variances = model.variances[order]
 
-    sog_by_state: list[list[float]] = [[] for _ in range(N_STATES)]
-    for v, obs in zip(voyages, sequences):
-        decoded = model.viterbi(obs)
-        for s, state in zip(v.samples, decoded):
-            sog_by_state[state].append(s.sog)
-    all_sog = [s.sog for v in voyages for s in v.samples]
-    fallback = (min(all_sog), float(np.mean(all_sog)), max(all_sog))
+    states = np.concatenate([model.viterbi(obs) for obs in sequences])
+    sog = np.concatenate([v.sog for v in voyages])
     stats = np.empty((N_STATES, 3))
     for s in range(N_STATES):
-        pool = sog_by_state[s]
-        stats[s] = (min(pool), float(np.mean(pool)), max(pool)) if pool else fallback
+        pool = sog[states == s]
+        if not len(pool):
+            pool = sog
+        stats[s] = (pool.min(), pool.mean(), pool.max())
     model.sog_stats = stats
     return model
 
 
 def hmm_predict(test: Voyage, model: WeatherStateModel) -> np.ndarray:
     """Per-step speed suggestion: Calm -> max, Moderate -> mean, Rough -> min."""
-    obs = _voyage_features(test, model.feature_names)
-    states = model.viterbi(obs)
+    states = model.viterbi(test.columns(*model.feature_names))
     rule = np.array(
         [
             model.sog_stats[0, 2],  # Calm: max
@@ -254,4 +227,4 @@ def hmm_predict(test: Voyage, model: WeatherStateModel) -> np.ndarray:
 
 def decode_states(test: Voyage, model: WeatherStateModel) -> np.ndarray:
     """Viterbi state index per sample of a voyage."""
-    return model.viterbi(_voyage_features(test, model.feature_names))
+    return model.viterbi(test.columns(*model.feature_names))

@@ -1,16 +1,18 @@
 """Onboard CSV parsing, weather-grid ingestion, resampling, and alignment.
 
-Weather hindcasts arrive as long-format CSV (one file per variable, columns
-time/lat/lon/value) and are assembled into dense 3-D grids. Each voyage
-sample gets every grid variable attached by trilinear interpolation over the
-enclosing (time, lat, lon) cell.
+Onboard CSVs are parsed column by column into a time-sorted Track (see
+geo); cells that do not parse are NaN, and rows missing a required field
+are skipped. Weather hindcasts arrive as long-format CSV (one file per
+variable, columns time/lat/lon/value) and are assembled into dense 3-D
+grids. attach_weather adds every grid variable to a voyage as a channel,
+by trilinear interpolation over the enclosing (time, lat, lon) cell.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from .errors import (
     OutOfDomainError,
     SchemaError,
 )
-from .geo import GeoPoint, SamplePoint, Voyage
+from .geo import GeoPoint, Track, Voyage
 
 #: Onboard columns that must parse for a row to be kept.
 REQUIRED_COLUMNS = (
@@ -46,25 +48,35 @@ _MISSING_CORNER = 2
 
 
 def _parse_timestamp(raw: str) -> float:
-    """Epoch seconds from an integer/float string or ISO-8601 text (UTC)."""
+    """Epoch seconds from an integer/float string or ISO-8601 text (UTC); NaN if neither."""
     raw = raw.strip()
     try:
         return float(raw)
     except ValueError:
         pass
-    text = raw.replace("Z", "+00:00")
-    dt = datetime.fromisoformat(text)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
+    try:
+        dt = datetime.fromisoformat(raw.replace("Z", "+00:00"))
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        return dt.timestamp()
+    except ValueError:
+        return math.nan
 
 
-def parse_onboard_csv(path: str | Path) -> tuple[list[SamplePoint], int]:
-    """Read one onboard CSV into SamplePoints sorted by timestamp.
+def _parse_float(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        return math.nan
+
+
+def parse_onboard_csv(path: str | Path) -> tuple[Track, int]:
+    """Read one onboard CSV into a sample stream sorted by timestamp.
 
     Column names are matched case-insensitively. Rows whose required
     fields do not parse (or violate their domain, e.g. negative speed)
-    are skipped; the skip count is returned alongside the samples.
+    are skipped; the skip count is returned alongside the stream. Optional
+    channel cells that do not parse are NaN.
     """
     path = Path(path)
     if not path.exists():
@@ -76,63 +88,38 @@ def parse_onboard_csv(path: str | Path) -> tuple[list[SamplePoint], int]:
         except StopIteration:
             raise SchemaError(f"{path}: file is empty") from None
         lower_to_index = {name.strip().lower(): i for i, name in enumerate(header)}
-        col_index: dict[str, int] = {}
-        for name in REQUIRED_COLUMNS:
-            idx = lower_to_index.get(name.lower())
-            if idx is None:
-                raise SchemaError(f"{path}: missing required column {name!r}")
-            col_index[name] = idx
-        channel_index = {
-            name: lower_to_index[name.lower()]
-            for name in ONBOARD_CHANNELS
-            if name.lower() in lower_to_index
-        }
-
-        samples: list[SamplePoint] = []
-        skipped = 0
-        for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                ts = _parse_timestamp(row[col_index["Timestamp"]])
-                lat = float(row[col_index["Latitude"]])
-                lon = float(row[col_index["Longitude"]])
-                sog = float(row[col_index["SpeedOverGround"]])
-                heading = float(row[col_index["HeadingMagnetic"]])
-                fuel = float(row[col_index["EngineFuelRate"]])
-                if not all(map(math.isfinite, (ts, lat, lon, sog, heading, fuel))):
-                    raise ValueError("non-finite required field")
-                if sog < 0 or fuel < 0:
-                    raise ValueError("negative speed or fuel rate")
-                position = GeoPoint(lat, lon)
-            except (ValueError, IndexError, InvalidInputError):
-                skipped += 1
-                continue
-            weather: dict[str, float] = {}
-            for name, idx in channel_index.items():
-                try:
-                    value = float(row[idx])
-                except (ValueError, IndexError):
-                    continue
-                if not math.isfinite(value):
-                    continue
-                if "direction" in name.lower():
-                    value = value % 360.0
-                weather[name] = value
-            samples.append(
-                SamplePoint(
-                    timestamp=ts,
-                    position=position,
-                    sog=sog,
-                    heading=heading % 360.0,
-                    fuel_rate=fuel,
-                    weather=weather,
-                )
-            )
-    if not samples and skipped == 0:
+        missing = [name for name in REQUIRED_COLUMNS if name.lower() not in lower_to_index]
+        if missing:
+            raise SchemaError(f"{path}: missing required column {missing[0]!r}")
+        # Short rows are padded with empty (unparseable) cells.
+        width = len(header)
+        rows = [row + [""] * (width - len(row)) for row in reader if any(c.strip() for c in row)]
+    if not rows:
         raise SchemaError(f"{path}: no data rows")
-    samples.sort(key=lambda s: s.timestamp)
-    return samples, skipped
+    cells = list(zip(*rows))
+
+    def column(name: str, parse=_parse_float) -> np.ndarray:
+        return np.fromiter(map(parse, cells[lower_to_index[name.lower()]]), float, len(rows))
+
+    core = np.column_stack(
+        [column(name, _parse_timestamp if name == "Timestamp" else _parse_float)
+         for name in REQUIRED_COLUMNS]
+    )
+    t, lat, lon, sog, heading, fuel = core.T
+    keep = (
+        np.isfinite(core).all(axis=1)
+        & (sog >= 0) & (fuel >= 0) & (np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0)
+    )
+    t, lat, lon, sog, heading, fuel = core[keep].T
+    channels = {}
+    for name in ONBOARD_CHANNELS:
+        if name.lower() in lower_to_index:
+            values = column(name)[keep]
+            values[~np.isfinite(values)] = np.nan
+            channels[name] = values % 360.0 if "direction" in name.lower() else values
+    order = np.argsort(t, kind="stable")
+    stream = Track(t, lat, lon, sog, heading % 360.0, fuel, channels).take(order)
+    return stream, int(len(rows) - keep.sum())
 
 
 @dataclass
@@ -286,10 +273,10 @@ def trilinear_interpolate(grid: WeatherGrid, t: float, p: GeoPoint) -> float:
     return float(values[0])
 
 
-def _circular_mean_deg(values: np.ndarray) -> float:
-    rad = np.radians(values)
-    angle = math.atan2(float(np.mean(np.sin(rad))), float(np.mean(np.cos(rad))))
-    deg = math.degrees(angle) % 360.0
+def _circular_deg(mean_sin: float, mean_cos: float) -> float:
+    # Scalar math.atan2 on purpose: numpy's SIMD arctan2 can differ from it
+    # in the last bit, and stored headings must not change with the layout.
+    deg = math.degrees(math.atan2(mean_sin, mean_cos)) % 360.0
     return 0.0 if deg >= 360.0 else deg
 
 
@@ -297,95 +284,67 @@ def resample_voyage(v: Voyage, period: float = 60.0) -> Voyage:
     """Bin-average a voyage onto consecutive windows anchored at its start.
 
     Numeric channels take the arithmetic mean per bin; headings and any
-    *Direction* channel take the circular (vector) mean. Empty bins are
+    *Direction* channel take the circular (vector) mean. A channel missing
+    from any sample of a bin is missing (NaN) in that bin. Empty bins are
     omitted and output timestamps are bin starts.
     """
     if period <= 0:
         raise ConfigurationError(f"resample period must be > 0, got {period}")
-    t0 = v.samples[0].timestamp
-    bins: dict[int, list[SamplePoint]] = {}
-    for s in v.samples:
-        bins.setdefault(int((s.timestamp - t0) // period), []).append(s)
-
-    out: list[SamplePoint] = []
-    for k in sorted(bins):
-        group = bins[k]
-        lat = float(np.mean([s.position.lat for s in group]))
-        lon = float(np.mean([s.position.lon for s in group]))
-        sog = float(np.mean([s.sog for s in group]))
-        fuel = float(np.mean([s.fuel_rate for s in group]))
-        heading = _circular_mean_deg(np.array([s.heading for s in group]))
-        weather: dict[str, float] = {}
-        shared = set(group[0].weather)
-        for s in group[1:]:
-            shared &= set(s.weather)
-        for name in sorted(shared):
-            channel = np.array([s.weather[name] for s in group])
-            if "direction" in name.lower():
-                weather[name] = _circular_mean_deg(channel)
-            else:
-                weather[name] = float(np.mean(channel))
-        out.append(
-            SamplePoint(
-                timestamp=t0 + k * period,
-                position=GeoPoint(lat, lon),
-                sog=sog,
-                heading=heading,
-                fuel_rate=fuel,
-                weather=weather,
-            )
-        )
-    if len(out) < 2:
+    t0 = v.t[0]
+    k = ((v.t - t0) // period).astype(np.int64)
+    # Samples are time-ordered, so each bin is a run of equal k.
+    starts = np.flatnonzero(np.diff(k, prepend=-1))
+    sizes = np.diff(starts, append=len(k))
+    if len(starts) < 2:
         raise InsufficientDataError(
-            f"voyage {v.voyage_id!r}: resampling at {period}s leaves {len(out)} sample(s)"
+            f"voyage {v.voyage_id!r}: resampling at {period}s leaves {len(starts)} sample(s)"
         )
-    return Voyage(
-        voyage_id=v.voyage_id, samples=out, origin=v.origin, destination=v.destination
+
+    def mean(values: np.ndarray) -> np.ndarray:
+        # One (bins, size) block per bin size: a row mean along the
+        # contiguous axis sums exactly like np.mean over that bin alone.
+        out = np.empty(len(starts))
+        for size in np.unique(sizes):
+            same = sizes == size
+            out[same] = values[starts[same][:, None] + np.arange(size)].mean(axis=1)
+        return out
+
+    def circular_mean(degrees: np.ndarray) -> np.ndarray:
+        rad = np.radians(degrees)
+        sin, cos = mean(np.sin(rad)).tolist(), mean(np.cos(rad)).tolist()
+        return np.fromiter(map(_circular_deg, sin, cos), float, len(starts))
+
+    return replace(
+        v,
+        t=t0 + k[starts] * period,
+        lat=mean(v.lat),
+        lon=mean(v.lon),
+        sog=mean(v.sog),
+        heading=circular_mean(v.heading),
+        fuel=mean(v.fuel),
+        channels={
+            name: circular_mean(values) if "direction" in name.lower() else mean(values)
+            for name, values in v.channels.items()
+        },
     )
 
 
 def attach_weather(v: Voyage, grids: list[WeatherGrid]) -> tuple[Voyage, int]:
-    """Attach every grid variable to every sample by trilinear interpolation.
+    """Attach every grid variable as a channel by trilinear interpolation.
 
     Samples for which any grid fails (out of domain or missing corner) are
     dropped; the drop count is returned. Raises InsufficientDataError when
     fewer than two samples survive.
     """
-    times = np.array([s.timestamp for s in v.samples])
-    lats = np.array([s.position.lat for s in v.samples])
-    lons = np.array([s.position.lon for s in v.samples])
-    keep = np.ones(len(v.samples), dtype=bool)
-    per_grid: dict[str, np.ndarray] = {}
+    keep = np.ones(len(v), dtype=bool)
+    channels = dict(v.channels)
     for grid in grids:
-        values, status = grid.interpolate_many(times, lats, lons)
+        values, status = grid.interpolate_many(v.t, v.lat, v.lon)
         keep &= status == _OK
-        per_grid[grid.variable] = values
-    kept: list[SamplePoint] = []
-    for i, s in enumerate(v.samples):
-        if not keep[i]:
-            continue
-        weather = dict(s.weather)
-        for name, values in per_grid.items():
-            value = float(values[i])
-            if "direction" in name.lower():
-                value = value % 360.0
-            weather[name] = value
-        kept.append(
-            SamplePoint(
-                timestamp=s.timestamp,
-                position=s.position,
-                sog=s.sog,
-                heading=s.heading,
-                fuel_rate=s.fuel_rate,
-                weather=weather,
-            )
-        )
-    dropped = len(v.samples) - len(kept)
-    if len(kept) < 2:
+        channels[grid.variable] = values % 360.0 if "direction" in grid.variable.lower() else values
+    kept = int(keep.sum())
+    if kept < 2:
         raise InsufficientDataError(
-            f"voyage {v.voyage_id!r}: only {len(kept)} samples remain after weather alignment"
+            f"voyage {v.voyage_id!r}: only {kept} samples remain after weather alignment"
         )
-    return (
-        Voyage(voyage_id=v.voyage_id, samples=kept, origin=v.origin, destination=v.destination),
-        dropped,
-    )
+    return replace(v, channels=channels).take(keep), len(v) - kept

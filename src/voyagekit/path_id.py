@@ -55,10 +55,7 @@ class Path:
 
     @classmethod
     def from_voyage(cls, v: Voyage) -> "Path":
-        return cls(
-            v.voyage_id,
-            np.array([[s.position.lat, s.position.lon] for s in v.samples]),
-        )
+        return cls(v.voyage_id, v.columns("lat", "lon"))
 
 
 def _pairwise_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ from .efficiency import (
 from .errors import (
     InsufficientDataError,
     InvalidInputError,
-    MissingDataError,
     UndefinedGainError,
     VoyagekitError,
 )
@@ -37,27 +36,6 @@ from .geo import Voyage
 from .hmm import DEFAULT_FEATURES, STATE_NAMES, decode_states, fit_weather_hmm, hmm_predict
 
 MODEL_ORDER = ("kNN", "1NN-DTW", "HMM")
-
-
-@dataclass
-class SpeedProfile:
-    """A voyage's speed-over-ground sequence (m/s, finite, non-negative)."""
-
-    voyage_id: str
-    sog: np.ndarray
-
-    def __post_init__(self):
-        self.sog = np.asarray(self.sog, dtype=float)
-        if len(self.sog) == 0:
-            raise InvalidInputError(f"profile {self.voyage_id!r} is empty")
-        if not np.all(np.isfinite(self.sog)) or np.any(self.sog < 0):
-            raise InvalidInputError(
-                f"profile {self.voyage_id!r} has non-finite or negative speeds"
-            )
-
-    @classmethod
-    def from_voyage(cls, v: Voyage) -> "SpeedProfile":
-        return cls(v.voyage_id, np.array([s.sog for s in v.samples]))
 
 
 def dtw_distance(x: Sequence[float], y: Sequence[float]) -> float:
@@ -93,35 +71,17 @@ def linear_resample(values: np.ndarray, n: int) -> np.ndarray:
     return np.interp(dst, src, values)
 
 
-def predict_1nn_dtw(test: SpeedProfile, cluster: Sequence[SpeedProfile]) -> SpeedProfile:
-    """Most DTW-similar cluster profile, resampled to the test length.
+def predict_1nn_dtw(
+    test_sog: np.ndarray, profiles: Mapping[str, np.ndarray]
+) -> tuple[str, np.ndarray]:
+    """Id of the most DTW-similar profile and that profile resampled to the test length.
 
     Ties break toward the lowest voyage id.
     """
-    if not cluster:
+    if not profiles:
         raise InsufficientDataError("1NN-DTW needs a non-empty training cluster")
-    best: SpeedProfile | None = None
-    best_cost = float("inf")
-    for candidate in sorted(cluster, key=lambda p: p.voyage_id):
-        cost = dtw_distance(test.sog, candidate.sog)
-        if cost < best_cost:
-            best_cost = cost
-            best = candidate
-    return SpeedProfile(best.voyage_id, linear_resample(best.sog, len(test.sog)))
-
-
-def _speed_features(v: Voyage, channels: tuple[str, ...]) -> np.ndarray:
-    rows = []
-    for s in v.samples:
-        row = [s.position.lat, s.position.lon]
-        for name in channels:
-            if name not in s.weather:
-                raise MissingDataError(
-                    f"voyage {v.voyage_id!r}: weather channel {name!r} missing"
-                )
-            row.append(s.weather[name])
-        rows.append(row)
-    return np.array(rows, dtype=float)
+    best_id = min(profiles, key=lambda vid: (dtw_distance(test_sog, profiles[vid]), vid))
+    return best_id, linear_resample(profiles[best_id], len(test_sog))
 
 
 def knn_predict(
@@ -129,14 +89,13 @@ def knn_predict(
     cluster: Sequence[Voyage],
     k: int = 5,
     feature_case: str = "IV",
-) -> SpeedProfile:
+) -> np.ndarray:
     """Per-sample kNN speed prediction from (lat, lon, case weather channels)."""
-    channels = FEATURE_CASES[feature_case]
-    train_x = np.vstack([_speed_features(v, channels) for v in cluster])
-    train_y = np.concatenate([[s.sog for s in v.samples] for v in cluster])
+    names = ("lat", "lon", *FEATURE_CASES[feature_case])
+    train_x = np.vstack([v.columns(*names) for v in cluster])
+    train_y = np.concatenate([v.sog for v in cluster])
     reg = KnnRegressor(k=k).fit(train_x, train_y)
-    pred = np.maximum(reg.predict(_speed_features(test, channels)), 0.0)
-    return SpeedProfile(test.voyage_id, pred)
+    return np.maximum(reg.predict(test.columns(*names)), 0.0)
 
 
 class SpeedModel(Protocol):
@@ -144,7 +103,7 @@ class SpeedModel(Protocol):
 
     def fit(self, cluster: Sequence[Voyage]) -> None: ...
 
-    def predict(self, test: Voyage) -> SpeedProfile: ...
+    def predict(self, test: Voyage) -> np.ndarray: ...
 
 
 class KnnSpeedModel:
@@ -154,27 +113,26 @@ class KnnSpeedModel:
         self._cluster: list[Voyage] = []
 
     def fit(self, cluster: Sequence[Voyage]) -> None:
-        n = sum(len(v.samples) for v in cluster)
+        n = sum(len(v) for v in cluster)
         if n < self.k:
             raise InsufficientDataError(f"kNN needs >= {self.k} samples, got {n}")
         self._cluster = list(cluster)
 
-    def predict(self, test: Voyage) -> SpeedProfile:
+    def predict(self, test: Voyage) -> np.ndarray:
         return knn_predict(test, self._cluster, k=self.k, feature_case=self.feature_case)
 
 
 class DtwSpeedModel:
     def __init__(self):
-        self._profiles: list[SpeedProfile] = []
+        self._profiles: dict[str, np.ndarray] = {}
 
     def fit(self, cluster: Sequence[Voyage]) -> None:
         if not cluster:
             raise InsufficientDataError("1NN-DTW needs a non-empty training cluster")
-        self._profiles = [SpeedProfile.from_voyage(v) for v in cluster]
+        self._profiles = {v.voyage_id: v.sog for v in cluster}
 
-    def predict(self, test: Voyage) -> SpeedProfile:
-        retrieved = predict_1nn_dtw(SpeedProfile.from_voyage(test), self._profiles)
-        return SpeedProfile(test.voyage_id, retrieved.sog)
+    def predict(self, test: Voyage) -> np.ndarray:
+        return predict_1nn_dtw(test.sog, self._profiles)[1]
 
 
 class HmmSpeedModel:
@@ -186,8 +144,8 @@ class HmmSpeedModel:
     def fit(self, cluster: Sequence[Voyage]) -> None:
         self.model = fit_weather_hmm(cluster, seed=self.seed, features=self.features)
 
-    def predict(self, test: Voyage) -> SpeedProfile:
-        return SpeedProfile(test.voyage_id, hmm_predict(test, self.model))
+    def predict(self, test: Voyage) -> np.ndarray:
+        return hmm_predict(test, self.model)
 
 
 class IdentitySpeedModel:
@@ -196,8 +154,8 @@ class IdentitySpeedModel:
     def fit(self, cluster: Sequence[Voyage]) -> None:
         pass
 
-    def predict(self, test: Voyage) -> SpeedProfile:
-        return SpeedProfile.from_voyage(test)
+    def predict(self, test: Voyage) -> np.ndarray:
+        return test.sog
 
 
 def default_models(
@@ -281,12 +239,10 @@ def run_optimization_benchmark(
     # are normalized by the fleet-wide (train + test) measured maxima so the
     # scale matches the fleet-level scoring convention.
     meas_ft = {
-        v.voyage_id: estimate_fuel_time([s.sog for s in v.samples], v, estimator)
-        for v in test_voyages
+        v.voyage_id: estimate_fuel_time(v.sog, v, estimator) for v in test_voyages
     }
     fleet_ft = list(meas_ft.values()) + [
-        estimate_fuel_time([s.sog for s in v.samples], v, estimator)
-        for v in train_voyages
+        estimate_fuel_time(v.sog, v, estimator) for v in train_voyages
     ]
     max_fuel = max(f for f, _ in fleet_ft)
     max_time = max(t for _, t in fleet_ft)
@@ -339,8 +295,8 @@ def run_optimization_benchmark(
             for v in test_voyages:
                 profile = model.predict(v)
                 if keep_profiles:
-                    profiles[v.voyage_id] = profile.sog
-                fuel, hours = estimate_fuel_time(profile.sog, v, estimator)
+                    profiles[v.voyage_id] = profile
+                fuel, hours = estimate_fuel_time(profile, v, estimator)
                 try:
                     gains[v.voyage_id] = efficiency_gain(
                         meas_score[v.voyage_id], score(fuel, hours)

@@ -1,18 +1,24 @@
 """File-based voyage store: one CSV per voyage plus a JSON manifest.
 
 Commands hand data to each other through this store, so every value is
-written with full float precision (repr round-trips exactly).
+written with full float precision (repr round-trips exactly). A voyage file
+holds the core columns followed by the channels recorded on every sample,
+in name order; a channel missing (NaN) on any sample is not stored.
+Malformed files raise InvalidInputError naming the file and row.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InvalidInputError
-from .geo import GeoPoint, SamplePoint, Voyage
+from .geo import CORE_FIELDS, Voyage
 
 CORE_COLUMNS = (
     "Timestamp",
@@ -29,26 +35,16 @@ def write_store(voyages: Sequence[Voyage], store_dir: str | Path, extra_meta: di
     (store / "voyages").mkdir(parents=True, exist_ok=True)
     entries = []
     for v in voyages:
-        channels = sorted(set.intersection(*[set(s.weather) for s in v.samples]))
+        channels = sorted(name for name, values in v.channels.items() if not np.isnan(values).any())
+        columns = [getattr(v, name) for name in CORE_FIELDS] + [v.channels[c] for c in channels]
         with open(store / "voyages" / f"{v.voyage_id}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow([*CORE_COLUMNS, *channels])
-            for s in v.samples:
-                writer.writerow(
-                    [
-                        repr(float(s.timestamp)),
-                        repr(float(s.position.lat)),
-                        repr(float(s.position.lon)),
-                        repr(float(s.sog)),
-                        repr(float(s.heading)),
-                        repr(float(s.fuel_rate)),
-                        *[repr(float(s.weather[c])) for c in channels],
-                    ]
-                )
+            writer.writerows(zip(*(map(repr, values.tolist()) for values in columns)))
         entries.append(
             {
                 "voyage_id": v.voyage_id,
-                "n_samples": len(v.samples),
+                "n_samples": len(v),
                 "origin": v.origin,
                 "destination": v.destination,
             }
@@ -61,42 +57,52 @@ def write_store(voyages: Sequence[Voyage], store_dir: str | Path, extra_meta: di
         fh.write("\n")
 
 
+def _read_voyage(path: Path, entry: dict) -> Voyage:
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        rows = list(reader)
+    if header is None:
+        raise InvalidInputError(f"{path}: file is empty")
+    if tuple(header[: len(CORE_COLUMNS)]) != CORE_COLUMNS:
+        raise InvalidInputError(f"{path}: header must start with {', '.join(CORE_COLUMNS)}")
+    width = len(header)
+    bad = np.flatnonzero(np.fromiter(map(len, rows), int, len(rows)) != width)
+    if len(bad):
+        raise InvalidInputError(
+            f"{path}: data row {bad[0] + 1} has {len(rows[bad[0]])} cells, expected {width}"
+        )
+    values: list[float] = []
+    try:
+        values.extend(map(float, chain.from_iterable(rows)))
+    except ValueError as exc:
+        # extend keeps the cells parsed before the failing one.
+        raise InvalidInputError(f"{path}: data row {len(values) // width + 1}: {exc}") from None
+    columns = np.array(values).reshape(len(rows), width).T
+    return Voyage(
+        *columns[: len(CORE_COLUMNS)],
+        channels=dict(zip(header[len(CORE_COLUMNS):], columns[len(CORE_COLUMNS):])),
+        voyage_id=entry["voyage_id"],
+        origin=entry.get("origin", ""),
+        destination=entry.get("destination", ""),
+    )
+
+
 def read_store(store_dir: str | Path) -> list[Voyage]:
     store = Path(store_dir)
     manifest_path = store / "manifest.json"
     if not manifest_path.exists():
         raise InvalidInputError(f"voyage store not found: {manifest_path}")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            entries = json.load(fh)["voyages"]
+        ids = [entry["voyage_id"] for entry in entries]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{manifest_path}: malformed manifest ({exc!r})") from None
     voyages = []
-    for entry in manifest["voyages"]:
-        vid = entry["voyage_id"]
+    for vid, entry in zip(ids, entries):
         path = store / "voyages" / f"{vid}.csv"
         if not path.exists():
             raise InvalidInputError(f"store manifest lists {vid} but {path} is missing")
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            channels = header[len(CORE_COLUMNS):]
-            samples = []
-            for row in reader:
-                values = [float(x) for x in row]
-                samples.append(
-                    SamplePoint(
-                        timestamp=values[0],
-                        position=GeoPoint(values[1], values[2]),
-                        sog=values[3],
-                        heading=values[4],
-                        fuel_rate=values[5],
-                        weather=dict(zip(channels, values[len(CORE_COLUMNS):])),
-                    )
-                )
-        voyages.append(
-            Voyage(
-                voyage_id=vid,
-                samples=samples,
-                origin=entry.get("origin", ""),
-                destination=entry.get("destination", ""),
-            )
-        )
+        voyages.append(_read_voyage(path, entry))
     return voyages

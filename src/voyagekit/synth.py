@@ -22,13 +22,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geo import GeoPoint, RouteSegmentSpec, SamplePoint, Voyage
+from .geo import CORE_FIELDS, RouteSegmentSpec, Voyage
 from .ingestion import WeatherGrid
 
 DEG_PER_M = 1.0 / 111_195.0  # flat-earth conversion used by the simulator
@@ -150,7 +150,6 @@ class FleetData:
     labels: dict[str, str]
     grids: list[WeatherGrid]
     segment_spec: RouteSegmentSpec
-    onboard_rows: list[list[float]] = field(default_factory=list)
 
 
 class _Polyline:
@@ -259,7 +258,6 @@ def generate_fleet(spec: SyntheticFleetSpec) -> FleetData:
 
     voyages: list[Voyage] = []
     labels: dict[str, str] = {}
-    onboard_rows: list[list[float]] = []
     t = spec.start_time
     for i, branch_name in enumerate(order):
         vid = f"V{i + 1:04d}"
@@ -301,34 +299,12 @@ def generate_fleet(spec: SyntheticFleetSpec) -> FleetData:
         wind = channel_values["WindSpeed_cps"]
         fuel = spec.fuel_a + spec.fuel_b * sogs**2 + spec.fuel_c * wind
 
-        samples = []
-        for j in range(len(ts)):
-            weather = {name: float(channel_values[name][j]) for name in WEATHER_VARIABLES}
-            weather["WindSpeed_onb"] = float(wind[j])
-            weather["WindDirection_onb"] = float(channel_values["WindDirection_cps"][j])
-            samples.append(
-                SamplePoint(
-                    timestamp=float(ts[j]),
-                    position=GeoPoint(float(pos[j, 0]), float(pos[j, 1])),
-                    sog=float(sogs[j]),
-                    heading=float(heading_list[j]),
-                    fuel_rate=float(fuel[j]),
-                    weather=weather,
-                )
-            )
-            onboard_rows.append(
-                [
-                    float(ts[j]),
-                    float(pos[j, 0]),
-                    float(pos[j, 1]),
-                    float(sogs[j]),
-                    float(heading_list[j]),
-                    float(fuel[j]),
-                    float(wind[j]),
-                    float(channel_values["WindDirection_cps"][j]),
-                ]
-            )
-        voyages.append(Voyage(voyage_id=vid, samples=samples))
+        channels = {name: channel_values[name] for name in WEATHER_VARIABLES}
+        channels["WindSpeed_onb"] = wind
+        channels["WindDirection_onb"] = channel_values["WindDirection_cps"]
+        voyages.append(
+            Voyage(ts, pos[:, 0], pos[:, 1], sogs, heading_list, fuel, channels, voyage_id=vid)
+        )
         labels[vid] = branch_name
         t += spec.gap_s
 
@@ -339,7 +315,6 @@ def generate_fleet(spec: SyntheticFleetSpec) -> FleetData:
         labels=labels,
         grids=grids,
         segment_spec=segment_spec,
-        onboard_rows=onboard_rows,
     )
 
 
@@ -395,8 +370,9 @@ def write_fleet(fleet: FleetData, out_dir: str | Path) -> dict:
     with open(out / "onboard" / "fleet.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(ONBOARD_HEADER)
-        for row in fleet.onboard_rows:
-            writer.writerow([repr(float(v)) for v in row])
+        for v in fleet.voyages:
+            columns = v.columns(*CORE_FIELDS, "WindSpeed_onb", "WindDirection_onb").T
+            writer.writerows(zip(*(map(repr, values.tolist()) for values in columns)))
 
     for grid in fleet.grids:
         with open(out / "weather" / f"{grid.variable}.csv", "w", newline="", encoding="utf-8") as fh:
@@ -419,7 +395,7 @@ def write_fleet(fleet: FleetData, out_dir: str | Path) -> dict:
 
     manifest = {
         "voyage_count": len(fleet.voyages),
-        "sample_count": sum(len(v.samples) for v in fleet.voyages),
+        "sample_count": sum(len(v) for v in fleet.voyages),
         "branch_counts": {
             name: sum(1 for lbl in fleet.labels.values() if lbl == name)
             for name in sorted({b.name for b in fleet.spec.branches})

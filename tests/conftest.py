@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from voyagekit.geo import GeoPoint, SamplePoint, Voyage
+from voyagekit.geo import CORE_FIELDS, Track, Voyage
 from voyagekit.synth import Branch, SyntheticFleetSpec, WeatherRegime, generate_fleet
 
 settings.register_profile(
@@ -34,22 +34,23 @@ def make_sample(
     heading: float = 90.0,
     fuel_rate: float = 50.0,
     weather: dict | None = None,
-) -> SamplePoint:
-    return SamplePoint(
-        timestamp=ts,
-        position=GeoPoint(lat, lon),
-        sog=sog,
-        heading=heading,
-        fuel_rate=fuel_rate,
-        weather=dict(weather or {}),
+) -> dict:
+    """One sample as a dict of core fields plus weather channels."""
+    return {"t": ts, "lat": lat, "lon": lon, "sog": sog, "heading": heading,
+            "fuel": fuel_rate, **(weather or {})}
+
+
+def make_track(samples: list[dict]) -> Track:
+    """Columnar stream from sample dicts; a channel absent from a sample is NaN there."""
+    names = sorted({key for s in samples for key in s} - set(CORE_FIELDS))
+    return Track(
+        *[[s[name] for s in samples] for name in CORE_FIELDS],
+        channels={name: [s.get(name, np.nan) for s in samples] for name in names},
     )
 
 
-def make_voyage(voyage_id: str = "V0001", n: int = 5, period: float = 60.0, **kwargs) -> Voyage:
-    return Voyage(
-        voyage_id=voyage_id,
-        samples=[make_sample(i * period, lon=0.001 * i, **kwargs) for i in range(n)],
-    )
+def voyage_of(voyage_id: str, samples: list[dict]) -> Voyage:
+    return Voyage(**vars(make_track(samples)), voyage_id=voyage_id)
 
 
 def tiny_fleet_spec(seed: int = 11, voyages_per_branch: int = 4) -> SyntheticFleetSpec:

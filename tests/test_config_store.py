@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from voyagekit.cli import main
 from voyagekit.config import RunConfig, load_config
 from voyagekit.errors import ConfigurationError, InvalidInputError
+from voyagekit.geo import CORE_FIELDS
 from voyagekit.store import read_store, write_store
 
 
@@ -74,11 +77,52 @@ class TestStore:
         loaded = read_store(tmp_path / "store")
         assert [v.voyage_id for v in loaded] == [v.voyage_id for v in voyages]
         for a, b in zip(voyages, loaded):
-            assert len(a.samples) == len(b.samples)
-            assert [s.timestamp for s in a.samples] == [s.timestamp for s in b.samples]
-            assert [s.sog for s in a.samples] == [s.sog for s in b.samples]
-            assert a.samples[0].weather == b.samples[0].weather
+            for name in CORE_FIELDS:
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            assert sorted(a.channels) == sorted(b.channels)
+            for name, values in a.channels.items():
+                assert np.array_equal(values, b.channels[name]), name
 
     def test_missing_store(self, tmp_path):
         with pytest.raises(InvalidInputError):
             read_store(tmp_path / "absent")
+
+    @pytest.fixture
+    def store(self, tiny_fleet, tmp_path):
+        write_store(tiny_fleet.voyages[:2], tmp_path / "store")
+        return tmp_path / "store"
+
+    def corrupt(self, store, edit):
+        path = store / "voyages" / "V0002.csv"
+        lines = edit(path.read_text(encoding="utf-8").splitlines())
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+    def test_empty_voyage_file(self, store):
+        self.corrupt(store, lambda lines: [])
+        with pytest.raises(InvalidInputError, match=r"V0002\.csv: file is empty"):
+            read_store(store)
+
+    def test_short_row(self, store):
+        self.corrupt(store, lambda lines: [*lines[:3], lines[3].rsplit(",", 1)[0], *lines[4:]])
+        with pytest.raises(InvalidInputError, match=r"V0002\.csv: data row 3 has"):
+            read_store(store)
+
+    def test_non_numeric_cell(self, store):
+        self.corrupt(store, lambda lines: [*lines[:5], "x" + lines[5], *lines[6:]])
+        with pytest.raises(InvalidInputError, match=r"V0002\.csv: data row 5: .*'x"):
+            read_store(store)
+
+    def test_manifest_without_voyages(self, store):
+        (store / "manifest.json").write_text(json.dumps({"note": 1}), encoding="utf-8")
+        with pytest.raises(InvalidInputError, match="manifest"):
+            read_store(store)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda lines: [], lambda lines: [*lines[:2], "?" + lines[2], *lines[3:]]],
+        ids=["empty", "non-numeric"],
+    )
+    def test_cli_reports_malformed_store(self, store, edit, capsys):
+        self.corrupt(store, edit)
+        assert main(["score", "--out", str(store.parent)]) == 1
+        assert "error:" in capsys.readouterr().err

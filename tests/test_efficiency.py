@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_sample
+from conftest import make_sample, voyage_of
 from voyagekit.efficiency import (
     FEATURE_CASES,
     KnnRegressor,
@@ -21,14 +21,13 @@ from voyagekit.errors import (
     InvalidInputError,
     UndefinedGainError,
 )
-from voyagekit.geo import Voyage
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
 def flat_voyage(vid="V0001", n=5, fuel_rate=60.0, sog=5.0, period=60.0, weather=None):
     weather = weather or {name: 1.0 for name in FEATURE_CASES["IV"]}
-    return Voyage(
+    return voyage_of(
         vid,
         [
             make_sample(i * period, lon=0.001 * i, sog=sog, fuel_rate=fuel_rate, weather=weather)
@@ -49,12 +48,21 @@ class TestVoyageTotals:
         assert fuel == 0.0
 
     def test_left_rectangle_uses_first_rate(self):
-        v = Voyage(
+        v = voyage_of(
             "V1",
             [make_sample(0.0, fuel_rate=30.0), make_sample(60.0, fuel_rate=90.0)],
         )
         fuel, _ = voyage_totals(v)
         assert fuel == pytest.approx(30.0 / 60.0)  # 30 L/h for 1/60 h
+
+    def test_matches_left_to_right_loop(self):
+        rng = np.random.default_rng(4)
+        stamps = np.cumsum(rng.uniform(1.0, 120.0, 397))
+        v = voyage_of("V1", [make_sample(t, fuel_rate=rng.uniform(0, 90)) for t in stamps])
+        fuel = 0.0
+        for i in range(len(v) - 1):
+            fuel += v.fuel[i] * (v.t[i + 1] - v.t[i]) / 3600.0
+        assert voyage_totals(v) == (fuel, (v.t[-1] - v.t[0]) / 3600.0)
 
 
 class TestEfficiencyScore:
@@ -244,43 +252,50 @@ class TestEstimateFuelTime:
                         weather=weather,
                     )
                 )
-            self.voyages.append(Voyage(f"V{i:04d}", samples))
+            self.voyages.append(voyage_of(f"V{i:04d}", samples))
         self.est = train_estimator(self.voyages, feature_case="IV")
 
     def test_identity_profile_reproduces(self):
         v = self.voyages[0]
-        measured = [s.sog for s in v.samples]
+        measured = v.sog.tolist()
         f1, t1 = estimate_fuel_time(measured, v, self.est)
         f2, t2 = estimate_fuel_time(measured, v, self.est)
         assert f1 == f2 and t1 == t2
         rates = self.est.predict_rates(v)
         expected_fuel = sum(
-            rates[i] * (v.samples[i + 1].timestamp - v.samples[i].timestamp) / 3600.0
-            for i in range(len(v.samples) - 1)
+            rates[i] * (v.t[i + 1] - v.t[i]) / 3600.0 for i in range(len(v) - 1)
         )
         assert f1 == pytest.approx(expected_fuel, rel=1e-12)
 
     def test_faster_profile_scales_time(self):
         v = self.voyages[0]
-        measured = np.array([s.sog for s in v.samples])
+        measured = v.sog.copy()
         _, t_meas = estimate_fuel_time(measured, v, self.est)
         _, t_fast = estimate_fuel_time(measured * 1.1, v, self.est)
         assert t_fast == pytest.approx(t_meas / 1.1, rel=1e-9)
 
     def test_zero_speed_clamped(self):
         v = self.voyages[0]
-        profile = np.zeros(len(v.samples))
+        profile = np.zeros(len(v))
         fuel, hours = estimate_fuel_time(profile, v, self.est)
         assert np.isfinite(fuel) and np.isfinite(hours)
         # Every step duration is dt * sog / 0.1.
         expected_hours = sum(
-            (v.samples[i + 1].timestamp - v.samples[i].timestamp)
-            * v.samples[i].sog
-            / 0.1
-            / 3600.0
-            for i in range(len(v.samples) - 1)
+            (v.t[i + 1] - v.t[i]) * v.sog[i] / 0.1 / 3600.0 for i in range(len(v) - 1)
         )
         assert hours == pytest.approx(expected_hours, rel=1e-12)
+
+    def test_matches_per_step_loop(self):
+        v = self.voyages[1]
+        # Seeded so that ndarray.sum's pairwise order would differ from the loop in both totals.
+        profile = v.sog * np.random.default_rng(1).uniform(0.0, 3.0, len(v))
+        rates = self.est.predict_rates(v, sog_override=profile)
+        fuel = hours = 0.0
+        for i in range(len(v) - 1):
+            scaled = (v.t[i + 1] - v.t[i]) * v.sog[i] / max(profile[i], 0.1)
+            fuel += rates[i] * scaled / 3600.0
+            hours += scaled / 3600.0
+        assert estimate_fuel_time(profile, v, self.est) == (fuel, hours)
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):

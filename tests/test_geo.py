@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_sample
-from voyagekit.errors import ConfigurationError, InvalidInputError
+from conftest import make_sample, make_track, voyage_of
+from voyagekit.errors import ConfigurationError, InvalidInputError, MissingDataError
 from voyagekit.geo import (
     EARTH_RADIUS_M,
     GeoPoint,
     RouteSegmentSpec,
-    Voyage,
     assign_segment,
     euclidean_distance,
     haversine_distance,
+    merge_tracks,
     point_in_polygon,
     split_into_voyages,
 )
@@ -152,22 +152,22 @@ def _port_spec():
 class TestSplitIntoVoyages:
     def test_continuous_single_voyage(self):
         samples = [make_sample(i * 10.0) for i in range(20)]
-        result = split_into_voyages(samples, gap_threshold=60.0)
+        result = split_into_voyages(make_track(samples), gap_threshold=60.0)
         assert len(result.voyages) == 1
-        assert len(result.voyages[0].samples) == 20
+        assert len(result.voyages[0]) == 20
         assert result.dropped_count == 0
 
     def test_gap_splits_in_two(self):
         samples = [make_sample(i * 10.0) for i in range(10)]
         samples += [make_sample(90.0 + 120.0 + i * 10.0) for i in range(10)]
-        result = split_into_voyages(samples, gap_threshold=60.0)
-        assert [len(v.samples) for v in result.voyages] == [10, 10]
+        result = split_into_voyages(make_track(samples), gap_threshold=60.0)
+        assert [len(v) for v in result.voyages] == [10, 10]
         assert [v.voyage_id for v in result.voyages] == ["V0001", "V0002"]
 
     def test_trailing_singleton_dropped(self):
         samples = [make_sample(i * 10.0) for i in range(5)]
         samples.append(make_sample(1000.0))
-        result = split_into_voyages(samples, gap_threshold=60.0)
+        result = split_into_voyages(make_track(samples), gap_threshold=60.0)
         assert len(result.voyages) == 1
         assert result.dropped_count == 1
 
@@ -176,50 +176,82 @@ class TestSplitIntoVoyages:
         samples = [make_sample(i * 10.0, lat=0.5, sog=5.0) for i in range(5)]
         samples += [make_sample(50.0 + i * 10.0, lat=0.0, lon=0.0, sog=0.1) for i in range(14)]
         samples += [make_sample(190.0 + i * 10.0, lat=-0.5, sog=5.0) for i in range(5)]
-        result = split_into_voyages(samples, gap_threshold=3600.0, port_regions=_port_spec())
+        result = split_into_voyages(make_track(samples), gap_threshold=3600.0, port_regions=_port_spec())
         assert len(result.voyages) == 2
         # Dwell samples stay with the first leg.
-        assert len(result.voyages[0].samples) == 19
-        assert len(result.voyages[1].samples) == 5
+        assert len(result.voyages[0]) == 19
+        assert len(result.voyages[1]) == 5
 
     def test_short_dwell_does_not_split(self):
         samples = [make_sample(i * 10.0, lat=0.5, sog=5.0) for i in range(5)]
         samples += [make_sample(50.0 + i * 10.0, sog=0.1) for i in range(5)]  # 40 s dwell
         samples += [make_sample(100.0 + i * 10.0, lat=-0.5, sog=5.0) for i in range(5)]
-        result = split_into_voyages(samples, gap_threshold=3600.0, port_regions=_port_spec())
+        result = split_into_voyages(make_track(samples), gap_threshold=3600.0, port_regions=_port_spec())
         assert len(result.voyages) == 1
 
     def test_fast_transit_through_port_does_not_split(self):
         samples = [make_sample(i * 10.0, sog=5.0) for i in range(30)]
-        result = split_into_voyages(samples, gap_threshold=3600.0, port_regions=_port_spec())
+        result = split_into_voyages(make_track(samples), gap_threshold=3600.0, port_regions=_port_spec())
         assert len(result.voyages) == 1
 
     def test_unordered_rejected(self):
         samples = [make_sample(100.0), make_sample(50.0)]
         with pytest.raises(InvalidInputError):
-            split_into_voyages(samples, gap_threshold=60.0)
+            split_into_voyages(make_track(samples), gap_threshold=60.0)
 
     def test_bad_gap_threshold(self):
         with pytest.raises(ConfigurationError):
-            split_into_voyages([make_sample(0.0)], gap_threshold=0.0)
+            split_into_voyages(make_track([make_sample(0.0)]), gap_threshold=0.0)
 
     @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=60))
     def test_partition_property(self, deltas):
         # Voyages plus dropped singletons reproduce the input sample multiset.
         ts = np.cumsum(deltas).astype(float)
         samples = [make_sample(float(t)) for t in ts]
-        result = split_into_voyages(samples, gap_threshold=15.0)
-        recovered = [s for v in result.voyages for s in v.samples] + result.dropped_samples
-        assert sorted(s.timestamp for s in recovered) == sorted(s.timestamp for s in samples)
+        result = split_into_voyages(make_track(samples), gap_threshold=15.0)
+        recovered = np.concatenate([v.t for v in result.voyages] + [result.dropped_samples.t])
+        assert sorted(recovered) == sorted(s["t"] for s in samples)
         for v in result.voyages:
-            assert len(v.samples) >= 2
+            assert len(v) >= 2
 
 
 class TestVoyage:
     def test_too_short(self):
         with pytest.raises(InvalidInputError):
-            Voyage(voyage_id="x", samples=[make_sample(0.0)])
+            voyage_of("x", [make_sample(0.0)])
 
     def test_unordered(self):
         with pytest.raises(InvalidInputError):
-            Voyage(voyage_id="x", samples=[make_sample(10.0), make_sample(0.0)])
+            voyage_of("x", [make_sample(10.0), make_sample(0.0)])
+
+    @pytest.mark.parametrize(
+        "bad", [{"lat": 91.0}, {"lon": float("nan")}, {"sog": -0.5}]
+    )
+    def test_invalid_sample_names_voyage(self, bad):
+        samples = [make_sample(0.0), {**make_sample(60.0), **bad}]
+        with pytest.raises(InvalidInputError, match="voyage 'V7' sample 1"):
+            voyage_of("V7", samples)
+
+    def test_columns_stacks_in_order(self):
+        v = voyage_of("V1", [make_sample(0.0, lat=1.0, sog=3.0, weather={"W": 7.0}),
+                             make_sample(60.0, lat=2.0, sog=4.0, weather={"W": 8.0})])
+        assert v.columns("W", "lat", "sog").tolist() == [[7.0, 1.0, 3.0], [8.0, 2.0, 4.0]]
+
+    def test_columns_absent_channel(self):
+        v = voyage_of("V1", [make_sample(0.0), make_sample(60.0)])
+        with pytest.raises(MissingDataError, match="'W'"):
+            v.columns("lat", "W")
+
+    def test_columns_channel_with_missing_cell(self):
+        v = voyage_of("V1", [make_sample(0.0, weather={"W": 1.0}), make_sample(60.0)])
+        assert np.isnan(v.channels["W"][1])
+        with pytest.raises(MissingDataError, match="'W'"):
+            v.columns("W")
+
+
+class TestMergeTracks:
+    def test_channel_missing_from_one_stream_is_nan(self):
+        first = make_track([make_sample(0.0, weather={"W": 5.0})])
+        second = make_track([make_sample(60.0)])
+        merged = merge_tracks([first, second])
+        assert merged.channels["W"][0] == 5.0 and np.isnan(merged.channels["W"][1])

@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_sample
+from conftest import make_sample, voyage_of
 from voyagekit.errors import DegenerateDataError, InsufficientDataError, MissingDataError
-from voyagekit.geo import Voyage
 from voyagekit.hmm import (
     DEFAULT_FEATURES,
     STATE_NAMES,
@@ -41,7 +40,7 @@ def simulate_voyages(n_voyages=12, length=60, seed=5):
                     weather={"WindSpeed_cps": wind, "WaveHeight": wave},
                 )
             )
-        voyages.append(Voyage(f"V{i:04d}", samples))
+        voyages.append(voyage_of(f"V{i:04d}", samples))
         true_states.append(np.array(states))
     return voyages, true_states
 
@@ -149,7 +148,7 @@ class TestFit:
 
     def test_constant_weather_degenerate(self):
         voyages = [
-            Voyage(
+            voyage_of(
                 f"V{i}",
                 [
                     make_sample(j * 60.0, weather={"WindSpeed_cps": 5.0, "WaveHeight": 1.0})
@@ -167,15 +166,15 @@ class TestFit:
             fit_weather_hmm(voyages, seed=0)
 
     def test_missing_channel(self):
-        v = Voyage("V1", [make_sample(0.0, weather={"WindSpeed_cps": 3.0}),
-                          make_sample(60.0, weather={"WindSpeed_cps": 3.0})])
+        v = voyage_of("V1", [make_sample(0.0, weather={"WindSpeed_cps": 3.0}),
+                             make_sample(60.0, weather={"WindSpeed_cps": 3.0})])
         with pytest.raises(MissingDataError):
             fit_weather_hmm([v] * 200, seed=0)
 
 
 class TestPredict:
     def state_voyage(self, wind, wave, n=10):
-        return Voyage(
+        return voyage_of(
             "T1",
             [
                 make_sample(i * 60.0, weather={"WindSpeed_cps": wind, "WaveHeight": wave})

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import make_sample
+from conftest import make_sample, voyage_of
 from voyagekit.errors import (
     ConfigurationError,
     InsufficientDataError,
@@ -11,7 +13,7 @@ from voyagekit.errors import (
     OutOfDomainError,
     SchemaError,
 )
-from voyagekit.geo import GeoPoint, Voyage
+from voyagekit.geo import GeoPoint, merge_tracks
 from voyagekit.ingestion import (
     WeatherGrid,
     attach_weather,
@@ -42,8 +44,10 @@ class TestParseOnboard:
         )
         samples, skipped = parse_onboard_csv(path)
         assert skipped == 0
-        assert [s.timestamp for s in samples] == [0.0, 60.0, 120.0]
-        assert samples[0].weather == {"WindSpeed_onb": 3.0, "WindDirection_onb": 200.0}
+        assert samples.t.tolist() == [0.0, 60.0, 120.0]
+        assert {name: c[0] for name, c in samples.channels.items()} == {
+            "WindSpeed_onb": 3.0, "WindDirection_onb": 200.0
+        }
 
     def test_nan_fuel_skipped(self, tmp_path):
         path = write_onboard(
@@ -79,7 +83,7 @@ class TestParseOnboard:
         header = "timestamp,latitude,longitude,speedoverground,headingmagnetic,enginefuelrate"
         path = write_onboard(tmp_path, ["0,1.0,2.0,5.0,90.0,50.0"], header=header)
         samples, _ = parse_onboard_csv(path)
-        assert samples[0].position.lat == 1.0
+        assert samples.lat[0] == 1.0
 
     def test_iso_timestamps(self, tmp_path):
         path = write_onboard(
@@ -87,7 +91,7 @@ class TestParseOnboard:
             ['2020-01-01T00:01:00Z,0.0,0.0,5.0,90.0,50.0,3.0,200.0'],
         )
         samples, _ = parse_onboard_csv(path)
-        assert samples[0].timestamp == 1577836860.0
+        assert samples.t[0] == 1577836860.0
 
     def test_negative_speed_skipped(self, tmp_path):
         path = write_onboard(
@@ -103,7 +107,33 @@ class TestParseOnboard:
     def test_heading_normalized(self, tmp_path):
         path = write_onboard(tmp_path, ["0,0.0,0.0,5.0,370.0,50.0,3.0,200.0"])
         samples, _ = parse_onboard_csv(path)
-        assert samples[0].heading == pytest.approx(10.0)
+        assert samples.heading[0] == pytest.approx(10.0)
+
+    def test_unparseable_channel_cell_is_nan(self, tmp_path):
+        path = write_onboard(
+            tmp_path,
+            ["0,0.0,0.00,5.0,90.0,50.0,x,200.0", "60,0.0,0.01,5.0,90.0,50.0,3.0"],
+        )
+        samples, skipped = parse_onboard_csv(path)
+        assert skipped == 0
+        assert np.isnan(samples.channels["WindSpeed_onb"][0])
+        assert np.isnan(samples.channels["WindDirection_onb"][1])
+
+    def test_two_files_equal_timestamps_keep_file_order(self, tmp_path):
+        # Ten rows per timestamp per file: enough that an unstable sort reorders them.
+        streams = []
+        for sog, name in ((1.0, "a.csv"), (2.0, "b.csv")):
+            rows = [f"{t},0.0,{i / 100},{sog},90.0,50.0" for i, t in enumerate([0, 60, 120] * 10)]
+            path = write_onboard(tmp_path, rows, header=HEADER.rsplit(",", 2)[0], name=name)
+            streams.append(parse_onboard_csv(path)[0])
+        merged = merge_tracks(streams)
+        order = [i for i in range(30) if i % 3 == 0] + [i for i in range(30) if i % 3 == 1]
+        for step, t in enumerate((0.0, 60.0)):
+            block = slice(20 * step, 20 * step + 20)
+            assert merged.t[block].tolist() == [t] * 20
+            assert merged.sog[block].tolist() == [1.0] * 10 + [2.0] * 10
+            expected = [i / 100 for i in order[10 * step: 10 * step + 10]]
+            assert merged.lon[block].tolist() == expected * 2
 
 
 def lattice_csv(tmp_path, rows, name="WaveHeight.csv"):
@@ -224,29 +254,29 @@ class TestTrilinear:
 
 class TestResample:
     def test_idempotent_on_aligned(self):
-        v = Voyage(
+        v = voyage_of(
             "V1",
             [make_sample(i * 60.0, sog=float(i), fuel_rate=10.0 * i) for i in range(5)],
         )
         out = resample_voyage(v, period=60.0)
-        assert [s.timestamp for s in out.samples] == [s.timestamp for s in v.samples]
-        assert [s.sog for s in out.samples] == [s.sog for s in v.samples]
+        assert out.t.tolist() == v.t.tolist()
+        assert out.sog.tolist() == v.sog.tolist()
 
     def test_bin_average(self):
-        v = Voyage("V1", [make_sample(0.0, sog=2.0), make_sample(30.0, sog=4.0),
-                          make_sample(60.0, sog=6.0), make_sample(90.0, sog=8.0)])
+        v = voyage_of("V1", [make_sample(0.0, sog=2.0), make_sample(30.0, sog=4.0),
+                             make_sample(60.0, sog=6.0), make_sample(90.0, sog=8.0)])
         out = resample_voyage(v, period=60.0)
-        assert [s.sog for s in out.samples] == [3.0, 7.0]
-        assert [s.timestamp for s in out.samples] == [0.0, 60.0]
+        assert out.sog.tolist() == [3.0, 7.0]
+        assert out.t.tolist() == [0.0, 60.0]
 
     def test_circular_heading_mean(self):
-        v = Voyage("V1", [make_sample(0.0, heading=350.0), make_sample(30.0, heading=10.0),
-                          make_sample(60.0, heading=90.0), make_sample(90.0, heading=90.0)])
+        v = voyage_of("V1", [make_sample(0.0, heading=350.0), make_sample(30.0, heading=10.0),
+                             make_sample(60.0, heading=90.0), make_sample(90.0, heading=90.0)])
         out = resample_voyage(v, period=60.0)
-        assert out.samples[0].heading == pytest.approx(0.0, abs=1e-9)
+        assert out.heading[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_direction_channel_circular(self):
-        v = Voyage(
+        v = voyage_of(
             "V1",
             [
                 make_sample(0.0, weather={"WindDirection_onb": 350.0}),
@@ -256,15 +286,15 @@ class TestResample:
             ],
         )
         out = resample_voyage(v, period=60.0)
-        assert out.samples[0].weather["WindDirection_onb"] == pytest.approx(0.0, abs=1e-9)
+        assert out.channels["WindDirection_onb"][0] == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_bins_omitted(self):
-        v = Voyage("V1", [make_sample(0.0), make_sample(10.0), make_sample(300.0), make_sample(310.0)])
+        v = voyage_of("V1", [make_sample(0.0), make_sample(10.0), make_sample(300.0), make_sample(310.0)])
         out = resample_voyage(v, period=60.0)
-        assert [s.timestamp for s in out.samples] == [0.0, 300.0]
+        assert out.t.tolist() == [0.0, 300.0]
 
     def test_bad_period(self):
-        v = Voyage("V1", [make_sample(0.0), make_sample(60.0)])
+        v = voyage_of("V1", [make_sample(0.0), make_sample(60.0)])
         with pytest.raises(ConfigurationError):
             resample_voyage(v, period=0.0)
 
@@ -272,17 +302,53 @@ class TestResample:
     def test_length_and_span(self, stamps):
         stamps = sorted(stamps)
         assume(stamps[-1] - stamps[0] >= 120.0)
-        v = Voyage("V1", [make_sample(t) for t in stamps])
+        v = voyage_of("V1", [make_sample(t) for t in stamps])
         out = resample_voyage(v, period=60.0)
-        assert len(out.samples) <= len(v.samples)
+        assert len(out) <= len(v)
         span_in = stamps[-1] - stamps[0]
-        span_out = out.samples[-1].timestamp - out.samples[0].timestamp
+        span_out = out.t[-1] - out.t[0]
         assert abs(span_in - span_out) < 60.0
 
     def test_collapse_below_two_samples(self):
-        v = Voyage("V1", [make_sample(0.0), make_sample(10.0)])
+        v = voyage_of("V1", [make_sample(0.0), make_sample(10.0)])
         with pytest.raises(InsufficientDataError):
             resample_voyage(v, period=60.0)
+
+    def test_matches_per_bin_reference(self):
+        # Bins of 1 to 150 samples; the reference is np.mean / math.atan2 per bin.
+        rng = np.random.default_rng(2)
+        sizes = [1, 2, 7, 8, 9, 16, 33, 150, 3, 129]
+        stamps = np.concatenate(
+            [600.0 * k + np.sort(rng.uniform(0, 600, n)) for k, n in enumerate(sizes)]
+        )
+        stamps[0] = 0.0
+        samples = [
+            make_sample(t, lat=rng.uniform(-1, 1), lon=rng.uniform(10, 12),
+                        sog=rng.uniform(0, 9), heading=rng.uniform(0, 360),
+                        fuel_rate=rng.uniform(20, 90),
+                        weather={"WaveHeight": rng.uniform(0, 3),
+                                 "WaveDirection": rng.uniform(0, 360)})
+            for t in stamps
+        ]
+        out = resample_voyage(voyage_of("V1", samples), period=600.0)
+
+        def circular(values):
+            rad = np.radians(values)
+            deg = math.degrees(math.atan2(float(np.mean(np.sin(rad))),
+                                          float(np.mean(np.cos(rad))))) % 360.0
+            return 0.0 if deg >= 360.0 else deg
+
+        bins = np.split(np.arange(len(stamps)), np.cumsum(sizes)[:-1])
+
+        def per_bin(name, reduce):
+            return [reduce([samples[i][name] for i in b]) for b in bins]
+
+        for name in ("lat", "lon", "sog", "fuel"):
+            assert getattr(out, name).tolist() == per_bin(name, np.mean), name
+        assert out.heading.tolist() == per_bin("heading", circular)
+        assert out.channels["WaveHeight"].tolist() == per_bin("WaveHeight", np.mean)
+        assert out.channels["WaveDirection"].tolist() == per_bin("WaveDirection", circular)
+        assert out.t.tolist() == [600.0 * k for k in range(len(sizes))]
 
 
 def constant_grid(name, value, t_max=10_000.0):
@@ -293,32 +359,31 @@ def constant_grid(name, value, t_max=10_000.0):
 
 class TestAttachWeather:
     def voyage(self, n=5):
-        return Voyage(
+        return voyage_of(
             "V1", [make_sample(i * 60.0, lat=0.1 * i, lon=10.5 + 0.1 * i) for i in range(n)]
         )
 
     def test_constant_field(self):
         v, dropped = attach_weather(self.voyage(), [constant_grid("WaveHeight", 1.25)])
         assert dropped == 0
-        assert all(s.weather["WaveHeight"] == pytest.approx(1.25, abs=1e-9) for s in v.samples)
+        assert v.channels["WaveHeight"] == pytest.approx(np.full(5, 1.25), abs=1e-9)
 
     def test_affine_field(self):
         grid, (a, b, c, d) = affine_grid()
-        v = Voyage(
+        v = voyage_of(
             "V1",
             [make_sample(600.0 * i, lat=0.2 * i, lon=10.0 + 0.3 * i) for i in range(4)],
         )
         out, dropped = attach_weather(v, [grid])
         assert dropped == 0
-        for s in out.samples:
-            expected = a * s.timestamp + b * s.position.lat + c * s.position.lon + d
-            assert s.weather["affine"] == pytest.approx(expected, abs=1e-6)
+        expected = a * out.t + b * out.lat + c * out.lon + d
+        assert out.channels["affine"] == pytest.approx(expected, abs=1e-6)
 
     def test_out_of_range_dropped(self):
         grid = constant_grid("WaveHeight", 1.0, t_max=150.0)
         v, dropped = attach_weather(self.voyage(5), [grid])
         assert dropped == 2
-        assert len(v.samples) == 3
+        assert len(v) == 3
 
     def test_all_dropped_raises(self):
         grid = constant_grid("WaveHeight", 1.0, t_max=50.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_sample
+from conftest import make_sample, voyage_of
 from voyagekit.efficiency import (
     FEATURE_CASES,
     build_percentile_clusters,
@@ -13,11 +13,9 @@ from voyagekit.efficiency import (
     train_estimator,
 )
 from voyagekit.errors import InsufficientDataError, InvalidInputError
-from voyagekit.geo import Voyage
 from voyagekit.speed_opt import (
     MODEL_ORDER,
     IdentitySpeedModel,
-    SpeedProfile,
     dtw_distance,
     knn_predict,
     linear_resample,
@@ -95,35 +93,37 @@ class TestLinearResample:
         assert out == pytest.approx([0.0, 2.5, 5.0, 7.5, 10.0])
 
 
-def profile(vid, values):
-    return SpeedProfile(vid, np.array(values, dtype=float))
+def profiles(**sogs):
+    return {vid: np.array(values, dtype=float) for vid, values in sogs.items()}
 
 
 class TestPredict1nnDtw:
     def test_exact_member(self):
-        cluster = [profile("A", [1, 2, 3]), profile("B", [5, 5, 5])]
-        out = predict_1nn_dtw(profile("T", [1, 2, 3]), cluster)
-        assert out.voyage_id == "A"
-        assert out.sog == pytest.approx([1, 2, 3])
+        cluster = profiles(A=[1, 2, 3], B=[5, 5, 5])
+        vid, sog = predict_1nn_dtw(np.array([1.0, 2.0, 3.0]), cluster)
+        assert vid == "A"
+        assert sog == pytest.approx([1, 2, 3])
 
     def test_nearest_constant(self):
-        cluster = [profile("A", [3.0] * 6), profile("B", [5.0] * 6)]
-        out = predict_1nn_dtw(profile("T", [4.9] * 6), cluster)
-        assert out.voyage_id == "B"
+        cluster = profiles(A=[3.0] * 6, B=[5.0] * 6)
+        vid, _ = predict_1nn_dtw(np.full(6, 4.9), cluster)
+        assert vid == "B"
 
     def test_tie_breaks_to_lowest_id(self):
-        cluster = [profile("B", [4.0] * 4), profile("A", [6.0] * 4)]
-        out = predict_1nn_dtw(profile("T", [5.0] * 4), cluster)
-        assert out.voyage_id == "A"
+        cluster = profiles(B=[4.0] * 4, A=[6.0] * 4)
+        vid, sog = predict_1nn_dtw(np.full(4, 5.0), cluster)
+        assert vid == "A"
+        assert sog == pytest.approx([6.0] * 4)
 
     def test_resampled_to_test_length(self):
-        cluster = [profile("A", [1, 2, 3, 4, 5, 6])]
-        out = predict_1nn_dtw(profile("T", [1, 1, 1]), cluster)
-        assert len(out.sog) == 3
+        cluster = profiles(A=[1, 2, 3, 4, 5, 6])
+        _, sog = predict_1nn_dtw(np.ones(3), cluster)
+        assert len(sog) == 3
+        assert sog == pytest.approx([1.0, 3.5, 6.0])
 
     def test_empty_cluster(self):
         with pytest.raises(InsufficientDataError):
-            predict_1nn_dtw(profile("T", [1.0]), [])
+            predict_1nn_dtw(np.ones(1), {})
 
 
 def weather_voyage(vid, n=30, sog_fn=None, wind_fn=None, seed=0):
@@ -138,26 +138,27 @@ def weather_voyage(vid, n=30, sog_fn=None, wind_fn=None, seed=0):
             make_sample(i * 60.0, lat=0.001 * i, lon=0.002 * i, sog=sog,
                         fuel_rate=10 + sog**2 + 2 * wind, weather=weather)
         )
-    return Voyage(vid, samples)
+    return voyage_of(vid, samples)
 
 
 class TestKnnPredict:
     def test_exact_match_k1(self):
         train = weather_voyage("A", seed=1)
         out = knn_predict(train, [train], k=1)
-        assert out.sog == pytest.approx([s.sog for s in train.samples])
+        assert out == pytest.approx(train.sog)
 
     def test_constant_cluster(self):
         cluster = [weather_voyage(f"V{i}", sog_fn=lambda i: 5.0, seed=i) for i in range(2)]
         out = knn_predict(weather_voyage("T", seed=9), cluster)
-        assert out.sog == pytest.approx(np.full(30, 5.0))
+        assert out == pytest.approx(np.full(30, 5.0))
 
     def test_bounded_by_cluster(self):
         cluster = [weather_voyage(f"V{i}", seed=i) for i in range(3)]
-        sogs = [s.sog for v in cluster for s in v.samples]
+        sogs = np.concatenate([v.sog for v in cluster])
         out = knn_predict(weather_voyage("T", seed=7), cluster)
-        assert np.all(out.sog >= min(sogs) - 1e-9)
-        assert np.all(out.sog <= max(sogs) + 1e-9)
+        assert len(out) == 30
+        assert np.all(out >= sogs.min() - 1e-9)
+        assert np.all(out <= sogs.max() + 1e-9)
 
     def test_insufficient(self):
         v = weather_voyage("A", n=3)
@@ -215,7 +216,7 @@ class TestBenchmark:
         }
         # State rows partition the test steps: every evaluated test step is
         # attributed to exactly one weather state, per cluster and model.
-        total_steps = sum(len(v.samples) for v in test)
+        total_steps = sum(len(v) for v in test)
         for model in MODEL_ORDER:
             evaluated_clusters = sum(
                 1 for r in report.rows if r.model == model and r.status == "ok"

@@ -59,24 +59,23 @@ class TestGenerateFleet:
         assert counts == {"mid": 4, "north": 4, "south": 4}
 
     def test_voyage_ids_chronological(self, tiny_fleet):
-        starts = [v.samples[0].timestamp for v in tiny_fleet.voyages]
+        starts = [v.t[0] for v in tiny_fleet.voyages]
         assert starts == sorted(starts)
         assert [v.voyage_id for v in tiny_fleet.voyages] == [
             f"V{i + 1:04d}" for i in range(12)
         ]
 
     def test_all_weather_channels_present(self, tiny_fleet):
-        sample = tiny_fleet.voyages[0].samples[0]
+        channels = tiny_fleet.voyages[0].channels
         for name in WEATHER_VARIABLES:
-            assert name in sample.weather
-        assert "WindSpeed_onb" in sample.weather
+            assert not np.isnan(channels[name]).any()
+        assert not np.isnan(channels["WindSpeed_onb"]).any()
 
     def test_fuel_physics(self, tiny_fleet):
         spec = tiny_fleet.spec
         for v in tiny_fleet.voyages[:3]:
-            for s in v.samples[::7]:
-                expected = spec.fuel_a + spec.fuel_b * s.sog**2 + spec.fuel_c * s.weather["WindSpeed_cps"]
-                assert s.fuel_rate == pytest.approx(expected, rel=1e-12)
+            expected = spec.fuel_a + spec.fuel_b * v.sog**2 + spec.fuel_c * v.channels["WindSpeed_cps"]
+            assert v.fuel[::7] == pytest.approx(expected[::7], rel=1e-12)
 
     def test_zero_noise_on_centerline(self):
         spec = dataclasses.replace(tiny_fleet_spec(), noise_std_deg=0.0, voyages_per_branch=2)
@@ -84,8 +83,7 @@ class TestGenerateFleet:
         lines = {b.name: b.centerline for b in spec.branches}
         for v in fleet.voyages:
             line = lines[fleet.labels[v.voyage_id]]
-            for s in v.samples[:: max(1, len(v.samples) // 10)]:
-                p = np.array([s.position.lat, s.position.lon])
+            for p in v.columns("lat", "lon")[:: max(1, len(v) // 10)]:
                 assert point_to_polyline_distance(p, line) < 1e-9
 
     def test_deterministic_generation(self):
@@ -93,16 +91,14 @@ class TestGenerateFleet:
         b = generate_fleet(tiny_fleet_spec(seed=4))
         assert [v.voyage_id for v in a.voyages] == [v.voyage_id for v in b.voyages]
         for va, vb in zip(a.voyages, b.voyages):
-            assert [s.timestamp for s in va.samples] == [s.timestamp for s in vb.samples]
-            assert [s.sog for s in va.samples] == [s.sog for s in vb.samples]
-            assert [s.fuel_rate for s in va.samples] == [s.fuel_rate for s in vb.samples]
+            assert va.t.tolist() == vb.t.tolist()
+            assert va.sog.tolist() == vb.sog.tolist()
+            assert va.fuel.tolist() == vb.fuel.tolist()
 
     def test_seed_changes_output(self):
         a = generate_fleet(tiny_fleet_spec(seed=4))
         b = generate_fleet(tiny_fleet_spec(seed=5))
-        assert [s.sog for s in a.voyages[0].samples][:10] != [
-            s.sog for s in b.voyages[0].samples
-        ][:10]
+        assert a.voyages[0].sog[:10].tolist() != b.voyages[0].sog[:10].tolist()
 
 
 class TestWriteFleet:
