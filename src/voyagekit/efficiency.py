@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateFleetError,
@@ -171,9 +172,10 @@ def efficiency_gain(meas_score: float, pred_score: float) -> float:
 class KnnRegressor:
     """Inverse-distance-weighted k-NN regression on z-scaled features.
 
-    Queries that coincide exactly with training points return the mean
-    target of the zero-distance neighbors, so a one-neighbor exact match
-    reproduces its training target.
+    Neighbors come from a k-d tree built once at fit time. Queries that
+    coincide exactly with training points return the mean target of the
+    zero-distance neighbors, so a one-neighbor exact match reproduces its
+    training target.
     """
 
     def __init__(self, k: int = 5):
@@ -182,6 +184,7 @@ class KnnRegressor:
         self._y: np.ndarray | None = None
         self._mu: np.ndarray | None = None
         self._sigma: np.ndarray | None = None
+        self._tree: cKDTree | None = None
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "KnnRegressor":
         features = np.asarray(features, dtype=float)
@@ -196,29 +199,27 @@ class KnnRegressor:
         self._sigma = sigma
         self._x = (features - self._mu) / sigma
         self._y = targets
+        self._tree = cKDTree(self._x)
         return self
 
     def _scale(self, features: np.ndarray) -> np.ndarray:
         return (np.asarray(features, dtype=float) - self._mu) / self._sigma
 
-    def predict(self, features: np.ndarray, chunk: int = 512) -> np.ndarray:
+    def predict(self, features: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise InvalidInputError("regressor is not fitted")
         queries = self._scale(np.atleast_2d(features))
-        out = np.empty(len(queries))
-        for start in range(0, len(queries), chunk):
-            block = queries[start : start + chunk]
-            d2 = ((block[:, None, :] - self._x[None, :, :]) ** 2).sum(axis=2)
-            kth = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
-            kd2 = np.take_along_axis(d2, kth, axis=1)
-            ky = self._y[kth]
-            for row in range(len(block)):
-                d = np.sqrt(kd2[row])
-                if np.any(d == 0.0):
-                    out[start + row] = float(ky[row][d == 0.0].mean())
-                else:
-                    w = 1.0 / d
-                    out[start + row] = float((w * ky[row]).sum() / w.sum())
+        d, idx = self._tree.query(queries, k=self.k)
+        # k=1 returns 1-D arrays; neighbors are sorted by distance.
+        d = d.reshape(len(queries), self.k)
+        ky = self._y[idx.reshape(len(queries), self.k)]
+        zero = d == 0.0
+        exact = zero.any(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = 1.0 / d
+            out = (w * ky).sum(axis=1) / w.sum(axis=1)
+        # Zero-distance neighbors come first, so masking keeps their sum order.
+        out[exact] = np.where(zero, ky, 0.0)[exact].sum(axis=1) / zero[exact].sum(axis=1)
         return out
 
 
@@ -323,30 +324,3 @@ def write_summary_csv(
                     int(s.voyage_id in clusters.top10),
                 ]
             )
-
-
-def read_summary_csv(path: str | Path) -> tuple[list[VoyageSummary], PercentileClusters]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        summaries: list[VoyageSummary] = []
-        clusters = PercentileClusters(set(), set(), set(), set())
-        for row in reader:
-            summaries.append(
-                VoyageSummary(
-                    voyage_id=row["voyage_id"],
-                    fuel_total=float(row["fuel_total"]),
-                    time_total=float(row["time_total"]),
-                    fuel_norm=float(row["fuel_norm"]),
-                    time_norm=float(row["time_norm"]),
-                    eff_score=float(row["eff_score"]),
-                )
-            )
-            for flag, bucket in (
-                ("top75", clusters.top75),
-                ("top50", clusters.top50),
-                ("top25", clusters.top25),
-                ("top10", clusters.top10),
-            ):
-                if row[flag] == "1":
-                    bucket.add(row["voyage_id"])
-    return summaries, clusters

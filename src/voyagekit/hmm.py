@@ -36,6 +36,7 @@ class WeatherStateModel:
     variances: np.ndarray            # (3, n_features), floored
     sog_stats: np.ndarray            # (3, 3): per state [min, mean, max] of SOG
     loglik_history: list[float] = field(default_factory=list)
+    converged: bool = False          # EM stopped on `tol`, not on `max_iter`
 
     def emission_log_density(self, obs: np.ndarray) -> np.ndarray:
         """(T, 3) matrix of per-state diagonal-Gaussian log densities."""
@@ -190,6 +191,7 @@ def fit_weather_hmm(
             var_num / gamma_sum[:, None] - new_means**2, VARIANCE_FLOOR
         )
         if total_ll - prev_ll < tol and np.isfinite(prev_ll):
+            model.converged = True
             break
         prev_ll = total_ll
 

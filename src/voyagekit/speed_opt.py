@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field as dataclasses_field
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -48,13 +48,18 @@ def dtw_distance(x: Sequence[float], y: Sequence[float]) -> float:
     xs = [float(v) for v in x]
     ys = [float(v) for v in y]
     inf = float("inf")
-    prev = [inf] * (len(ys) + 1)
-    prev[0] = 0.0
+    prev = [0.0] + [inf] * len(ys)
     for xi in xs:
-        curr = [inf] * (len(ys) + 1)
-        for j, yj in enumerate(ys, start=1):
-            cost = abs(xi - yj)
-            curr[j] = cost + min(prev[j - 1], prev[j], curr[j - 1])
+        left = inf
+        curr = [inf]
+        # Cell j adds |xi - yj| to min(diagonal, up, left); the comparisons
+        # keep the first minimum, as min(prev[j - 1], prev[j], curr[j - 1]) does.
+        for yj, diag, up in zip(ys, prev, prev[1:]):
+            best = up if up < diag else diag
+            if left < best:
+                best = left
+            left = abs(xi - yj) + best
+            curr.append(left)
         prev = curr
     return prev[-1]
 
@@ -72,15 +77,20 @@ def linear_resample(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def predict_1nn_dtw(
-    test_sog: np.ndarray, profiles: Mapping[str, np.ndarray]
+    test_sog: np.ndarray,
+    profiles: Mapping[str, np.ndarray],
+    distance: Callable[[str], float] | None = None,
 ) -> tuple[str, np.ndarray]:
     """Id of the most DTW-similar profile and that profile resampled to the test length.
 
-    Ties break toward the lowest voyage id.
+    Ties break toward the lowest voyage id. `distance(vid)` supplies the DTW
+    distance from `test_sog` to `profiles[vid]`; by default it is computed.
     """
     if not profiles:
         raise InsufficientDataError("1NN-DTW needs a non-empty training cluster")
-    best_id = min(profiles, key=lambda vid: (dtw_distance(test_sog, profiles[vid]), vid))
+    if distance is None:
+        distance = lambda vid: dtw_distance(test_sog, profiles[vid])
+    best_id = min(profiles, key=lambda vid: (distance(vid), vid))
     return best_id, linear_resample(profiles[best_id], len(test_sog))
 
 
@@ -123,8 +133,16 @@ class KnnSpeedModel:
 
 
 class DtwSpeedModel:
+    """1NN-DTW retrieval with pair distances memoised across fit() calls.
+
+    Memo keys are the bytes of both speed arrays, so nested clusters reuse
+    the pairs already computed, and an id refitted with a different array is
+    computed afresh.
+    """
+
     def __init__(self):
         self._profiles: dict[str, np.ndarray] = {}
+        self._memo: dict[tuple[bytes, bytes], float] = {}
 
     def fit(self, cluster: Sequence[Voyage]) -> None:
         if not cluster:
@@ -132,7 +150,15 @@ class DtwSpeedModel:
         self._profiles = {v.voyage_id: v.sog for v in cluster}
 
     def predict(self, test: Voyage) -> np.ndarray:
-        return predict_1nn_dtw(test.sog, self._profiles)[1]
+        test_key = test.sog.tobytes()
+
+        def distance(vid: str) -> float:
+            pair = (test_key, self._profiles[vid].tobytes())
+            if pair not in self._memo:
+                self._memo[pair] = dtw_distance(test.sog, self._profiles[vid])
+            return self._memo[pair]
+
+        return predict_1nn_dtw(test.sog, self._profiles, distance)[1]
 
 
 class HmmSpeedModel:
@@ -265,16 +291,26 @@ def run_optimization_benchmark(
             raise InvalidInputError(
                 f"test voyages overlap training cluster {cluster_name}"
             )
+        state_model = decoded = None
         try:
             state_model = fit_weather_hmm(
                 cluster_voyages, seed=hmm_seed, features=hmm_features
             )
             decoded = {v.voyage_id: decode_states(v, state_model) for v in test_voyages}
         except VoyagekitError:
-            decoded = None
+            pass
         for model_name, model in models.items():
             try:
-                model.fit(cluster_voyages)
+                # This model's own fit would repeat the state fit exactly (a
+                # subclass may fit differently), so it takes that fit instead.
+                if type(model) is HmmSpeedModel and (
+                    model.seed, tuple(model.features)
+                ) == (hmm_seed, tuple(hmm_features)):
+                    if state_model is None:
+                        raise InsufficientDataError("the cluster's weather HMM fit failed")
+                    model.model = state_model
+                else:
+                    model.fit(cluster_voyages)
             except VoyagekitError:
                 rows.append(
                     ClusterModelGain(

@@ -167,6 +167,65 @@ class TestEfficiencyGain:
             efficiency_gain(0.0, 0.5)
 
 
+def brute_force_knn(reg, features, chunk=512):
+    """Reference: chunked brute-force distances, (predictions, neighbor index sets)."""
+    queries = reg._scale(np.atleast_2d(features))
+    out = np.empty(len(queries))
+    neighbors = []
+    for start in range(0, len(queries), chunk):
+        block = queries[start : start + chunk]
+        d2 = ((block[:, None, :] - reg._x[None, :, :]) ** 2).sum(axis=2)
+        kth = np.argpartition(d2, reg.k - 1, axis=1)[:, : reg.k]
+        kd2 = np.take_along_axis(d2, kth, axis=1)
+        ky = reg._y[kth]
+        for row in range(len(block)):
+            neighbors.append(set(kth[row].tolist()))
+            d = np.sqrt(kd2[row])
+            if np.any(d == 0.0):
+                out[start + row] = float(ky[row][d == 0.0].mean())
+            else:
+                w = 1.0 / d
+                out[start + row] = float((w * ky[row]).sum() / w.sum())
+    return out, neighbors
+
+
+class TestKnnAgainstBruteForce:
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_random_data(self, k):
+        rng = np.random.default_rng(k)
+        x = rng.normal(size=(300, 6)) * rng.uniform(0.1, 50.0, size=6)
+        y = rng.uniform(10.0, 500.0, size=300)
+        queries = rng.normal(size=(700, 6)) * 20.0
+        reg = KnnRegressor(k=k).fit(x, y)
+        expected, neighbors = brute_force_knn(reg, queries, chunk=64)
+        _, idx = reg._tree.query(reg._scale(queries), k=k)
+        assert [set(np.atleast_1d(row).tolist()) for row in idx] == neighbors
+        assert reg.predict(queries) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_zero_distance_duplicates_exact(self, k):
+        rng = np.random.default_rng(10 + k)
+        x = rng.normal(size=(60, 3))
+        # Quarter-integer targets sum exactly in any order, so the mean is exact.
+        y = rng.integers(4, 40, size=60) / 4.0
+        for copies in range(1, k + 1):
+            # `copies` training rows share one point, with different targets.
+            xd = np.vstack([x, np.repeat(x[:1], copies - 1, axis=0)])
+            yd = np.concatenate([y, rng.integers(4, 40, size=copies - 1) / 4.0])
+            reg = KnnRegressor(k=k).fit(xd, yd)
+            got = reg.predict(xd[:1])[0]
+            assert got == np.mean(yd[[0, *range(60, 60 + copies - 1)]])
+            assert got == brute_force_knn(reg, xd[:1])[0][0]
+
+    def test_training_points_reproduce_brute_force(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(200, 4))
+        y = rng.uniform(1.0, 9.0, size=200)
+        reg = KnnRegressor(k=5).fit(x, y)
+        assert np.array_equal(reg.predict(x), brute_force_knn(reg, x)[0])
+        assert np.array_equal(reg.predict(x), y)
+
+
 class TestKnnRegressor:
     def test_exact_match_k1(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 1.0], [0.5, 2.0]])

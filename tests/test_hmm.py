@@ -126,6 +126,17 @@ class TestFit:
         assert len(history) >= 2
         assert np.all(np.diff(history) >= -1e-9 * np.abs(history[:-1]))
 
+    def test_converged_flag(self, fitted):
+        _, _, model = fitted
+        assert model.converged
+        assert len(model.loglik_history) < 200
+
+    def test_max_iter_stop_not_converged(self):
+        voyages, _ = simulate_voyages()
+        model = fit_weather_hmm(voyages, seed=3, max_iter=1)
+        assert not model.converged
+        assert len(model.loglik_history) == 1
+
     def test_states_ordered_by_wind(self, fitted):
         _, _, model = fitted
         assert model.means[0, 0] <= model.means[1, 0] <= model.means[2, 0]

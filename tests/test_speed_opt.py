@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_sample, voyage_of
+from voyagekit import speed_opt
 from voyagekit.efficiency import (
     FEATURE_CASES,
     build_percentile_clusters,
@@ -15,6 +16,8 @@ from voyagekit.efficiency import (
 from voyagekit.errors import InsufficientDataError, InvalidInputError
 from voyagekit.speed_opt import (
     MODEL_ORDER,
+    DtwSpeedModel,
+    HmmSpeedModel,
     IdentitySpeedModel,
     dtw_distance,
     knn_predict,
@@ -80,6 +83,85 @@ class TestDtw:
         d = dtw_distance(x, y)
         assert d >= 0.0
         assert d == pytest.approx(recursive_dtw(tuple(x), tuple(y)), rel=1e-12)
+
+
+def rowwise_dtw(x, y) -> float:
+    """Reference: the indexed row loop with a three-argument min()."""
+    xs = [float(v) for v in x]
+    ys = [float(v) for v in y]
+    inf = float("inf")
+    prev = [inf] * (len(ys) + 1)
+    prev[0] = 0.0
+    for xi in xs:
+        curr = [inf] * (len(ys) + 1)
+        for j, yj in enumerate(ys, start=1):
+            cost = abs(xi - yj)
+            curr[j] = cost + min(prev[j - 1], prev[j], curr[j - 1])
+        prev = curr
+    return prev[-1]
+
+
+any_floats = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=15
+)
+
+
+class TestDtwLoop:
+    @given(any_floats, any_floats)
+    def test_bit_identical_to_rowwise(self, x, y):
+        assert dtw_distance(x, y) == rowwise_dtw(x, y)
+
+
+def counting_dtw(monkeypatch):
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return dtw_distance(x, y)
+
+    monkeypatch.setattr(speed_opt, "dtw_distance", counted)
+    return calls
+
+
+class TestDtwSpeedModelMemo:
+    def test_nested_refits_match_fresh_predictions(self, monkeypatch):
+        train = [weather_voyage(f"V{i:02d}", n=12 + i, seed=i) for i in range(8)]
+        tests = [weather_voyage(f"T{i}", n=10 + 2 * i, seed=50 + i) for i in range(3)]
+        fresh = {
+            size: [
+                predict_1nn_dtw(t.sog, {v.voyage_id: v.sog for v in train[:size]})
+                for t in tests
+            ]
+            for size in (2, 4, 8)
+        }
+        calls = counting_dtw(monkeypatch)
+        model = DtwSpeedModel()
+        for size in (2, 4, 8):
+            model.fit(train[:size])
+            for t, (best_id, expected) in zip(tests, fresh[size]):
+                profile = model.predict(t)
+                assert np.array_equal(profile, expected)
+                assert np.array_equal(
+                    profile, linear_resample(train[int(best_id[1:])].sog, len(t))
+                )
+        # Nested clusters: each (test, member) pair is computed once.
+        assert len(calls) == len(tests) * 8
+
+    def test_refitted_id_with_new_array_is_recomputed(self, monkeypatch):
+        def flat(vid, value):
+            return weather_voyage(vid, n=5, sog_fn=lambda i: value)
+
+        test = flat("T", 1.0)
+        calls = counting_dtw(monkeypatch)
+        model = DtwSpeedModel()
+        model.fit([flat("V1", 5.0), flat("V2", 1.0)])
+        assert np.array_equal(model.predict(test), np.full(5, 1.0))
+        # Distances memoised by id would be stale here (V1 20, V2 0) and pick V2.
+        model.fit([flat("V1", 2.0), flat("V2", 9.0)])
+        assert np.array_equal(model.predict(test), np.full(5, 2.0))
+        assert len(calls) == 4
+        # A changed test array under the same id is not served from the memo either.
+        assert np.array_equal(model.predict(flat("T", 8.0)), np.full(5, 9.0))
 
 
 class TestLinearResample:
@@ -246,3 +328,57 @@ class TestBenchmark:
         assert len(gains_text) == 1 + 4  # header + 4 clusters x 1 model
         states_text = (tmp_path / "states.csv").read_text().splitlines()
         assert states_text[0] == "model,weather_state,avg,std"
+
+
+class TestHmmFitReuse:
+    @pytest.fixture
+    def fit_calls(self, monkeypatch):
+        calls = []
+        original = speed_opt.fit_weather_hmm
+
+        def counted(voyages, *args, **kwargs):
+            calls.append((frozenset(v.voyage_id for v in voyages), args, tuple(kwargs.items())))
+            return original(voyages, *args, **kwargs)
+
+        monkeypatch.setattr(speed_opt, "fit_weather_hmm", counted)
+        return calls
+
+    def hmm_rows(self, report):
+        return [(r.cluster, r.status, r.avg_gain_pct, r.voyage_gains) for r in report.rows]
+
+    def test_default_models_fit_once_per_cluster(self, benchmark_inputs, fit_calls):
+        clusters, train, test, estimator = benchmark_inputs
+        report = run_optimization_benchmark(clusters, train, test, estimator, hmm_seed=2)
+        assert len(fit_calls) <= 4
+        assert len(fit_calls) == len(set(fit_calls))
+        assert any(r.model == "HMM" and r.status == "ok" for r in report.rows)
+
+    def test_other_seed_or_subclass_fits_itself(self, benchmark_inputs, fit_calls):
+        class RefittingHmm(HmmSpeedModel):
+            pass
+
+        clusters, train, test, estimator = benchmark_inputs
+        shared = run_optimization_benchmark(
+            clusters, train, test, estimator, models={"HMM": HmmSpeedModel(seed=2)}, hmm_seed=2
+        )
+        assert len(fit_calls) == 4
+        refit = run_optimization_benchmark(
+            clusters, train, test, estimator, models={"HMM": RefittingHmm(seed=2)}, hmm_seed=2
+        )
+        assert len(fit_calls) == 4 + 8
+        assert self.hmm_rows(refit) == self.hmm_rows(shared)
+        run_optimization_benchmark(
+            clusters, train, test, estimator, models={"HMM": HmmSpeedModel(seed=3)}, hmm_seed=2
+        )
+        assert len(fit_calls) == 12 + 8
+
+    def test_failed_state_fit_is_insufficient_without_retry(self, benchmark_inputs, fit_calls):
+        clusters, train, test, estimator = benchmark_inputs
+        # One observation channel never recorded: every cluster's state fit fails.
+        report = run_optimization_benchmark(
+            clusters, train, test, estimator,
+            models={"HMM": HmmSpeedModel(features=("NoSuchChannel",))},
+            hmm_features=("NoSuchChannel",),
+        )
+        assert [r.status for r in report.rows] == ["insufficient"] * 4
+        assert len(fit_calls) == 4
