@@ -217,18 +217,23 @@ def euclidean_distance(a: GeoPoint, b: GeoPoint) -> float:
     return math.hypot(a.lat - b.lat, a.lon - b.lon)
 
 
-def point_in_polygon(lat: float, lon: float, polygon: np.ndarray) -> bool:
-    """Even-odd ray-casting containment test on [lat, lon] vertices."""
-    inside = False
-    n = len(polygon)
-    for i in range(n):
-        la1, lo1 = polygon[i]
-        la2, lo2 = polygon[(i + 1) % n]
-        if (lo1 > lon) != (lo2 > lon):
-            x = la1 + (lon - lo1) * (la2 - la1) / (lo2 - lo1)
-            if lat < x:
-                inside = not inside
-    return inside
+def point_in_polygon(
+    lat: float | np.ndarray, lon: float | np.ndarray, polygon: np.ndarray
+) -> bool | np.ndarray:
+    """Even-odd ray-casting containment test on [lat, lon] vertices.
+
+    ``lat`` and ``lon`` may be scalars (the result is a bool) or arrays of
+    one shape (the result is a boolean array of that shape).
+    """
+    lat = np.asarray(lat, dtype=float)
+    lon = np.asarray(lon, dtype=float)
+    inside = np.zeros(np.broadcast(lat, lon).shape, dtype=bool)
+    for (la1, lo1), (la2, lo2) in zip(polygon, np.roll(polygon, -1, axis=0)):
+        if lo1 == lo2:
+            continue  # an edge at constant longitude never crosses the ray
+        crosses = (lo1 > lon) != (lo2 > lon)
+        inside ^= crosses & (lat < la1 + (lon - lo1) * (la2 - la1) / (lo2 - lo1))
+    return bool(inside) if inside.ndim == 0 else inside
 
 
 def assign_segment(p: GeoPoint, spec: RouteSegmentSpec) -> str:
@@ -273,26 +278,26 @@ def split_into_voyages(
     if np.any(np.diff(samples.t) < 0):
         raise InvalidInputError("samples are not time-ordered")
 
-    def in_port_dwell(lat: float, lon: float, sog: float) -> bool:
-        if port_regions is None or sog >= dwell_max_sog:
-            return False
-        return any(point_in_polygon(lat, lon, poly) for _, poly in port_regions.segments)
+    dwelling = np.zeros(len(samples), dtype=bool)
+    if port_regions is not None:
+        for _, poly in port_regions.segments:
+            dwelling |= point_in_polygon(samples.lat, samples.lon, poly)
+        dwelling &= samples.sog < dwell_max_sog
 
     # Index where each segment starts; the loop tracks the open dwell.
     starts = [0]
     dwell_start: float | None = None
     prev_ts: float | None = None
-    rows = zip(samples.t.tolist(), samples.lat.tolist(), samples.lon.tolist(), samples.sog.tolist())
-    for i, (ts, lat, lon, sog) in enumerate(rows):
+    for i, (ts, dwell) in enumerate(zip(samples.t.tolist(), dwelling.tolist())):
         split_here = prev_ts is not None and ts - prev_ts > gap_threshold
         if prev_ts is not None and not split_here and dwell_start is not None:
             # The dwell ends at this sample; split if it lasted long enough.
-            if not in_port_dwell(lat, lon, sog) and prev_ts - dwell_start >= dwell_threshold:
+            if not dwell and prev_ts - dwell_start >= dwell_threshold:
                 split_here = True
         if split_here:
             starts.append(i)
             dwell_start = None
-        if in_port_dwell(lat, lon, sog):
+        if dwell:
             if dwell_start is None:
                 dwell_start = ts
         else:

@@ -19,10 +19,13 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path as FilePath
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import squareform
 
 from .errors import (
     ConfigurationError,
@@ -58,34 +61,22 @@ class Path:
         return cls(v.voyage_id, v.columns("lat", "lon"))
 
 
-def _pairwise_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = a[:, None, :] - b[None, :, :]
-    return np.sqrt((d**2).sum(axis=2))
-
-
-def _pairwise_haversine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    lat1 = np.radians(a[:, 0])[:, None]
-    lon1 = np.radians(a[:, 1])[:, None]
-    lat2 = np.radians(b[:, 0])[None, :]
-    lon2 = np.radians(b[:, 1])[None, :]
-    h = (
-        np.sin((lat2 - lat1) / 2) ** 2
-        + np.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2) ** 2
-    )
-    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
-
-_METRICS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "euclidean": _pairwise_euclidean,
-    "haversine": _pairwise_haversine,
-}
+def _unit_vectors(points: np.ndarray) -> np.ndarray:
+    """[lat, lon] degrees as 3-D unit vectors; chord length grows with arc length."""
+    lat, lon = np.radians(points).T
+    return np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
 
 
 def annd_directed(path_i: Path, path_j: Path, metric: str = "euclidean") -> float:
     """Mean distance from each point of path_i to its nearest point of path_j."""
-    if metric not in _METRICS:
-        raise InvalidInputError(f"unknown metric {metric!r}; expected one of {sorted(_METRICS)}")
-    d = _METRICS[metric](path_i.points, path_j.points)
-    return float(d.min(axis=1).mean())
+    if metric == "euclidean":
+        return float(cKDTree(path_j.points).query(path_i.points)[0].mean())
+    if metric == "haversine":
+        chord = cKDTree(_unit_vectors(path_j.points)).query(_unit_vectors(path_i.points))[0]
+        return float((2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, chord / 2.0))).mean())
+    raise InvalidInputError(
+        f"unknown metric {metric!r}; expected one of ['euclidean', 'haversine']"
+    )
 
 
 def annd(path_i: Path, path_j: Path, metric: str = "euclidean") -> float:
@@ -245,40 +236,26 @@ def hierarchical_cluster(matrix: DistanceMatrix, cutoff: float) -> PathLabeling:
 
     Merging stops when the smallest inter-cluster average linkage exceeds
     the cut-off, so cutoff 0 keeps distinct paths separate and a cut-off
-    above the largest linkage yields a single cluster.
+    above the largest linkage yields a single cluster. Average linkage is
+    monotone, so this is SciPy's ``fcluster`` cut at cophenetic distance
+    <= cutoff. Exactly tied linkages merge in SciPy's order.
     """
     if cutoff < 0:
         raise ConfigurationError(f"cutoff must be >= 0, got {cutoff}")
     m = len(matrix.voyage_ids)
-    members: dict[int, list[int]] = {i: [i] for i in range(m)}
-    dist = matrix.values.astype(float).copy()
-    np.fill_diagonal(dist, np.inf)
-    active = list(range(m))
-    while len(active) > 1:
-        sub = dist[np.ix_(active, active)]
-        flat = int(sub.argmin())
-        i_pos, j_pos = divmod(flat, len(active))
-        if sub[i_pos, j_pos] > cutoff:
-            break
-        a, b = active[i_pos], active[j_pos]
-        if a > b:
-            a, b = b, a
-        # Lance-Williams update for average linkage.
-        na, nb = len(members[a]), len(members[b])
-        for c in active:
-            if c in (a, b):
-                continue
-            dist[a, c] = dist[c, a] = (na * dist[a, c] + nb * dist[b, c]) / (na + nb)
-        members[a].extend(members[b])
-        del members[b]
-        active.remove(b)
-        dist[b, :] = np.inf
-        dist[:, b] = np.inf
-    assignment = np.empty(m, dtype=int)
-    for cluster_idx, root in enumerate(sorted(members, key=lambda r: min(members[r]))):
-        for idx in members[root]:
-            assignment[idx] = cluster_idx
-    return _canonical_labels(assignment, matrix.voyage_ids)
+    if m < 2:  # SciPy needs at least two observations
+        return _canonical_labels(np.zeros(m, dtype=int), matrix.voyage_ids)
+    tree = linkage(squareform(matrix.values, checks=False), "average")
+    return _canonical_labels(fcluster(tree, cutoff, criterion="distance"), matrix.voyage_ids)
+
+
+def _gaussian_log_density_2d(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """(n,) log density of each point under one 2-D Gaussian."""
+    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+    inv = np.array([[cov[1, 1], -cov[0, 1]], [-cov[1, 0], cov[0, 0]]]) / det
+    d = points - mean
+    maha = (d @ inv * d).sum(axis=1)
+    return -0.5 * (maha + math.log(det) + 2.0 * math.log(2.0 * math.pi))
 
 
 @dataclass
@@ -293,15 +270,9 @@ class SegmentMixture:
 
     def component_log_density(self, points: np.ndarray) -> np.ndarray:
         """(n, c) log densities of each point under each component."""
-        out = np.empty((len(points), len(self.weights)))
-        for c in range(len(self.weights)):
-            cov = self.covariances[c]
-            det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-            inv = np.array([[cov[1, 1], -cov[0, 1]], [-cov[1, 0], cov[0, 0]]]) / det
-            d = points - self.means[c]
-            maha = (d @ inv * d).sum(axis=1)
-            out[:, c] = -0.5 * (maha + math.log(det) + 2.0 * math.log(2.0 * math.pi))
-        return out
+        return np.column_stack(
+            [_gaussian_log_density_2d(points, m, c) for m, c in zip(self.means, self.covariances)]
+        )
 
 
 @dataclass
@@ -338,14 +309,8 @@ def _fit_gmm_2d(
     for _ in range(max_iter):
         log_p = np.empty((len(points), components))
         for c in range(components):
-            cov = covs[c]
-            det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-            inv = np.array([[cov[1, 1], -cov[0, 1]], [-cov[1, 0], cov[0, 0]]]) / det
-            d = points - means[c]
-            maha = (d @ inv * d).sum(axis=1)
-            log_p[:, c] = (
-                -0.5 * (maha + math.log(det) + 2.0 * math.log(2.0 * math.pi))
-                + math.log(max(weights[c], 1e-300))
+            log_p[:, c] = _gaussian_log_density_2d(points, means[c], covs[c]) + math.log(
+                max(weights[c], 1e-300)
             )
         top = log_p.max(axis=1, keepdims=True)
         norm = top[:, 0] + np.log(np.exp(log_p - top).sum(axis=1))
@@ -378,43 +343,38 @@ def fit_segment_gmms(
     the label most frequent among the points it claims; segments whose
     components disagree on labels are the discriminative ones.
     """
-    per_segment: dict[str, list[tuple[float, float, str]]] = {
-        name: [] for name in spec.names
-    }
     for p in paths:
-        label = labels.get(p.voyage_id)
-        if label is None:
+        if p.voyage_id not in labels:
             raise InvalidInputError(f"no training label for voyage {p.voyage_id!r}")
-        for lat, lon in p.points:
-            for name, poly in spec.segments:
-                if point_in_polygon(lat, lon, poly):
-                    per_segment[name].append((lat, lon, label))
-                    break
+    # The empty leading blocks let an empty path list reach the per-segment
+    # point-count check below.
+    points = np.concatenate([np.empty((0, 2)), *(p.points for p in paths)])
+    point_labels = np.concatenate(
+        [np.empty(0, dtype=str), *(np.full(len(p.points), labels[p.voyage_id]) for p in paths)]
+    )
+    # Index of the first segment polygon containing each point, -1 for none.
+    segment_of = np.full(len(points), -1)
+    for s, (_, poly) in enumerate(spec.segments):
+        segment_of[(segment_of < 0) & point_in_polygon(points[:, 0], points[:, 1], poly)] = s
 
     mixtures: dict[str, SegmentMixture] = {}
-    for name in spec.names:
-        rows = per_segment[name]
-        if len(rows) < 10:
+    for s, name in enumerate(spec.names):
+        inside = segment_of == s
+        if (count := int(inside.sum())) < 10:
             raise ConfigurationError(
-                f"segment {name!r} has {len(rows)} training points, need >= 10"
+                f"segment {name!r} has {count} training points, need >= 10"
             )
-        pts = np.array([(lat, lon) for lat, lon, _ in rows])
-        seg_labels = [label for _, _, label in rows]
-        n_components = components_per_segment or len(set(seg_labels))
-        weights, means, covs, resp = _fit_gmm_2d(pts, n_components, seed)
-        component_labels = []
-        claims = resp.argmax(axis=1)
-        for c in range(len(weights)):
-            claimed = [seg_labels[i] for i in range(len(rows)) if claims[i] == c]
-            if claimed:
-                counts: dict[str, int] = {}
-                for lbl in claimed:
-                    counts[lbl] = counts.get(lbl, 0) + 1
-                component_labels.append(
-                    max(sorted(counts), key=lambda lbl: counts[lbl])
-                )
-            else:
-                component_labels.append(max(sorted(set(seg_labels))))
+        # Sorted distinct labels; a component takes its most frequent label,
+        # ties to the smallest, and an empty component the largest label.
+        seg_labels, codes = np.unique(point_labels[inside], return_inverse=True)
+        weights, means, covs, resp = _fit_gmm_2d(
+            points[inside], components_per_segment or len(seg_labels), seed
+        )
+        votes = np.zeros((len(weights), len(seg_labels)), dtype=int)
+        np.add.at(votes, (resp.argmax(axis=1), codes), 1)
+        component_labels = [
+            str(seg_labels[row.argmax()] if row.any() else seg_labels[-1]) for row in votes
+        ]
         mixtures[name] = SegmentMixture(
             segment=name,
             weights=weights,
@@ -443,9 +403,7 @@ def classify_by_segment_likelihood(path: Path, models: SegmentModelSet) -> str:
     for name, poly in models.spec.segments:
         if name not in models.discriminative:
             continue
-        inside = np.array(
-            [point_in_polygon(lat, lon, poly) for lat, lon in path.points]
-        )
+        inside = point_in_polygon(path.points[:, 0], path.points[:, 1], poly)
         if not inside.any():
             continue
         mixture = models.mixtures[name]

@@ -143,6 +143,42 @@ class TestAssignSegment:
         assert loaded.names == ["box"]
 
 
+def scalar_point_in_polygon(lat, lon, polygon):
+    """Reference: the per-point even-odd loop, one edge at a time."""
+    inside = False
+    n = len(polygon)
+    for i in range(n):
+        la1, lo1 = polygon[i]
+        la2, lo2 = polygon[(i + 1) % n]
+        if (lo1 > lon) != (lo2 > lon):
+            x = la1 + (lon - lo1) * (la2 - la1) / (lo2 - lo1)
+            if lat < x:
+                inside = not inside
+    return inside
+
+
+class TestPointInPolygon:
+    def test_scalar_input_gives_bool(self):
+        assert point_in_polygon(0.5, 0.5, np.array(SQUARE)) is True
+        assert point_in_polygon(2.0, 0.5, np.array(SQUARE)) is False
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_array_matches_scalar_loop(self):
+        rng = np.random.default_rng(11)
+        for trial in range(200):
+            k = int(rng.integers(3, 9))
+            poly = rng.uniform(-2.0, 2.0, size=(k, 2))
+            if trial % 2:  # edges at constant longitude: the division is 0/0 there
+                poly[1::2, 1] = poly[0::2, 1][: len(poly[1::2])]
+            # Random points, plus points exactly on vertex longitudes and latitudes.
+            lat, lon = rng.uniform(-2.5, 2.5, size=(2, 150 + k))
+            lat = np.concatenate([lat, poly[:, 0]])
+            lon = np.concatenate([lon[:150], poly[:, 1], lon[150:]])
+            got = point_in_polygon(lat, lon, poly)
+            expected = [scalar_point_in_polygon(a, o, poly) for a, o in zip(lat, lon)]
+            assert got.dtype == bool and got.tolist() == expected
+
+
 def _port_spec():
     return RouteSegmentSpec(
         [("port_a", [[-0.01, -0.01], [-0.01, 0.01], [0.01, 0.01], [0.01, -0.01]])]
@@ -202,6 +238,58 @@ class TestSplitIntoVoyages:
     def test_bad_gap_threshold(self):
         with pytest.raises(ConfigurationError):
             split_into_voyages(make_track([make_sample(0.0)]), gap_threshold=0.0)
+
+    def test_dwell_splits_match_per_sample_loop(self):
+        # Reference: the per-sample loop testing each sample against every port.
+        spec = RouteSegmentSpec(
+            [("a", [[-0.01, -0.01], [-0.01, 0.01], [0.01, 0.01], [0.01, -0.01]]),
+             ("b", [[0.99, 0.99], [0.99, 1.01], [1.01, 1.01], [1.01, 0.99]])]
+        )
+
+        def reference_starts(track, gap, dwell_threshold, dwell_max_sog):
+            def in_port_dwell(lat, lon, sog):
+                if sog >= dwell_max_sog:
+                    return False
+                return any(scalar_point_in_polygon(lat, lon, poly) for _, poly in spec.segments)
+
+            starts, dwell_start, prev_ts = [0], None, None
+            for i, (ts, lat, lon, sog) in enumerate(zip(track.t, track.lat, track.lon, track.sog)):
+                split_here = prev_ts is not None and ts - prev_ts > gap
+                if prev_ts is not None and not split_here and dwell_start is not None:
+                    if not in_port_dwell(lat, lon, sog) and prev_ts - dwell_start >= dwell_threshold:
+                        split_here = True
+                if split_here:
+                    starts.append(i)
+                    dwell_start = None
+                if in_port_dwell(lat, lon, sog):
+                    if dwell_start is None:
+                        dwell_start = ts
+                else:
+                    dwell_start = None
+                prev_ts = ts
+            return starts
+
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = 300
+            # Runs of 10 samples in port a, port b or at sea, jittered across
+            # the port edges; speeds at, below and above the dwell limit.
+            centre = np.repeat(rng.choice([0.0, 1.0, 0.5], n // 10), 10)
+            times = np.cumsum(rng.choice([5, 10, 30, 200], n, p=[0.3, 0.3, 0.37, 0.03]))
+            sogs = rng.choice([0.1, 0.4, 0.5, 0.6, 5.0], n, p=[0.4, 0.4, 0.1, 0.05, 0.05])
+            jitter = rng.uniform(-0.012, 0.012, size=(n, 2))
+            samples = [
+                make_sample(float(t), lat=c + dlat, lon=c + dlon, sog=float(sog))
+                for t, c, (dlat, dlon), sog in zip(times, centre, jitter, sogs)
+            ]
+            track = make_track(samples)
+            result = split_into_voyages(track, gap_threshold=100.0, port_regions=spec,
+                                        dwell_threshold=60.0, dwell_max_sog=0.5)
+            starts = reference_starts(track, 100.0, 60.0, 0.5)
+            expected = [
+                track.t[a] for a, b in zip(starts, [*starts[1:], n]) if b - a >= 2
+            ]
+            assert [v.t[0] for v in result.voyages] == expected
 
     @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=60))
     def test_partition_property(self, deltas):

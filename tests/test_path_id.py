@@ -10,7 +10,7 @@ from voyagekit.errors import (
     InvalidInputError,
     UnclassifiableError,
 )
-from voyagekit.geo import RouteSegmentSpec
+from voyagekit.geo import EARTH_RADIUS_M, RouteSegmentSpec
 from voyagekit.path_id import (
     DistanceMatrix,
     Path,
@@ -42,6 +42,46 @@ def brute_force_annd(a: np.ndarray, b: np.ndarray) -> float:
         return total / len(p)
 
     return 0.5 * (directed(a, b) + directed(b, a))
+
+
+def pairwise_haversine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Reference: dense great-circle distances (m) between [lat, lon] rows."""
+    lat1 = np.radians(a[:, 0])[:, None]
+    lon1 = np.radians(a[:, 1])[:, None]
+    lat2 = np.radians(b[:, 0])[None, :]
+    lon2 = np.radians(b[:, 1])[None, :]
+    h = (
+        np.sin((lat2 - lat1) / 2) ** 2
+        + np.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2) ** 2
+    )
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+
+
+def lance_williams_average(values: np.ndarray, cutoff: float) -> np.ndarray:
+    """Reference: O(m^3) average linkage, merging the globally closest pair
+    until the smallest linkage exceeds the cut-off; returns cluster ids."""
+    m = len(values)
+    members = {i: [i] for i in range(m)}
+    dist = values.astype(float).copy()
+    np.fill_diagonal(dist, np.inf)
+    active = list(range(m))
+    while len(active) > 1:
+        sub = dist[np.ix_(active, active)]
+        i_pos, j_pos = divmod(int(sub.argmin()), len(active))
+        if sub[i_pos, j_pos] > cutoff:
+            break
+        a, b = sorted((active[i_pos], active[j_pos]))
+        na, nb = len(members[a]), len(members[b])
+        for c in active:
+            if c not in (a, b):
+                dist[a, c] = dist[c, a] = (na * dist[a, c] + nb * dist[b, c]) / (na + nb)
+        members[a].extend(members.pop(b))
+        active.remove(b)
+        dist[b, :] = dist[:, b] = np.inf
+    assignment = np.empty(m, dtype=int)
+    for cluster, root in enumerate(sorted(members, key=lambda r: min(members[r]))):
+        assignment[members[root]] = cluster
+    return assignment
 
 
 def path(vid, pts):
@@ -100,11 +140,35 @@ class TestAnnd:
     def test_haversine_metric(self):
         p = path("a", [(0.0, 0.0), (0.0, 0.0)])
         q = path("b", [(0.0, 1.0), (0.0, 1.0)])
-        from voyagekit.geo import EARTH_RADIUS_M
-
         assert annd(p, q, metric="haversine") == pytest.approx(
             EARTH_RADIUS_M * math.pi / 180.0, rel=1e-9
         )
+
+    def test_euclidean_equals_dense_minimum(self):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            a = rng.uniform(50, 60, size=(int(rng.integers(2, 60)), 2))
+            b = rng.uniform(50, 60, size=(int(rng.integers(2, 60)), 2))
+            dense = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+            assert annd_directed(path("a", a), path("b", b)) == float(dense.min(axis=1).mean())
+
+    @pytest.mark.parametrize(
+        "lat_range,lon_range",
+        [((-60, 60), (-170, 170)), ((55, 58), (179.0, 181.0)), ((89.0, 90.0), (-180, 180))],
+        ids=["global", "antimeridian", "pole"],
+    )
+    def test_haversine_matches_dense_oracle(self, lat_range, lon_range):
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            a, b = (
+                np.column_stack([rng.uniform(*lat_range, n), rng.uniform(*lon_range, n)])
+                for n in rng.integers(2, 40, size=2)
+            )
+            for x in (a, b):  # wrap longitudes into [-180, 180)
+                x[:, 1] = (x[:, 1] + 180) % 360 - 180
+            expected = pairwise_haversine(a, b).min(axis=1).mean()
+            got = annd_directed(path("a", a), path("b", b), metric="haversine")
+            assert got == pytest.approx(expected, rel=1e-12)
 
     def test_unknown_metric(self):
         p = path("a", [(0, 0), (0, 1)])
@@ -259,6 +323,21 @@ class TestHierarchical:
         ]
         assert counts == sorted(counts, reverse=True)
 
+    def test_single_path_matrix(self):
+        assert hierarchical_cluster(DistanceMatrix(("a",), np.zeros((1, 1))), 0.5) == {"a": "0"}
+
+    def test_matches_lance_williams_loop(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            m = int(rng.integers(2, 26))
+            upper = np.triu(rng.uniform(0.0, 10.0, size=(m, m)), 1)
+            values = upper + upper.T
+            cutoff = float(rng.uniform(0.0, values.max()))
+            ids = tuple(f"v{i}" for i in range(m))
+            expected = lance_williams_average(values, cutoff)
+            got = hierarchical_cluster(DistanceMatrix(ids, values), cutoff)
+            assert got == {vid: str(c) for vid, c in zip(ids, expected)}
+
     def test_negative_cutoff(self, three_bundles):
         matrix, _ = three_bundles
         with pytest.raises(ConfigurationError):
@@ -326,6 +405,14 @@ class TestSegmentGmms:
         models = fit_segment_gmms(low + high, labels, spec, seed=0)
         assert models.mixtures["low_only"].component_labels == ["low"]
         assert models.discriminative == ["both"]
+
+    def test_component_label_tie_goes_to_smallest_label(self):
+        # One component claims the points of two identical paths equally.
+        twin = bundle(0.0, 1, seed=11)[0].points
+        paths = [path("first", twin), path("second", twin)]
+        spec = RouteSegmentSpec([("box", [[-1.0, -0.1], [-1.0, 1.1], [1.0, 1.1], [1.0, -0.1]])])
+        models = fit_segment_gmms(paths, {"first": "b", "second": "a"}, spec, 1, seed=0)
+        assert models.mixtures["box"].component_labels == ["a"]
 
     def test_empty_segment_is_configuration_error(self, two_branch_training):
         paths, labels = two_branch_training
