@@ -205,7 +205,6 @@ def cmd_optimize(config: RunConfig, plots: bool = False) -> None:
         hmm_features=config.hmm_features,
         knn_k=config.knn_k,
         feature_case=config.feature_case,
-        keep_profiles=True,
     )
     speed_opt.write_gain_report(gain_report, out / "gains.csv", out / "state_gains.csv")
 

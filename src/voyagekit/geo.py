@@ -261,7 +261,6 @@ def split_into_voyages(
     *,
     dwell_threshold: float = PORT_DWELL_S,
     dwell_max_sog: float = PORT_DWELL_MAX_SOG,
-    id_prefix: str = "V",
 ) -> SplitResult:
     """Cut a time-ordered sample stream into voyages.
 
@@ -271,7 +270,7 @@ def split_into_voyages(
     stay with the voyage they end. Segments shorter than two samples are
     dropped and reported in the result.
 
-    Voyage ids are ``{prefix}0001``, ``{prefix}0002``, ... in time order.
+    Voyage ids are ``V0001``, ``V0002``, ... in time order.
     """
     if gap_threshold <= 0:
         raise ConfigurationError(f"gap_threshold must be > 0, got {gap_threshold}")
@@ -311,5 +310,5 @@ def split_into_voyages(
             dropped.extend(range(a, b))
             continue
         part = vars(samples.take(slice(a, b)))
-        voyages.append(Voyage(**part, voyage_id=f"{id_prefix}{len(voyages) + 1:04d}"))
+        voyages.append(Voyage(**part, voyage_id=f"V{len(voyages) + 1:04d}"))
     return SplitResult(voyages=voyages, dropped_samples=samples.take(np.array(dropped, dtype=int)))

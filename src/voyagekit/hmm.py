@@ -2,10 +2,11 @@
 
 States are Calm, Moderate, and Rough, ordered by ascending mean wind speed.
 Fitting is Baum-Welch over per-voyage observation sequences of
-(wind speed, wave height); the forward pass is scaled per step so long
-sequences do not underflow. Speed suggestions take the maximum observed
-training speed in Calm, the mean in Moderate, and the minimum in Rough,
-applied per decoded step.
+(wind speed, wave height). Each EM pass computes a sequence's emission
+densities once and runs one forward-backward over them, scaled per step
+(Rabiner 1989) so long sequences do not underflow. Speed suggestions take
+the maximum observed training speed in Calm, the mean in Moderate, and the
+minimum in Rough, applied per decoded step.
 """
 
 from __future__ import annotations
@@ -47,11 +48,16 @@ class WeatherStateModel:
             + diff**2 / self.variances[None, :, :]
         ).sum(axis=2)
 
-    def forward(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """Scaled forward pass: (alpha_hat, scales, log-likelihood)."""
+    def scaled_emissions(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Emission densities shifted by each step's maximum: (b, log shifts)."""
         log_b = self.emission_log_density(obs)
-        b = np.exp(log_b - log_b.max(axis=1, keepdims=True))
         correction = log_b.max(axis=1)
+        return np.exp(log_b - correction[:, None]), correction
+
+    def forward_backward(
+        self, b: np.ndarray, correction: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Scaled pass over `scaled_emissions`: (alpha_hat, beta_hat, scales, loglik)."""
         T = len(b)
         alpha = np.empty((T, N_STATES))
         scales = np.empty(T)
@@ -62,21 +68,15 @@ class WeatherStateModel:
             alpha[t] = (alpha[t - 1] @ self.transitions) * b[t]
             scales[t] = alpha[t].sum()
             alpha[t] /= scales[t]
-        loglik = float(np.log(scales).sum() + correction.sum())
-        return alpha, scales, loglik
-
-    def backward(self, obs: np.ndarray, scales: np.ndarray) -> np.ndarray:
-        log_b = self.emission_log_density(obs)
-        b = np.exp(log_b - log_b.max(axis=1, keepdims=True))
-        T = len(b)
         beta = np.empty((T, N_STATES))
         beta[-1] = 1.0
         for t in range(T - 2, -1, -1):
             beta[t] = (self.transitions @ (b[t + 1] * beta[t + 1])) / scales[t + 1]
-        return beta
+        loglik = float(np.log(scales).sum() + correction.sum())
+        return alpha, beta, scales, loglik
 
     def log_likelihood(self, obs: np.ndarray) -> float:
-        return self.forward(obs)[2]
+        return self.forward_backward(*self.scaled_emissions(obs))[3]
 
     def viterbi(self, obs: np.ndarray) -> np.ndarray:
         """Most likely state sequence (log-space dynamic program)."""
@@ -165,13 +165,11 @@ def fit_weather_hmm(
         mean_num = np.zeros_like(model.means)
         var_num = np.zeros_like(model.variances)
         for obs in sequences:
-            alpha, scales, ll = model.forward(obs)
-            beta = model.backward(obs, scales)
+            b, correction = model.scaled_emissions(obs)
+            alpha, beta, scales, ll = model.forward_backward(b, correction)
             total_ll += ll
             gamma = alpha * beta
             gamma /= gamma.sum(axis=1, keepdims=True)
-            log_b = model.emission_log_density(obs)
-            b = np.exp(log_b - log_b.max(axis=1, keepdims=True))
             if len(obs) > 1:
                 weighted = (b[1:] * beta[1:]) / scales[1:, None]
                 trans_num += model.transitions * (alpha[:-1].T @ weighted)
@@ -214,9 +212,13 @@ def fit_weather_hmm(
     return model
 
 
+def decode_states(test: Voyage, model: WeatherStateModel) -> np.ndarray:
+    """Viterbi state index per sample of a voyage."""
+    return model.viterbi(test.columns(*model.feature_names))
+
+
 def hmm_predict(test: Voyage, model: WeatherStateModel) -> np.ndarray:
     """Per-step speed suggestion: Calm -> max, Moderate -> mean, Rough -> min."""
-    states = model.viterbi(test.columns(*model.feature_names))
     rule = np.array(
         [
             model.sog_stats[0, 2],  # Calm: max
@@ -224,9 +226,4 @@ def hmm_predict(test: Voyage, model: WeatherStateModel) -> np.ndarray:
             model.sog_stats[2, 0],  # Rough: min
         ]
     )
-    return rule[states]
-
-
-def decode_states(test: Voyage, model: WeatherStateModel) -> np.ndarray:
-    """Viterbi state index per sample of a voyage."""
-    return model.viterbi(test.columns(*model.feature_names))
+    return rule[decode_states(test, model)]

@@ -200,17 +200,16 @@ class WeatherGrid:
         return result, status
 
 
-def parse_weather_grid(path: str | Path, variable: str | None = None) -> WeatherGrid:
+def parse_weather_grid(path: str | Path) -> WeatherGrid:
     """Assemble a dense WeatherGrid from a long-format time/lat/lon/value CSV.
 
-    The variable name defaults to the file name stem. Lattice cells absent
+    The variable name is the file name stem. Lattice cells absent
     from the file are marked missing; duplicate keys with conflicting values
     are an error.
     """
     path = Path(path)
     if not path.exists():
         raise InvalidInputError(f"weather file not found: {path}")
-    variable = variable or path.stem
     rows: dict[tuple[float, float, float], float] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -253,7 +252,7 @@ def parse_weather_grid(path: str | Path, variable: str | None = None) -> Weather
     lo_pos = {v: i for i, v in enumerate(lons)}
     for (t, la, lo), value in rows.items():
         values[t_pos[t], la_pos[la], lo_pos[lo]] = value
-    return WeatherGrid(variable=variable, times=times, lats=lats, lons=lons, values=values)
+    return WeatherGrid(variable=path.stem, times=times, lats=lats, lons=lons, values=values)
 
 
 def trilinear_interpolate(grid: WeatherGrid, t: float, p: GeoPoint) -> float:

@@ -38,6 +38,9 @@ from .geo import EARTH_RADIUS_M, RouteSegmentSpec, Voyage, point_in_polygon
 PathLabeling = dict[str, str]
 
 COVARIANCE_FLOOR = 1e-6
+KMEANS_RESTARTS = 100   # k-means++ runs; the lowest inertia wins
+KMEANS_MAX_ITER = 300   # Lloyd iterations per run
+EM_MAX_ITER = 200       # mixture EM passes
 
 
 @dataclass
@@ -126,7 +129,7 @@ def _canonical_labels(assignment: np.ndarray, voyage_ids: Sequence[str]) -> Path
     return {vid: str(remap[int(a)]) for vid, a in zip(voyage_ids, assignment)}
 
 
-def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 300):
+def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     n = len(x)
     # k-means++ seeding.
     centers = np.empty((k, x.shape[1]))
@@ -145,7 +148,7 @@ def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int 
         closest = np.minimum(closest, ((x - centers[c]) ** 2).sum(axis=1))
 
     labels = np.full(n, -1)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
         for c in range(k):
@@ -160,33 +163,46 @@ def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int 
             centers[c] = x[labels == c].mean(axis=0)
     d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     inertia = float(np.take_along_axis(d2, labels[:, None], axis=1).sum())
-    return labels, centers, inertia
+    return labels, inertia
 
 
-def _kmeans(x: np.ndarray, k: int, seed: int, restarts: int = 100):
+def _kmeans(x: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Labels of the lowest-inertia k-means++ run (the first on ties)."""
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(restarts):
-        labels, centers, inertia = _kmeans_once(x, k, rng)
-        if best is None or inertia < best[2]:
-            best = (labels, centers, inertia)
-    return best
+    for _ in range(KMEANS_RESTARTS):
+        labels, inertia = _kmeans_once(x, k, rng)
+        if best is None or inertia < best[1]:
+            best = (labels, inertia)
+    return best[0]
 
 
-def kmeans_rows(matrix: DistanceMatrix, k: int, seed: int, restarts: int = 100) -> PathLabeling:
+def kmeans_rows(matrix: DistanceMatrix, k: int, seed: int) -> PathLabeling:
     """Lloyd's k-means on the distance-matrix rows as feature vectors."""
     m = len(matrix.voyage_ids)
     if not 2 <= k <= m:
         raise ConfigurationError(f"k={k} outside [2, {m}]")
-    labels, _, _ = _kmeans(matrix.values, k, seed, restarts)
-    return _canonical_labels(labels, matrix.voyage_ids)
+    return _canonical_labels(_kmeans(matrix.values, k, seed), matrix.voyage_ids)
 
 
-def _gmm_em_rows(
-    x: np.ndarray, k: int, seed: int, max_iter: int = 200
-) -> tuple[np.ndarray, list[float]]:
+def _mixture_step(
+    x: np.ndarray, log_p: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Mixture E-step from (n, k) weighted log densities, plus the weight and mean update.
+
+    Returns (log-likelihood, responsibilities, floored nk, weights, means).
+    """
+    top = log_p.max(axis=1, keepdims=True)
+    norm = top[:, 0] + np.log(np.exp(log_p - top).sum(axis=1))
+    resp = np.exp(log_p - norm[:, None])
+    nk = resp.sum(axis=0)
+    nk[nk < 1e-12] = 1e-12
+    return float(norm.sum()), resp, nk, nk / len(x), (resp.T @ x) / nk[:, None]
+
+
+def _gmm_em_rows(x: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, list[float]]:
     """Diagonal-covariance EM on row vectors; returns (labels, ll history)."""
-    init_labels, _, _ = _kmeans(x, k, seed)
+    init_labels = _kmeans(x, k, seed)
     weights = np.empty(k)
     means = np.empty((k, x.shape[1]))
     variances = np.empty((k, x.shape[1]))
@@ -198,21 +214,13 @@ def _gmm_em_rows(
 
     prev_ll = -np.inf
     history: list[float] = []
-    resp = np.zeros((len(x), k))
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         log_p = -0.5 * (
             np.log(2.0 * np.pi * variances)[None, :, :]
             + (x[:, None, :] - means[None, :, :]) ** 2 / variances[None, :, :]
         ).sum(axis=2) + np.log(weights)[None, :]
-        top = log_p.max(axis=1, keepdims=True)
-        norm = top[:, 0] + np.log(np.exp(log_p - top).sum(axis=1))
-        ll = float(norm.sum())
+        ll, resp, nk, weights, means = _mixture_step(x, log_p)
         history.append(ll)
-        resp = np.exp(log_p - norm[:, None])
-        nk = resp.sum(axis=0)
-        nk[nk < 1e-12] = 1e-12
-        weights = nk / len(x)
-        means = (resp.T @ x) / nk[:, None]
         variances = np.maximum(
             (resp.T @ (x**2)) / nk[:, None] - means**2, COVARIANCE_FLOOR
         )
@@ -222,12 +230,12 @@ def _gmm_em_rows(
     return resp.argmax(axis=1), history
 
 
-def gmm_rows(matrix: DistanceMatrix, k: int, seed: int, max_iter: int = 200) -> PathLabeling:
+def gmm_rows(matrix: DistanceMatrix, k: int, seed: int) -> PathLabeling:
     """Diagonal-covariance Gaussian mixture on matrix rows, k-means init."""
     m = len(matrix.voyage_ids)
     if not 2 <= k <= m:
         raise ConfigurationError(f"k={k} outside [2, {m}]")
-    labels, _ = _gmm_em_rows(matrix.values, k, seed, max_iter)
+    labels, _ = _gmm_em_rows(matrix.values, k, seed)
     return _canonical_labels(labels, matrix.voyage_ids)
 
 
@@ -285,14 +293,12 @@ class SegmentModelSet:
 
 
 def _fit_gmm_2d(
-    points: np.ndarray, components: int, seed: int, max_iter: int = 200
+    points: np.ndarray, components: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """EM fit of a full-covariance 2-D mixture; returns (w, mu, cov, resp)."""
     components = min(components, len(points))
-    init_labels, _, _ = _kmeans(points, components, seed) if components > 1 else (
-        np.zeros(len(points), dtype=int),
-        None,
-        None,
+    init_labels = (
+        _kmeans(points, components, seed) if components > 1 else np.zeros(len(points), dtype=int)
     )
     weights = np.empty(components)
     means = np.empty((components, 2))
@@ -304,22 +310,14 @@ def _fit_gmm_2d(
         means[c] = group.mean(axis=0)
         covs[c] = np.cov(group.T, bias=True) + eye if len(group) > 1 else eye * 1e3
 
-    resp = np.zeros((len(points), components))
     prev_ll = -np.inf
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         log_p = np.empty((len(points), components))
         for c in range(components):
             log_p[:, c] = _gaussian_log_density_2d(points, means[c], covs[c]) + math.log(
                 max(weights[c], 1e-300)
             )
-        top = log_p.max(axis=1, keepdims=True)
-        norm = top[:, 0] + np.log(np.exp(log_p - top).sum(axis=1))
-        ll = float(norm.sum())
-        resp = np.exp(log_p - norm[:, None])
-        nk = resp.sum(axis=0)
-        nk[nk < 1e-12] = 1e-12
-        weights = nk / len(points)
-        means = (resp.T @ points) / nk[:, None]
+        ll, resp, nk, weights, means = _mixture_step(points, log_p)
         for c in range(components):
             d = points - means[c]
             covs[c] = (resp[:, c][:, None] * d).T @ d / nk[c] + eye

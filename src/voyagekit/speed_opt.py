@@ -243,7 +243,6 @@ def run_optimization_benchmark(
     hmm_features: tuple[str, ...] = DEFAULT_FEATURES,
     knn_k: int = 5,
     feature_case: str = "IV",
-    keep_profiles: bool = False,
 ) -> GainReport:
     """Train each model on each percentile cluster and score the test set.
 
@@ -329,9 +328,7 @@ def run_optimization_benchmark(
             profiles: dict[str, np.ndarray] = {}
             excluded = 0
             for v in test_voyages:
-                profile = model.predict(v)
-                if keep_profiles:
-                    profiles[v.voyage_id] = profile
+                profile = profiles[v.voyage_id] = model.predict(v)
                 fuel, hours = estimate_fuel_time(profile, v, estimator)
                 try:
                     gains[v.voyage_id] = efficiency_gain(

@@ -378,13 +378,8 @@ def write_fleet(fleet: FleetData, out_dir: str | Path) -> dict:
         with open(out / "weather" / f"{grid.variable}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["time", "lat", "lon", "value"])
-            for it, t in enumerate(grid.times):
-                for ila, la in enumerate(grid.lats):
-                    for ilo, lo in enumerate(grid.lons):
-                        writer.writerow(
-                            [repr(float(t)), repr(float(la)), repr(float(lo)),
-                             repr(float(grid.values[it, ila, ilo]))]
-                        )
+            columns = (*np.meshgrid(grid.times, grid.lats, grid.lons, indexing="ij"), grid.values)
+            writer.writerows(zip(*(map(repr, values.ravel().tolist()) for values in columns)))
 
     fleet.segment_spec.to_json(out / "segments.json")
     with open(out / "labels.csv", "w", newline="", encoding="utf-8") as fh:

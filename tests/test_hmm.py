@@ -80,6 +80,80 @@ def brute_force_likelihood(model, obs):
     return total
 
 
+def reference_forward(model, obs):
+    """Reference scaled forward pass with its own emissions: (alpha, scales, loglik)."""
+    log_b = model.emission_log_density(obs)
+    b = np.exp(log_b - log_b.max(axis=1, keepdims=True))
+    correction = log_b.max(axis=1)
+    T = len(b)
+    alpha = np.empty((T, 3))
+    scales = np.empty(T)
+    alpha[0] = model.start_probs * b[0]
+    scales[0] = alpha[0].sum()
+    alpha[0] /= scales[0]
+    for t in range(1, T):
+        alpha[t] = (alpha[t - 1] @ model.transitions) * b[t]
+        scales[t] = alpha[t].sum()
+        alpha[t] /= scales[t]
+    return alpha, scales, float(np.log(scales).sum() + correction.sum())
+
+
+def reference_backward(model, obs, scales):
+    """Reference scaled backward pass with its own emissions."""
+    log_b = model.emission_log_density(obs)
+    b = np.exp(log_b - log_b.max(axis=1, keepdims=True))
+    beta = np.empty((len(b), 3))
+    beta[-1] = 1.0
+    for t in range(len(b) - 2, -1, -1):
+        beta[t] = (model.transitions @ (b[t + 1] * beta[t + 1])) / scales[t + 1]
+    return beta
+
+
+def random_model(rng):
+    return WeatherStateModel(
+        feature_names=DEFAULT_FEATURES,
+        start_probs=rng.dirichlet(np.ones(3)),
+        transitions=rng.dirichlet(np.ones(3), size=3),
+        means=rng.uniform(0.0, 15.0, size=(3, 2)),
+        variances=rng.uniform(0.05, 4.0, size=(3, 2)),
+        sog_stats=np.zeros((3, 3)),
+    )
+
+
+class TestSharedEStep:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_reference_passes_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng)
+        for length in (1, 2, int(rng.integers(3, 200))):
+            obs = np.column_stack(
+                [rng.uniform(0.0, 20.0, size=length), rng.uniform(0.0, 4.0, size=length)]
+            )
+            alpha, scales, loglik = reference_forward(model, obs)
+            assert model.log_likelihood(obs) == loglik
+            got_alpha, got_beta, got_scales, got_ll = model.forward_backward(
+                *model.scaled_emissions(obs)
+            )
+            assert got_ll == loglik
+            assert got_alpha.tobytes() == alpha.tobytes()
+            assert got_scales.tobytes() == scales.tobytes()
+            assert got_beta.tobytes() == reference_backward(model, obs, scales).tobytes()
+
+    def test_emissions_once_per_sequence_per_pass(self, monkeypatch):
+        voyages, _ = simulate_voyages()
+        calls = []
+        original = WeatherStateModel.emission_log_density
+
+        def counted(self, obs):
+            calls.append(len(obs))
+            return original(self, obs)
+
+        monkeypatch.setattr(WeatherStateModel, "emission_log_density", counted)
+        model = fit_weather_hmm(voyages, seed=3)
+        # One emission matrix per sequence per EM pass, plus one Viterbi decode each.
+        assert len(calls) == (len(model.loglik_history) + 1) * len(voyages)
+
+
 class TestForwardOracle:
     @pytest.mark.parametrize("length", [1, 2, 4, 8])
     def test_forward_matches_enumeration(self, length):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import tiny_fleet_spec
 from voyagekit.errors import ConfigurationError
+from voyagekit.ingestion import parse_weather_grid
 from voyagekit.synth import (
     Branch,
     SyntheticFleetSpec,
@@ -121,6 +122,16 @@ class TestWriteFleet:
             tmp_path / "one" / "onboard", tmp_path / "two" / "onboard", ["fleet.csv"], shallow=False
         )
         assert match == ["fleet.csv"]
+
+    def test_weather_grids_round_trip(self, tiny_fleet, tmp_path):
+        write_fleet(tiny_fleet, tmp_path)
+        for grid in tiny_fleet.grids:
+            parsed = parse_weather_grid(tmp_path / "weather" / f"{grid.variable}.csv")
+            assert parsed.variable == grid.variable
+            for axis in ("times", "lats", "lons", "values"):
+                expected = getattr(grid, axis)
+                assert getattr(parsed, axis).shape == expected.shape, axis
+                assert getattr(parsed, axis).tobytes() == expected.tobytes(), axis
 
 
 class TestSpecJson:
