@@ -28,9 +28,6 @@ from .geo import (
     RouteSegmentSpec,
     Track,
     Voyage,
-    assign_segment,
-    euclidean_distance,
-    haversine_distance,
     merge_tracks,
     split_into_voyages,
 )

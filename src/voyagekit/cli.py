@@ -9,7 +9,6 @@ and --seed; warnings are mirrored to a machine-readable run_log.jsonl.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -208,24 +207,22 @@ def cmd_optimize(config: RunConfig, plots: bool = False) -> None:
     )
     speed_opt.write_gain_report(gain_report, out / "gains.csv", out / "state_gains.csv")
 
-    with open(out / "voyage_gains.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster", "model", "voyage_id", "gain_pct"])
-        for row in gain_report.rows:
-            for vid in sorted(row.voyage_gains):
-                writer.writerow([row.cluster, row.model, vid, repr(float(row.voyage_gains[vid]))])
+    cells = [
+        (row.cluster, row.model, vid, float(row.voyage_gains[vid]))
+        for row in gain_report.rows
+        for vid in sorted(row.voyage_gains)
+    ]
+    store.write_table(
+        out / "voyage_gains.csv", ["cluster", "model", "voyage_id", "gain_pct"], zip(*cells)
+    )
 
     profiles_dir = out / "profiles"
     profiles_dir.mkdir(exist_ok=True)
     for row in gain_report.rows:
         for vid, sog_pred in row.profiles.items():
-            measured = by_id[vid].sog.tolist()
             name = f"{_safe_name(row.cluster)}_{_safe_name(row.model)}_{vid}.csv"
-            with open(profiles_dir / name, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["step", "sog_meas", "sog_pred"])
-                for i, (m, p) in enumerate(zip(measured, sog_pred)):
-                    writer.writerow([i, repr(float(m)), repr(float(p))])
+            columns = [range(len(sog_pred)), by_id[vid].sog, np.asarray(sog_pred, dtype=float)]
+            store.write_table(profiles_dir / name, ["step", "sog_meas", "sog_pred"], columns)
 
     if plots:
         plots_dir = out / "plots"

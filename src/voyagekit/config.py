@@ -66,6 +66,8 @@ class RunConfig:
             )
         if self.pathid_metric not in ("euclidean", "haversine"):
             raise ConfigurationError(f"pathid_metric {self.pathid_metric!r} unknown")
+        if not self.hmm_features:
+            raise ConfigurationError("hmm_features must name at least one weather channel")
         if self.knn_k < 1 or self.kmeans_k < 2:
             raise ConfigurationError("knn_k must be >= 1 and kmeans_k >= 2")
         if self.dendrogram_cutoff < 0:
@@ -82,8 +84,6 @@ def _coerce(name: str, raw: str):
         return None if raw.lower() in ("", "none", "null") else int(raw)
     if name == "hmm_features":
         return tuple(part.strip() for part in raw.split(",") if part.strip())
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes")
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):

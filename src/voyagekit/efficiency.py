@@ -13,9 +13,8 @@ interface, so an alternative (e.g. a trained network) can be plugged in.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -29,42 +28,18 @@ from .errors import (
     UndefinedGainError,
 )
 from .geo import Voyage
+from .store import ONBOARD_CHANNELS, write_table
 
 #: Weather channels entering the estimator features, per input case.
 #: Case I uses onboard wind only; II external wind/wave/current only;
 #: III onboard wind plus external wave/current; IV everything.
+_EXTERNAL_WIND = ("WindSpeed_cps", "WindDirection_cps", "WindSpeed_sg", "WindDirection_sg")
+_WAVE_CURRENT = ("WaveHeight", "WaveDirection", "CurrentSpeed", "CurrentDirection")
 FEATURE_CASES: dict[str, tuple[str, ...]] = {
-    "I": ("WindSpeed_onb", "WindDirection_onb"),
-    "II": (
-        "WindSpeed_cps",
-        "WindDirection_cps",
-        "WindSpeed_sg",
-        "WindDirection_sg",
-        "WaveHeight",
-        "WaveDirection",
-        "CurrentSpeed",
-        "CurrentDirection",
-    ),
-    "III": (
-        "WindSpeed_onb",
-        "WindDirection_onb",
-        "WaveHeight",
-        "WaveDirection",
-        "CurrentSpeed",
-        "CurrentDirection",
-    ),
-    "IV": (
-        "WindSpeed_onb",
-        "WindDirection_onb",
-        "WindSpeed_cps",
-        "WindDirection_cps",
-        "WindSpeed_sg",
-        "WindDirection_sg",
-        "WaveHeight",
-        "WaveDirection",
-        "CurrentSpeed",
-        "CurrentDirection",
-    ),
+    "I": ONBOARD_CHANNELS,
+    "II": _EXTERNAL_WIND + _WAVE_CURRENT,
+    "III": ONBOARD_CHANNELS + _WAVE_CURRENT,
+    "IV": ONBOARD_CHANNELS + _EXTERNAL_WIND + _WAVE_CURRENT,
 }
 
 MIN_TRAINING_SAMPLES = 100
@@ -128,16 +103,7 @@ def normalize_and_score(summaries: Sequence[VoyageSummary]) -> list[VoyageSummar
     for s in summaries:
         f = s.fuel_total / max_fuel
         t = s.time_total / max_time
-        out.append(
-            VoyageSummary(
-                voyage_id=s.voyage_id,
-                fuel_total=s.fuel_total,
-                time_total=s.time_total,
-                fuel_norm=f,
-                time_norm=t,
-                eff_score=efficiency_score(f, t),
-            )
-        )
+        out.append(replace(s, fuel_norm=f, time_norm=t, eff_score=efficiency_score(f, t)))
     return out
 
 
@@ -230,7 +196,6 @@ class EfficiencyEstimator:
     feature_case: str
     channels: tuple[str, ...]
     regressor: KnnRegressor
-    k: int = 5
 
     def predict_rates(self, v: Voyage, sog_override: np.ndarray | None = None) -> np.ndarray:
         feats = v.columns("lat", "lon", "sog", "heading", *self.channels)
@@ -261,7 +226,7 @@ def train_estimator(
             f"estimator needs >= {MIN_TRAINING_SAMPLES} samples, got {len(feats)}"
         )
     reg = KnnRegressor(k=k).fit(feats, targets)
-    return EfficiencyEstimator(feature_case=feature_case, channels=channels, regressor=reg, k=k)
+    return EfficiencyEstimator(feature_case=feature_case, channels=channels, regressor=reg)
 
 
 def estimate_fuel_time(
@@ -293,34 +258,15 @@ def write_summary_csv(
     path: str | Path,
 ) -> None:
     """Emit the per-voyage summary table with cluster membership columns."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "voyage_id",
-                "fuel_total",
-                "time_total",
-                "fuel_norm",
-                "time_norm",
-                "eff_score",
-                "top75",
-                "top50",
-                "top25",
-                "top10",
-            ]
-        )
-        for s in sorted(summaries, key=lambda s: s.voyage_id):
-            writer.writerow(
-                [
-                    s.voyage_id,
-                    repr(float(s.fuel_total)),
-                    repr(float(s.time_total)),
-                    repr(float(s.fuel_norm)),
-                    repr(float(s.time_norm)),
-                    repr(float(s.eff_score)),
-                    int(s.voyage_id in clusters.top75),
-                    int(s.voyage_id in clusters.top50),
-                    int(s.voyage_id in clusters.top25),
-                    int(s.voyage_id in clusters.top10),
-                ]
-            )
+    ordered = sorted(summaries, key=lambda s: s.voyage_id)
+    floats = ("fuel_total", "time_total", "fuel_norm", "time_norm", "eff_score")
+    tops = ("top75", "top50", "top25", "top10")
+    write_table(
+        path,
+        ["voyage_id", *floats, *tops],
+        [
+            [s.voyage_id for s in ordered],
+            *(np.array([getattr(s, name) for s in ordered], dtype=float) for name in floats),
+            *([int(s.voyage_id in getattr(clusters, top)) for s in ordered] for top in tops),
+        ],
+    )

@@ -1,12 +1,10 @@
-"""Geographic primitives, columnar voyages, segmentation, and segment assignment.
+"""Geographic primitives, columnar voyages, route segments, and voyage splitting.
 
 All coordinates are WGS84 latitude/longitude in decimal degrees. Samples are
 held as columns: a Track is a stream of float64 arrays (time, position,
 speed, heading, fuel rate) plus named weather channels, and a Voyage is a
-validated port-to-port Track. Distances come in two flavors: great-circle
-meters for metric-correct work and plain degree-space Euclidean for
-path-similarity math, where the raw coordinate differences are the quantity
-of interest.
+validated port-to-port Track. Route segments and port regions are polygons
+tested with point_in_polygon.
 """
 
 from __future__ import annotations
@@ -203,20 +201,6 @@ class RouteSegmentSpec:
         Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in meters (Earth radius 6,371,000 m)."""
-    lat1, lon1, lat2, lon2 = map(math.radians, (a.lat, a.lon, b.lat, b.lon))
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
-
-
-def euclidean_distance(a: GeoPoint, b: GeoPoint) -> float:
-    """Plain degree-space distance sqrt(dlat^2 + dlon^2), no latitude scaling."""
-    return math.hypot(a.lat - b.lat, a.lon - b.lon)
-
-
 def point_in_polygon(
     lat: float | np.ndarray, lon: float | np.ndarray, polygon: np.ndarray
 ) -> bool | np.ndarray:
@@ -234,14 +218,6 @@ def point_in_polygon(
         crosses = (lo1 > lon) != (lo2 > lon)
         inside ^= crosses & (lat < la1 + (lon - lo1) * (la2 - la1) / (lo2 - lo1))
     return bool(inside) if inside.ndim == 0 else inside
-
-
-def assign_segment(p: GeoPoint, spec: RouteSegmentSpec) -> str:
-    """Name of the first segment polygon containing ``p``, else "unassigned"."""
-    for name, poly in spec.segments:
-        if point_in_polygon(p.lat, p.lon, poly):
-            return name
-    return "unassigned"
 
 
 @dataclass

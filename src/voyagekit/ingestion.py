@@ -3,15 +3,17 @@
 Onboard CSVs are parsed column by column into a time-sorted Track (see
 geo); cells that do not parse are NaN, and rows missing a required field
 are skipped. Weather hindcasts arrive as long-format CSV (one file per
-variable, columns time/lat/lon/value) and are assembled into dense 3-D
-grids. attach_weather adds every grid variable to a voyage as a channel,
-by trilinear interpolation over the enclosing (time, lat, lon) cell.
+variable, columns time/lat/lon/value); they are read as whole columns and
+assembled into dense 3-D grids. attach_weather adds every grid variable to
+a voyage as a channel, by trilinear interpolation over the enclosing
+(time, lat, lon) cell.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -27,19 +29,7 @@ from .errors import (
     SchemaError,
 )
 from .geo import GeoPoint, Track, Voyage
-
-#: Onboard columns that must parse for a row to be kept.
-REQUIRED_COLUMNS = (
-    "Timestamp",
-    "Latitude",
-    "Longitude",
-    "SpeedOverGround",
-    "HeadingMagnetic",
-    "EngineFuelRate",
-)
-
-#: Optional onboard weather channels, kept under their column names.
-ONBOARD_CHANNELS = ("WindSpeed_onb", "WindDirection_onb")
+from .store import CORE_COLUMNS, ONBOARD_CHANNELS
 
 # Interpolation status codes used by WeatherGrid.interpolate_many.
 _OK = 0
@@ -88,7 +78,7 @@ def parse_onboard_csv(path: str | Path) -> tuple[Track, int]:
         except StopIteration:
             raise SchemaError(f"{path}: file is empty") from None
         lower_to_index = {name.strip().lower(): i for i, name in enumerate(header)}
-        missing = [name for name in REQUIRED_COLUMNS if name.lower() not in lower_to_index]
+        missing = [name for name in CORE_COLUMNS if name.lower() not in lower_to_index]
         if missing:
             raise SchemaError(f"{path}: missing required column {missing[0]!r}")
         # Short rows are padded with empty (unparseable) cells.
@@ -103,7 +93,7 @@ def parse_onboard_csv(path: str | Path) -> tuple[Track, int]:
 
     core = np.column_stack(
         [column(name, _parse_timestamp if name == "Timestamp" else _parse_float)
-         for name in REQUIRED_COLUMNS]
+         for name in CORE_COLUMNS]
     )
     t, lat, lon, sog, heading, fuel = core.T
     keep = (
@@ -134,7 +124,7 @@ class WeatherGrid:
 
     def __post_init__(self):
         for name, axis in (("time", self.times), ("lat", self.lats), ("lon", self.lons)):
-            if len(axis) < 2 or np.any(np.diff(axis) <= 0):
+            if len(axis) < 2 or not np.all(np.diff(axis) > 0):  # NaN fails too
                 raise InvalidInputError(
                     f"grid {self.variable!r}: {name} axis must be strictly increasing with >= 2 entries"
                 )
@@ -200,59 +190,81 @@ class WeatherGrid:
         return result, status
 
 
+def _scan_grid_rows(path: Path, usecols: list[int]) -> tuple[np.ndarray, Exception | None]:
+    """The rows before the first bad one, read cell by cell, and that row's error."""
+    rows, error = [], None
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                try:
+                    rows.append([float(row[i]) for i in usecols])
+                except (ValueError, IndexError):
+                    error = InvalidInputError(f"{path}: unparseable row {row!r}")
+                    break
+    return np.array(rows).reshape(-1, 4), error
+
+
 def parse_weather_grid(path: str | Path) -> WeatherGrid:
     """Assemble a dense WeatherGrid from a long-format time/lat/lon/value CSV.
 
-    The variable name is the file name stem. Lattice cells absent
-    from the file are marked missing; duplicate keys with conflicting values
-    are an error.
+    The variable name is the file name stem. Lattice cells absent from the
+    file are marked missing. Duplicate keys with conflicting values and NaN
+    coordinates are errors; a conflict is reported for its first row.
     """
     path = Path(path)
     if not path.exists():
         raise InvalidInputError(f"weather file not found: {path}")
-    rows: dict[tuple[float, float, float], float] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip().lower() for h in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty") from None
-        try:
-            idx = {name: header.index(name) for name in ("time", "lat", "lon", "value")}
-        except ValueError as exc:
-            raise SchemaError(f"{path}: expected columns time, lat, lon, value") from exc
-        for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                key = (
-                    float(row[idx["time"]]),
-                    float(row[idx["lat"]]),
-                    float(row[idx["lon"]]),
-                )
-                value = float(row[idx["value"]])
-            except (ValueError, IndexError) as exc:
-                raise InvalidInputError(f"{path}: unparseable row {row!r}") from exc
-            if key in rows and not (
-                rows[key] == value or (math.isnan(rows[key]) and math.isnan(value))
-            ):
-                raise InvalidInputError(
-                    f"{path}: conflicting values at (time, lat, lon)={key}: "
-                    f"{rows[key]} vs {value}"
-                )
-            rows[key] = value
-    if not rows:
-        raise SchemaError(f"{path}: no data rows")
-    times = np.array(sorted({k[0] for k in rows}))
-    lats = np.array(sorted({k[1] for k in rows}))
-    lons = np.array(sorted({k[2] for k in rows}))
-    values = np.full((len(times), len(lats), len(lons)), np.nan)
-    t_pos = {v: i for i, v in enumerate(times)}
-    la_pos = {v: i for i, v in enumerate(lats)}
-    lo_pos = {v: i for i, v in enumerate(lons)}
-    for (t, la, lo), value in rows.items():
-        values[t_pos[t], la_pos[la], lo_pos[lo]] = value
-    return WeatherGrid(variable=path.stem, times=times, lats=lats, lons=lons, values=values)
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise SchemaError(f"{path}: file is empty")
+    header = [h.strip().lower() for h in header]
+    try:
+        usecols = [header.index(name) for name in ("time", "lat", "lon", "value")]
+    except ValueError as exc:
+        raise SchemaError(f"{path}: expected columns time, lat, lon, value") from exc
+    # Whole columns in one call. A file loadtxt rejects (a bad cell, a row
+    # of blank cells) is read again row by row, up to its first bad row.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
+            table = np.loadtxt(
+                path, delimiter=",", quotechar='"', comments=None, usecols=usecols,
+                ndmin=2, skiprows=1, encoding="utf-8",
+            )
+        error = None
+    except ValueError:
+        table, error = _scan_grid_rows(path, usecols)
+    if not len(table):
+        raise error or SchemaError(f"{path}: no data rows")
+    if (nan_rows := np.isnan(table[:, :3]).any(axis=1)).any():
+        where = tuple(table[nan_rows.argmax(), :3].tolist())
+        raise InvalidInputError(f"{path}: NaN coordinate at (time, lat, lon)={where}")
+    # return_index makes the sort stable: an axis value keeps the spelling
+    # (0.0 or -0.0) of the first row that has it.
+    axes, _, cells = zip(
+        *(np.unique(c, return_index=True, return_inverse=True) for c in table[:, :3].T)
+    )
+    key = np.ravel_multi_index(cells, [len(axis) for axis in axes])
+    order = np.argsort(key, kind="stable")  # the rows of one cell stay in file order
+    key, value = key[order], table[order, 3]
+    same = key[1:] == key[:-1]
+    conflict = same & (value[1:] != value[:-1]) & ~(np.isnan(value[1:]) & np.isnan(value[:-1]))
+    if conflict.any():
+        at = np.flatnonzero(conflict)[order[1:][conflict].argmin()]  # the first in file order
+        where = tuple(table[order[at + 1], :3].tolist())
+        raise InvalidInputError(
+            f"{path}: conflicting values at (time, lat, lon)={where}: "
+            f"{value[at].item()} vs {value[at + 1].item()}"
+        )
+    if error is not None:
+        raise error
+    values = np.full([len(axis) for axis in axes], np.nan)
+    last = np.append(~same, True)  # the last row of a cell sets its value
+    values.flat[key[last]] = value[last]
+    return WeatherGrid(path.stem, *axes, values)
 
 
 def trilinear_interpolate(grid: WeatherGrid, t: float, p: GeoPoint) -> float:

@@ -34,6 +34,7 @@ from .errors import (
     UnclassifiableError,
 )
 from .geo import EARTH_RADIUS_M, RouteSegmentSpec, Voyage, point_in_polygon
+from .store import write_table
 
 PathLabeling = dict[str, str]
 
@@ -113,11 +114,7 @@ def build_distance_matrix(paths: Sequence[Path], metric: str = "euclidean") -> D
 
 
 def write_distance_matrix(matrix: DistanceMatrix, path: str | FilePath) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["voyage_id", *matrix.voyage_ids])
-        for vid, row in zip(matrix.voyage_ids, matrix.values):
-            writer.writerow([vid, *[repr(float(x)) for x in row]])
+    write_table(path, ["voyage_id", *matrix.voyage_ids], [matrix.voyage_ids, *matrix.values.T])
 
 
 def _canonical_labels(assignment: np.ndarray, voyage_ids: Sequence[str]) -> PathLabeling:
@@ -506,33 +503,46 @@ def confusion_and_metrics(truth: PathLabeling, pred: PathLabeling) -> MetricsRes
 
 
 def write_labeling(labeling: PathLabeling, path: str | FilePath) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["voyage_id", "label"])
-        for vid in sorted(labeling):
-            writer.writerow([vid, labeling[vid]])
+    ids = sorted(labeling)
+    write_table(path, ["voyage_id", "label"], [ids, [labeling[vid] for vid in ids]])
 
 
 def read_labeling(path: str | FilePath) -> PathLabeling:
+    """Voyage id -> label from a voyage_id,label CSV.
+
+    A row without a label, or a voyage listed twice with different labels,
+    raises InvalidInputError naming the file and the data row.
+    """
     path = FilePath(path)
     if not path.exists():
         raise InvalidInputError(f"labels file not found: {path}")
+    labeling: PathLabeling = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or {"voyage_id", "label"} - set(reader.fieldnames):
             raise InvalidInputError(f"{path}: expected columns voyage_id, label")
-        return {row["voyage_id"]: row["label"] for row in reader}
+        for n, row in enumerate(reader, 1):
+            vid, label = row["voyage_id"], row["label"]
+            if not label:
+                raise InvalidInputError(f"{path}: data row {n}: voyage {vid!r} has no label")
+            if labeling.setdefault(vid, label) != label:
+                raise InvalidInputError(
+                    f"{path}: data row {n}: voyage {vid!r} labelled {label!r}, "
+                    f"but {labeling[vid]!r} before"
+                )
+    return labeling
 
 
 def write_metrics(result: MetricsResult, metrics_path: str | FilePath, confusion_path: str | FilePath) -> None:
-    with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "precision", "recall", "f1"])
-        for label in result.classes:
-            m = result.per_class[label]
-            writer.writerow([label, repr(float(m.precision)), repr(float(m.recall)), repr(float(m.f1))])
-    with open(confusion_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["actual\\predicted", *result.classes])
-        for label, row in zip(result.classes, result.confusion):
-            writer.writerow([label, *[int(x) for x in row]])
+    scores = ("precision", "recall", "f1")
+    per_class = [result.per_class[label] for label in result.classes]
+    write_table(
+        metrics_path,
+        ["class", *scores],
+        [result.classes, *([getattr(m, name) for m in per_class] for name in scores)],
+    )
+    write_table(
+        confusion_path,
+        ["actual\\predicted", *result.classes],
+        [result.classes, *result.confusion.T.tolist()],
+    )

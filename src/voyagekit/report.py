@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from pathlib import Path
 
 from .errors import InvalidInputError
@@ -148,27 +149,16 @@ def build_report(out_dir: str | Path) -> dict:
     summaries = _read_csv_rows(out / "summaries.csv")
     scores = [float(r["eff_score"]) for r in summaries]
     cluster_sizes = {
-        "Top10Pr": sum(int(r["top10"]) for r in summaries),
-        "Top25Pr": sum(int(r["top25"]) for r in summaries),
-        "Top50Pr": sum(int(r["top50"]) for r in summaries),
-        "Top75Pr": sum(int(r["top75"]) for r in summaries),
+        f"Top{pct}Pr": sum(int(r[f"top{pct}"]) for r in summaries) for pct in (10, 25, 50, 75)
     }
     gains = _read_csv_rows(out / "gains.csv")
     state_rows = _read_csv_rows(out / "state_gains.csv")
-    labeling = _read_csv_rows(out / "labeling.csv")
-    label_counts: dict[str, int] = {}
-    for row in labeling:
-        label_counts[row["label"]] = label_counts.get(row["label"], 0) + 1
+    label_counts = Counter(row["label"] for row in _read_csv_rows(out / "labeling.csv"))
 
     metrics = None
     if (out / "metrics.csv").exists():
         metrics = [
-            {
-                "class": r["class"],
-                "precision": float(r["precision"]),
-                "recall": float(r["recall"]),
-                "f1": float(r["f1"]),
-            }
+            {"class": r["class"], **{name: float(r[name]) for name in ("precision", "recall", "f1")}}
             for r in _read_csv_rows(out / "metrics.csv")
         ]
 

@@ -10,7 +10,6 @@ and per decoded weather state.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field as dataclasses_field
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
@@ -34,6 +33,7 @@ from .errors import (
 )
 from .geo import Voyage
 from .hmm import DEFAULT_FEATURES, STATE_NAMES, decode_states, fit_weather_hmm, hmm_predict
+from .store import write_table
 
 MODEL_ORDER = ("kNN", "1NN-DTW", "HMM")
 
@@ -184,19 +184,6 @@ class IdentitySpeedModel:
         return test.sog
 
 
-def default_models(
-    k: int = 5,
-    feature_case: str = "IV",
-    hmm_seed: int = 0,
-    hmm_features: tuple[str, ...] = DEFAULT_FEATURES,
-) -> dict[str, SpeedModel]:
-    return {
-        "kNN": KnnSpeedModel(k=k, feature_case=feature_case),
-        "1NN-DTW": DtwSpeedModel(),
-        "HMM": HmmSpeedModel(seed=hmm_seed, features=hmm_features),
-    }
-
-
 @dataclass
 class ClusterModelGain:
     cluster: str
@@ -225,12 +212,6 @@ class GainReport:
     state_rows: list[StateGain]
     test_size: int
 
-    def row(self, cluster: str, model: str) -> ClusterModelGain:
-        for r in self.rows:
-            if r.cluster == cluster and r.model == model:
-                return r
-        raise KeyError((cluster, model))
-
 
 def run_optimization_benchmark(
     clusters: PercentileClusters,
@@ -256,9 +237,11 @@ def run_optimization_benchmark(
         raise InvalidInputError("benchmark needs a non-empty test set")
     by_id = {v.voyage_id: v for v in train_voyages}
     if models is None:
-        models = default_models(
-            k=knn_k, feature_case=feature_case, hmm_seed=hmm_seed, hmm_features=hmm_features
-        )
+        models = {
+            "kNN": KnnSpeedModel(k=knn_k, feature_case=feature_case),
+            "1NN-DTW": DtwSpeedModel(),
+            "HMM": HmmSpeedModel(seed=hmm_seed, features=hmm_features),
+        }
 
     # Measured baselines, shared across every (cluster, model) cell. Scores
     # are normalized by the fleet-wide (train + test) measured maxima so the
@@ -372,21 +355,12 @@ def run_optimization_benchmark(
 
 def write_gain_report(report: GainReport, gains_path: str | Path, states_path: str | Path) -> None:
     """Emit the per-cluster and per-weather-state gain tables as CSV."""
-    with open(gains_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster", "model", "eff_gain_pct", "improved_count", "status"])
-        for r in report.rows:
-            writer.writerow(
-                [
-                    r.cluster,
-                    r.model,
-                    "" if r.avg_gain_pct is None else repr(float(r.avg_gain_pct)),
-                    "" if r.improved_count is None else r.improved_count,
-                    r.status,
-                ]
-            )
-    with open(states_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "weather_state", "avg", "std"])
-        for r in report.state_rows:
-            writer.writerow([r.model, r.weather_state, repr(float(r.avg)), repr(float(r.std))])
+    gains = ("cluster", "model", "avg_gain_pct", "improved_count", "status")
+    write_table(
+        gains_path,
+        ["cluster", "model", "eff_gain_pct", "improved_count", "status"],
+        [[getattr(r, name) for r in report.rows] for name in gains],
+    )
+    states = ("model", "weather_state", "avg", "std")
+    columns = [[getattr(r, name) for r in report.state_rows] for name in states]
+    write_table(states_path, states, columns)

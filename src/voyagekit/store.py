@@ -1,7 +1,8 @@
-"""File-based voyage store: one CSV per voyage plus a JSON manifest.
+"""File-based voyage store, and the one CSV table writer every module uses.
 
-Commands hand data to each other through this store, so every value is
-written with full float precision (repr round-trips exactly). A voyage file
+Commands hand data to each other through CSV files, so every float is
+written with full precision (repr round-trips exactly) by write_table. The
+store holds one CSV per voyage plus a JSON manifest. A voyage file
 holds the core columns followed by the channels recorded on every sample,
 in name order; a channel missing (NaN) on any sample is not stored.
 Malformed files raise InvalidInputError naming the file and row.
@@ -13,21 +14,38 @@ import csv
 import json
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .geo import CORE_FIELDS, Voyage
 
+#: Onboard and store column names of geo.CORE_FIELDS, in that order.
 CORE_COLUMNS = (
-    "Timestamp",
-    "Latitude",
-    "Longitude",
-    "SpeedOverGround",
-    "HeadingMagnetic",
-    "EngineFuelRate",
+    "Timestamp", "Latitude", "Longitude", "SpeedOverGround", "HeadingMagnetic", "EngineFuelRate"
 )
+
+#: Optional onboard weather channels, kept under their column names.
+ONBOARD_CHANNELS = ("WindSpeed_onb", "WindDirection_onb")
+
+
+def write_table(path: str | Path, header: Sequence[str], columns: Iterable[Iterable]) -> None:
+    """Write a header row, then one CSV row per position of ``columns``.
+
+    A float ndarray column is written with repr, formatted once per column.
+    Any other column is written as given: None as an empty cell, and a
+    Python or numpy float as its repr. Columns of different lengths raise
+    ValueError.
+    """
+    cells = [
+        map(repr, col.tolist()) if isinstance(col, np.ndarray) and col.dtype.kind == "f" else col
+        for col in columns
+    ]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cells, strict=True))
 
 
 def write_store(voyages: Sequence[Voyage], store_dir: str | Path, extra_meta: dict | None = None) -> None:
@@ -36,11 +54,8 @@ def write_store(voyages: Sequence[Voyage], store_dir: str | Path, extra_meta: di
     entries = []
     for v in voyages:
         channels = sorted(name for name, values in v.channels.items() if not np.isnan(values).any())
-        columns = [getattr(v, name) for name in CORE_FIELDS] + [v.channels[c] for c in channels]
-        with open(store / "voyages" / f"{v.voyage_id}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([*CORE_COLUMNS, *channels])
-            writer.writerows(zip(*(map(repr, values.tolist()) for values in columns)))
+        columns = [*(getattr(v, name) for name in CORE_FIELDS), *(v.channels[c] for c in channels)]
+        write_table(store / "voyages" / f"{v.voyage_id}.csv", [*CORE_COLUMNS, *channels], columns)
         entries.append(
             {
                 "voyage_id": v.voyage_id,

@@ -19,7 +19,6 @@ exported grid files.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -30,18 +29,13 @@ import numpy as np
 from .errors import ConfigurationError
 from .geo import CORE_FIELDS, RouteSegmentSpec, Voyage
 from .ingestion import WeatherGrid
+from .store import CORE_COLUMNS, ONBOARD_CHANNELS, write_table
 
 DEG_PER_M = 1.0 / 111_195.0  # flat-earth conversion used by the simulator
 
 WEATHER_VARIABLES = (
-    "WindSpeed_cps",
-    "WindDirection_cps",
-    "WindSpeed_sg",
-    "WindDirection_sg",
-    "WaveHeight",
-    "WaveDirection",
-    "CurrentSpeed",
-    "CurrentDirection",
+    "WindSpeed_cps", "WindDirection_cps", "WindSpeed_sg", "WindDirection_sg",
+    "WaveHeight", "WaveDirection", "CurrentSpeed", "CurrentDirection",
 )
 
 
@@ -345,18 +339,6 @@ def _route_segments(all_points: np.ndarray, pad: float) -> RouteSegmentSpec:
     )
 
 
-ONBOARD_HEADER = (
-    "Timestamp",
-    "Latitude",
-    "Longitude",
-    "SpeedOverGround",
-    "HeadingMagnetic",
-    "EngineFuelRate",
-    "WindSpeed_onb",
-    "WindDirection_onb",
-)
-
-
 def write_fleet(fleet: FleetData, out_dir: str | Path) -> dict:
     """Write the raw input files the ingestion pipeline consumes.
 
@@ -367,26 +349,17 @@ def write_fleet(fleet: FleetData, out_dir: str | Path) -> dict:
     (out / "onboard").mkdir(parents=True, exist_ok=True)
     (out / "weather").mkdir(parents=True, exist_ok=True)
 
-    with open(out / "onboard" / "fleet.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ONBOARD_HEADER)
-        for v in fleet.voyages:
-            columns = v.columns(*CORE_FIELDS, "WindSpeed_onb", "WindDirection_onb").T
-            writer.writerows(zip(*(map(repr, values.tolist()) for values in columns)))
+    onboard = np.vstack([v.columns(*CORE_FIELDS, *ONBOARD_CHANNELS) for v in fleet.voyages])
+    write_table(out / "onboard" / "fleet.csv", [*CORE_COLUMNS, *ONBOARD_CHANNELS], onboard.T)
 
     for grid in fleet.grids:
-        with open(out / "weather" / f"{grid.variable}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "lat", "lon", "value"])
-            columns = (*np.meshgrid(grid.times, grid.lats, grid.lons, indexing="ij"), grid.values)
-            writer.writerows(zip(*(map(repr, values.ravel().tolist()) for values in columns)))
+        columns = (*np.meshgrid(grid.times, grid.lats, grid.lons, indexing="ij"), grid.values)
+        header = ["time", "lat", "lon", "value"]
+        write_table(out / "weather" / f"{grid.variable}.csv", header, [c.ravel() for c in columns])
 
     fleet.segment_spec.to_json(out / "segments.json")
-    with open(out / "labels.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["voyage_id", "label"])
-        for vid in sorted(fleet.labels):
-            writer.writerow([vid, fleet.labels[vid]])
+    ids = sorted(fleet.labels)
+    write_table(out / "labels.csv", ["voyage_id", "label"], [ids, [fleet.labels[i] for i in ids]])
 
     manifest = {
         "voyage_count": len(fleet.voyages),

@@ -230,6 +230,31 @@ class TestErrorPaths:
         assert code == 1
         assert dropped_id in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "method,edit,message",
+        [
+            ("hierarchical", {"V0003": "V0003"}, "data row 3: voyage 'V0003' has no label"),
+            ("segment-gmm", {"V0003": "V0003"}, "data row 3: voyage 'V0003' has no label"),
+            ("hierarchical", {"V0003": "V0003,"}, "data row 3: voyage 'V0003' has no label"),
+            (
+                "hierarchical",
+                {"V0012": "V0012,north\nV0012,south"},
+                "data row 13: voyage 'V0012' labelled 'south', but 'north' before",
+            ),
+        ],
+        ids=["no-label-cell", "no-label-cell-segment-gmm", "empty-label", "conflicting-duplicate"],
+    )
+    def test_malformed_labels(self, pipeline_dir, tmp_path, capsys, method, edit, message):
+        lines = (pipeline_dir / "fleet" / "labels.csv").read_text(encoding="utf-8").splitlines()
+        lines = [edit.get(line.split(",")[0], line) for line in lines]
+        labels = tmp_path / "labels.csv"
+        labels.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"labels": str(labels)}), encoding="utf-8")
+        code = main(["pathid", "--method", method, "--config", str(cfg), "--out", str(pipeline_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {labels}: {message}\n"
+
     def test_report_missing_gains(self, tmp_path, capsys):
         out = tmp_path / "run"
         write_fleet(generate_fleet(tiny_fleet_spec(seed=14)), out / "fleet")

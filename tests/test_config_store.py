@@ -1,13 +1,17 @@
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import voyagekit
 from voyagekit.cli import main
 from voyagekit.config import RunConfig, load_config
 from voyagekit.errors import ConfigurationError, InvalidInputError
 from voyagekit.geo import CORE_FIELDS
-from voyagekit.store import read_store, write_store
+from voyagekit.store import read_store, write_store, write_table
 
 
 class TestConfig:
@@ -68,6 +72,90 @@ class TestConfig:
     def test_validation(self, field, value):
         with pytest.raises(ConfigurationError):
             RunConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("source", ["file", "env"])
+    def test_empty_hmm_features_rejected(self, tmp_path, monkeypatch, capsys, source):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hmm_features": []} if source == "file" else {}), encoding="utf-8")
+        if source == "env":
+            monkeypatch.setenv("VOYAGEKIT_HMM_FEATURES", "")
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "error: hmm_features must name at least one" in capsys.readouterr().err
+
+
+# The hand-rolled writers write_table replaced: the voyage-store block and
+# the gains-table block, which formatted each cell itself.
+def store_block_writer(path, header, columns):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*(map(repr, values.tolist()) for values in columns)))
+
+
+def gains_block_writer(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["cluster", "model", "eff_gain_pct", "improved_count", "status"])
+        for cluster, model, gain, improved, status in rows:
+            writer.writerow(
+                [
+                    cluster,
+                    model,
+                    "" if gain is None else repr(float(gain)),
+                    "" if improved is None else improved,
+                    status,
+                ]
+            )
+
+
+EDGE_FLOATS = [0.1, float("nan"), -0.0, 5e-324, 1e16, -1e-300, float("inf"), np.float64(2.5), 3]
+
+
+class TestWriteTable:
+    def test_float_columns_match_store_block(self, tmp_path):
+        columns = [np.array(EDGE_FLOATS, dtype=float), np.arange(len(EDGE_FLOATS), dtype=float)]
+        store_block_writer(tmp_path / "a.csv", ["x", "y"], columns)
+        write_table(tmp_path / "b.csv", ["x", "y"], columns)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert b"5e-324" in (tmp_path / "b.csv").read_bytes()
+
+    def test_mixed_columns_match_gains_block(self, tmp_path):
+        gains = [None, *EDGE_FLOATS]
+        improved = [None, *range(len(EDGE_FLOATS))]
+        rows = [(f"c{i}", "kNN", g, n, "ok") for i, (g, n) in enumerate(zip(gains, improved))]
+        gains_block_writer(tmp_path / "a.csv", rows)
+        write_table(
+            tmp_path / "b.csv",
+            ["cluster", "model", "eff_gain_pct", "improved_count", "status"],
+            [
+                [r[0] for r in rows],
+                [r[1] for r in rows],
+                [None if g is None else float(g) for g in gains],
+                [np.int64(n) if n is not None else None for n in improved],
+                [r[4] for r in rows],
+            ],
+        )
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert b"c0,kNN,,,ok\r\n" in (tmp_path / "b.csv").read_bytes()
+
+    @given(st.lists(st.floats(width=64), min_size=0, max_size=20))
+    def test_floats_round_trip(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        write_table(path, ["v"], [np.array(values, dtype=float)])
+        with open(path, newline="", encoding="utf-8") as fh:
+            cells = [float(row[0]) for row in list(csv.reader(fh))[1:]]
+        # repr round-trips every float except a NaN's sign bit.
+        assert list(map(repr, cells)) == [repr(float(v)) for v in values]
+
+    def test_columns_of_different_lengths_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), ["x", "y"]])
+
+    def test_only_store_writes_csv(self):
+        # One module owns the CSV text format; the others call write_table.
+        package = Path(voyagekit.__file__).parent
+        writers = sorted(p.name for p in package.glob("*.py") if "csv.writer" in p.read_text(encoding="utf-8"))
+        assert writers == ["store.py"]
 
 
 class TestStore:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,20 +5,13 @@ from hypothesis import given, strategies as st
 from conftest import make_sample, make_track, voyage_of
 from voyagekit.errors import ConfigurationError, InvalidInputError, MissingDataError
 from voyagekit.geo import (
-    EARTH_RADIUS_M,
     GeoPoint,
     RouteSegmentSpec,
-    assign_segment,
-    euclidean_distance,
-    haversine_distance,
     merge_tracks,
     point_in_polygon,
     split_into_voyages,
 )
-
-lat_strategy = st.floats(min_value=-90, max_value=90, allow_nan=False)
-lon_strategy = st.floats(min_value=-180, max_value=180, allow_nan=False)
-
+from voyagekit.path_id import Path, fit_segment_gmms
 
 class TestGeoPoint:
     def test_valid(self):
@@ -38,91 +29,26 @@ class TestGeoPoint:
             GeoPoint(lat, lon)
 
 
-class TestHaversine:
-    def test_identity(self):
-        assert haversine_distance(GeoPoint(0, 0), GeoPoint(0, 0)) == 0.0
-
-    def test_one_degree_on_equator(self):
-        # Arc of 1 degree on a great circle: R * pi / 180.
-        expected = EARTH_RADIUS_M * math.pi / 180.0
-        assert haversine_distance(GeoPoint(0, 0), GeoPoint(0, 1)) == pytest.approx(
-            expected, abs=1e-6
-        )
-        assert abs(expected - 111_195) < 1.0
-
-    def test_quarter_meridian(self):
-        expected = EARTH_RADIUS_M * math.pi / 2.0
-        assert haversine_distance(GeoPoint(0, 0), GeoPoint(90, 0)) == pytest.approx(
-            expected, abs=1e-6
-        )
-        assert abs(expected - 10_007_543) < 10.0
-
-    def test_metric_properties_random_pairs(self):
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            a = GeoPoint(rng.uniform(-90, 90), rng.uniform(-180, 180))
-            b = GeoPoint(rng.uniform(-90, 90), rng.uniform(-180, 180))
-            d_ab = haversine_distance(a, b)
-            d_ba = haversine_distance(b, a)
-            assert d_ab == pytest.approx(d_ba, rel=1e-12)
-            assert d_ab >= 0
-            assert haversine_distance(a, a) == 0.0
-            e_ab = euclidean_distance(a, b)
-            assert e_ab == pytest.approx(euclidean_distance(b, a), rel=1e-12)
-            assert e_ab >= 0
-            assert euclidean_distance(a, a) == 0.0
-
-    def test_triangle_inequality(self):
-        rng = np.random.default_rng(13)
-        for _ in range(300):
-            pts = [
-                GeoPoint(rng.uniform(-89, 89), rng.uniform(-179, 179))
-                for _ in range(3)
-            ]
-            ab = haversine_distance(pts[0], pts[1])
-            bc = haversine_distance(pts[1], pts[2])
-            ac = haversine_distance(pts[0], pts[2])
-            assert ac <= ab + bc + 1e-6 * max(ac, 1.0)
-
-
-class TestEuclidean:
-    def test_identity(self):
-        assert euclidean_distance(GeoPoint(0, 0), GeoPoint(0, 0)) == 0.0
-
-    def test_3_4_5_triangle(self):
-        assert euclidean_distance(GeoPoint(0, 0), GeoPoint(3, 4)) == pytest.approx(5.0)
-
-    def test_unit_axis_offset(self):
-        assert euclidean_distance(GeoPoint(1, 1), GeoPoint(1, 2)) == pytest.approx(1.0)
-
-    @given(lat_strategy, lon_strategy, lat_strategy, lon_strategy)
-    def test_matches_hypot(self, la1, lo1, la2, lo2):
-        got = euclidean_distance(GeoPoint(la1, lo1), GeoPoint(la2, lo2))
-        assert got == pytest.approx(math.hypot(la1 - la2, lo1 - lo2), rel=1e-12)
-
-
 SQUARE = [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]
 
 
 class TestAssignSegment:
-    def test_inside_single_polygon(self):
-        spec = RouteSegmentSpec([("box", SQUARE)])
-        assert assign_segment(GeoPoint(0.5, 0.5), spec) == "box"
-
-    def test_outside_all(self):
-        spec = RouteSegmentSpec([("box", SQUARE)])
-        assert assign_segment(GeoPoint(2.0, 2.0), spec) == "unassigned"
+    """RouteSegmentSpec validation, and points assigned to the first containing segment."""
 
     def test_overlap_resolved_by_order(self):
-        # Both polygons contain (0.5, 0.5); manual even-odd containment check
-        # confirms membership in each, so the tie-break must pick the first.
+        # Every training point lies in both polygons (the even-odd check
+        # confirms it), so all count toward the first segment and the
+        # second is left with none, whichever polygon comes first.
         big = [[-1.0, -1.0], [-1.0, 2.0], [2.0, 2.0], [2.0, -1.0]]
-        assert point_in_polygon(0.5, 0.5, np.array(SQUARE))
-        assert point_in_polygon(0.5, 0.5, np.array(big))
-        spec_a = RouteSegmentSpec([("first", SQUARE), ("second", big)])
-        spec_b = RouteSegmentSpec([("first", big), ("second", SQUARE)])
-        assert assign_segment(GeoPoint(0.5, 0.5), spec_a) == "first"
-        assert assign_segment(GeoPoint(0.5, 0.5), spec_b) == "first"
+        rng = np.random.default_rng(3)
+        paths = [Path(f"V{i}", rng.uniform(0.1, 0.9, (20, 2))) for i in range(2)]
+        assert point_in_polygon(paths[0].points[:, 0], paths[0].points[:, 1], np.array(SQUARE)).all()
+        assert point_in_polygon(paths[0].points[:, 0], paths[0].points[:, 1], np.array(big)).all()
+        labels = {"V0": "a", "V1": "b"}
+        for first, second in ((SQUARE, big), (big, SQUARE)):
+            spec = RouteSegmentSpec([("first", first), ("second", second)])
+            with pytest.raises(ConfigurationError, match="'second' has 0 training points"):
+                fit_segment_gmms(paths, labels, spec, seed=0)
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ConfigurationError):

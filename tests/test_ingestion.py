@@ -1,8 +1,11 @@
+import csv
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import make_sample, voyage_of
 from voyagekit.errors import (
@@ -184,6 +187,165 @@ class TestParseWeatherGrid:
         assert parse_weather_grid(path).variable == "WindSpeed_cps"
 
 
+def reference_parse_weather_grid(path):
+    """The row-by-row parser parse_weather_grid replaced, kept as its oracle."""
+    path = Path(path)
+    if not path.exists():
+        raise InvalidInputError(f"weather file not found: {path}")
+    rows: dict[tuple[float, float, float], float] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip().lower() for h in next(reader)]
+        except StopIteration:
+            raise SchemaError(f"{path}: file is empty") from None
+        try:
+            idx = {name: header.index(name) for name in ("time", "lat", "lon", "value")}
+        except ValueError as exc:
+            raise SchemaError(f"{path}: expected columns time, lat, lon, value") from exc
+        for row in reader:
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            try:
+                key = (
+                    float(row[idx["time"]]),
+                    float(row[idx["lat"]]),
+                    float(row[idx["lon"]]),
+                )
+                value = float(row[idx["value"]])
+            except (ValueError, IndexError) as exc:
+                raise InvalidInputError(f"{path}: unparseable row {row!r}") from exc
+            if key in rows and not (
+                rows[key] == value or (math.isnan(rows[key]) and math.isnan(value))
+            ):
+                raise InvalidInputError(
+                    f"{path}: conflicting values at (time, lat, lon)={key}: "
+                    f"{rows[key]} vs {value}"
+                )
+            rows[key] = value
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
+    times = np.array(sorted({k[0] for k in rows}))
+    lats = np.array(sorted({k[1] for k in rows}))
+    lons = np.array(sorted({k[2] for k in rows}))
+    values = np.full((len(times), len(lats), len(lons)), np.nan)
+    t_pos = {v: i for i, v in enumerate(times)}
+    la_pos = {v: i for i, v in enumerate(lats)}
+    lo_pos = {v: i for i, v in enumerate(lons)}
+    for (t, la, lo), value in rows.items():
+        values[t_pos[t], la_pos[la], lo_pos[lo]] = value
+    return WeatherGrid(variable=path.stem, times=times, lats=lats, lons=lons, values=values)
+
+
+def outcome(parse, path):
+    """A parse result as comparable bytes, or the error's type and message."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = parse(path)
+    except (InvalidInputError, SchemaError) as exc:
+        return type(exc).__name__, str(exc)
+    return grid.variable, *(getattr(grid, a).tobytes() for a in ("times", "lats", "lons", "values"))
+
+
+def write_grid_text(tmp_path, text, name="WaveHeight.csv"):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+LATTICE = "\n".join(",".join(map(str, r)) for r in full_lattice_rows(lambda t, la, lo: la + lo / 8))
+# A quoted cell in every fixture: csv-style quoting must parse as before.
+QUOTED = LATTICE.replace("1.0,10.0,", '"1.0",10.0,', 1)
+
+HEAD = "time,lat,lon,value\n"
+# Cell (0, 0, 10) spelled with signed zeros; -0.0 == 0.0, so the rows agree.
+SIGNED_ZERO = "0.0,-0.0,10.0,-0.0\n" + QUOTED.replace("0.0,0.0,10.0,1.25", "0.0,0.0,10.0,0.0")
+
+GRID_CASES = {
+    "reordered_upper_padded_header": " VALUE ,Lon, LAT,Time \n" + "\n".join(
+        ",".join(reversed(line.split(","))) for line in QUOTED.splitlines()
+    ),
+    "extra_columns": "source,time,lat,lon,value,flag\n" + "\n".join(
+        f"x,{line},{i}" for i, line in enumerate(QUOTED.splitlines())
+    ),
+    "missing_column": "time,lat,lon,val\n" + QUOTED,
+    "blank_lines": HEAD + "\n" + QUOTED.replace("\n", "\n\n\n", 2) + "\n\n",
+    "all_blank_rows": HEAD + ",,,\n" + LATTICE.replace("\n", "\n , ,\t,\n", 3),
+    "quoted_cells": HEAD + "\n".join(
+        ",".join(f'" {c} "' for c in line.split(",")) for line in LATTICE.splitlines()
+    ),
+    "python_float_spellings": HEAD + LATTICE.replace("3600.0", "36_00").replace("11.0", " +1_1 "),
+    "crlf": HEAD.replace("\n", "\r\n") + QUOTED.replace("\n", "\r\n") + "\r\n",
+    "nan_duplicates": HEAD + QUOTED.replace("1.375", "nan") + "\n0.0,0.0,11.0,NaN\n0.0,0.0,11.0,nan\n",
+    "nan_conflict": HEAD + QUOTED.replace("1.375", "nan") + "\n0.0,0.0,11.0,1.0\n",
+    # The first conflict in file order has the larger key.
+    "conflicting_duplicate": HEAD + QUOTED + "\n3600.0,1.0,10.0,9.5\n0.0,1.0,11.0,1.125\n",
+    "signed_zero": HEAD + SIGNED_ZERO,
+    "signed_zero_conflict": HEAD + SIGNED_ZERO + "\n-0.0,0.0,10.0,-0.0\n0.0,-0.0,10.0,5.0\n",
+    # Large enough that an unstable sort would pick the 0.0 spelling of the lat axis.
+    "signed_zero_large": HEAD + "0.0,-0.0,0.0,1.0\n" + "\n".join(
+        f"{t}.0,{la}.0,{lo}.0,1.0" for t in range(2) for la in range(2) for lo in range(300)
+    ),
+    "unparseable_row": HEAD + QUOTED + "\n3600.0,abc,10.0,1.0\n",
+    "short_row": HEAD + QUOTED + "\n3600.0,1.0\n",
+    "empty_value": HEAD + QUOTED.replace("\n", "\n0.0,0.0,10.0,\n", 1),
+    "conflict_before_bad_row": HEAD + QUOTED + "\n0.0,0.0,10.0,7.0\n,1,2,\n",
+    "bad_row_before_conflict": HEAD + QUOTED + "\n,1,2,\n0.0,0.0,10.0,7.0\n",
+    "empty_file": "",
+    "header_only": HEAD,
+    "blank_rows_only": HEAD + ",,,\n\n",
+}
+
+
+class TestParseWeatherGridMatchesReference:
+    @pytest.mark.parametrize("case", sorted(GRID_CASES))
+    def test_case(self, tmp_path, case):
+        path = write_grid_text(tmp_path, GRID_CASES[case])
+        assert outcome(parse_weather_grid, path) == outcome(reference_parse_weather_grid, path)
+
+    def test_cases_cover_both_outcomes(self, tmp_path):
+        kinds = {
+            outcome(parse_weather_grid, write_grid_text(tmp_path, text))[0]
+            for text in GRID_CASES.values()
+        }
+        assert kinds == {"WaveHeight", "InvalidInputError", "SchemaError"}
+
+    def test_conflict_message_names_plain_floats(self, tmp_path):
+        path = write_grid_text(tmp_path, GRID_CASES["conflicting_duplicate"])
+        with pytest.raises(InvalidInputError) as info:
+            parse_weather_grid(path)
+        assert str(info.value).endswith(
+            "conflicting values at (time, lat, lon)=(3600.0, 1.0, 10.0): 2.25 vs 9.5"
+        )
+
+    def test_nan_coordinate_is_invalid_input(self, tmp_path):
+        # The reference crashed on this file with a KeyError.
+        path = write_grid_text(tmp_path, "time,lat,lon,value\n" + LATTICE + "\nnan,0.0,10.0,1.0\n")
+        with pytest.raises(InvalidInputError, match=r"NaN coordinate at \(time, lat, lon\)=\(nan, 0.0, 10.0\)"):
+            parse_weather_grid(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_lattices(self, tmp_path_factory, data):
+        axis = st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False).map(lambda x: x + 0.0), min_size=1, max_size=4, unique=True
+        )
+        times, lats, lons = data.draw(axis), data.draw(axis), data.draw(axis)
+        cells = [(t, la, lo) for t in times for la in lats for lo in lons]
+        present = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+        rows = []
+        for cell, keep in zip(cells, present):
+            if keep:
+                value = data.draw(st.floats(allow_infinity=True, allow_nan=True))
+                rows += [(*cell, value)] * data.draw(st.integers(1, 3))
+        rows = data.draw(st.permutations(rows))
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = newline.join(["time,lat,lon,value", *(",".join(map(repr, r)) for r in rows)]) + newline
+        path = write_grid_text(tmp_path_factory.mktemp("grid"), text)
+        assert outcome(parse_weather_grid, path) == outcome(reference_parse_weather_grid, path)
+
+
 def affine_grid(a=2.0, b=3.0, c=-1.0, d=0.5):
     """Grid over t in [0, 7200], lat in [0, 2], lon in [10, 12] with
     value = a*t + b*lat + c*lon + d."""
@@ -250,6 +412,11 @@ class TestTrilinear:
                 np.array([0.0, 1.0]),
                 np.zeros((1, 2, 2)),
             )
+
+    def test_nan_axis_rejected(self):
+        with pytest.raises(InvalidInputError, match="lat axis"):
+            WeatherGrid("x", np.array([0.0, 1.0]), np.array([0.0, np.nan]), np.array([0.0, 1.0]),
+                        np.zeros((2, 2, 2)))
 
 
 class TestResample:
