@@ -57,8 +57,6 @@ from .path_id import (
 from .speed_opt import (
     GainReport,
     dtw_distance,
-    knn_predict,
-    predict_1nn_dtw,
     run_optimization_benchmark,
 )
 from .synth import SyntheticFleetSpec, default_fleet_spec, generate_fleet, write_fleet

@@ -77,18 +77,24 @@ class RunConfig:
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
+#: The JSON values a config file may give a field, by its annotation; a bool never counts.
+_JSON_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "int | None": ((int, type(None)), "an integer or null"),
+    "tuple[str, ...]": ((list,), "a list of strings"),
+}
+
 
 def _coerce(name: str, raw: str):
-    default = _FIELDS[name].default
-    if name in ("components_per_segment",):
+    annotation = _FIELDS[name].type
+    if annotation == "int | None":
         return None if raw.lower() in ("", "none", "null") else int(raw)
-    if name == "hmm_features":
+    if annotation == "tuple[str, ...]":
         return tuple(part.strip() for part in raw.split(",") if part.strip())
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+    return {"int": int, "float": float}.get(annotation, str)(raw)
 
 
 def load_config(
@@ -107,9 +113,18 @@ def load_config(
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"{path}: expected a JSON object")
         unknown = set(raw) - set(_FIELDS)
         if unknown:
             raise ConfigurationError(f"{path}: unknown config keys {sorted(unknown)}")
+        for name, value in raw.items():
+            types, expected = _JSON_TYPES[_FIELDS[name].type]
+            items = value if isinstance(value, list) else ()
+            if not isinstance(value, types) or isinstance(value, bool) or any(
+                not isinstance(item, str) for item in items
+            ):
+                raise ConfigurationError(f"{path}: {name} must be {expected}, got {json.dumps(value)}")
         values.update(raw)
     env = os.environ if env is None else env
     for name in _FIELDS:

@@ -193,7 +193,6 @@ class KnnRegressor:
 class EfficiencyEstimator:
     """Fuel-rate estimator: (lat, lon, sog, heading, case channels) -> L/h."""
 
-    feature_case: str
     channels: tuple[str, ...]
     regressor: KnnRegressor
 
@@ -226,7 +225,7 @@ def train_estimator(
             f"estimator needs >= {MIN_TRAINING_SAMPLES} samples, got {len(feats)}"
         )
     reg = KnnRegressor(k=k).fit(feats, targets)
-    return EfficiencyEstimator(feature_case=feature_case, channels=channels, regressor=reg)
+    return EfficiencyEstimator(channels=channels, regressor=reg)
 
 
 def estimate_fuel_time(

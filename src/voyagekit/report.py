@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -188,8 +189,8 @@ def build_report(out_dir: str | Path) -> dict:
                 {
                     "model": r["model"],
                     "weather_state": r["weather_state"],
-                    "avg": float(r["avg"]),
-                    "std": float(r["std"]),
+                    # nan, for a state no step was pooled in, is written as null.
+                    **{k: float(r[k]) if math.isfinite(float(r[k])) else None for k in ("avg", "std")},
                 }
                 for r in state_rows
             ],
@@ -207,7 +208,7 @@ def write_report_outputs(out_dir: str | Path) -> list[str]:
     report = build_report(out)
     written = ["report.json"]
     with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     summaries = _read_csv_rows(out / "summaries.csv")

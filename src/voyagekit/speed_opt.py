@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclasses_field
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -76,36 +76,9 @@ def linear_resample(values: np.ndarray, n: int) -> np.ndarray:
     return np.interp(dst, src, values)
 
 
-def predict_1nn_dtw(
-    test_sog: np.ndarray,
-    profiles: Mapping[str, np.ndarray],
-    distance: Callable[[str], float] | None = None,
-) -> tuple[str, np.ndarray]:
-    """Id of the most DTW-similar profile and that profile resampled to the test length.
-
-    Ties break toward the lowest voyage id. `distance(vid)` supplies the DTW
-    distance from `test_sog` to `profiles[vid]`; by default it is computed.
-    """
-    if not profiles:
-        raise InsufficientDataError("1NN-DTW needs a non-empty training cluster")
-    if distance is None:
-        distance = lambda vid: dtw_distance(test_sog, profiles[vid])
-    best_id = min(profiles, key=lambda vid: (distance(vid), vid))
-    return best_id, linear_resample(profiles[best_id], len(test_sog))
-
-
-def knn_predict(
-    test: Voyage,
-    cluster: Sequence[Voyage],
-    k: int = 5,
-    feature_case: str = "IV",
-) -> np.ndarray:
-    """Per-sample kNN speed prediction from (lat, lon, case weather channels)."""
-    names = ("lat", "lon", *FEATURE_CASES[feature_case])
-    train_x = np.vstack([v.columns(*names) for v in cluster])
-    train_y = np.concatenate([v.sog for v in cluster])
-    reg = KnnRegressor(k=k).fit(train_x, train_y)
-    return np.maximum(reg.predict(test.columns(*names)), 0.0)
+def knn_predict(regressor: KnnRegressor, features: np.ndarray) -> np.ndarray:
+    """Per-sample kNN speed prediction, floored at zero."""
+    return np.maximum(regressor.predict(features), 0.0)
 
 
 class SpeedModel(Protocol):
@@ -117,27 +90,33 @@ class SpeedModel(Protocol):
 
 
 class KnnSpeedModel:
+    """Per-sample kNN regression of speed on (lat, lon, case weather channels)."""
+
     def __init__(self, k: int = 5, feature_case: str = "IV"):
         self.k = k
-        self.feature_case = feature_case
-        self._cluster: list[Voyage] = []
+        self.names = ("lat", "lon", *FEATURE_CASES[feature_case])
+        self.regressor: KnnRegressor | None = None
 
     def fit(self, cluster: Sequence[Voyage]) -> None:
         n = sum(len(v) for v in cluster)
         if n < self.k:
             raise InsufficientDataError(f"kNN needs >= {self.k} samples, got {n}")
-        self._cluster = list(cluster)
+        train_x = np.vstack([v.columns(*self.names) for v in cluster])
+        train_y = np.concatenate([v.sog for v in cluster])
+        self.regressor = KnnRegressor(k=self.k).fit(train_x, train_y)
 
     def predict(self, test: Voyage) -> np.ndarray:
-        return knn_predict(test, self._cluster, k=self.k, feature_case=self.feature_case)
+        return knn_predict(self.regressor, test.columns(*self.names))
 
 
 class DtwSpeedModel:
     """1NN-DTW retrieval with pair distances memoised across fit() calls.
 
-    Memo keys are the bytes of both speed arrays, so nested clusters reuse
-    the pairs already computed, and an id refitted with a different array is
-    computed afresh.
+    predict() returns the cluster profile nearest to the test speeds by DTW
+    distance, ties going to the lowest voyage id, resampled to the test
+    length. Memo keys are the bytes of both speed arrays, so nested clusters
+    reuse the pairs already computed, and an id refitted with a different
+    array is computed afresh.
     """
 
     def __init__(self):
@@ -158,7 +137,8 @@ class DtwSpeedModel:
                 self._memo[pair] = dtw_distance(test.sog, self._profiles[vid])
             return self._memo[pair]
 
-        return predict_1nn_dtw(test.sog, self._profiles, distance)[1]
+        best_id = min(self._profiles, key=lambda vid: (distance(vid), vid))
+        return linear_resample(self._profiles[best_id], len(test))
 
 
 class HmmSpeedModel:
@@ -188,11 +168,11 @@ class IdentitySpeedModel:
 class ClusterModelGain:
     cluster: str
     model: str
-    avg_gain_pct: float | None
-    improved_count: int | None
-    evaluated: int
-    excluded: int
-    status: str  # "ok" or "insufficient"
+    avg_gain_pct: float | None = None
+    improved_count: int | None = None
+    evaluated: int = 0
+    excluded: int = 0
+    status: str = "insufficient"  # or "ok"
     voyage_gains: dict[str, float] = dataclasses_field(default_factory=dict)
     profiles: dict[str, np.ndarray] = dataclasses_field(default_factory=dict)
 
@@ -231,16 +211,18 @@ def run_optimization_benchmark(
     duration-rescaling path, so a model that echoes the measured profile
     gains exactly zero. Scores are normalized by the test set's measured
     maxima. Per-state rows pool step-level gains across clusters, with
-    states decoded by the cluster's weather HMM.
+    states decoded by the cluster's weather HMM; that fit is also the
+    default "HMM" model, while a model passed in always fits itself.
     """
     if not test_voyages:
         raise InvalidInputError("benchmark needs a non-empty test set")
     by_id = {v.voyage_id: v for v in train_voyages}
+    hmm = HmmSpeedModel(seed=hmm_seed, features=hmm_features)
     if models is None:
         models = {
             "kNN": KnnSpeedModel(k=knn_k, feature_case=feature_case),
             "1NN-DTW": DtwSpeedModel(),
-            "HMM": HmmSpeedModel(seed=hmm_seed, features=hmm_features),
+            "HMM": hmm,
         }
 
     # Measured baselines, shared across every (cluster, model) cell. Scores
@@ -273,39 +255,20 @@ def run_optimization_benchmark(
             raise InvalidInputError(
                 f"test voyages overlap training cluster {cluster_name}"
             )
-        state_model = decoded = None
+        decoded = None
         try:
-            state_model = fit_weather_hmm(
-                cluster_voyages, seed=hmm_seed, features=hmm_features
-            )
-            decoded = {v.voyage_id: decode_states(v, state_model) for v in test_voyages}
+            hmm.fit(cluster_voyages)
+            decoded = {v.voyage_id: decode_states(v, hmm.model) for v in test_voyages}
         except VoyagekitError:
             pass
         for model_name, model in models.items():
             try:
-                # This model's own fit would repeat the state fit exactly (a
-                # subclass may fit differently), so it takes that fit instead.
-                if type(model) is HmmSpeedModel and (
-                    model.seed, tuple(model.features)
-                ) == (hmm_seed, tuple(hmm_features)):
-                    if state_model is None:
-                        raise InsufficientDataError("the cluster's weather HMM fit failed")
-                    model.model = state_model
-                else:
+                if model is not hmm:
                     model.fit(cluster_voyages)
+                elif decoded is None:
+                    raise InsufficientDataError("the cluster's weather HMM fit failed")
             except VoyagekitError:
-                rows.append(
-                    ClusterModelGain(
-                        cluster=cluster_name,
-                        model=model_name,
-                        avg_gain_pct=None,
-                        improved_count=None,
-                        evaluated=0,
-                        excluded=0,
-                        status="insufficient",
-                        voyage_gains={},
-                    )
-                )
+                rows.append(ClusterModelGain(cluster_name, model_name))
                 continue
             gains: dict[str, float] = {}
             profiles: dict[str, np.ndarray] = {}

@@ -353,9 +353,12 @@ def write_fleet(fleet: FleetData, out_dir: str | Path) -> dict:
     write_table(out / "onboard" / "fleet.csv", [*CORE_COLUMNS, *ONBOARD_CHANNELS], onboard.T)
 
     for grid in fleet.grids:
-        columns = (*np.meshgrid(grid.times, grid.lats, grid.lons, indexing="ij"), grid.values)
+        # A grid has far fewer distinct coordinates than cells: format each axis once.
+        axes = (grid.times, grid.lats, grid.lons)
+        cell_index = np.indices(grid.values.shape).reshape(3, -1)
+        cells = [np.array(list(map(repr, a.tolist())), dtype=object)[i] for a, i in zip(axes, cell_index)]
         header = ["time", "lat", "lon", "value"]
-        write_table(out / "weather" / f"{grid.variable}.csv", header, [c.ravel() for c in columns])
+        write_table(out / "weather" / f"{grid.variable}.csv", header, [*cells, grid.values.ravel()])
 
     fleet.segment_spec.to_json(out / "segments.json")
     ids = sorted(fleet.labels)

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -128,6 +129,24 @@ class TestPipelineOutputs:
 
         report = json.loads((pipeline_dir / "report.json").read_text())
         jsonschema.validate(report, REPORT_SCHEMA)
+
+    def test_report_json_is_strict_when_no_steps_pooled(self, pipeline_dir, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        rows = read_rows(out / "state_gains.csv")
+        with open(out / "state_gains.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["model", "weather_state", "avg", "std"])
+            writer.writerows([r["model"], r["weather_state"], "nan", "nan"] for r in rows)
+        assert main(["report", "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        state_rows = report["optimization"]["state_rows"]
+        assert len(state_rows) == len(rows)
+        assert all(r["avg"] is None and r["std"] is None for r in state_rows)
 
     def test_sorted_gain_series_non_increasing(self, pipeline_dir):
         rows = read_rows(pipeline_dir / "voyage_gains.csv")

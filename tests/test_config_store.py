@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import voyagekit
 from voyagekit.cli import main
-from voyagekit.config import RunConfig, load_config
+from voyagekit.config import _JSON_TYPES, RunConfig, load_config
 from voyagekit.errors import ConfigurationError, InvalidInputError
 from voyagekit.geo import CORE_FIELDS
 from voyagekit.store import read_store, write_store, write_table
@@ -72,6 +73,58 @@ class TestConfig:
     def test_validation(self, field, value):
         with pytest.raises(ConfigurationError):
             RunConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize(
+        "command,raw",
+        [("optimize", {"hmm_features": "WaveHeight"}), ("score", {"train_fraction": "0.8"})],
+    )
+    def test_json_value_of_wrong_type_exits_2(self, tmp_path, capsys, command, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        [name] = raw
+        assert f"cfg.json: {name} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("knn_k", True),  # int field
+            ("knn_k", 3.0),
+            ("dendrogram_cutoff", "0.1"),  # float field
+            ("dendrogram_cutoff", False),
+            ("feature_case", 4),  # str field
+            ("feature_case", None),
+            ("labels", 1),  # str field defaulting to None
+            ("hmm_features", ["WaveHeight", 1]),
+            ("hmm_features", "WaveHeight"),
+            ("components_per_segment", "4"),
+            ("components_per_segment", 4.0),
+        ],
+    )
+    def test_json_type_checked(self, tmp_path, field, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: value}), encoding="utf-8")
+        with pytest.raises(ConfigurationError, match=f"cfg.json: {field} must be"):
+            load_config(path, env={})
+
+    def test_json_types_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        raw = {"dendrogram_cutoff": 1, "train_fraction": 0.8, "labels": None,
+               "components_per_segment": None, "hmm_features": ["WaveHeight"]}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        config = load_config(path, env={})
+        assert config.dendrogram_cutoff == 1 and config.hmm_features == ("WaveHeight",)
+        path.write_text(json.dumps({"components_per_segment": 4}), encoding="utf-8")
+        assert load_config(path, env={}).components_per_segment == 4
+
+    def test_every_field_type_has_json_types(self):
+        assert {f.type for f in dataclasses.fields(RunConfig)} <= set(_JSON_TYPES)
+
+    def test_json_not_an_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="JSON object"):
+            load_config(path, env={})
 
     @pytest.mark.parametrize("source", ["file", "env"])
     def test_empty_hmm_features_rejected(self, tmp_path, monkeypatch, capsys, source):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 
@@ -9,20 +10,20 @@ from conftest import make_sample, voyage_of
 from voyagekit import speed_opt
 from voyagekit.efficiency import (
     FEATURE_CASES,
+    KnnRegressor,
     build_percentile_clusters,
     summarize_voyages,
     train_estimator,
 )
-from voyagekit.errors import InsufficientDataError, InvalidInputError
+from voyagekit.errors import InsufficientDataError, InvalidInputError, MissingDataError
 from voyagekit.speed_opt import (
     MODEL_ORDER,
     DtwSpeedModel,
     HmmSpeedModel,
     IdentitySpeedModel,
+    KnnSpeedModel,
     dtw_distance,
-    knn_predict,
     linear_resample,
-    predict_1nn_dtw,
     run_optimization_benchmark,
     write_gain_report,
 )
@@ -123,27 +124,23 @@ def counting_dtw(monkeypatch):
     return calls
 
 
+def reference_1nn_dtw(test, cluster):
+    """Nearest profile by (DTW distance, id), resampled to the test length."""
+    best = min(cluster, key=lambda v: (dtw_distance(test.sog, v.sog), v.voyage_id))
+    return linear_resample(best.sog, len(test))
+
+
 class TestDtwSpeedModelMemo:
     def test_nested_refits_match_fresh_predictions(self, monkeypatch):
         train = [weather_voyage(f"V{i:02d}", n=12 + i, seed=i) for i in range(8)]
         tests = [weather_voyage(f"T{i}", n=10 + 2 * i, seed=50 + i) for i in range(3)]
-        fresh = {
-            size: [
-                predict_1nn_dtw(t.sog, {v.voyage_id: v.sog for v in train[:size]})
-                for t in tests
-            ]
-            for size in (2, 4, 8)
-        }
+        fresh = {size: [reference_1nn_dtw(t, train[:size]) for t in tests] for size in (2, 4, 8)}
         calls = counting_dtw(monkeypatch)
         model = DtwSpeedModel()
         for size in (2, 4, 8):
             model.fit(train[:size])
-            for t, (best_id, expected) in zip(tests, fresh[size]):
-                profile = model.predict(t)
-                assert np.array_equal(profile, expected)
-                assert np.array_equal(
-                    profile, linear_resample(train[int(best_id[1:])].sog, len(t))
-                )
+            for t, expected in zip(tests, fresh[size]):
+                assert np.array_equal(model.predict(t), expected)
         # Nested clusters: each (test, member) pair is computed once.
         assert len(calls) == len(tests) * 8
 
@@ -175,37 +172,39 @@ class TestLinearResample:
         assert out == pytest.approx([0.0, 2.5, 5.0, 7.5, 10.0])
 
 
-def profiles(**sogs):
-    return {vid: np.array(values, dtype=float) for vid, values in sogs.items()}
+def sog_voyage(vid, values):
+    return weather_voyage(vid, n=len(values), sog_fn=lambda i: float(values[i]))
+
+
+def dtw_predict(test_sog, **cluster):
+    model = DtwSpeedModel()
+    model.fit([sog_voyage(vid, values) for vid, values in cluster.items()])
+    return model.predict(sog_voyage("T", test_sog))
 
 
 class TestPredict1nnDtw:
+    """1NN-DTW prediction through DtwSpeedModel."""
+
     def test_exact_member(self):
-        cluster = profiles(A=[1, 2, 3], B=[5, 5, 5])
-        vid, sog = predict_1nn_dtw(np.array([1.0, 2.0, 3.0]), cluster)
-        assert vid == "A"
+        sog = dtw_predict([1.0, 2.0, 3.0], A=[1, 2, 3], B=[5, 5, 5])
         assert sog == pytest.approx([1, 2, 3])
 
     def test_nearest_constant(self):
-        cluster = profiles(A=[3.0] * 6, B=[5.0] * 6)
-        vid, _ = predict_1nn_dtw(np.full(6, 4.9), cluster)
-        assert vid == "B"
+        sog = dtw_predict([4.9] * 6, A=[3.0] * 6, B=[5.0] * 6)
+        assert sog == pytest.approx([5.0] * 6)
 
     def test_tie_breaks_to_lowest_id(self):
-        cluster = profiles(B=[4.0] * 4, A=[6.0] * 4)
-        vid, sog = predict_1nn_dtw(np.full(4, 5.0), cluster)
-        assert vid == "A"
+        sog = dtw_predict([5.0] * 4, B=[4.0] * 4, A=[6.0] * 4)
         assert sog == pytest.approx([6.0] * 4)
 
     def test_resampled_to_test_length(self):
-        cluster = profiles(A=[1, 2, 3, 4, 5, 6])
-        _, sog = predict_1nn_dtw(np.ones(3), cluster)
+        sog = dtw_predict([1.0] * 3, A=[1, 2, 3, 4, 5, 6])
         assert len(sog) == 3
         assert sog == pytest.approx([1.0, 3.5, 6.0])
 
     def test_empty_cluster(self):
         with pytest.raises(InsufficientDataError):
-            predict_1nn_dtw(np.ones(1), {})
+            DtwSpeedModel().fit([])
 
 
 def weather_voyage(vid, n=30, sog_fn=None, wind_fn=None, seed=0):
@@ -223,21 +222,38 @@ def weather_voyage(vid, n=30, sog_fn=None, wind_fn=None, seed=0):
     return voyage_of(vid, samples)
 
 
+def knn_fit_predict(test, cluster, k=5):
+    model = KnnSpeedModel(k=k)
+    model.fit(cluster)
+    return model.predict(test)
+
+
+def reference_knn_predict(test, cluster, k=5, feature_case="IV"):
+    """One regressor built per test voyage, from the cluster in order."""
+    names = ("lat", "lon", *FEATURE_CASES[feature_case])
+    train_x = np.vstack([v.columns(*names) for v in cluster])
+    train_y = np.concatenate([v.sog for v in cluster])
+    reg = KnnRegressor(k=k).fit(train_x, train_y)
+    return np.maximum(reg.predict(test.columns(*names)), 0.0)
+
+
 class TestKnnPredict:
+    """kNN speed prediction through KnnSpeedModel."""
+
     def test_exact_match_k1(self):
         train = weather_voyage("A", seed=1)
-        out = knn_predict(train, [train], k=1)
+        out = knn_fit_predict(train, [train], k=1)
         assert out == pytest.approx(train.sog)
 
     def test_constant_cluster(self):
         cluster = [weather_voyage(f"V{i}", sog_fn=lambda i: 5.0, seed=i) for i in range(2)]
-        out = knn_predict(weather_voyage("T", seed=9), cluster)
+        out = knn_fit_predict(weather_voyage("T", seed=9), cluster)
         assert out == pytest.approx(np.full(30, 5.0))
 
     def test_bounded_by_cluster(self):
         cluster = [weather_voyage(f"V{i}", seed=i) for i in range(3)]
         sogs = np.concatenate([v.sog for v in cluster])
-        out = knn_predict(weather_voyage("T", seed=7), cluster)
+        out = knn_fit_predict(weather_voyage("T", seed=7), cluster)
         assert len(out) == 30
         assert np.all(out >= sogs.min() - 1e-9)
         assert np.all(out <= sogs.max() + 1e-9)
@@ -245,7 +261,34 @@ class TestKnnPredict:
     def test_insufficient(self):
         v = weather_voyage("A", n=3)
         with pytest.raises(InsufficientDataError):
-            knn_predict(v, [v], k=5)
+            KnnSpeedModel(k=5).fit([v])
+        with pytest.raises(InsufficientDataError):
+            KnnSpeedModel().fit([])
+
+    def test_one_regressor_per_fit_matches_per_voyage_rebuild(
+        self, benchmark_inputs, monkeypatch
+    ):
+        clusters, train, test, _ = benchmark_inputs
+        by_id = {v.voyage_id: v for v in train}
+        fits = []
+        original = KnnRegressor.fit
+
+        def counted(self, *args):
+            fits.append(1)
+            return original(self, *args)
+
+        model = KnnSpeedModel()
+        for _, member_ids in clusters.as_ordered():
+            cluster = [by_id[vid] for vid in sorted(member_ids)]
+            expected = [reference_knn_predict(t, cluster) for t in test]
+            monkeypatch.setattr(KnnRegressor, "fit", counted)
+            fits.clear()
+            model.fit(cluster)
+            assert len(fits) == 1
+            for t, reference in zip(test, expected):
+                assert np.array_equal(model.predict(t), reference)
+            assert len(fits) == 1
+            monkeypatch.undo()
 
 
 @pytest.fixture(scope="module")
@@ -343,42 +386,65 @@ class TestHmmFitReuse:
         monkeypatch.setattr(speed_opt, "fit_weather_hmm", counted)
         return calls
 
-    def hmm_rows(self, report):
-        return [(r.cluster, r.status, r.avg_gain_pct, r.voyage_gains) for r in report.rows]
+    def hmm_rows(self, report, name="HMM"):
+        return [
+            (r.cluster, r.status, r.avg_gain_pct, r.voyage_gains)
+            for r in report.rows
+            if r.model == name
+        ]
 
     def test_default_models_fit_once_per_cluster(self, benchmark_inputs, fit_calls):
         clusters, train, test, estimator = benchmark_inputs
         report = run_optimization_benchmark(clusters, train, test, estimator, hmm_seed=2)
-        assert len(fit_calls) <= 4
+        assert len(fit_calls) == 4
         assert len(fit_calls) == len(set(fit_calls))
-        assert any(r.model == "HMM" and r.status == "ok" for r in report.rows)
+        assert all(r.status == "ok" for r in report.rows if r.model == "HMM")
 
     def test_other_seed_or_subclass_fits_itself(self, benchmark_inputs, fit_calls):
-        class RefittingHmm(HmmSpeedModel):
+        class SubclassHmm(HmmSpeedModel):
             pass
 
         clusters, train, test, estimator = benchmark_inputs
-        shared = run_optimization_benchmark(
-            clusters, train, test, estimator, models={"HMM": HmmSpeedModel(seed=2)}, hmm_seed=2
-        )
+        default = run_optimization_benchmark(clusters, train, test, estimator, hmm_seed=2)
         assert len(fit_calls) == 4
-        refit = run_optimization_benchmark(
-            clusters, train, test, estimator, models={"HMM": RefittingHmm(seed=2)}, hmm_seed=2
-        )
-        assert len(fit_calls) == 4 + 8
-        assert self.hmm_rows(refit) == self.hmm_rows(shared)
-        run_optimization_benchmark(
-            clusters, train, test, estimator, models={"HMM": HmmSpeedModel(seed=3)}, hmm_seed=2
-        )
-        assert len(fit_calls) == 12 + 8
+        # A model passed in always fits itself, whatever its seed or class.
+        for model in (HmmSpeedModel(seed=2), SubclassHmm(seed=2), HmmSpeedModel(seed=3)):
+            fit_calls.clear()
+            supplied = run_optimization_benchmark(
+                clusters, train, test, estimator, models={"HMM": model}, hmm_seed=2
+            )
+            assert len(fit_calls) == 4 + 4
+            if model.seed == 2:
+                assert self.hmm_rows(supplied) == self.hmm_rows(default)
 
     def test_failed_state_fit_is_insufficient_without_retry(self, benchmark_inputs, fit_calls):
         clusters, train, test, estimator = benchmark_inputs
         # One observation channel never recorded: every cluster's state fit fails.
         report = run_optimization_benchmark(
-            clusters, train, test, estimator,
-            models={"HMM": HmmSpeedModel(features=("NoSuchChannel",))},
-            hmm_features=("NoSuchChannel",),
+            clusters, train, test, estimator, hmm_features=("NoSuchChannel",)
         )
-        assert [r.status for r in report.rows] == ["insufficient"] * 4
+        hmm_rows = [r for r in report.rows if r.model == "HMM"]
+        assert [r.status for r in hmm_rows] == ["insufficient"] * 4
+        assert hmm_rows[0] == speed_opt.ClusterModelGain(hmm_rows[0].cluster, "HMM")
         assert len(fit_calls) == 4
+
+
+def test_knn_channel_missing_in_cluster_is_insufficient(benchmark_inputs):
+    clusters, train, test, _ = benchmark_inputs
+    # A channel kNN reads but neither the case I estimator nor the state HMM does.
+    channel = "CurrentSpeed"
+    top10 = min(clusters.top10)
+    train = [
+        dataclasses.replace(
+            v, channels={k: c for k, c in v.channels.items() if k != channel}
+        ) if v.voyage_id == top10 else v
+        for v in train
+    ]
+    with pytest.raises(MissingDataError):
+        KnnSpeedModel().fit(train)
+    estimator = train_estimator(train, feature_case="I")
+    report = run_optimization_benchmark(
+        clusters, train, test, estimator, models={"kNN": KnnSpeedModel()}
+    )
+    # The voyage sits in every nested cluster.
+    assert [r.status for r in report.rows] == ["insufficient"] * 4

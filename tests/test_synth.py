@@ -8,6 +8,7 @@ import pytest
 from conftest import tiny_fleet_spec
 from voyagekit.errors import ConfigurationError
 from voyagekit.ingestion import parse_weather_grid
+from voyagekit.store import write_table
 from voyagekit.synth import (
     Branch,
     SyntheticFleetSpec,
@@ -102,6 +103,12 @@ class TestGenerateFleet:
         assert a.voyages[0].sog[:10].tolist() != b.voyages[0].sog[:10].tolist()
 
 
+def meshgrid_grid_writer(grid, path):
+    """Reference: every cell's coordinates from meshgrid columns."""
+    columns = (*np.meshgrid(grid.times, grid.lats, grid.lons, indexing="ij"), grid.values)
+    write_table(path, ["time", "lat", "lon", "value"], [c.ravel() for c in columns])
+
+
 class TestWriteFleet:
     def test_layout_and_manifest(self, tiny_fleet, tmp_path):
         manifest = write_fleet(tiny_fleet, tmp_path)
@@ -122,6 +129,14 @@ class TestWriteFleet:
             tmp_path / "one" / "onboard", tmp_path / "two" / "onboard", ["fleet.csv"], shallow=False
         )
         assert match == ["fleet.csv"]
+
+    def test_weather_grids_match_meshgrid_writer(self, tiny_fleet, tmp_path):
+        write_fleet(tiny_fleet, tmp_path)
+        for grid in tiny_fleet.grids:
+            reference = tmp_path / f"{grid.variable}.reference.csv"
+            meshgrid_grid_writer(grid, reference)
+            written = tmp_path / "weather" / f"{grid.variable}.csv"
+            assert written.read_bytes() == reference.read_bytes(), grid.variable
 
     def test_weather_grids_round_trip(self, tiny_fleet, tmp_path):
         write_fleet(tiny_fleet, tmp_path)
