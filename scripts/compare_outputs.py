@@ -6,9 +6,9 @@
 The trees must hold the same files. CSV cells and JSON/JSON-lines values
 that are not numbers must be identical; numbers must satisfy
 |a - b| <= tol * max(1, |a|), with `a` taken from the first tree (two NaNs
-agree). Any other file must be byte-identical. One line per file gives its
-worst scaled difference and where it is; the exit status is 1 on any
-mismatch.
+agree; an infinity agrees only with the same infinity). Any other file must
+be byte-identical. One line per file gives its worst scaled difference and
+where it is; the exit status is 1 on any mismatch.
 """
 
 import argparse
@@ -61,7 +61,7 @@ def _compare(a, b, where: str, tol: float, worst: list) -> None:
             raise Mismatch(f"{where}: {a!r} != {b!r}")
         return
     scaled = 0.0 if x == y else abs(x - y) / max(1.0, abs(x))
-    if scaled > tol:
+    if not scaled <= tol:  # NaN when `a` is infinite and `b` differs
         raise Mismatch(f"{where}: {a!r} != {b!r} (scaled difference {scaled:.3g})")
     if scaled > worst[0]:
         worst[:] = [scaled, where]

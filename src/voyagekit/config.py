@@ -130,7 +130,11 @@ def load_config(
     for name in _FIELDS:
         key = ENV_PREFIX + name.upper()
         if key in env:
-            values[name] = _coerce(name, env[key])
+            try:
+                values[name] = _coerce(name, env[key])
+            except ValueError as exc:
+                expected = _JSON_TYPES[_FIELDS[name].type][1]
+                raise ConfigurationError(f"{key} must be {expected}, got {env[key]!r}") from exc
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     if "hmm_features" in values and not isinstance(values["hmm_features"], tuple):

@@ -3,10 +3,10 @@
 States are Calm, Moderate, and Rough, ordered by ascending mean wind speed.
 Fitting is Baum-Welch over per-voyage observation sequences of
 (wind speed, wave height). Each EM pass computes a sequence's emission
-densities once and runs one forward-backward over them, scaled per step
-(Rabiner 1989) so long sequences do not underflow. Speed suggestions take
-the maximum observed training speed in Calm, the mean in Moderate, and the
-minimum in Rough, applied per decoded step.
+densities once and runs one batched forward-backward over all sequences,
+scaled per step (Rabiner 1989) so long sequences do not underflow. Speed
+suggestions take the maximum observed training speed in Calm, the mean in
+Moderate, and the minimum in Rough, applied per decoded step.
 """
 
 from __future__ import annotations
@@ -55,28 +55,44 @@ class WeatherStateModel:
         return np.exp(log_b - correction[:, None]), correction
 
     def forward_backward(
-        self, b: np.ndarray, correction: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Scaled pass over `scaled_emissions`: (alpha_hat, beta_hat, scales, loglik)."""
-        T = len(b)
-        alpha = np.empty((T, N_STATES))
-        scales = np.empty(T)
+        self, emissions: Sequence[tuple[np.ndarray, np.ndarray]]
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
+        """Scaled passes over a batch of `scaled_emissions` pairs, in input order.
+
+        The sequences are padded longest first into (T_max, n, 3) arrays and
+        step t updates the prefix still active: T_max Python steps per batch.
+        """
+        lengths = np.array([len(b) for b, _ in emissions])
+        order = np.argsort(-lengths, kind="stable")
+        T, n = lengths[order[0]], len(order)
+        active = np.count_nonzero(lengths > np.arange(T)[:, None], axis=1)
+        b = np.zeros((T, n, N_STATES))
+        for j, i in enumerate(order):
+            b[: lengths[i], j] = emissions[i][0]
+        A = self.transitions
+        alpha, beta, scales = np.empty_like(b), np.ones_like(b), np.empty((T, n))
         alpha[0] = self.start_probs * b[0]
-        scales[0] = alpha[0].sum()
-        alpha[0] /= scales[0]
+        scales[0] = alpha[0].sum(axis=1)
+        alpha[0] /= scales[0, :, None]
         for t in range(1, T):
-            alpha[t] = (alpha[t - 1] @ self.transitions) * b[t]
-            scales[t] = alpha[t].sum()
-            alpha[t] /= scales[t]
-        beta = np.empty((T, N_STATES))
-        beta[-1] = 1.0
+            m = active[t]
+            alpha[t, :m] = (alpha[t - 1, :m] @ A) * b[t, :m]
+            scales[t, :m] = alpha[t, :m].sum(axis=1)
+            alpha[t, :m] /= scales[t, :m, None]
         for t in range(T - 2, -1, -1):
-            beta[t] = (self.transitions @ (b[t + 1] * beta[t + 1])) / scales[t + 1]
-        loglik = float(np.log(scales).sum() + correction.sum())
-        return alpha, beta, scales, loglik
+            m = active[t + 1]
+            # Row-wise A @ v bit for bit; `v @ A.T` and einsum differ in the last bit.
+            v = b[t + 1, :m] * beta[t + 1, :m]
+            beta[t, :m] = np.matmul(A[None], v[:, :, None])[:, :, 0] / scales[t + 1, :m, None]
+        passes = [None] * n
+        for j, i in enumerate(order):
+            s = scales[: lengths[i], j].copy()
+            ll = float(np.log(s).sum() + emissions[i][1].sum())
+            passes[i] = (alpha[: len(s), j].copy(), beta[: len(s), j].copy(), s, ll)
+        return passes
 
     def log_likelihood(self, obs: np.ndarray) -> float:
-        return self.forward_backward(*self.scaled_emissions(obs))[3]
+        return self.forward_backward([self.scaled_emissions(obs)])[0][3]
 
     def viterbi(self, obs: np.ndarray) -> np.ndarray:
         """Most likely state sequence (log-space dynamic program)."""
@@ -135,12 +151,9 @@ def fit_weather_hmm(
 
     rng = np.random.default_rng(seed)
     init_states = _tercile_states(stacked[:, 0])
-    means = np.empty((N_STATES, stacked.shape[1]))
-    variances = np.empty_like(means)
-    for s in range(N_STATES):
-        group = stacked[init_states == s]
-        means[s] = group.mean(axis=0)
-        variances[s] = np.maximum(group.var(axis=0), VARIANCE_FLOOR)
+    groups = [stacked[init_states == s] for s in range(N_STATES)]
+    means = np.array([group.mean(axis=0) for group in groups])
+    variances = np.maximum([group.var(axis=0) for group in groups], VARIANCE_FLOOR)
     means += rng.normal(0.0, 1e-6, size=means.shape)
 
     start = np.full(N_STATES, 1.0 / N_STATES)
@@ -164,15 +177,14 @@ def fit_weather_hmm(
         gamma_sum = np.zeros(N_STATES)
         mean_num = np.zeros_like(model.means)
         var_num = np.zeros_like(model.variances)
-        for obs in sequences:
-            b, correction = model.scaled_emissions(obs)
-            alpha, beta, scales, ll = model.forward_backward(b, correction)
+        emissions = [model.scaled_emissions(obs) for obs in sequences]
+        passes = model.forward_backward(emissions)
+        for obs, (b, _), (alpha, beta, scales, ll) in zip(sequences, emissions, passes):
             total_ll += ll
             gamma = alpha * beta
             gamma /= gamma.sum(axis=1, keepdims=True)
-            if len(obs) > 1:
-                weighted = (b[1:] * beta[1:]) / scales[1:, None]
-                trans_num += model.transitions * (alpha[:-1].T @ weighted)
+            weighted = (b[1:] * beta[1:]) / scales[1:, None]
+            trans_num += model.transitions * (alpha[:-1].T @ weighted)
             start_acc += gamma[0]
             gamma_sum += gamma.sum(axis=0)
             mean_num += gamma.T @ obs
@@ -202,13 +214,11 @@ def fit_weather_hmm(
 
     states = np.concatenate([model.viterbi(obs) for obs in sequences])
     sog = np.concatenate([v.sog for v in voyages])
-    stats = np.empty((N_STATES, 3))
     for s in range(N_STATES):
         pool = sog[states == s]
         if not len(pool):
             pool = sog
-        stats[s] = (pool.min(), pool.mean(), pool.max())
-    model.sog_stats = stats
+        model.sog_stats[s] = (pool.min(), pool.mean(), pool.max())
     return model
 
 
@@ -217,13 +227,11 @@ def decode_states(test: Voyage, model: WeatherStateModel) -> np.ndarray:
     return model.viterbi(test.columns(*model.feature_names))
 
 
+def state_speeds(model: WeatherStateModel) -> np.ndarray:
+    """Speed suggested per state: Calm -> max, Moderate -> mean, Rough -> min."""
+    return model.sog_stats[np.arange(N_STATES), [2, 1, 0]]
+
+
 def hmm_predict(test: Voyage, model: WeatherStateModel) -> np.ndarray:
-    """Per-step speed suggestion: Calm -> max, Moderate -> mean, Rough -> min."""
-    rule = np.array(
-        [
-            model.sog_stats[0, 2],  # Calm: max
-            model.sog_stats[1, 1],  # Moderate: mean
-            model.sog_stats[2, 0],  # Rough: min
-        ]
-    )
-    return rule[decode_states(test, model)]
+    """Per-step speed suggestion from the voyage's decoded weather states."""
+    return state_speeds(model)[decode_states(test, model)]

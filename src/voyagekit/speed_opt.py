@@ -32,7 +32,7 @@ from .errors import (
     VoyagekitError,
 )
 from .geo import Voyage
-from .hmm import DEFAULT_FEATURES, STATE_NAMES, decode_states, fit_weather_hmm, hmm_predict
+from .hmm import DEFAULT_FEATURES, STATE_NAMES, fit_weather_hmm, state_speeds
 from .store import write_table
 
 MODEL_ORDER = ("kNN", "1NN-DTW", "HMM")
@@ -142,16 +142,27 @@ class DtwSpeedModel:
 
 
 class HmmSpeedModel:
+    """Weather-HMM speed rule; decodes are memoised per fit on the observations' bytes."""
+
     def __init__(self, seed: int = 0, features: tuple[str, ...] = DEFAULT_FEATURES):
         self.seed = seed
         self.features = features
         self.model = None
+        self._states: dict[bytes, np.ndarray] = {}
 
     def fit(self, cluster: Sequence[Voyage]) -> None:
+        self._states = {}
         self.model = fit_weather_hmm(cluster, seed=self.seed, features=self.features)
 
+    def decode(self, test: Voyage) -> np.ndarray:
+        obs = test.columns(*self.model.feature_names)
+        key = obs.tobytes()
+        if key not in self._states:
+            self._states[key] = self.model.viterbi(obs)
+        return self._states[key]
+
     def predict(self, test: Voyage) -> np.ndarray:
-        return hmm_predict(test, self.model)
+        return state_speeds(self.model)[self.decode(test)]
 
 
 class IdentitySpeedModel:
@@ -255,12 +266,11 @@ def run_optimization_benchmark(
             raise InvalidInputError(
                 f"test voyages overlap training cluster {cluster_name}"
             )
-        decoded = None
         try:
             hmm.fit(cluster_voyages)
-            decoded = {v.voyage_id: decode_states(v, hmm.model) for v in test_voyages}
+            decoded = {v.voyage_id: hmm.decode(v) for v in test_voyages}
         except VoyagekitError:
-            pass
+            decoded = None
         for model_name, model in models.items():
             try:
                 if model is not hmm:

@@ -291,3 +291,16 @@ class TestErrorPaths:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json", encoding="utf-8")
         assert main(["score", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "name, raw, expected",
+        [
+            ("KNN_K", "abc", "an integer"),
+            ("TRAIN_FRACTION", "0.7x", "a number"),
+            ("COMPONENTS_PER_SEGMENT", "2.5", "an integer or null"),
+        ],
+    )
+    def test_malformed_env_value(self, tmp_path, capsys, monkeypatch, name, raw, expected):
+        monkeypatch.setenv(f"VOYAGEKIT_{name}", raw)
+        assert main(["score", "--out", str(tmp_path)]) == 2
+        assert f"VOYAGEKIT_{name} must be {expected}, got {raw!r}" in capsys.readouterr().err

@@ -131,8 +131,8 @@ class TestSharedEStep:
             )
             alpha, scales, loglik = reference_forward(model, obs)
             assert model.log_likelihood(obs) == loglik
-            got_alpha, got_beta, got_scales, got_ll = model.forward_backward(
-                *model.scaled_emissions(obs)
+            [(got_alpha, got_beta, got_scales, got_ll)] = model.forward_backward(
+                [model.scaled_emissions(obs)]
             )
             assert got_ll == loglik
             assert got_alpha.tobytes() == alpha.tobytes()
@@ -152,6 +152,70 @@ class TestSharedEStep:
         model = fit_weather_hmm(voyages, seed=3)
         # One emission matrix per sequence per EM pass, plus one Viterbi decode each.
         assert len(calls) == (len(model.loglik_history) + 1) * len(voyages)
+
+
+def random_obs(rng, length):
+    return np.column_stack(
+        [rng.uniform(0.0, 20.0, size=length), rng.uniform(0.0, 4.0, size=length)]
+    )
+
+
+def pass_bytes(result):
+    """One sequence's (alpha, beta, scales, loglik) as shapes and raw bytes."""
+    return tuple((np.shape(x), np.asarray(x).tobytes()) for x in result)
+
+
+class TestBatchedPass:
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            (1,),
+            (2, 1),
+            (1, 2, 1, 2),
+            (6, 6, 6, 6),
+            (250, 3, 1, 4, 2, 5, 1, 3, 2, 6),
+            (9, 1, 40, 9, 2, 9, 1, 17),
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_per_sequence(self, seed, lengths):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng)
+        batch = [random_obs(rng, length) for length in lengths]
+        passes = model.forward_backward([model.scaled_emissions(obs) for obs in batch])
+        assert len(passes) == len(batch)
+        for obs, (alpha, beta, scales, loglik) in zip(batch, passes):
+            ref_alpha, ref_scales, ref_ll = reference_forward(model, obs)
+            assert alpha.shape == beta.shape == (len(obs), 3)
+            assert loglik == ref_ll
+            assert alpha.tobytes() == ref_alpha.tobytes()
+            assert scales.tobytes() == ref_scales.tobytes()
+            assert beta.tobytes() == reference_backward(model, obs, ref_scales).tobytes()
+
+    def test_outputs_independent_of_position(self):
+        rng = np.random.default_rng(7)
+        model = random_model(rng)
+        batch = [random_obs(rng, length) for length in (40, 1, 40, 2, 17, 90, 3, 40)]
+        emissions = [model.scaled_emissions(obs) for obs in batch]
+        alone = [pass_bytes(model.forward_backward([e])[0]) for e in emissions]
+        orders = [list(range(len(batch))), list(range(len(batch)))[::-1]]
+        orders += [list(rng.permutation(len(batch))) for _ in range(5)]
+        for order in orders:
+            passes = model.forward_backward([emissions[i] for i in order])
+            assert [pass_bytes(p) for p in passes] == [alone[i] for i in order]
+
+    def test_one_pass_per_em_iteration(self, monkeypatch):
+        voyages = simulate_voyages(n_voyages=8)[0] + simulate_voyages(4, length=7, seed=6)[0]
+        batches = []
+        original = WeatherStateModel.forward_backward
+
+        def counted(self, emissions):
+            batches.append([len(b) for b, _ in emissions])
+            return original(self, emissions)
+
+        monkeypatch.setattr(WeatherStateModel, "forward_backward", counted)
+        model = fit_weather_hmm(voyages, seed=3)
+        assert batches == [[len(v) for v in voyages]] * len(model.loglik_history)
 
 
 class TestForwardOracle:

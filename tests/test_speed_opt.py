@@ -16,6 +16,7 @@ from voyagekit.efficiency import (
     train_estimator,
 )
 from voyagekit.errors import InsufficientDataError, InvalidInputError, MissingDataError
+from voyagekit.hmm import DEFAULT_FEATURES, WeatherStateModel, hmm_predict
 from voyagekit.speed_opt import (
     MODEL_ORDER,
     DtwSpeedModel,
@@ -427,6 +428,47 @@ class TestHmmFitReuse:
         assert [r.status for r in hmm_rows] == ["insufficient"] * 4
         assert hmm_rows[0] == speed_opt.ClusterModelGain(hmm_rows[0].cluster, "HMM")
         assert len(fit_calls) == 4
+
+
+def counting_viterbi(monkeypatch):
+    decoded = []
+    original = WeatherStateModel.viterbi
+
+    def counted(self, obs):
+        decoded.append(obs.tobytes())
+        return original(self, obs)
+
+    monkeypatch.setattr(WeatherStateModel, "viterbi", counted)
+    return decoded
+
+
+class TestHmmDecodeMemo:
+    def test_test_voyages_decoded_once_per_cluster(self, benchmark_inputs, monkeypatch):
+        clusters, train, test, estimator = benchmark_inputs
+        decoded = counting_viterbi(monkeypatch)
+        report = run_optimization_benchmark(clusters, train, test, estimator, hmm_seed=2)
+        ok = [r for r in report.rows if r.model == "HMM" and r.status == "ok"]
+        assert len(ok) == 4
+        # The state table and the HMM predictions share each decode.
+        test_obs = {v.columns(*DEFAULT_FEATURES).tobytes() for v in test}
+        assert sum(1 for obs in decoded if obs in test_obs) == len(ok) * len(test)
+
+    def test_reused_id_is_decoded_afresh(self, monkeypatch):
+        train = [weather_voyage(f"V{i:02d}", seed=i) for i in range(12)]
+        calm = weather_voyage("T", wind_fn=lambda i: 0.5)
+        windy = weather_voyage("T", wind_fn=lambda i: 9.5)
+        model = HmmSpeedModel(seed=1)
+        model.fit(train)
+        expected = [hmm_predict(v, model.model) for v in (calm, windy)]
+        assert not np.array_equal(*expected)
+        decoded = counting_viterbi(monkeypatch)
+        for test, speeds in zip((calm, calm, windy, windy), np.repeat(expected, 2, axis=0)):
+            assert np.array_equal(model.predict(test), speeds)
+        assert len(decoded) == 2
+        # A refit drops the previous fit's decodes.
+        model.fit(train)
+        model.predict(calm)
+        assert len(decoded) == 2 + len(train) + 1
 
 
 def test_knn_channel_missing_in_cluster_is_insufficient(benchmark_inputs):
