@@ -11,6 +11,7 @@ from typing import Mapping
 
 from .efficiency import FEATURE_CASES
 from .errors import ConfigurationError
+from .hmm import DEFAULT_FEATURES
 
 ENV_PREFIX = "VOYAGEKIT_"
 
@@ -34,7 +35,7 @@ class RunConfig:
     feature_case: str = "IV"
     knn_k: int = 5
     train_fraction: float = 0.7
-    hmm_features: tuple[str, ...] = ("WindSpeed_cps", "WaveHeight")
+    hmm_features: tuple[str, ...] = DEFAULT_FEATURES
     # Path identification parameters.
     pathid_method: str = "hierarchical"
     pathid_metric: str = "euclidean"
@@ -77,24 +78,18 @@ class RunConfig:
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
-#: The JSON values a config file may give a field, by its annotation; a bool never counts.
-_JSON_TYPES = {
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "str": ((str,), "a string"),
-    "str | None": ((str, type(None)), "a string or null"),
-    "int | None": ((int, type(None)), "an integer or null"),
-    "tuple[str, ...]": ((list,), "a list of strings"),
+#: Per field annotation: the JSON values a config file may give (a bool
+#: never counts), their description, and the parser of a VOYAGEKIT_* value.
+_FIELD_TYPES = {
+    "int": ((int,), "an integer", int),
+    "float": ((int, float), "a number", float),
+    "str": ((str,), "a string", str),
+    "str | None": ((str, type(None)), "a string or null", str),
+    "int | None": ((int, type(None)), "an integer or null",
+                   lambda raw: None if raw.lower() in ("", "none", "null") else int(raw)),
+    "tuple[str, ...]": ((list,), "a list of strings",
+                        lambda raw: tuple(p.strip() for p in raw.split(",") if p.strip())),
 }
-
-
-def _coerce(name: str, raw: str):
-    annotation = _FIELDS[name].type
-    if annotation == "int | None":
-        return None if raw.lower() in ("", "none", "null") else int(raw)
-    if annotation == "tuple[str, ...]":
-        return tuple(part.strip() for part in raw.split(",") if part.strip())
-    return {"int": int, "float": float}.get(annotation, str)(raw)
 
 
 def load_config(
@@ -119,7 +114,7 @@ def load_config(
         if unknown:
             raise ConfigurationError(f"{path}: unknown config keys {sorted(unknown)}")
         for name, value in raw.items():
-            types, expected = _JSON_TYPES[_FIELDS[name].type]
+            types, expected, _ = _FIELD_TYPES[_FIELDS[name].type]
             items = value if isinstance(value, list) else ()
             if not isinstance(value, types) or isinstance(value, bool) or any(
                 not isinstance(item, str) for item in items
@@ -130,10 +125,10 @@ def load_config(
     for name in _FIELDS:
         key = ENV_PREFIX + name.upper()
         if key in env:
+            _, expected, parse = _FIELD_TYPES[_FIELDS[name].type]
             try:
-                values[name] = _coerce(name, env[key])
+                values[name] = parse(env[key])
             except ValueError as exc:
-                expected = _JSON_TYPES[_FIELDS[name].type][1]
                 raise ConfigurationError(f"{key} must be {expected}, got {env[key]!r}") from exc
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})

@@ -28,13 +28,12 @@ from .errors import (
     UndefinedGainError,
 )
 from .geo import Voyage
-from .store import ONBOARD_CHANNELS, write_table
+from .store import ONBOARD_CHANNELS, WEATHER_VARIABLES, write_table
 
 #: Weather channels entering the estimator features, per input case.
 #: Case I uses onboard wind only; II external wind/wave/current only;
 #: III onboard wind plus external wave/current; IV everything.
-_EXTERNAL_WIND = ("WindSpeed_cps", "WindDirection_cps", "WindSpeed_sg", "WindDirection_sg")
-_WAVE_CURRENT = ("WaveHeight", "WaveDirection", "CurrentSpeed", "CurrentDirection")
+_EXTERNAL_WIND, _WAVE_CURRENT = WEATHER_VARIABLES[:4], WEATHER_VARIABLES[4:]
 FEATURE_CASES: dict[str, tuple[str, ...]] = {
     "I": ONBOARD_CHANNELS,
     "II": _EXTERNAL_WIND + _WAVE_CURRENT,

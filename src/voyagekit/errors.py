@@ -42,4 +42,4 @@ class MissingDataError(VoyagekitError):
 
 
 class UnclassifiableError(VoyagekitError):
-    """A path touches no discriminative route segment."""
+    """No point of a path belongs to a discriminative route segment."""

@@ -3,8 +3,10 @@
 All coordinates are WGS84 latitude/longitude in decimal degrees. Samples are
 held as columns: a Track is a stream of float64 arrays (time, position,
 speed, heading, fuel rate) plus named weather channels, and a Voyage is a
-validated port-to-port Track. Route segments and port regions are polygons
-tested with point_in_polygon.
+port-to-port Track whose every sample passes valid_samples, the one sample
+rule that onboard parsing also applies. Route segments and port regions are
+polygon lists; RouteSegmentSpec.locate gives each point its first containing
+polygon, and is the only caller of point_in_polygon.
 """
 
 from __future__ import annotations
@@ -45,6 +47,21 @@ class GeoPoint:
 
 #: Core per-sample columns of a Track, in store/onboard column order.
 CORE_FIELDS = ("t", "lat", "lon", "sog", "heading", "fuel")
+
+
+def is_angle(name: str) -> bool:
+    """Whether channel ``name`` holds an angle in degrees (a *Direction* channel)."""
+    return "direction" in name.lower()
+
+
+def valid_samples(t, lat, lon, sog, heading, fuel) -> np.ndarray:
+    """Boolean mask of the samples a Voyage accepts.
+
+    All six values finite, ``|lat| <= 90``, ``|lon| <= 180``, ``sog >= 0``
+    and ``fuel >= 0``.
+    """
+    finite = np.isfinite(np.column_stack([t, lat, lon, sog, heading, fuel])).all(axis=1)
+    return finite & (np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0) & (sog >= 0) & (fuel >= 0)
 
 
 @dataclass
@@ -108,7 +125,7 @@ def merge_tracks(tracks: Sequence[Track]) -> Track:
 
 @dataclass(kw_only=True)
 class Voyage(Track):
-    """An ordered port-to-port track (n >= 2) with valid positions and speeds."""
+    """An ordered port-to-port track (n >= 2) whose samples pass valid_samples."""
 
     voyage_id: str
     origin: str = ""
@@ -121,16 +138,11 @@ class Voyage(Track):
             raise InvalidInputError(f"{label} has {len(self)} samples, need >= 2")
         if np.any(np.diff(self.t) < 0):
             raise InvalidInputError(f"{label} samples not time-ordered")
-        bad = np.flatnonzero(~((np.abs(self.lat) <= 90.0) & (np.abs(self.lon) <= 180.0)))
+        bad = np.flatnonzero(~valid_samples(*(getattr(self, name) for name in CORE_FIELDS)))
         if len(bad):
             i = bad[0]
-            raise InvalidInputError(
-                f"{label} sample {i}: invalid coordinates ({self.lat[i]}, {self.lon[i]})"
-            )
-        bad = np.flatnonzero(~(np.isfinite(self.sog) & (self.sog >= 0.0)))
-        if len(bad):
-            i = bad[0]
-            raise InvalidInputError(f"{label} sample {i}: invalid speed {self.sog[i]}")
+            values = ", ".join(f"{name}={getattr(self, name)[i]}" for name in CORE_FIELDS)
+            raise InvalidInputError(f"{label} sample {i}: invalid sample ({values})")
 
     def columns(self, *names: str) -> np.ndarray:
         """(n, len(names)) array of core columns and channels, in the order given.
@@ -155,8 +167,10 @@ class Voyage(Track):
 class RouteSegmentSpec:
     """Named, ordered list of bounding polygons partitioning a route.
 
-    Overlaps are resolved by list order: the first polygon containing a
-    point wins. Polygons are (k, 2) arrays of [lat, lon] vertices.
+    Polygons are (k, 2) arrays of [lat, lon] vertices. A point belongs to
+    the first polygon in list order that contains it (``locate``), so
+    overlaps are resolved by list order: fitting, classification and port
+    lookups all follow this one rule.
     """
 
     def __init__(self, segments: Sequence[tuple[str, Sequence[Sequence[float]]]]):
@@ -193,6 +207,17 @@ class RouteSegmentSpec:
             return cls([(entry["name"], entry["polygon"]) for entry in raw])
         except (KeyError, TypeError) as exc:
             raise ConfigurationError(f"{path}: malformed segment entry ({exc})") from exc
+
+    def locate(self, lat, lon) -> int | np.ndarray:
+        """Index of the first polygon containing each point, -1 where none does.
+
+        Scalar ``lat`` and ``lon`` give an int; arrays of one shape give an
+        int array of that shape.
+        """
+        found = np.full(np.broadcast(lat, lon).shape, -1)
+        for s, (_, poly) in enumerate(self.segments):
+            found[(found < 0) & point_in_polygon(lat, lon, poly)] = s
+        return int(found) if found.ndim == 0 else found
 
     def to_json(self, path: str | Path) -> None:
         payload = [
@@ -253,38 +278,23 @@ def split_into_voyages(
     if np.any(np.diff(samples.t) < 0):
         raise InvalidInputError("samples are not time-ordered")
 
-    dwelling = np.zeros(len(samples), dtype=bool)
+    t = samples.t
+    dwelling = np.zeros(len(t), dtype=bool)
     if port_regions is not None:
-        for _, poly in port_regions.segments:
-            dwelling |= point_in_polygon(samples.lat, samples.lon, poly)
-        dwelling &= samples.sog < dwell_max_sog
-
-    # Index where each segment starts; the loop tracks the open dwell.
-    starts = [0]
-    dwell_start: float | None = None
-    prev_ts: float | None = None
-    for i, (ts, dwell) in enumerate(zip(samples.t.tolist(), dwelling.tolist())):
-        split_here = prev_ts is not None and ts - prev_ts > gap_threshold
-        if prev_ts is not None and not split_here and dwell_start is not None:
-            # The dwell ends at this sample; split if it lasted long enough.
-            if not dwell and prev_ts - dwell_start >= dwell_threshold:
-                split_here = True
-        if split_here:
-            starts.append(i)
-            dwell_start = None
-        if dwell:
-            if dwell_start is None:
-                dwell_start = ts
-        else:
-            dwell_start = None
-        prev_ts = ts
-
-    voyages: list[Voyage] = []
-    dropped: list[int] = []
-    for a, b in zip(starts, [*starts[1:], len(samples)]):
-        if b - a < 2:
-            dropped.extend(range(a, b))
-            continue
-        part = vars(samples.take(slice(a, b)))
-        voyages.append(Voyage(**part, voyage_id=f"V{len(voyages) + 1:04d}"))
-    return SplitResult(voyages=voyages, dropped_samples=samples.take(np.array(dropped, dtype=int)))
+        in_port = port_regions.locate(samples.lat, samples.lon) >= 0
+        dwelling = in_port & (samples.sog < dwell_max_sog)
+    gap = np.diff(t) > gap_threshold  # gap[i - 1]: a gap just before sample i
+    # A dwell run starts at a dwelling sample whose predecessor is not
+    # dwelling or lies across a gap; run_start[i] is the start of i's run.
+    begins = dwelling & ~np.concatenate([[False], dwelling[:-1] & ~gap])
+    run_start = np.maximum.accumulate(np.where(begins, np.arange(len(t)), 0))
+    # A run that lasted long enough ends its voyage; the next starts after it.
+    ends = dwelling[:-1] & ~dwelling[1:] & (t[:-1] - t[run_start[:-1]] >= dwell_threshold)
+    starts = np.flatnonzero(np.concatenate([[True], gap | ends]))
+    sizes = np.diff(starts, append=len(t))
+    kept = [(a, a + size) for a, size in zip(starts.tolist(), sizes.tolist()) if size >= 2]
+    voyages = [
+        Voyage(**vars(samples.take(slice(a, b))), voyage_id=f"V{k:04d}")
+        for k, (a, b) in enumerate(kept, 1)
+    ]
+    return SplitResult(voyages, samples.take(np.flatnonzero(np.repeat(sizes < 2, sizes))))

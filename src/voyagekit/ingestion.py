@@ -1,10 +1,10 @@
 """Onboard CSV parsing, weather-grid ingestion, resampling, and alignment.
 
 Onboard CSVs are parsed column by column into a time-sorted Track (see
-geo); cells that do not parse are NaN, and rows missing a required field
-are skipped. Weather hindcasts arrive as long-format CSV (one file per
-variable, columns time/lat/lon/value); they are read as whole columns and
-assembled into dense 3-D grids. attach_weather adds every grid variable to
+geo); cells that do not parse are NaN, and rows that fail geo.valid_samples
+(the rule every Voyage enforces) are skipped. Weather hindcasts arrive as
+long-format CSV (one file per variable, columns time/lat/lon/value); they
+are read as whole columns and assembled into dense 3-D grids. attach_weather adds every grid variable to
 a voyage as a channel, by trilinear interpolation over the enclosing
 (time, lat, lon) cell.
 """
@@ -28,7 +28,7 @@ from .errors import (
     OutOfDomainError,
     SchemaError,
 )
-from .geo import GeoPoint, Track, Voyage
+from .geo import GeoPoint, Track, Voyage, is_angle, valid_samples
 from .store import CORE_COLUMNS, ONBOARD_CHANNELS
 
 # Interpolation status codes used by WeatherGrid.interpolate_many.
@@ -63,10 +63,10 @@ def _parse_float(raw: str) -> float:
 def parse_onboard_csv(path: str | Path) -> tuple[Track, int]:
     """Read one onboard CSV into a sample stream sorted by timestamp.
 
-    Column names are matched case-insensitively. Rows whose required
-    fields do not parse (or violate their domain, e.g. negative speed)
-    are skipped; the skip count is returned alongside the stream. Optional
-    channel cells that do not parse are NaN.
+    Column names are matched case-insensitively. Rows whose core fields do
+    not parse or fail geo.valid_samples (e.g. negative speed) are skipped;
+    the skip count is returned alongside the stream. Optional channel cells
+    that do not parse are NaN.
     """
     path = Path(path)
     if not path.exists():
@@ -95,18 +95,14 @@ def parse_onboard_csv(path: str | Path) -> tuple[Track, int]:
         [column(name, _parse_timestamp if name == "Timestamp" else _parse_float)
          for name in CORE_COLUMNS]
     )
-    t, lat, lon, sog, heading, fuel = core.T
-    keep = (
-        np.isfinite(core).all(axis=1)
-        & (sog >= 0) & (fuel >= 0) & (np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0)
-    )
+    keep = valid_samples(*core.T)
     t, lat, lon, sog, heading, fuel = core[keep].T
     channels = {}
     for name in ONBOARD_CHANNELS:
         if name.lower() in lower_to_index:
             values = column(name)[keep]
             values[~np.isfinite(values)] = np.nan
-            channels[name] = values % 360.0 if "direction" in name.lower() else values
+            channels[name] = values % 360.0 if is_angle(name) else values
     order = np.argsort(t, kind="stable")
     stream = Track(t, lat, lon, sog, heading % 360.0, fuel, channels).take(order)
     return stream, int(len(rows) - keep.sum())
@@ -334,7 +330,7 @@ def resample_voyage(v: Voyage, period: float = 60.0) -> Voyage:
         heading=circular_mean(v.heading),
         fuel=mean(v.fuel),
         channels={
-            name: circular_mean(values) if "direction" in name.lower() else mean(values)
+            name: circular_mean(values) if is_angle(name) else mean(values)
             for name, values in v.channels.items()
         },
     )
@@ -352,7 +348,7 @@ def attach_weather(v: Voyage, grids: list[WeatherGrid]) -> tuple[Voyage, int]:
     for grid in grids:
         values, status = grid.interpolate_many(v.t, v.lat, v.lon)
         keep &= status == _OK
-        channels[grid.variable] = values % 360.0 if "direction" in grid.variable.lower() else values
+        channels[grid.variable] = values % 360.0 if is_angle(grid.variable) else values
     kept = int(keep.sum())
     if kept < 2:
         raise InsufficientDataError(

@@ -33,7 +33,7 @@ from .errors import (
     InvalidInputError,
     UnclassifiableError,
 )
-from .geo import EARTH_RADIUS_M, RouteSegmentSpec, Voyage, point_in_polygon
+from .geo import EARTH_RADIUS_M, RouteSegmentSpec, Voyage
 from .store import write_table
 
 PathLabeling = dict[str, str]
@@ -333,10 +333,12 @@ def fit_segment_gmms(
 ) -> SegmentModelSet:
     """Fit one position mixture per route segment and build its label table.
 
-    The component count defaults to the number of distinct path labels
-    whose training points cross the segment. Each component is mapped to
-    the label most frequent among the points it claims; segments whose
-    components disagree on labels are the discriminative ones.
+    A training point belongs to the segment ``spec.locate`` gives it (the
+    first-polygon rule of RouteSegmentSpec). The component count defaults
+    to the number of distinct path labels among a segment's points. Each
+    component is mapped to the label most frequent among the points it
+    claims; segments whose components disagree on labels are the
+    discriminative ones.
     """
     for p in paths:
         if p.voyage_id not in labels:
@@ -347,10 +349,7 @@ def fit_segment_gmms(
     point_labels = np.concatenate(
         [np.empty(0, dtype=str), *(np.full(len(p.points), labels[p.voyage_id]) for p in paths)]
     )
-    # Index of the first segment polygon containing each point, -1 for none.
-    segment_of = np.full(len(points), -1)
-    for s, (_, poly) in enumerate(spec.segments):
-        segment_of[(segment_of < 0) & point_in_polygon(points[:, 0], points[:, 1], poly)] = s
+    segment_of = spec.locate(points[:, 0], points[:, 1])
 
     mixtures: dict[str, SegmentMixture] = {}
     for s, name in enumerate(spec.names):
@@ -370,52 +369,35 @@ def fit_segment_gmms(
         component_labels = [
             str(seg_labels[row.argmax()] if row.any() else seg_labels[-1]) for row in votes
         ]
-        mixtures[name] = SegmentMixture(
-            segment=name,
-            weights=weights,
-            means=means,
-            covariances=covs,
-            component_labels=component_labels,
-        )
+        mixtures[name] = SegmentMixture(name, weights, means, covs, component_labels)
 
-    discriminative = [
-        name
-        for name in spec.names
-        if len(set(mixtures[name].component_labels)) > 1
-    ]
+    discriminative = [name for name, m in mixtures.items() if len(set(m.component_labels)) > 1]
     return SegmentModelSet(spec=spec, mixtures=mixtures, discriminative=discriminative)
 
 
 def classify_by_segment_likelihood(path: Path, models: SegmentModelSet) -> str:
     """Label a path from its discriminative-segment component likelihoods.
 
-    Within each discriminative segment the path enters, the component with
-    the highest mean log density of the in-segment points votes with its
-    label; the majority label wins, ties resolved by the earliest segment
-    in spec order.
+    Points are assigned to segments as in fitting, by ``spec.locate`` (see
+    RouteSegmentSpec). Within each discriminative segment that holds some of
+    the path's points, the component with the highest mean log density of
+    those points votes with its label; the majority label wins, ties
+    resolved by the earliest segment in spec order.
     """
+    segment_of = models.spec.locate(path.points[:, 0], path.points[:, 1])
     votes: list[str] = []  # in spec order
-    for name, poly in models.spec.segments:
-        if name not in models.discriminative:
-            continue
-        inside = point_in_polygon(path.points[:, 0], path.points[:, 1], poly)
-        if not inside.any():
+    for s, name in enumerate(models.spec.names):
+        inside = segment_of == s
+        if name not in models.discriminative or not inside.any():
             continue
         mixture = models.mixtures[name]
         mean_ll = mixture.component_log_density(path.points[inside]).mean(axis=0)
         votes.append(mixture.component_labels[int(mean_ll.argmax())])
     if not votes:
         raise UnclassifiableError(
-            f"path {path.voyage_id!r} touches no discriminative segment"
+            f"path {path.voyage_id!r} has no point in a discriminative segment"
         )
-    counts: dict[str, int] = {}
-    for label in votes:
-        counts[label] = counts.get(label, 0) + 1
-    best = max(counts.values())
-    for label in votes:  # earliest qualifying segment wins ties
-        if counts[label] == best:
-            return label
-    raise AssertionError("unreachable")
+    return max(votes, key=votes.count)  # the first of the tied labels in spec order
 
 
 def classify_paths(

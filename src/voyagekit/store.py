@@ -5,7 +5,8 @@ written with full precision (repr round-trips exactly) by write_table. The
 store holds one CSV per voyage plus a JSON manifest. A voyage file
 holds the core columns followed by the channels recorded on every sample,
 in name order; a channel missing (NaN) on any sample is not stored.
-Malformed files raise InvalidInputError naming the file and row.
+Malformed files raise InvalidInputError naming the file and row; a sample
+that fails geo.valid_samples raises it naming the voyage and sample.
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ CORE_COLUMNS = (
 
 #: Optional onboard weather channels, kept under their column names.
 ONBOARD_CHANNELS = ("WindSpeed_onb", "WindDirection_onb")
+
+#: External weather channels, one hindcast grid each: wind from two
+#: providers (cps, sg), then wave and current.
+WEATHER_VARIABLES = (
+    "WindSpeed_cps", "WindDirection_cps", "WindSpeed_sg", "WindDirection_sg",
+    "WaveHeight", "WaveDirection", "CurrentSpeed", "CurrentDirection",
+)
 
 
 def write_table(path: str | Path, header: Sequence[str], columns: Iterable[Iterable]) -> None:

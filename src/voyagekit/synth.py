@@ -29,14 +29,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .geo import CORE_FIELDS, RouteSegmentSpec, Voyage
 from .ingestion import WeatherGrid
-from .store import CORE_COLUMNS, ONBOARD_CHANNELS, write_table
+from .store import CORE_COLUMNS, ONBOARD_CHANNELS, WEATHER_VARIABLES, write_table
 
 DEG_PER_M = 1.0 / 111_195.0  # flat-earth conversion used by the simulator
-
-WEATHER_VARIABLES = (
-    "WindSpeed_cps", "WindDirection_cps", "WindSpeed_sg", "WindDirection_sg",
-    "WaveHeight", "WaveDirection", "CurrentSpeed", "CurrentDirection",
-)
 
 
 @dataclass
@@ -294,8 +289,7 @@ def generate_fleet(spec: SyntheticFleetSpec) -> FleetData:
         fuel = spec.fuel_a + spec.fuel_b * sogs**2 + spec.fuel_c * wind
 
         channels = {name: channel_values[name] for name in WEATHER_VARIABLES}
-        channels["WindSpeed_onb"] = wind
-        channels["WindDirection_onb"] = channel_values["WindDirection_cps"]
+        channels.update(zip(ONBOARD_CHANNELS, (wind, channel_values["WindDirection_cps"])))
         voyages.append(
             Voyage(ts, pos[:, 0], pos[:, 1], sogs, heading_list, fuel, channels, voyage_id=vid)
         )

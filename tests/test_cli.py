@@ -274,6 +274,24 @@ class TestErrorPaths:
         assert code == 1
         assert capsys.readouterr().err == f"error: {labels}: {message}\n"
 
+    @pytest.mark.parametrize("command", ["score", "optimize"])
+    @pytest.mark.parametrize("column, field", [("EngineFuelRate", "fuel"), ("HeadingMagnetic", "heading")])
+    def test_nan_store_cell_names_voyage_and_sample(
+        self, pipeline_dir, tmp_path, capsys, command, column, field
+    ):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir / "store", out / "store")
+        voyage = out / "store" / "voyages" / "V0002.csv"
+        lines = voyage.read_text(encoding="utf-8").splitlines()
+        cells = lines[4].split(",")  # data row 4: sample 3
+        cells[lines[0].split(",").index(column)] = "nan"
+        lines[4] = ",".join(cells)
+        voyage.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main([command, "--out", str(out), "--seed", "11"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: voyage 'V0002' sample 3: invalid sample (")
+        assert f"{field}=nan" in err
+
     def test_report_missing_gains(self, tmp_path, capsys):
         out = tmp_path / "run"
         write_fleet(generate_fleet(tiny_fleet_spec(seed=14)), out / "fleet")

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import voyagekit
 from voyagekit.cli import main
-from voyagekit.config import _JSON_TYPES, RunConfig, load_config
+from voyagekit.config import _FIELD_TYPES, RunConfig, load_config
 from voyagekit.errors import ConfigurationError, InvalidInputError
 from voyagekit.geo import CORE_FIELDS
 from voyagekit.store import read_store, write_store, write_table
@@ -118,7 +118,7 @@ class TestConfig:
         assert load_config(path, env={}).components_per_segment == 4
 
     def test_every_field_type_has_json_types(self):
-        assert {f.type for f in dataclasses.fields(RunConfig)} <= set(_JSON_TYPES)
+        assert {f.type for f in dataclasses.fields(RunConfig)} <= set(_FIELD_TYPES)
 
     def test_json_not_an_object(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -1,7 +1,10 @@
+from pathlib import Path as FilePath
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import voyagekit
 from conftest import make_sample, make_track, voyage_of
 from voyagekit.errors import ConfigurationError, InvalidInputError, MissingDataError
 from voyagekit.geo import (
@@ -10,6 +13,7 @@ from voyagekit.geo import (
     merge_tracks,
     point_in_polygon,
     split_into_voyages,
+    valid_samples,
 )
 from voyagekit.path_id import Path, fit_segment_gmms
 
@@ -105,6 +109,49 @@ class TestPointInPolygon:
             assert got.dtype == bool and got.tolist() == expected
 
 
+class TestLocate:
+    BIG = [[-1.0, -1.0], [-1.0, 2.0], [2.0, 2.0], [2.0, -1.0]]
+
+    def test_first_polygon_wins(self):
+        inner_first = RouteSegmentSpec([("square", SQUARE), ("big", self.BIG)])
+        big_first = RouteSegmentSpec([("big", self.BIG), ("square", SQUARE)])
+        assert inner_first.locate(0.5, 0.5) == 0 and big_first.locate(0.5, 0.5) == 0
+        assert inner_first.locate(1.5, 1.5) == 1 and big_first.locate(1.5, 1.5) == 0
+
+    def test_outside_every_polygon(self):
+        spec = RouteSegmentSpec([("square", SQUARE), ("big", self.BIG)])
+        assert spec.locate(5.0, 0.5) == -1
+        assert spec.locate([5.0, 0.5], [0.5, -3.0]).tolist() == [-1, -1]
+
+    def test_scalar_and_array_input(self):
+        spec = RouteSegmentSpec([("square", SQUARE), ("big", self.BIG)])
+        assert type(spec.locate(0.5, 0.5)) is int
+        lat = np.array([[0.5, 1.5], [5.0, 0.25]])
+        lon = np.array([[0.5, 1.5], [0.5, 0.75]])
+        got = spec.locate(lat, lon)
+        assert got.shape == (2, 2) and got.dtype.kind == "i"
+        assert got.tolist() == [[0, 1], [-1, 0]]
+
+    def test_matches_first_containing_polygon(self):
+        rng = np.random.default_rng(13)
+        polygons = [rng.uniform(-2.0, 2.0, size=(int(rng.integers(3, 7)), 2)) for _ in range(4)]
+        spec = RouteSegmentSpec([(f"p{i}", poly) for i, poly in enumerate(polygons)])
+        lat, lon = rng.uniform(-2.5, 2.5, size=(2, 400))
+        expected = [
+            next((i for i, poly in enumerate(polygons) if scalar_point_in_polygon(a, o, poly)), -1)
+            for a, o in zip(lat, lon)
+        ]
+        assert spec.locate(lat, lon).tolist() == expected
+
+    def test_only_geo_calls_point_in_polygon(self):
+        # Every polygon lookup goes through RouteSegmentSpec.locate.
+        package = FilePath(voyagekit.__file__).parent
+        callers = sorted(
+            p.name for p in package.glob("*.py") if "point_in_polygon" in p.read_text(encoding="utf-8")
+        )
+        assert callers == ["geo.py"]
+
+
 def _port_spec():
     return RouteSegmentSpec(
         [("port_a", [[-0.01, -0.01], [-0.01, 0.01], [0.01, 0.01], [0.01, -0.01]])]
@@ -196,12 +243,14 @@ class TestSplitIntoVoyages:
             return starts
 
         rng = np.random.default_rng(5)
-        for _ in range(50):
+        for trial in range(120):
             n = 300
-            # Runs of 10 samples in port a, port b or at sea, jittered across
-            # the port edges; speeds at, below and above the dwell limit.
-            centre = np.repeat(rng.choice([0.0, 1.0, 0.5], n // 10), 10)
-            times = np.cumsum(rng.choice([5, 10, 30, 200], n, p=[0.3, 0.3, 0.37, 0.03]))
+            # Runs of 1 to 10 samples in port a, port b or at sea, jittered
+            # across the port edges; speeds at, below and above the dwell
+            # limit. Steps of 0 repeat a timestamp; steps of 200 are gaps,
+            # also inside dwells.
+            centre = np.repeat(rng.choice([0.0, 1.0, 0.5], n), rng.integers(1, 11, n))[:n]
+            times = np.cumsum(rng.choice([0, 5, 10, 30, 200], n, p=[0.1, 0.25, 0.3, 0.32, 0.03]))
             sogs = rng.choice([0.1, 0.4, 0.5, 0.6, 5.0], n, p=[0.4, 0.4, 0.1, 0.05, 0.05])
             jitter = rng.uniform(-0.012, 0.012, size=(n, 2))
             samples = [
@@ -209,13 +258,14 @@ class TestSplitIntoVoyages:
                 for t, c, (dlat, dlon), sog in zip(times, centre, jitter, sogs)
             ]
             track = make_track(samples)
+            dwell_threshold = (0.0, 10.0, 60.0)[trial % 3]
             result = split_into_voyages(track, gap_threshold=100.0, port_regions=spec,
-                                        dwell_threshold=60.0, dwell_max_sog=0.5)
-            starts = reference_starts(track, 100.0, 60.0, 0.5)
-            expected = [
-                track.t[a] for a, b in zip(starts, [*starts[1:], n]) if b - a >= 2
-            ]
-            assert [v.t[0] for v in result.voyages] == expected
+                                        dwell_threshold=dwell_threshold, dwell_max_sog=0.5)
+            starts = reference_starts(track, 100.0, dwell_threshold, 0.5)
+            kept = [(a, b) for a, b in zip(starts, [*starts[1:], n]) if b - a >= 2]
+            assert [(len(v), v.t[0]) for v in result.voyages] == [(b - a, track.t[a]) for a, b in kept]
+            dropped = [i for a, b in zip(starts, [*starts[1:], n]) if b - a < 2 for i in range(a, b)]
+            assert result.dropped_samples.t.tolist() == track.t[dropped].tolist()
 
     @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=60))
     def test_partition_property(self, deltas):
@@ -239,12 +289,20 @@ class TestVoyage:
             voyage_of("x", [make_sample(10.0), make_sample(0.0)])
 
     @pytest.mark.parametrize(
-        "bad", [{"lat": 91.0}, {"lon": float("nan")}, {"sog": -0.5}]
+        "bad",
+        [{"lat": 91.0}, {"lon": float("nan")}, {"sog": -0.5}, {"t": float("nan")},
+         {"heading": float("nan")}, {"fuel": float("inf")}, {"fuel": -1.0}],
     )
     def test_invalid_sample_names_voyage(self, bad):
         samples = [make_sample(0.0), {**make_sample(60.0), **bad}]
         with pytest.raises(InvalidInputError, match="voyage 'V7' sample 1"):
             voyage_of("V7", samples)
+
+    def test_valid_samples_mask(self):
+        good = [0.0, 57.0, 11.0, 5.0, 90.0, 40.0]
+        cases = [good, [np.nan, *good[1:]], [*good[:4], np.inf, 40.0], [*good[:5], -0.1],
+                 [0.0, -90.0, 180.0, 0.0, 0.0, 0.0]]
+        assert valid_samples(*np.array(cases).T).tolist() == [True, False, False, False, True]
 
     def test_columns_stacks_in_order(self):
         v = voyage_of("V1", [make_sample(0.0, lat=1.0, sog=3.0, weather={"W": 7.0}),

@@ -458,6 +458,26 @@ class TestClassify:
         assert set(labeling) == {p.voyage_id for p in good}
         assert unclassifiable == ["X"]
 
+    def test_overlap_follows_first_polygon(self, two_branch_training):
+        # "approach" comes first and holds only low-branch points, so it is
+        # not discriminative; "fork" overlaps it. Points in both belong to
+        # "approach" when fitting and when classifying.
+        paths, labels = two_branch_training
+        spec = RouteSegmentSpec(
+            [
+                ("approach", [[-0.5, -0.1], [-0.5, 0.5], [0.5, 0.5], [0.5, -0.1]]),
+                ("fork", [[-1.0, 0.3], [-1.0, 1.1], [3.0, 1.1], [3.0, 0.3]]),
+            ]
+        )
+        models = fit_segment_gmms(paths, labels, spec, seed=0)
+        assert models.discriminative == ["fork"]
+        in_both = path("Q", [(0.01, 0.35), (-0.01, 0.4), (0.0, 0.45)])
+        assert (spec.locate(in_both.points[:, 0], in_both.points[:, 1]) == 0).all()
+        with pytest.raises(UnclassifiableError):
+            classify_by_segment_likelihood(in_both, models)
+        in_fork_only = path("R", [(0.01, 0.6), (-0.01, 0.7), (0.0, 0.8)])
+        assert classify_by_segment_likelihood(in_fork_only, models) == "low"
+
     def test_tie_breaks_to_earliest_segment(self, two_branch_training):
         paths, labels = two_branch_training
         models = fit_segment_gmms(paths, labels, corridor_spec(), seed=0)
