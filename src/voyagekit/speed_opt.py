@@ -10,6 +10,7 @@ and per decoded weather state.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field as dataclasses_field
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
@@ -38,11 +39,16 @@ from .store import write_table
 MODEL_ORDER = ("kNN", "1NN-DTW", "HMM")
 
 
-def dtw_distance(x: Sequence[float], y: Sequence[float]) -> float:
+def dtw_distance(x: Sequence[float], y: Sequence[float]) -> float | np.ndarray:
     """Classic dynamic-time-warping cost with |a - b| local cost.
 
     Full alignment lattice, match/insert/delete steps, no warping window.
+    Two 2-D arrays of P rows each, NaN-padded at their ends, are a batch:
+    the result is the (P,) array of the row pairs' distances, bit-identical
+    to one call per pair.
     """
+    if getattr(x, "ndim", 1) == 2 or getattr(y, "ndim", 1) == 2:
+        return _dtw_batch(x, y)
     if len(x) == 0 or len(y) == 0:
         raise InvalidInputError("dtw_distance requires non-empty sequences")
     xs = [float(v) for v in x]
@@ -64,6 +70,41 @@ def dtw_distance(x: Sequence[float], y: Sequence[float]) -> float:
     return prev[-1]
 
 
+def _dtw_batch(x, y) -> np.ndarray:
+    """One anti-diagonal of every pair's lattice per step.
+
+    Diagonal k holds D[i, k - i] at row i, a column per pair. x is padded with
+    0 and y with +inf; no cell past a pair's end reaches its answer D[n_p, m_p].
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 2 or len(x) != len(y):
+        raise InvalidInputError(f"dtw_distance batch shapes differ: {x.shape}, {y.shape}")
+    pads = np.isnan(x), np.isnan(y)
+    for pad in pads:
+        if not pad.shape[1] or pad[:, 0].any() or np.any(pad[:, :-1] > pad[:, 1:]):
+            raise InvalidInputError("dtw_distance batch rows need values, then NaN padding only")
+    (p, n_max), m_max = x.shape, y.shape[1]
+    n = n_max - pads[0].sum(axis=1)
+    ends = n + m_max - pads[1].sum(axis=1)
+    x, y_rev = np.where(pads[0], 0.0, x).T.copy(), np.where(pads[1], np.inf, y)[:, ::-1].T.copy()
+    out = np.empty(p)
+    prev2, prev1 = np.full((2, n_max + 1, p), np.inf)
+    prev2[0] = 0.0
+    with np.errstate(over="ignore"):
+        for k in range(2, int(ends.max(initial=1)) + 1):
+            lo, hi = max(1, k - m_max), min(n_max, k - 1)
+            curr = np.full_like(prev1, np.inf)
+            best = curr[lo:hi + 1]
+            np.minimum(prev2[lo - 1:hi], prev1[lo - 1:hi], out=best)  # diagonal, up
+            np.minimum(best, prev1[lo:hi + 1], out=best)  # left
+            cost = np.subtract(x[lo - 1:hi], y_rev[m_max - k + lo:m_max - k + hi + 1])
+            np.add(np.abs(cost, out=cost), best, out=best)
+            done = np.flatnonzero(ends == k)
+            out[done] = curr[n[done], done]
+            prev2, prev1 = prev1, curr
+    return out
+
+
 def linear_resample(values: np.ndarray, n: int) -> np.ndarray:
     """Resample a sequence to length n by linear interpolation."""
     values = np.asarray(values, dtype=float)
@@ -82,11 +123,11 @@ def knn_predict(regressor: KnnRegressor, features: np.ndarray) -> np.ndarray:
 
 
 class SpeedModel(Protocol):
-    """Interface the benchmark driver trains and queries per cluster."""
+    """Fitted per cluster; predict() maps the whole test set to one profile per voyage."""
 
     def fit(self, cluster: Sequence[Voyage]) -> None: ...
 
-    def predict(self, test: Voyage) -> np.ndarray: ...
+    def predict(self, tests: Sequence[Voyage]) -> list[np.ndarray]: ...
 
 
 class KnnSpeedModel:
@@ -105,16 +146,16 @@ class KnnSpeedModel:
         train_y = np.concatenate([v.sog for v in cluster])
         self.regressor = KnnRegressor(k=self.k).fit(train_x, train_y)
 
-    def predict(self, test: Voyage) -> np.ndarray:
-        return knn_predict(self.regressor, test.columns(*self.names))
+    def predict(self, tests: Sequence[Voyage]) -> list[np.ndarray]:
+        return [knn_predict(self.regressor, t.columns(*self.names)) for t in tests]
 
 
 class DtwSpeedModel:
     """1NN-DTW retrieval with pair distances memoised across fit() calls.
 
-    predict() returns the cluster profile nearest to the test speeds by DTW
-    distance, ties going to the lowest voyage id, resampled to the test
-    length. Memo keys are the bytes of both speed arrays, so nested clusters
+    predict() returns, per test voyage, the cluster profile nearest to its
+    speeds by DTW distance, ties going to the lowest voyage id, resampled to
+    its length. Memo keys are the bytes of both speed arrays, so nested clusters
     reuse the pairs already computed, and an id refitted with a different
     array is computed afresh.
     """
@@ -128,17 +169,26 @@ class DtwSpeedModel:
             raise InsufficientDataError("1NN-DTW needs a non-empty training cluster")
         self._profiles = {v.voyage_id: v.sog for v in cluster}
 
-    def predict(self, test: Voyage) -> np.ndarray:
-        test_key = test.sog.tobytes()
+    def predict(self, tests: Sequence[Voyage]) -> list[np.ndarray]:
+        """Every pair not yet memoised goes into one batched dtw_distance call."""
+        keys = {vid: p.tobytes() for vid, p in self._profiles.items()}
+        todo = {(t.sog.tobytes(), keys[vid]): (t.sog, p)
+                for t in tests for vid, p in self._profiles.items()}
+        todo = {pair: arrays for pair, arrays in todo.items() if pair not in self._memo}
+        if todo:
+            x, y = (_nan_padded(side) for side in zip(*todo.values()))
+            self._memo.update(zip(todo, dtw_distance(x, y).tolist()))
+        best = [min(keys, key=lambda vid: (self._memo[t.sog.tobytes(), keys[vid]], vid))
+                for t in tests]
+        return [linear_resample(self._profiles[vid], len(t)) for vid, t in zip(best, tests)]
 
-        def distance(vid: str) -> float:
-            pair = (test_key, self._profiles[vid].tobytes())
-            if pair not in self._memo:
-                self._memo[pair] = dtw_distance(test.sog, self._profiles[vid])
-            return self._memo[pair]
 
-        best_id = min(self._profiles, key=lambda vid: (distance(vid), vid))
-        return linear_resample(self._profiles[best_id], len(test))
+def _nan_padded(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Stack 1-D arrays as rows, NaN-padded at their ends to the longest."""
+    out = np.full((len(rows), max(map(len, rows))), np.nan)
+    for i, r in enumerate(rows):
+        out[i, :len(r)] = r
+    return out
 
 
 class HmmSpeedModel:
@@ -161,8 +211,8 @@ class HmmSpeedModel:
             self._states[key] = self.model.viterbi(obs)
         return self._states[key]
 
-    def predict(self, test: Voyage) -> np.ndarray:
-        return state_speeds(self.model)[self.decode(test)]
+    def predict(self, tests: Sequence[Voyage]) -> list[np.ndarray]:
+        return [state_speeds(self.model)[self.decode(t)] for t in tests]
 
 
 class IdentitySpeedModel:
@@ -171,8 +221,8 @@ class IdentitySpeedModel:
     def fit(self, cluster: Sequence[Voyage]) -> None:
         pass
 
-    def predict(self, test: Voyage) -> np.ndarray:
-        return test.sog
+    def predict(self, tests: Sequence[Voyage]) -> list[np.ndarray]:
+        return [t.sog for t in tests]
 
 
 @dataclass
@@ -202,6 +252,8 @@ class GainReport:
     rows: list[ClusterModelGain]
     state_rows: list[StateGain]
     test_size: int
+    # Cluster -> why its weather-state fit failed; its gains are in no state row.
+    state_fit_failures: dict[str, str] = dataclasses_field(default_factory=dict)
 
 
 def run_optimization_benchmark(
@@ -239,12 +291,9 @@ def run_optimization_benchmark(
     # Measured baselines, shared across every (cluster, model) cell. Scores
     # are normalized by the fleet-wide (train + test) measured maxima so the
     # scale matches the fleet-level scoring convention.
-    meas_ft = {
-        v.voyage_id: estimate_fuel_time(v.sog, v, estimator) for v in test_voyages
-    }
-    fleet_ft = list(meas_ft.values()) + [
-        estimate_fuel_time(v.sog, v, estimator) for v in train_voyages
-    ]
+    meas_ft = {v.voyage_id: estimate_fuel_time(v.sog, v, estimator) for v in test_voyages}
+    fleet_ft = list(meas_ft.values())
+    fleet_ft += [estimate_fuel_time(v.sog, v, estimator) for v in train_voyages]
     max_fuel = max(f for f, _ in fleet_ft)
     max_time = max(t for _, t in fleet_ft)
     if max_fuel <= 0 or max_time <= 0:
@@ -260,17 +309,17 @@ def run_optimization_benchmark(
         name: {s: [] for s in STATE_NAMES} for name in models
     }
     test_ids = {v.voyage_id for v in test_voyages}
+    state_fit_failures: dict[str, str] = {}
     for cluster_name, member_ids in clusters.as_ordered():
         cluster_voyages = [by_id[vid] for vid in sorted(member_ids) if vid in by_id]
         if test_ids & member_ids:
-            raise InvalidInputError(
-                f"test voyages overlap training cluster {cluster_name}"
-            )
+            raise InvalidInputError(f"test voyages overlap training cluster {cluster_name}")
         try:
             hmm.fit(cluster_voyages)
             decoded = {v.voyage_id: hmm.decode(v) for v in test_voyages}
-        except VoyagekitError:
+        except VoyagekitError as exc:
             decoded = None
+            state_fit_failures[cluster_name] = str(exc)
         for model_name, model in models.items():
             try:
                 if model is not hmm:
@@ -280,33 +329,19 @@ def run_optimization_benchmark(
             except VoyagekitError:
                 rows.append(ClusterModelGain(cluster_name, model_name))
                 continue
+            profiles = {v.voyage_id: p for v, p in zip(test_voyages, model.predict(test_voyages))}
             gains: dict[str, float] = {}
-            profiles: dict[str, np.ndarray] = {}
-            excluded = 0
             for v in test_voyages:
-                profile = profiles[v.voyage_id] = model.predict(v)
-                fuel, hours = estimate_fuel_time(profile, v, estimator)
-                try:
-                    gains[v.voyage_id] = efficiency_gain(
-                        meas_score[v.voyage_id], score(fuel, hours)
-                    )
-                except UndefinedGainError:
-                    excluded += 1
-            avg = float(np.mean(list(gains.values()))) if gains else None
-            improved = sum(1 for g in gains.values() if g > 0)
-            rows.append(
-                ClusterModelGain(
-                    cluster=cluster_name,
-                    model=model_name,
-                    avg_gain_pct=avg,
-                    improved_count=improved,
-                    evaluated=len(gains),
-                    excluded=excluded,
-                    status="ok",
-                    voyage_gains=gains,
-                    profiles=profiles,
-                )
-            )
+                suggested = score(*estimate_fuel_time(profiles[v.voyage_id], v, estimator))
+                with suppress(UndefinedGainError):
+                    gains[v.voyage_id] = efficiency_gain(meas_score[v.voyage_id], suggested)
+            rows.append(ClusterModelGain(
+                cluster_name, model_name,
+                avg_gain_pct=float(np.mean(list(gains.values()))) if gains else None,
+                improved_count=sum(1 for g in gains.values() if g > 0),
+                evaluated=len(gains), excluded=len(test_voyages) - len(gains), status="ok",
+                voyage_gains=gains, profiles=profiles,
+            ))
             if decoded is not None:
                 for vid, gain in gains.items():
                     for state in decoded[vid]:
@@ -323,7 +358,7 @@ def run_optimization_benchmark(
         for model_name in models
         for state, pool in state_pool[model_name].items()
     ]
-    return GainReport(rows=rows, state_rows=state_rows, test_size=len(test_voyages))
+    return GainReport(rows, state_rows, len(test_voyages), state_fit_failures)
 
 
 def write_gain_report(report: GainReport, gains_path: str | Path, states_path: str | Path) -> None:

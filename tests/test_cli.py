@@ -166,6 +166,35 @@ class TestPipelineOutputs:
             record = json.loads(line)
             assert {"command", "event", "detail"} <= set(record)
 
+    def test_run_log_scores_every_cell(self, pipeline_dir):
+        records = read_log(pipeline_dir)
+        scored = [r["detail"] for r in records if r["event"] == "cell_scored"]
+        gains = read_rows(pipeline_dir / "gains.csv")
+        assert [(d["cluster"], d["model"], d["status"]) for d in scored] == [
+            (g["cluster"], g["model"], g["status"]) for g in gains
+        ]
+        voyage_rows = read_rows(pipeline_dir / "voyage_gains.csv")
+        for d in scored:
+            cell = (d["cluster"], d["model"])
+            assert d["evaluated"] == sum(1 for r in voyage_rows if (r["cluster"], r["model"]) == cell)
+            assert d["excluded"] == 0
+
+    def test_failed_state_fit_is_logged(self, pipeline_dir, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir / "store", out / "store")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hmm_features": ["NoSuchChannel"]}), encoding="utf-8")
+        assert main(["optimize", "--config", str(cfg), "--out", str(out), "--seed", "11"]) == 0
+        unpooled = [r["detail"] for r in read_log(out) if r["event"] == "state_gains_unpooled"]
+        assert [d["cluster"] for d in unpooled] == ["Top10Pr", "Top25Pr", "Top50Pr", "Top75Pr"]
+        assert all("NoSuchChannel" in d["reason"] for d in unpooled)
+        state_rows = read_rows(out / "state_gains.csv")
+        assert all(r["avg"] == "nan" for r in state_rows)
+
+
+def read_log(out):
+    return [json.loads(line) for line in (out / "run_log.jsonl").read_text().splitlines()]
+
 
 class TestIngestEdgeCases:
     ONBOARD_HEADER = (

@@ -23,6 +23,7 @@ from voyagekit.speed_opt import (
     HmmSpeedModel,
     IdentitySpeedModel,
     KnnSpeedModel,
+    _nan_padded,
     dtw_distance,
     linear_resample,
     run_optimization_benchmark,
@@ -114,15 +115,49 @@ class TestDtwLoop:
         assert dtw_distance(x, y) == rowwise_dtw(x, y)
 
 
+class TestDtwBatch:
+    @given(st.lists(st.tuples(any_floats, any_floats), min_size=1, max_size=6))
+    def test_rows_bit_identical_to_pairwise(self, pairs):
+        xs, ys = zip(*pairs)
+        batch = dtw_distance(_nan_padded(xs), _nan_padded(ys))
+        expected = np.array([dtw_distance(x, y) for x, y in pairs])
+        assert batch.shape == (len(pairs),)
+        assert batch.tobytes() == expected.tobytes()
+
+    def test_overflowing_differences(self):
+        big = np.finfo(float).max
+        x, y = [[big, -big], [1.0, np.nan]], [[-big, big, 0.0], [2.0, 3.0, np.nan]]
+        batch = dtw_distance(np.array(x), np.array(y))
+        assert batch.tolist() == [dtw_distance([big, -big], [-big, big, 0.0]), 1.0 + 2.0]
+        assert batch[0] == np.inf
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0]]),  # row counts differ
+            ([[1.0, 2.0], [np.nan, np.nan]], [[1.0], [2.0]]),  # an all-NaN row
+            ([[1.0, np.nan, 2.0]], [[1.0, 2.0]]),  # NaN followed by a value
+            ([[1.0, 2.0]], [[np.nan, 1.0]]),  # leading NaN in y
+            ([1.0, 2.0], [[1.0, 2.0]]),  # 1-D x, 2-D y
+            ([[1.0, 2.0]], [1.0, 2.0]),  # 2-D x, 1-D y
+            (np.empty((1, 0)), [[1.0]]),  # no columns
+        ],
+    )
+    def test_malformed_batches_rejected(self, x, y):
+        with pytest.raises(InvalidInputError):
+            dtw_distance(np.asarray(x), np.asarray(y))
+
+
 def counting_dtw(monkeypatch):
-    calls = []
+    """Rows (pairs) per dtw_distance call; a 1-D call counts one row."""
+    rows = []
 
     def counted(x, y):
-        calls.append(1)
+        rows.append(len(x) if np.ndim(x) == 2 else 1)
         return dtw_distance(x, y)
 
     monkeypatch.setattr(speed_opt, "dtw_distance", counted)
-    return calls
+    return rows
 
 
 def reference_1nn_dtw(test, cluster):
@@ -136,30 +171,49 @@ class TestDtwSpeedModelMemo:
         train = [weather_voyage(f"V{i:02d}", n=12 + i, seed=i) for i in range(8)]
         tests = [weather_voyage(f"T{i}", n=10 + 2 * i, seed=50 + i) for i in range(3)]
         fresh = {size: [reference_1nn_dtw(t, train[:size]) for t in tests] for size in (2, 4, 8)}
-        calls = counting_dtw(monkeypatch)
+        rows = counting_dtw(monkeypatch)
         model = DtwSpeedModel()
         for size in (2, 4, 8):
             model.fit(train[:size])
-            for t, expected in zip(tests, fresh[size]):
-                assert np.array_equal(model.predict(t), expected)
-        # Nested clusters: each (test, member) pair is computed once.
-        assert len(calls) == len(tests) * 8
+            for got, expected in zip(model.predict(tests), fresh[size], strict=True):
+                assert np.array_equal(got, expected)
+        # Nested clusters: each (test, member) pair is computed once, and
+        # each cell's new pairs go into one batch.
+        assert rows == [len(tests) * 2, len(tests) * 2, len(tests) * 4]
+
+    def test_fully_memoised_cell_makes_no_call(self, monkeypatch):
+        train = [weather_voyage(f"V{i:02d}", n=12 + i, seed=i) for i in range(5)]
+        tests = [weather_voyage(f"T{i}", n=9 + i, seed=60 + i) for i in range(2)]
+        rows = counting_dtw(monkeypatch)
+        model = DtwSpeedModel()
+        model.fit(train)
+        first = model.predict(tests)
+        assert rows == [len(tests) * len(train)]
+        model.fit(train[:3])
+        subset = model.predict(tests[::-1])
+        model.fit(train)
+        again = model.predict(tests)
+        assert rows == [len(tests) * len(train)]
+        assert all(np.array_equal(a, b) for a, b in zip(first, again, strict=True))
+        expected = [reference_1nn_dtw(t, train[:3]) for t in tests[::-1]]
+        assert all(np.array_equal(a, b) for a, b in zip(subset, expected, strict=True))
 
     def test_refitted_id_with_new_array_is_recomputed(self, monkeypatch):
         def flat(vid, value):
             return weather_voyage(vid, n=5, sog_fn=lambda i: value)
 
         test = flat("T", 1.0)
-        calls = counting_dtw(monkeypatch)
+        rows = counting_dtw(monkeypatch)
         model = DtwSpeedModel()
         model.fit([flat("V1", 5.0), flat("V2", 1.0)])
-        assert np.array_equal(model.predict(test), np.full(5, 1.0))
+        assert np.array_equal(model.predict([test])[0], np.full(5, 1.0))
         # Distances memoised by id would be stale here (V1 20, V2 0) and pick V2.
         model.fit([flat("V1", 2.0), flat("V2", 9.0)])
-        assert np.array_equal(model.predict(test), np.full(5, 2.0))
-        assert len(calls) == 4
+        assert np.array_equal(model.predict([test])[0], np.full(5, 2.0))
+        assert sum(rows) == 4
         # A changed test array under the same id is not served from the memo either.
-        assert np.array_equal(model.predict(flat("T", 8.0)), np.full(5, 9.0))
+        assert np.array_equal(model.predict([flat("T", 8.0)])[0], np.full(5, 9.0))
+        assert sum(rows) == 6
 
 
 class TestLinearResample:
@@ -180,7 +234,7 @@ def sog_voyage(vid, values):
 def dtw_predict(test_sog, **cluster):
     model = DtwSpeedModel()
     model.fit([sog_voyage(vid, values) for vid, values in cluster.items()])
-    return model.predict(sog_voyage("T", test_sog))
+    return model.predict([sog_voyage("T", test_sog)])[0]
 
 
 class TestPredict1nnDtw:
@@ -226,7 +280,7 @@ def weather_voyage(vid, n=30, sog_fn=None, wind_fn=None, seed=0):
 def knn_fit_predict(test, cluster, k=5):
     model = KnnSpeedModel(k=k)
     model.fit(cluster)
-    return model.predict(test)
+    return model.predict([test])[0]
 
 
 def reference_knn_predict(test, cluster, k=5, feature_case="IV"):
@@ -286,8 +340,8 @@ class TestKnnPredict:
             fits.clear()
             model.fit(cluster)
             assert len(fits) == 1
-            for t, reference in zip(test, expected):
-                assert np.array_equal(model.predict(t), reference)
+            for got, reference in zip(model.predict(test), expected, strict=True):
+                assert np.array_equal(got, reference)
             assert len(fits) == 1
             monkeypatch.undo()
 
@@ -400,6 +454,7 @@ class TestHmmFitReuse:
         assert len(fit_calls) == 4
         assert len(fit_calls) == len(set(fit_calls))
         assert all(r.status == "ok" for r in report.rows if r.model == "HMM")
+        assert report.state_fit_failures == {}
 
     def test_other_seed_or_subclass_fits_itself(self, benchmark_inputs, fit_calls):
         class SubclassHmm(HmmSpeedModel):
@@ -428,6 +483,10 @@ class TestHmmFitReuse:
         assert [r.status for r in hmm_rows] == ["insufficient"] * 4
         assert hmm_rows[0] == speed_opt.ClusterModelGain(hmm_rows[0].cluster, "HMM")
         assert len(fit_calls) == 4
+        # Every cluster's gains are left out of the state pools, and the report says why.
+        assert list(report.state_fit_failures) == [name for name, _ in clusters.as_ordered()]
+        assert all("NoSuchChannel" in reason for reason in report.state_fit_failures.values())
+        assert all(r.steps == 0 for r in report.state_rows)
 
 
 def counting_viterbi(monkeypatch):
@@ -462,12 +521,13 @@ class TestHmmDecodeMemo:
         expected = [hmm_predict(v, model.model) for v in (calm, windy)]
         assert not np.array_equal(*expected)
         decoded = counting_viterbi(monkeypatch)
-        for test, speeds in zip((calm, calm, windy, windy), np.repeat(expected, 2, axis=0)):
-            assert np.array_equal(model.predict(test), speeds)
+        got = model.predict([calm, calm, windy, windy])
+        for speeds, want in zip(got, np.repeat(expected, 2, axis=0), strict=True):
+            assert np.array_equal(speeds, want)
         assert len(decoded) == 2
         # A refit drops the previous fit's decodes.
         model.fit(train)
-        model.predict(calm)
+        model.predict([calm])
         assert len(decoded) == 2 + len(train) + 1
 
 
