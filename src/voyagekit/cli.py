@@ -279,9 +279,12 @@ def cmd_pathid(config: RunConfig, method: str | None = None) -> None:
         if method == "kmeans":
             labeling = path_id.kmeans_rows(matrix, config.kmeans_k, config.seed)
         elif method == "gmm":
-            labeling = path_id.gmm_rows(matrix, config.kmeans_k, config.seed)
+            labeling, iterations, converged = path_id.gmm_rows(matrix, config.kmeans_k, config.seed)
+            log.log("pathid", "gmm_fit", points=len(paths), components=config.kmeans_k,
+                    em_iterations=iterations, converged=converged)
         else:
-            labeling = path_id.hierarchical_cluster(matrix, config.dendrogram_cutoff)
+            cutoff = path_id.cutoff_in_matrix_units(config.dendrogram_cutoff, config.pathid_metric)
+            labeling = path_id.hierarchical_cluster(matrix, cutoff)
         evaluated_truth = truth
     else:
         segment_path = _resolve_input(config, "segment_spec", "segments.json", required=True)
@@ -297,9 +300,10 @@ def cmd_pathid(config: RunConfig, method: str | None = None) -> None:
             components_per_segment=config.components_per_segment,
             seed=config.seed,
         )
-        labeling, unclassifiable = path_id.classify_paths(
-            [by_id[i] for i in test_ids], models
-        )
+        for m in models.mixtures.values():
+            log.log("pathid", "segment_fit", segment=m.segment, points=m.points,
+                    components=len(m.weights), em_iterations=m.em_iterations, converged=m.converged)
+        labeling, unclassifiable = path_id.classify_paths([by_id[i] for i in test_ids], models)
         for vid in unclassifiable:
             log.log("pathid", "unclassifiable", voyage_id=vid)
         evaluated_truth = {vid: truth[vid] for vid in labeling}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path as FilePath
 from typing import Sequence
 
@@ -41,6 +41,7 @@ PathLabeling = dict[str, str]
 COVARIANCE_FLOOR = 1e-6
 KMEANS_RESTARTS = 100   # k-means++ runs; the lowest inertia wins
 KMEANS_MAX_ITER = 300   # Lloyd iterations per run
+_KMEANS_BLOCK = 10      # restarts whose Lloyd steps run side by side
 EM_MAX_ITER = 200       # mixture EM passes
 
 
@@ -50,6 +51,7 @@ class Path:
 
     voyage_id: str
     points: np.ndarray  # (n, 2) of [lat, lon]
+    _trees: dict[str, cKDTree] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -64,6 +66,17 @@ class Path:
     def from_voyage(cls, v: Voyage) -> "Path":
         return cls(v.voyage_id, v.columns("lat", "lon"))
 
+    def tree(self, metric: str) -> cKDTree:
+        """k-d tree of the search coordinates under a metric, built once per metric."""
+        if metric not in self._trees:
+            if metric not in ("euclidean", "haversine"):
+                raise InvalidInputError(
+                    f"unknown metric {metric!r}; expected one of ['euclidean', 'haversine']"
+                )
+            coords = _unit_vectors(self.points) if metric == "haversine" else self.points
+            self._trees[metric] = cKDTree(coords)
+        return self._trees[metric]
+
 
 def _unit_vectors(points: np.ndarray) -> np.ndarray:
     """[lat, lon] degrees as 3-D unit vectors; chord length grows with arc length."""
@@ -73,14 +86,10 @@ def _unit_vectors(points: np.ndarray) -> np.ndarray:
 
 def annd_directed(path_i: Path, path_j: Path, metric: str = "euclidean") -> float:
     """Mean distance from each point of path_i to its nearest point of path_j."""
-    if metric == "euclidean":
-        return float(cKDTree(path_j.points).query(path_i.points)[0].mean())
-    if metric == "haversine":
-        chord = cKDTree(_unit_vectors(path_j.points)).query(_unit_vectors(path_i.points))[0]
-        return float((2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, chord / 2.0))).mean())
-    raise InvalidInputError(
-        f"unknown metric {metric!r}; expected one of ['euclidean', 'haversine']"
-    )
+    dist = path_j.tree(metric).query(path_i.tree(metric).data)[0]
+    if metric == "haversine":  # chord length -> great-circle metres
+        dist = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, dist / 2.0))
+    return float(dist.mean())
 
 
 def annd(path_i: Path, path_j: Path, metric: str = "euclidean") -> float:
@@ -126,52 +135,51 @@ def _canonical_labels(assignment: np.ndarray, voyage_ids: Sequence[str]) -> Path
     return {vid: str(remap[int(a)]) for vid, a in zip(voyage_ids, assignment)}
 
 
-def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    n = len(x)
-    # k-means++ seeding.
-    centers = np.empty((k, x.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = x[first]
-    closest = ((x - centers[0]) ** 2).sum(axis=1)
-    for c in range(1, k):
-        total = closest.sum()
-        if total <= 0:
-            centers[c] = x[int(rng.integers(n))]
-            continue
-        r = rng.random() * total
-        idx = int(np.searchsorted(np.cumsum(closest), r))
-        idx = min(idx, n - 1)
-        centers[c] = x[idx]
-        closest = np.minimum(closest, ((x - centers[c]) ** 2).sum(axis=1))
-
-    labels = np.full(n, -1)
-    for _ in range(KMEANS_MAX_ITER):
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
-        for c in range(k):
-            if not np.any(new_labels == c):
-                # Reseed an empty cluster at the point farthest from its center.
-                worst = int(np.take_along_axis(d2, new_labels[:, None], axis=1).argmax())
-                new_labels[worst] = c
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        for c in range(k):
-            centers[c] = x[labels == c].mean(axis=0)
-    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    inertia = float(np.take_along_axis(d2, labels[:, None], axis=1).sum())
-    return labels, inertia
-
-
-def _kmeans(x: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Labels of the lowest-inertia k-means++ run (the first on ties)."""
+def _kmeans(x: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, float]:
+    """(labels, inertia) of the lowest-inertia k-means++ run (the first on ties), run in blocks."""
     rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(KMEANS_RESTARTS):
-        labels, inertia = _kmeans_once(x, k, rng)
-        if best is None or inertia < best[1]:
-            best = (labels, inertia)
-    return best[0]
+    seeds = np.empty((KMEANS_RESTARTS, k, x.shape[1]))
+    for centers in seeds:  # k-means++ seeding
+        centers[0] = x[int(rng.integers(len(x)))]
+        closest = ((x - centers[0]) ** 2).sum(axis=1)
+        for c in range(1, k):
+            if (total := closest.sum()) <= 0:
+                centers[c] = x[int(rng.integers(len(x)))]
+                continue
+            r = rng.random() * total
+            centers[c] = x[min(int(np.searchsorted(np.cumsum(closest), r)), len(x) - 1)]
+            closest = np.minimum(closest, ((x - centers[c]) ** 2).sum(axis=1))
+    blocks = range(0, KMEANS_RESTARTS, _KMEANS_BLOCK)
+    return min((_lloyd_block(x, seeds[b:b + _KMEANS_BLOCK]) for b in blocks), key=lambda r: r[1])
+
+
+def _lloyd_block(x: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lloyd's steps from (A, k, d) seeds side by side; the best run's (labels, inertia)."""
+    runs, k, dims = seeds.shape
+    labels, inertia = np.full((runs, len(x)), -1), np.empty(runs)
+    live, centers, xt = np.arange(runs), seeds, x.T.copy()  # xt: a row per dimension
+    for step in range(KMEANS_MAX_ITER + 1):
+        d2 = np.zeros((len(live), k, len(x)))  # squared distances, one dimension at a time
+        for j in range(dims):
+            d2 += (xt[j] - centers[:, :, j, None]) ** 2
+        new = d2.argmin(axis=1)  # the nearest centre, the first on ties
+        # Reseed each empty cluster, in order, at the point farthest from its centre.
+        for r in np.flatnonzero(~(new[:, None] == np.arange(k)[:, None]).any(axis=2).all(axis=1)):
+            for c in range(k):
+                if not np.any(new[r] == c):
+                    new[r, d2[r, new[r], np.arange(len(x))].argmax()] = c
+        # A run that settled, or has taken KMEANS_MAX_ITER steps, is scored on its last labels.
+        done = (new == labels[live]).all(axis=1) | (step == KMEANS_MAX_ITER)
+        inertia[live[done]] = np.take_along_axis(d2, labels[live][:, None], 1)[done, 0].sum(axis=1)
+        if not (live := live[~done]).size:
+            break
+        labels[live] = new[~done]
+        # Centres: per-cluster sums in point order (as a mean sums them) over the counts.
+        slots = (labels[live] + k * np.arange(len(live))[:, None]).ravel()
+        counts = np.bincount(slots, minlength=k * len(live))
+        sums = [np.bincount(slots, np.tile(xt[j], len(live)), len(counts)) for j in range(dims)]
+        centers = (np.stack(sums, axis=1) / counts[:, None]).reshape(len(live), k, dims)
+    return labels[inertia.argmin()], float(inertia.min())  # the first on ties
 
 
 def kmeans_rows(matrix: DistanceMatrix, k: int, seed: int) -> PathLabeling:
@@ -179,7 +187,7 @@ def kmeans_rows(matrix: DistanceMatrix, k: int, seed: int) -> PathLabeling:
     m = len(matrix.voyage_ids)
     if not 2 <= k <= m:
         raise ConfigurationError(f"k={k} outside [2, {m}]")
-    return _canonical_labels(_kmeans(matrix.values, k, seed), matrix.voyage_ids)
+    return _canonical_labels(_kmeans(matrix.values, k, seed)[0], matrix.voyage_ids)
 
 
 def _mixture_step(
@@ -197,9 +205,14 @@ def _mixture_step(
     return float(norm.sum()), resp, nk, nk / len(x), (resp.T @ x) / nk[:, None]
 
 
+def _em_converged(history: list[float]) -> bool:
+    """EM stops once a pass raises the log-likelihood by less than 1e-6."""
+    return len(history) > 1 and history[-1] - history[-2] < 1e-6
+
+
 def _gmm_em_rows(x: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, list[float]]:
     """Diagonal-covariance EM on row vectors; returns (labels, ll history)."""
-    init_labels = _kmeans(x, k, seed)
+    init_labels = _kmeans(x, k, seed)[0]
     weights = np.empty(k)
     means = np.empty((k, x.shape[1]))
     variances = np.empty((k, x.shape[1]))
@@ -209,31 +222,30 @@ def _gmm_em_rows(x: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, list[flo
         means[c] = group.mean(axis=0)
         variances[c] = np.maximum(group.var(axis=0), COVARIANCE_FLOOR)
 
-    prev_ll = -np.inf
     history: list[float] = []
-    for _ in range(EM_MAX_ITER):
+    while len(history) < EM_MAX_ITER and not _em_converged(history):
         log_p = -0.5 * (
             np.log(2.0 * np.pi * variances)[None, :, :]
             + (x[:, None, :] - means[None, :, :]) ** 2 / variances[None, :, :]
         ).sum(axis=2) + np.log(weights)[None, :]
         ll, resp, nk, weights, means = _mixture_step(x, log_p)
         history.append(ll)
-        variances = np.maximum(
-            (resp.T @ (x**2)) / nk[:, None] - means**2, COVARIANCE_FLOOR
-        )
-        if ll - prev_ll < 1e-6 and np.isfinite(prev_ll):
-            break
-        prev_ll = ll
+        variances = np.maximum((resp.T @ (x**2)) / nk[:, None] - means**2, COVARIANCE_FLOOR)
     return resp.argmax(axis=1), history
 
 
-def gmm_rows(matrix: DistanceMatrix, k: int, seed: int) -> PathLabeling:
-    """Diagonal-covariance Gaussian mixture on matrix rows, k-means init."""
+def gmm_rows(matrix: DistanceMatrix, k: int, seed: int) -> tuple[PathLabeling, int, bool]:
+    """Diagonal-covariance mixture on matrix rows, k-means init: (labeling, EM steps, converged)."""
     m = len(matrix.voyage_ids)
     if not 2 <= k <= m:
         raise ConfigurationError(f"k={k} outside [2, {m}]")
-    labels, _ = _gmm_em_rows(matrix.values, k, seed)
-    return _canonical_labels(labels, matrix.voyage_ids)
+    labels, history = _gmm_em_rows(matrix.values, k, seed)
+    return _canonical_labels(labels, matrix.voyage_ids), len(history), _em_converged(history)
+
+
+def cutoff_in_matrix_units(cutoff_deg: float, metric: str) -> float:
+    """A cut-off in degrees of arc in the ANND matrix's units: metres under haversine."""
+    return cutoff_deg * EARTH_RADIUS_M * math.pi / 180.0 if metric == "haversine" else cutoff_deg
 
 
 def hierarchical_cluster(matrix: DistanceMatrix, cutoff: float) -> PathLabeling:
@@ -272,6 +284,9 @@ class SegmentMixture:
     means: np.ndarray        # (c, 2)
     covariances: np.ndarray  # (c, 2, 2)
     component_labels: list[str]
+    points: int              # training points in the segment
+    em_iterations: int
+    converged: bool
 
     def component_log_density(self, points: np.ndarray) -> np.ndarray:
         """(n, c) log densities of each point under each component."""
@@ -291,12 +306,10 @@ class SegmentModelSet:
 
 def _fit_gmm_2d(
     points: np.ndarray, components: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """EM fit of a full-covariance 2-D mixture; returns (w, mu, cov, resp)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, bool]:
+    """Full-covariance 2-D mixture EM: (w, mu, cov, resp, EM iterations, converged)."""
     components = min(components, len(points))
-    init_labels = (
-        _kmeans(points, components, seed) if components > 1 else np.zeros(len(points), dtype=int)
-    )
+    init_labels = _kmeans(points, components, seed)[0]
     weights = np.empty(components)
     means = np.empty((components, 2))
     covs = np.empty((components, 2, 2))
@@ -307,21 +320,18 @@ def _fit_gmm_2d(
         means[c] = group.mean(axis=0)
         covs[c] = np.cov(group.T, bias=True) + eye if len(group) > 1 else eye * 1e3
 
-    prev_ll = -np.inf
-    for _ in range(EM_MAX_ITER):
+    history: list[float] = []
+    while len(history) < EM_MAX_ITER and not _em_converged(history):
         log_p = np.empty((len(points), components))
         for c in range(components):
-            log_p[:, c] = _gaussian_log_density_2d(points, means[c], covs[c]) + math.log(
-                max(weights[c], 1e-300)
-            )
+            log_p[:, c] = _gaussian_log_density_2d(points, means[c], covs[c])
+            log_p[:, c] += math.log(max(weights[c], 1e-300))
         ll, resp, nk, weights, means = _mixture_step(points, log_p)
+        history.append(ll)
         for c in range(components):
             d = points - means[c]
             covs[c] = (resp[:, c][:, None] * d).T @ d / nk[c] + eye
-        if ll - prev_ll < 1e-6 and np.isfinite(prev_ll):
-            break
-        prev_ll = ll
-    return weights, means, covs, resp
+    return weights, means, covs, resp, len(history), _em_converged(history)
 
 
 def fit_segment_gmms(
@@ -355,13 +365,11 @@ def fit_segment_gmms(
     for s, name in enumerate(spec.names):
         inside = segment_of == s
         if (count := int(inside.sum())) < 10:
-            raise ConfigurationError(
-                f"segment {name!r} has {count} training points, need >= 10"
-            )
+            raise ConfigurationError(f"segment {name!r} has {count} training points, need >= 10")
         # Sorted distinct labels; a component takes its most frequent label,
         # ties to the smallest, and an empty component the largest label.
         seg_labels, codes = np.unique(point_labels[inside], return_inverse=True)
-        weights, means, covs, resp = _fit_gmm_2d(
+        weights, means, covs, resp, iterations, converged = _fit_gmm_2d(
             points[inside], components_per_segment or len(seg_labels), seed
         )
         votes = np.zeros((len(weights), len(seg_labels)), dtype=int)
@@ -369,7 +377,9 @@ def fit_segment_gmms(
         component_labels = [
             str(seg_labels[row.argmax()] if row.any() else seg_labels[-1]) for row in votes
         ]
-        mixtures[name] = SegmentMixture(name, weights, means, covs, component_labels)
+        mixtures[name] = SegmentMixture(
+            name, weights, means, covs, component_labels, count, iterations, converged
+        )
 
     discriminative = [name for name, m in mixtures.items() if len(set(m.component_labels)) > 1]
     return SegmentModelSet(spec=spec, mixtures=mixtures, discriminative=discriminative)

@@ -288,12 +288,18 @@ def run_optimization_benchmark(
             "HMM": hmm,
         }
 
+    priced: dict[tuple[bytes, str], tuple[float, float]] = {}
+
+    def price(profile: np.ndarray, v: Voyage) -> tuple[float, float]:  # once per distinct pair
+        if (key := (np.asarray(profile, dtype=float).tobytes(), v.voyage_id)) not in priced:
+            priced[key] = estimate_fuel_time(profile, v, estimator)
+        return priced[key]
+
     # Measured baselines, shared across every (cluster, model) cell. Scores
     # are normalized by the fleet-wide (train + test) measured maxima so the
     # scale matches the fleet-level scoring convention.
-    meas_ft = {v.voyage_id: estimate_fuel_time(v.sog, v, estimator) for v in test_voyages}
-    fleet_ft = list(meas_ft.values())
-    fleet_ft += [estimate_fuel_time(v.sog, v, estimator) for v in train_voyages]
+    meas_ft = {v.voyage_id: price(v.sog, v) for v in test_voyages}
+    fleet_ft = list(meas_ft.values()) + [price(v.sog, v) for v in train_voyages]
     max_fuel = max(f for f, _ in fleet_ft)
     max_time = max(t for _, t in fleet_ft)
     if max_fuel <= 0 or max_time <= 0:
@@ -332,7 +338,7 @@ def run_optimization_benchmark(
             profiles = {v.voyage_id: p for v, p in zip(test_voyages, model.predict(test_voyages))}
             gains: dict[str, float] = {}
             for v in test_voyages:
-                suggested = score(*estimate_fuel_time(profiles[v.voyage_id], v, estimator))
+                suggested = score(*price(profiles[v.voyage_id], v))
                 with suppress(UndefinedGainError):
                     gains[v.voyage_id] = efficiency_gain(meas_score[v.voyage_id], suggested)
             rows.append(ClusterModelGain(

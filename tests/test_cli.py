@@ -196,6 +196,33 @@ def read_log(out):
     return [json.loads(line) for line in (out / "run_log.jsonl").read_text().splitlines()]
 
 
+class TestPathidRunLog:
+    def run_pathid(self, pipeline_dir, out, *args):
+        shutil.copytree(pipeline_dir / "store", out / "store")
+        shutil.copytree(pipeline_dir / "fleet", out / "fleet")
+        assert main(["pathid", *map(str, args), "--out", str(out), "--seed", "11"]) == 0
+        return [r["detail"] for r in read_log(out) if r["event"] in ("segment_fit", "gmm_fit")]
+
+    def test_segment_fit_per_segment(self, pipeline_dir, tmp_path):
+        fits = self.run_pathid(pipeline_dir, tmp_path / "a", "--method", "segment-gmm")
+        spec = json.loads((pipeline_dir / "fleet" / "segments.json").read_text())
+        assert [d["segment"] for d in fits] == [seg["name"] for seg in spec]
+        for d in fits:
+            assert set(d) == {"segment", "points", "components", "em_iterations", "converged"}
+            assert d["points"] >= 10 and d["components"] >= 1
+            assert d["converged"] is True and 1 <= d["em_iterations"] <= 200
+        # Deterministic: a second run logs the same events.
+        assert self.run_pathid(pipeline_dir, tmp_path / "b", "--method", "segment-gmm") == fits
+
+    def test_gmm_fit_logged(self, pipeline_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kmeans_k": 3}), encoding="utf-8")
+        fits = self.run_pathid(pipeline_dir, tmp_path / "a", "--method", "gmm", "--config", cfg)
+        assert len(fits) == 1
+        assert fits[0]["points"] == 12 and fits[0]["components"] == 3
+        assert isinstance(fits[0]["converged"], bool) and fits[0]["em_iterations"] >= 1
+
+
 class TestIngestEdgeCases:
     ONBOARD_HEADER = (
         "Timestamp,Latitude,Longitude,SpeedOverGround,HeadingMagnetic,EngineFuelRate"

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from voyagekit import path_id
 from voyagekit.errors import (
     ConfigurationError,
     InsufficientDataError,
@@ -21,6 +23,7 @@ from voyagekit.path_id import (
     classify_by_segment_likelihood,
     classify_paths,
     confusion_and_metrics,
+    cutoff_in_matrix_units,
     fit_segment_gmms,
     gmm_rows,
     hierarchical_cluster,
@@ -97,6 +100,59 @@ def bundle(center_lat, n_paths, seed, n_points=12, lon_span=1.0, noise=0.02, pre
         lats = center_lat + rng.normal(0, noise, size=n_points)
         paths.append(path(f"{prefix}{i}", np.column_stack([lats, lons])))
     return paths
+
+
+def oracle_kmeans_once(x, k, rng):
+    """Reference: one k-means++ run with its own Lloyd loop, as before restarts were batched."""
+    n = len(x)
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[int(rng.integers(n))]
+    closest = ((x - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            centers[c] = x[int(rng.integers(n))]
+            continue
+        r = rng.random() * total
+        idx = min(int(np.searchsorted(np.cumsum(closest), r)), n - 1)
+        centers[c] = x[idx]
+        closest = np.minimum(closest, ((x - centers[c]) ** 2).sum(axis=1))
+    labels = np.full(n, -1)
+    for _ in range(path_id.KMEANS_MAX_ITER):
+        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = d2.argmin(axis=1)
+        for c in range(k):
+            if not np.any(new_labels == c):
+                worst = int(np.take_along_axis(d2, new_labels[:, None], axis=1).argmax())
+                new_labels[worst] = c
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            centers[c] = x[labels == c].mean(axis=0)
+    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return labels, float(np.take_along_axis(d2, labels[:, None], axis=1).sum())
+
+
+def oracle_kmeans(x, k, seed):
+    """Reference: (labels, inertia) of the lowest-inertia run, the first on ties."""
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(path_id.KMEANS_RESTARTS):
+        labels, inertia = oracle_kmeans_once(x, k, rng)
+        if best is None or inertia < best[1]:
+            best = (labels, inertia)
+    return best
+
+
+def assert_kmeans_matches_oracle(x, k, seed):
+    labels, inertia = path_id._kmeans(x, k, seed)
+    want_labels, want_inertia = oracle_kmeans(x, k, seed)
+    np.testing.assert_array_equal(labels, want_labels)
+    if x.shape[1] < 8:  # distances summed in the same order: bit-equal
+        assert inertia == want_inertia
+    else:  # numpy's pairwise sum over >= 8 dimensions groups terms differently
+        assert inertia == pytest.approx(want_inertia, rel=1e-12, abs=0.0)
 
 
 class TestAnnd:
@@ -253,13 +309,65 @@ class TestKmeansRows:
             kmeans_rows(matrix, len(matrix.voyage_ids) + 1, seed=0)
 
 
+class TestBatchedKmeans:
+    """The blocked Lloyd steps against one Lloyd loop per restart."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.integers(2, 7),
+        n=st.integers(3, 40),
+        k=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_low_dimensional_points_bit_equal(self, dims, n, k, seed, scale):
+        x = np.random.default_rng(seed).normal(size=(n, dims)) * scale
+        assert_kmeans_matches_oracle(x, min(k, n), seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matrix_rows(self, three_bundles, seed):
+        matrix, _ = three_bundles
+        assert_kmeans_matches_oracle(matrix.values, 3, seed)
+        rows = np.random.default_rng(seed).uniform(0, 1, size=(60, 60))
+        assert_kmeans_matches_oracle(rows, 4, seed)
+
+    def test_duplicate_points_seed_from_zero_spread(self):
+        # Two distinct locations and k = 3: once both are centres, every point
+        # sits on one (total <= 0), and Lloyd must reseed an empty cluster.
+        x = np.repeat([[0.0, 0.0], [1.0, 1.0]], [6, 5], axis=0)
+        for seed in range(5):
+            assert_kmeans_matches_oracle(x, 3, seed)
+
+    def test_cluster_emptied_mid_run(self):
+        # Distinct, heavy-tailed points (found by search): one of the 100
+        # restarts of seed 0 leaves a cluster empty after a Lloyd step.
+        x = np.random.default_rng(198).normal(size=(11, 2)) ** 3
+        assert_kmeans_matches_oracle(x, 4, seed=0)
+
+    def test_k_equals_n(self):
+        x = np.random.default_rng(5).normal(size=(6, 2))
+        labels, inertia = path_id._kmeans(x, 6, seed=0)
+        assert sorted(labels) == list(range(6)) and inertia == 0.0
+        assert_kmeans_matches_oracle(x, 6, seed=0)
+
+    def test_iteration_cap_and_partial_block(self, monkeypatch):
+        # Two Lloyd steps are too few to converge here, so every restart is
+        # scored at the cap; 25 restarts leave a last block of 5.
+        monkeypatch.setattr(path_id, "KMEANS_MAX_ITER", 2)
+        monkeypatch.setattr(path_id, "KMEANS_RESTARTS", 25)
+        x = np.random.default_rng(9).normal(size=(200, 2))
+        for seed in range(3):
+            assert_kmeans_matches_oracle(x, 5, seed)
+
+
 class TestGmmRows:
     def test_identical_row_groups(self):
         values = np.zeros((4, 4))
         values[:2, 2:] = 5.0
         values[2:, :2] = 5.0
         matrix = DistanceMatrix(("a", "b", "c", "d"), values)
-        labels = gmm_rows(matrix, 2, seed=0)
+        labels, _, converged = gmm_rows(matrix, 2, seed=0)
+        assert converged
         assert labels["a"] == labels["b"]
         assert labels["c"] == labels["d"]
         assert labels["a"] != labels["c"]
@@ -267,7 +375,7 @@ class TestGmmRows:
     def test_agrees_with_kmeans_on_separated(self, three_bundles):
         matrix, truth = three_bundles
         from_kmeans = align_labels(kmeans_rows(matrix, 3, seed=0), truth)
-        from_gmm = align_labels(gmm_rows(matrix, 3, seed=0), truth)
+        from_gmm = align_labels(gmm_rows(matrix, 3, seed=0)[0], truth)
         assert from_kmeans == from_gmm == truth
 
     def test_em_loglik_non_decreasing(self, three_bundles):
@@ -281,6 +389,33 @@ class TestGmmRows:
 
 
 class TestHaversineMatrix:
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(41)
+        pts = [
+            np.column_stack([rng.uniform(50, 60, n), rng.uniform(-5, 5, n)]) for n in (5, 9, 14, 2)
+        ]
+        matrix = build_distance_matrix(
+            [path(f"p{i}", x) for i, x in enumerate(pts)], metric="haversine"
+        )
+        assert np.all(np.diag(matrix.values) == 0.0)
+        for i, j in itertools.permutations(range(len(pts)), 2):
+            dense = pairwise_haversine(pts[i], pts[j])
+            expected = 0.5 * (dense.min(axis=1).mean() + dense.min(axis=0).mean())
+            assert matrix.values[i, j] == pytest.approx(expected, rel=1e-12)
+
+    def test_one_path_under_both_metrics(self):
+        rng = np.random.default_rng(43)
+        a, b = rng.uniform(50, 60, size=(8, 2)), rng.uniform(50, 60, size=(5, 2))
+        p, q = path("a", a), path("b", b)
+        # Alternate the metrics on the same Path objects; each must give what
+        # freshly built paths give.
+        got = [annd(p, q, m) for m in ("euclidean", "haversine", "euclidean", "haversine")]
+        assert got[0] == got[2] == annd(path("a", a), path("b", b), "euclidean")
+        assert got[1] == got[3] == annd(path("a", a), path("b", b), "haversine")
+        assert got[0] < 20 < 1000 < got[1]  # degrees, then metres
+        assert p.tree("euclidean") is p.tree("euclidean")
+        assert p.tree("haversine").data.shape == (8, 3)
+
     def test_bundles_recovered_in_meters(self, three_bundles):
         # Same bundles, metric in meters: the ~2 degree bundle spacing is
         # ~222 km, so a 30 km cutoff recovers the three groups.
@@ -338,6 +473,22 @@ class TestHierarchical:
             got = hierarchical_cluster(DistanceMatrix(ids, values), cutoff)
             assert got == {vid: str(c) for vid, c in zip(ids, expected)}
 
+    def test_cutoff_in_degrees_under_both_metrics(self):
+        assert cutoff_in_matrix_units(0.07, "haversine") == pytest.approx(7_784, abs=0.5)
+        assert cutoff_in_matrix_units(1.0, "haversine") == EARTH_RADIUS_M * math.pi / 180.0
+        for cutoff in (0.0, 0.07, 1.0):
+            assert cutoff_in_matrix_units(cutoff, "euclidean") == cutoff
+        paths = (
+            bundle(0.0, 6, seed=1, prefix="A")
+            + bundle(2.0, 5, seed=2, prefix="B")
+            + bundle(4.0, 4, seed=3, prefix="C")
+        )
+        truth = {p.voyage_id: p.voyage_id[0] for p in paths}
+        for metric in ("euclidean", "haversine"):
+            matrix = build_distance_matrix(paths, metric=metric)
+            labels = hierarchical_cluster(matrix, cutoff_in_matrix_units(1.0, metric))
+            assert align_labels(labels, truth) == truth, metric
+
     def test_negative_cutoff(self, three_bundles):
         matrix, _ = three_bundles
         with pytest.raises(ConfigurationError):
@@ -385,6 +536,20 @@ class TestSegmentGmms:
             for cov in mixture.covariances:
                 eigvals = np.linalg.eigvalsh(cov)
                 assert np.all(eigvals >= 1e-6 - 1e-12)
+
+    def test_em_status_reported(self, two_branch_training, monkeypatch):
+        paths, labels = two_branch_training
+        models = fit_segment_gmms(paths, labels, corridor_spec(), seed=0)
+        segment_of = corridor_spec().locate(
+            *np.concatenate([p.points for p in paths]).T
+        )
+        for s, mixture in enumerate(models.mixtures.values()):
+            assert mixture.points == int((segment_of == s).sum())
+            assert mixture.converged and 2 <= mixture.em_iterations < path_id.EM_MAX_ITER
+        monkeypatch.setattr(path_id, "EM_MAX_ITER", 1)
+        capped = fit_segment_gmms(paths, labels, corridor_spec(), seed=0)
+        for mixture in capped.mixtures.values():
+            assert (mixture.em_iterations, mixture.converged) == (1, False)
 
     def test_all_segments_discriminative(self, two_branch_training):
         paths, labels = two_branch_training

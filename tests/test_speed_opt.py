@@ -404,6 +404,24 @@ class TestBenchmark:
             steps = sum(r.steps for r in report.state_rows if r.model == model)
             assert steps == evaluated_clusters * total_steps
 
+    def test_each_distinct_pair_priced_once(self, benchmark_inputs, monkeypatch):
+        clusters, train, test, estimator = benchmark_inputs
+        priced, price = [], speed_opt.estimate_fuel_time
+
+        def counted(profile, voyage, est):
+            priced.append((np.asarray(profile, dtype=float).tobytes(), voyage.voyage_id))
+            return price(profile, voyage, est)
+
+        monkeypatch.setattr(speed_opt, "estimate_fuel_time", counted)
+        run_optimization_benchmark(
+            clusters, train, test, estimator, models={"identity": IdentitySpeedModel()}
+        )
+        # Echoed profiles are the measured ones: only the baselines are priced.
+        assert len(priced) == len(set(priced)) == len(train) + len(test)
+        priced.clear()
+        run_optimization_benchmark(clusters, train, test, estimator, hmm_seed=2)
+        assert len(priced) == len(set(priced)) > len(train) + len(test)
+
     def test_disjointness_enforced(self, benchmark_inputs):
         clusters, train, test, estimator = benchmark_inputs
         overlapping = test + [train[0]]
