@@ -31,7 +31,7 @@ from .geo import (
     merge_tracks,
     split_into_voyages,
 )
-from .hmm import WeatherStateModel, fit_weather_hmm, hmm_predict
+from .hmm import WeatherStateModel, fit_weather_hmm
 from .ingestion import (
     WeatherGrid,
     attach_weather,
@@ -40,23 +40,23 @@ from .ingestion import (
     resample_voyage,
     trilinear_interpolate,
 )
-from .path_id import (
-    DistanceMatrix,
-    Path,
-    SegmentModelSet,
-    align_labels,
-    annd,
-    build_distance_matrix,
-    classify_by_segment_likelihood,
-    confusion_and_metrics,
-    fit_segment_gmms,
-    gmm_rows,
-    hierarchical_cluster,
-    kmeans_rows,
-)
 from .speed_opt import (
     GainReport,
     dtw_distance,
     run_optimization_benchmark,
 )
 from .synth import SyntheticFleetSpec, default_fleet_spec, generate_fleet, write_fleet
+
+# path_id loads SciPy, which synth to score never use: its names import on first use (PEP 562).
+_PATH_ID_NAMES = frozenset({
+    "DistanceMatrix", "Path", "SegmentModelSet", "align_labels", "annd", "build_distance_matrix",
+    "classify_by_segment_likelihood", "confusion_and_metrics", "fit_segment_gmms", "gmm_rows",
+    "hierarchical_cluster", "kmeans_rows",
+})
+
+
+def __getattr__(name: str):
+    if name not in _PATH_ID_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import path_id
+    return getattr(path_id, name)

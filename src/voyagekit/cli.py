@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import efficiency, path_id, report, speed_opt, store, synth
+from . import efficiency, report, speed_opt, store, synth
 from .config import PATHID_METHODS, RunConfig, load_config
 from .errors import (
     ConfigurationError,
@@ -246,6 +246,8 @@ def cmd_optimize(config: RunConfig, plots: bool = False) -> None:
             log.log("optimize", "insufficient_cluster", cluster=row.cluster, model=row.model)
         log.log("optimize", "cell_scored", cluster=row.cluster, model=row.model,
                 status=row.status, evaluated=row.evaluated, excluded=row.excluded)
+    for cluster, fit in gain_report.state_fits.items():
+        log.log("optimize", "hmm_fit", cluster=cluster, **fit)
     for cluster, reason in gain_report.state_fit_failures.items():
         log.log("optimize", "state_gains_unpooled", cluster=cluster, reason=reason)
     log.log("optimize", "gains_written", rows=len(gain_report.rows),
@@ -257,6 +259,7 @@ def cmd_optimize(config: RunConfig, plots: bool = False) -> None:
 
 
 def cmd_pathid(config: RunConfig, method: str | None = None) -> None:
+    from . import path_id  # imported here: it loads SciPy, which synth to score do not need
     out = Path(config.out_dir)
     log = RunLog(out)
     method = method or config.pathid_method

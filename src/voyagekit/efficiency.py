@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateFleetError,
@@ -149,7 +148,7 @@ class KnnRegressor:
         self._y: np.ndarray | None = None
         self._mu: np.ndarray | None = None
         self._sigma: np.ndarray | None = None
-        self._tree: cKDTree | None = None
+        self._tree = None  # scipy.spatial.cKDTree, built by fit
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "KnnRegressor":
         features = np.asarray(features, dtype=float)
@@ -164,6 +163,7 @@ class KnnRegressor:
         self._sigma = sigma
         self._x = (features - self._mu) / sigma
         self._y = targets
+        from scipy.spatial import cKDTree  # imported here: no command before optimize needs SciPy
         self._tree = cKDTree(self._x)
         return self
 

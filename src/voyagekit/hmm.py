@@ -230,8 +230,3 @@ def decode_states(test: Voyage, model: WeatherStateModel) -> np.ndarray:
 def state_speeds(model: WeatherStateModel) -> np.ndarray:
     """Speed suggested per state: Calm -> max, Moderate -> mean, Rough -> min."""
     return model.sog_stats[np.arange(N_STATES), [2, 1, 0]]
-
-
-def hmm_predict(test: Voyage, model: WeatherStateModel) -> np.ndarray:
-    """Per-step speed suggestion from the voyage's decoded weather states."""
-    return state_speeds(model)[decode_states(test, model)]

@@ -163,11 +163,13 @@ def _lloyd_block(x: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, float]:
         for j in range(dims):
             d2 += (xt[j] - centers[:, :, j, None]) ** 2
         new = d2.argmin(axis=1)  # the nearest centre, the first on ties
-        # Reseed each empty cluster, in order, at the point farthest from its centre.
+        # Reseed each empty cluster, in order, at the point farthest from its centre
+        # among those whose cluster keeps another member (the first on ties).
         for r in np.flatnonzero(~(new[:, None] == np.arange(k)[:, None]).any(axis=2).all(axis=1)):
             for c in range(k):
                 if not np.any(new[r] == c):
-                    new[r, d2[r, new[r], np.arange(len(x))].argmax()] = c
+                    movable = np.bincount(new[r], minlength=k)[new[r]] > 1
+                    new[r, np.where(movable, d2[r, new[r], np.arange(len(x))], -1.0).argmax()] = c
         # A run that settled, or has taken KMEANS_MAX_ITER steps, is scored on its last labels.
         done = (new == labels[live]).all(axis=1) | (step == KMEANS_MAX_ITER)
         inertia[live[done]] = np.take_along_axis(d2, labels[live][:, None], 1)[done, 0].sum(axis=1)

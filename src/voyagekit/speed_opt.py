@@ -254,6 +254,8 @@ class GainReport:
     test_size: int
     # Cluster -> why its weather-state fit failed; its gains are in no state row.
     state_fit_failures: dict[str, str] = dataclasses_field(default_factory=dict)
+    # Cluster -> its weather-state fit: voyages, observations, em_iterations, converged, loglik.
+    state_fits: dict[str, dict] = dataclasses_field(default_factory=dict)
 
 
 def run_optimization_benchmark(
@@ -316,12 +318,18 @@ def run_optimization_benchmark(
     }
     test_ids = {v.voyage_id for v in test_voyages}
     state_fit_failures: dict[str, str] = {}
+    state_fits: dict[str, dict] = {}
     for cluster_name, member_ids in clusters.as_ordered():
         cluster_voyages = [by_id[vid] for vid in sorted(member_ids) if vid in by_id]
         if test_ids & member_ids:
             raise InvalidInputError(f"test voyages overlap training cluster {cluster_name}")
         try:
             hmm.fit(cluster_voyages)
+            state_fits[cluster_name] = {
+                "voyages": len(cluster_voyages), "observations": sum(map(len, cluster_voyages)),
+                "em_iterations": len(hmm.model.loglik_history), "converged": hmm.model.converged,
+                "loglik": float(hmm.model.loglik_history[-1]),
+            }
             decoded = {v.voyage_id: hmm.decode(v) for v in test_voyages}
         except VoyagekitError as exc:
             decoded = None
@@ -364,7 +372,7 @@ def run_optimization_benchmark(
         for model_name in models
         for state, pool in state_pool[model_name].items()
     ]
-    return GainReport(rows, state_rows, len(test_voyages), state_fit_failures)
+    return GainReport(rows, state_rows, len(test_voyages), state_fit_failures, state_fits)
 
 
 def write_gain_report(report: GainReport, gains_path: str | Path, states_path: str | Path) -> None:

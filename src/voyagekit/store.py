@@ -38,22 +38,33 @@ WEATHER_VARIABLES = (
 )
 
 
+def _spell(cells: Iterable) -> list[str]:
+    """Cells as csv.writer spells them: None as "", a float (numpy's too) as float repr."""
+    if isinstance(cells, np.ndarray):
+        return list(map(repr, cells.tolist())) if cells.dtype.kind == "f" else _spell(cells.tolist())
+    return [c if type(c) is str else "" if c is None else float.__repr__(c) if isinstance(c, float)
+            else str(c) for c in cells]
+
+
 def write_table(path: str | Path, header: Sequence[str], columns: Iterable[Iterable]) -> None:
     """Write a header row, then one CSV row per position of ``columns``.
 
-    A float ndarray column is written with repr, formatted once per column.
-    Any other column is written as given: None as an empty cell, and a
-    Python or numpy float as its repr. Columns of different lengths raise
-    ValueError.
+    Each cell is formatted once, as csv.writer would write it (a float
+    ndarray column through repr, once per column), and the rows are joined
+    in one string. csv.writer writes a table that has a cell it would quote:
+    one holding '"', ',', CR or LF, or the lone, maybe empty, field of a
+    one-column row. Columns of different lengths raise ValueError.
     """
-    cells = [
-        map(repr, col.tolist()) if isinstance(col, np.ndarray) and col.dtype.kind == "f" else col
-        for col in columns
-    ]
+    cells = [_spell(column) for column in columns]
+    rows = [_spell(header), *zip(*cells, strict=True)]
+    text = "\r\n".join(map(",".join, rows)) + "\r\n"
+    n, width = len(rows), len(cells)
+    separators = (len(rows[0]) - 1 + (n - 1) * (width - 1), n, n)  # the commas, CRs, LFs of the shape
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*cells, strict=True))
+        if min(len(rows[0]), width) < 2 or '"' in text or tuple(map(text.count, ",\r\n")) != separators:
+            csv.writer(fh).writerows(rows)
+        else:
+            fh.write(text)
 
 
 def write_store(voyages: Sequence[Voyage], store_dir: str | Path, extra_meta: dict | None = None) -> None:

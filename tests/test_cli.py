@@ -1,9 +1,15 @@
 import csv
+import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import voyagekit
 from conftest import tiny_fleet_spec
 from voyagekit.cli import main, split_train_test
 from voyagekit.synth import generate_fleet, write_fleet
@@ -179,6 +185,26 @@ class TestPipelineOutputs:
             assert d["evaluated"] == sum(1 for r in voyage_rows if (r["cluster"], r["model"]) == cell)
             assert d["excluded"] == 0
 
+    def test_hmm_fit_per_fitted_cluster(self, tmp_path):
+        # 36 voyages: the larger clusters have the observations a weather fit
+        # needs, the smaller ones do not.
+        write_fleet(generate_fleet(tiny_fleet_spec(seed=11, voyages_per_branch=12)), tmp_path / "fleet")
+        for step in ("ingest", "optimize"):
+            assert main([step, "--out", str(tmp_path), "--seed", "11"]) == 0
+        records = read_log(tmp_path)
+        fits = [r["detail"] for r in records if r["event"] == "hmm_fit"]
+        unpooled = [r["detail"]["cluster"] for r in records if r["event"] == "state_gains_unpooled"]
+        assert fits and unpooled
+        assert sorted([d["cluster"] for d in fits] + unpooled) == ["Top10Pr", "Top25Pr", "Top50Pr", "Top75Pr"]
+        for d in fits:
+            assert set(d) == {"cluster", "voyages", "observations", "em_iterations", "converged", "loglik"}
+            assert d["observations"] >= 300 and d["voyages"] >= 1
+            assert d["converged"] is True and 1 <= d["em_iterations"] <= 200
+            assert isinstance(d["loglik"], float)
+        # Deterministic: a second run logs the same events.
+        assert main(["optimize", "--out", str(tmp_path), "--seed", "11"]) == 0
+        assert [r["detail"] for r in read_log(tmp_path) if r["event"] == "hmm_fit"] == fits * 2
+
     def test_failed_state_fit_is_logged(self, pipeline_dir, tmp_path):
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir / "store", out / "store")
@@ -188,6 +214,7 @@ class TestPipelineOutputs:
         unpooled = [r["detail"] for r in read_log(out) if r["event"] == "state_gains_unpooled"]
         assert [d["cluster"] for d in unpooled] == ["Top10Pr", "Top25Pr", "Top50Pr", "Top75Pr"]
         assert all("NoSuchChannel" in d["reason"] for d in unpooled)
+        assert not [r for r in read_log(out) if r["event"] == "hmm_fit"]
         state_rows = read_rows(out / "state_gains.csv")
         assert all(r["avg"] == "nan" for r in state_rows)
 
@@ -378,3 +405,34 @@ class TestErrorPaths:
         monkeypatch.setenv(f"VOYAGEKIT_{name}", raw)
         assert main(["score", "--out", str(tmp_path)]) == 2
         assert f"VOYAGEKIT_{name} must be {expected}, got {raw!r}" in capsys.readouterr().err
+
+
+IMPORT_GUARD = """
+import sys
+import voyagekit
+import voyagekit.cli
+
+spec, out = sys.argv[1:]
+base = ["--out", out, "--seed", "11"]
+for argv in (["synth", "--spec", spec], ["ingest"], ["score"], ["report"]):
+    assert voyagekit.cli.main([*argv, *base]) == 0, argv
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded[:3]
+assert voyagekit.cli.main(["pathid", "--method", "kmeans", *base]) == 0
+assert "scipy.spatial" in sys.modules
+assert voyagekit.annd is voyagekit.path_id.annd
+"""
+
+
+def test_scipy_loads_only_for_the_commands_that_use_it(pipeline_dir, tmp_path):
+    # A fresh interpreter, as the test process has imported SciPy long ago.
+    # report also reads optimize's and pathid's outputs: they come from pipeline_dir.
+    shutil.copytree(pipeline_dir, tmp_path / "out")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dataclasses.asdict(tiny_fleet_spec(seed=11))), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(voyagekit.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(spec), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import voyagekit
 from voyagekit.cli import main
@@ -164,6 +164,41 @@ def gains_block_writer(path, rows):
 EDGE_FLOATS = [0.1, float("nan"), -0.0, 5e-324, 1e16, -1e-300, float("inf"), np.float64(2.5), 3]
 
 
+def csv_writer_table(path, header, columns):
+    """Reference: write_table as csv.writer wrote it, cell by cell."""
+    cells = [
+        map(repr, col.tolist()) if isinstance(col, np.ndarray) and col.dtype.kind == "f" else col
+        for col in columns
+    ]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cells, strict=True))
+
+
+edge_floats = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, -2.2e-308, 1e16]),
+    st.floats(width=64),
+)
+text_cells = st.text(st.sampled_from(["a", "7", " ", ",", '"', "\r", "\n"]), max_size=4)
+other_cells = st.one_of(
+    text_cells, st.none(), st.integers(-10**20, 10**20), st.booleans(), edge_floats,
+    edge_floats.map(np.float64),
+)
+
+
+@st.composite
+def tables(draw):
+    rows = draw(st.integers(0, 6))
+    columns = [
+        np.array(draw(st.lists(edge_floats, min_size=rows, max_size=rows)), dtype=float)
+        if draw(st.booleans())
+        else draw(st.lists(other_cells, min_size=rows, max_size=rows))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return draw(st.lists(text_cells, min_size=len(columns), max_size=len(columns))), columns
+
+
 class TestWriteTable:
     def test_float_columns_match_store_block(self, tmp_path):
         columns = [np.array(EDGE_FLOATS, dtype=float), np.arange(len(EDGE_FLOATS), dtype=float)]
@@ -200,9 +235,20 @@ class TestWriteTable:
         # repr round-trips every float except a NaN's sign bit.
         assert list(map(repr, cells)) == [repr(float(v)) for v in values]
 
+    @settings(max_examples=300)
+    @given(tables())
+    def test_bytes_match_csv_writer(self, tmp_path_factory, table):
+        header, columns = table
+        out = tmp_path_factory.mktemp("table")
+        csv_writer_table(out / "a.csv", header, columns)
+        write_table(out / "b.csv", header, columns)
+        assert (out / "a.csv").read_bytes() == (out / "b.csv").read_bytes()
+
     def test_columns_of_different_lengths_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_table(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), ["x", "y"]])
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t.csv", ["a", "b"], [["x", '"y"'], [None]])
 
     def test_only_store_writes_csv(self):
         # One module owns the CSV text format; the others call write_table.

@@ -12,7 +12,7 @@ from voyagekit.hmm import (
     WeatherStateModel,
     decode_states,
     fit_weather_hmm,
-    hmm_predict,
+    state_speeds,
 )
 
 # Well-separated generator used across tests: wind means 2/8/15 m/s.
@@ -334,26 +334,26 @@ class TestPredict:
     def test_rough_takes_minimum(self):
         model = manual_model()
         model.sog_stats[2] = [4.0, 4.5, 5.0]
-        pred = hmm_predict(self.state_voyage(15.0, 3.0), model)
+        pred = state_speeds(model)[decode_states(self.state_voyage(15.0, 3.0), model)]
         assert np.all(pred == 4.0)
 
     def test_calm_takes_maximum(self):
         model = manual_model()
         model.sog_stats[0] = [5.0, 6.0, 7.0]
-        pred = hmm_predict(self.state_voyage(2.0, 0.3), model)
+        pred = state_speeds(model)[decode_states(self.state_voyage(2.0, 0.3), model)]
         assert np.all(pred == 7.0)
 
     def test_moderate_takes_mean(self):
         model = manual_model()
         model.sog_stats[1] = [5.0, 6.0, 7.0]
-        pred = hmm_predict(self.state_voyage(8.0, 1.2), model)
+        pred = state_speeds(model)[decode_states(self.state_voyage(8.0, 1.2), model)]
         assert np.all(pred == 6.0)
 
     def test_prediction_within_state_stats(self):
         voyages, _ = simulate_voyages(seed=11)
         model = fit_weather_hmm(voyages, seed=11)
         test_v, _ = simulate_voyages(n_voyages=1, length=40, seed=12)
-        pred = hmm_predict(test_v[0], model)
+        pred = state_speeds(model)[decode_states(test_v[0], model)]
         allowed = set()
         for s in range(3):
             allowed.update(model.sog_stats[s])

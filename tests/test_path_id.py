@@ -123,8 +123,10 @@ def oracle_kmeans_once(x, k, rng):
         new_labels = d2.argmin(axis=1)
         for c in range(k):
             if not np.any(new_labels == c):
-                worst = int(np.take_along_axis(d2, new_labels[:, None], axis=1).argmax())
-                new_labels[worst] = c
+                # The farthest point whose cluster keeps another member; max keeps the first.
+                sizes = np.bincount(new_labels, minlength=k)
+                movable = [i for i in range(n) if sizes[new_labels[i]] > 1]
+                new_labels[max(movable, key=lambda i: d2[i, new_labels[i]])] = c
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -343,6 +345,16 @@ class TestBatchedKmeans:
         # restarts of seed 0 leaves a cluster empty after a Lloyd step.
         x = np.random.default_rng(198).normal(size=(11, 2)) ** 3
         assert_kmeans_matches_oracle(x, 4, seed=0)
+
+    def test_reseed_never_empties_a_cluster(self):
+        # All points equal: each reseed must take a point from a cluster that
+        # keeps another member, or a centre becomes a 0/0 NaN.
+        labels, inertia = path_id._kmeans(np.zeros((3, 2)), 3, seed=0)
+        assert sorted(labels) == [0, 1, 2] and inertia == 0.0
+        assert_kmeans_matches_oracle(np.zeros((3, 2)), 3, seed=0)
+        same = [path(vid, [(0, 0), (0, 1), (1, 1)]) for vid in "abc"]
+        labeling = kmeans_rows(build_distance_matrix(same), 3, seed=0)
+        assert sorted(labeling.values()) == ["0", "1", "2"]
 
     def test_k_equals_n(self):
         x = np.random.default_rng(5).normal(size=(6, 2))

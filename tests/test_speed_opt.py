@@ -16,7 +16,9 @@ from voyagekit.efficiency import (
     train_estimator,
 )
 from voyagekit.errors import InsufficientDataError, InvalidInputError, MissingDataError
-from voyagekit.hmm import DEFAULT_FEATURES, WeatherStateModel, hmm_predict
+from voyagekit.hmm import (
+    DEFAULT_FEATURES, WeatherStateModel, decode_states, fit_weather_hmm, state_speeds,
+)
 from voyagekit.speed_opt import (
     MODEL_ORDER,
     DtwSpeedModel,
@@ -473,6 +475,20 @@ class TestHmmFitReuse:
         assert len(fit_calls) == len(set(fit_calls))
         assert all(r.status == "ok" for r in report.rows if r.model == "HMM")
         assert report.state_fit_failures == {}
+        # Each fit's summary, as a direct fit of the cluster reports it.
+        by_id = {v.voyage_id: v for v in train}
+        assert list(report.state_fits) == [name for name, _ in clusters.as_ordered()]
+        for name, ids in clusters.as_ordered():
+            members = [by_id[i] for i in sorted(ids)]
+            fit = report.state_fits[name]
+            assert fit["voyages"] == len(members)
+            assert fit["observations"] == sum(len(v) for v in members)
+        name, ids = clusters.as_ordered()[0]
+        model = fit_weather_hmm([by_id[i] for i in sorted(ids)], seed=2)
+        fit = report.state_fits[name]
+        assert (fit["em_iterations"], fit["converged"], fit["loglik"]) == (
+            len(model.loglik_history), model.converged, model.loglik_history[-1]
+        )
 
     def test_other_seed_or_subclass_fits_itself(self, benchmark_inputs, fit_calls):
         class SubclassHmm(HmmSpeedModel):
@@ -504,6 +520,7 @@ class TestHmmFitReuse:
         # Every cluster's gains are left out of the state pools, and the report says why.
         assert list(report.state_fit_failures) == [name for name, _ in clusters.as_ordered()]
         assert all("NoSuchChannel" in reason for reason in report.state_fit_failures.values())
+        assert report.state_fits == {}
         assert all(r.steps == 0 for r in report.state_rows)
 
 
@@ -536,7 +553,7 @@ class TestHmmDecodeMemo:
         windy = weather_voyage("T", wind_fn=lambda i: 9.5)
         model = HmmSpeedModel(seed=1)
         model.fit(train)
-        expected = [hmm_predict(v, model.model) for v in (calm, windy)]
+        expected = [state_speeds(model.model)[decode_states(v, model.model)] for v in (calm, windy)]
         assert not np.array_equal(*expected)
         decoded = counting_viterbi(monkeypatch)
         got = model.predict([calm, calm, windy, windy])
