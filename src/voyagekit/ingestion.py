@@ -137,7 +137,9 @@ class WeatherGrid:
 
         Returns (values, status) where status is 0 for ok, 1 for
         out-of-domain queries, and 2 for queries with a missing corner.
-        Failed queries get NaN values.
+        Failed queries get NaN values. A *Direction* grid (geo.is_angle)
+        blends its corners along the short arc and returns degrees mod 360:
+        corners at 350 and 10 blend to 0, not 180.
         """
         t = np.asarray(times, dtype=float)
         la = np.asarray(lats, dtype=float)
@@ -170,10 +172,14 @@ class WeatherGrid:
 
         result = np.zeros(t.shape, dtype=float)
         corner_missing = np.zeros(t.shape, dtype=bool)
+        angle, first = is_angle(self.variable), self.values[it, ila, ilo]
         for dt in (0, 1):
             for dla in (0, 1):
                 for dlo in (0, 1):
                     corner = self.values[it + dt, ila + dla, ilo + dlo]
+                    if angle:  # along the short arc: within 180 degrees of the first corner
+                        corner = np.where(corner - first > 180.0, corner - 360.0,
+                                          np.where(corner - first < -180.0, corner + 360.0, corner))
                     corner_missing |= ~np.isfinite(corner)
                     w = (
                         (ft if dt else 1.0 - ft)
@@ -183,7 +189,7 @@ class WeatherGrid:
                     result = result + w * np.where(np.isfinite(corner), corner, 0.0)
         status[(status == _OK) & corner_missing] = _MISSING_CORNER
         result[status != _OK] = np.nan
-        return result, status
+        return (result % 360.0 if angle else result), status
 
 
 def _scan_grid_rows(path: Path, usecols: list[int]) -> tuple[np.ndarray, Exception | None]:
@@ -348,7 +354,7 @@ def attach_weather(v: Voyage, grids: list[WeatherGrid]) -> tuple[Voyage, int]:
     for grid in grids:
         values, status = grid.interpolate_many(v.t, v.lat, v.lon)
         keep &= status == _OK
-        channels[grid.variable] = values % 360.0 if is_angle(grid.variable) else values
+        channels[grid.variable] = values
     kept = int(keep.sum())
     if kept < 2:
         raise InsufficientDataError(

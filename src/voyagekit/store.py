@@ -52,17 +52,18 @@ def write_table(path: str | Path, header: Sequence[str], columns: Iterable[Itera
     Each cell is formatted once, as csv.writer would write it (a float
     ndarray column through repr, once per column), and the rows are joined
     in one string. csv.writer writes a table that has a cell it would quote:
-    one holding '"', ',', CR or LF, or the lone, maybe empty, field of a
-    one-column row. Columns of different lengths raise ValueError.
+    one holding '"', or more ',', CR or LF than the column count and the
+    row count (taken from the columns) imply, or the lone, maybe empty,
+    field of a one-column row. Columns of different lengths raise ValueError.
     """
     cells = [_spell(column) for column in columns]
-    rows = [_spell(header), *zip(*cells, strict=True)]
-    text = "\r\n".join(map(",".join, rows)) + "\r\n"
-    n, width = len(rows), len(cells)
-    separators = (len(rows[0]) - 1 + (n - 1) * (width - 1), n, n)  # the commas, CRs, LFs of the shape
+    head = _spell(header)
+    n, width = len(cells[0]) if cells else 0, len(cells)
+    text = "\r\n".join(chain([",".join(head)], map(",".join, zip(*cells, strict=True)), [""]))
+    separators = (len(head) - 1 + n * (width - 1), n + 1, n + 1)  # the commas, CRs, LFs of the shape
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        if min(len(rows[0]), width) < 2 or '"' in text or tuple(map(text.count, ",\r\n")) != separators:
-            csv.writer(fh).writerows(rows)
+        if min(len(head), width) < 2 or '"' in text or tuple(map(text.count, ",\r\n")) != separators:
+            csv.writer(fh).writerows([head, *zip(*cells)])
         else:
             fh.write(text)
 

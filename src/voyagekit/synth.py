@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -144,21 +145,23 @@ class FleetData:
 class _Polyline:
     def __init__(self, points: list[tuple[float, float]]):
         self.points = np.asarray(points, dtype=float)
-        seg = np.diff(self.points, axis=0)
-        self.seg_len = np.sqrt((seg**2).sum(axis=1))
+        self.seg = np.diff(self.points, axis=0)
+        self.seg_len = np.sqrt((self.seg**2).sum(axis=1))
         self.cum = np.concatenate([[0.0], np.cumsum(self.seg_len)])
         self.total = float(self.cum[-1])
         if self.total <= 0:
             raise ConfigurationError("degenerate centerline with zero length")
+        # Segment headings, forward and reversed (zero-length segments are never sampled).
+        # Scalar math.atan2 on purpose: numpy's SIMD arctan2 can differ from it in the last bit.
+        unit = self.seg / np.where(self.seg_len > 0, self.seg_len, 1.0)[:, None]
+        self.headings = [np.array([math.degrees(math.atan2(sign * y, sign * x)) % 360.0 for x, y in unit])
+                         for sign in (1.0, -1.0)]
 
-    def at(self, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """Position and unit direction at arclength s (degree units)."""
-        s = min(max(s, 0.0), self.total)
-        i = int(np.searchsorted(self.cum, s, side="right")) - 1
-        i = min(i, len(self.seg_len) - 1)
+    def at(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(n, 2) positions at arclengths 0 <= s <= total (degree units), and their segments."""
+        i = np.minimum(np.searchsorted(self.cum, s, side="right") - 1, len(self.seg_len) - 1)
         frac = (s - self.cum[i]) / self.seg_len[i]
-        direction = (self.points[i + 1] - self.points[i]) / self.seg_len[i]
-        return self.points[i] + frac * (self.points[i + 1] - self.points[i]), direction
+        return self.points[i] + frac[:, None] * self.seg[i], i
 
 
 def _field_values(
@@ -192,16 +195,13 @@ def generate_fleet(spec: SyntheticFleetSpec) -> FleetData:
     """Simulate the fleet: weather lattice, per-voyage kinematics, fuel burn."""
     rng = np.random.default_rng(spec.seed)
     polylines = {b.name: _Polyline(b.centerline) for b in spec.branches}
+    order = [b.name for _ in range(spec.voyages_per_branch) for b in spec.branches]
 
     # Upper bound on the simulated span, for sizing the weather timeline.
     min_sog = min(r.base_sog for r in spec.regimes) * spec.skill_range[0] * 0.5
     total_s = 0.0
-    order: list[str] = []
-    n_total = spec.voyages_per_branch * len(spec.branches)
-    for i in range(n_total):
-        branch = spec.branches[i % len(spec.branches)]
-        order.append(branch.name)
-        total_s += polylines[branch.name].total / DEG_PER_M / min_sog + spec.gap_s
+    for name in order:
+        total_s += polylines[name].total / DEG_PER_M / min_sog + spec.gap_s
     n_hours = int(total_s / 3600.0) + 6
 
     # Hourly weather regime chain and within-state fluctuation.
@@ -215,10 +215,11 @@ def generate_fleet(spec: SyntheticFleetSpec) -> FleetData:
         else:
             others = [s for s in range(3) if s != r]
             regime_idx[h] = others[int(rng.integers(2))]
-    offsets = {
-        "wind": np.array([rng.normal(0.0, spec.regimes[r].wind_std) for r in regime_idx]),
-        "wave": np.array([rng.normal(0.0, spec.regimes[r].wave_std) for r in regime_idx]),
-    }
+
+    def hourly(attr: str) -> np.ndarray:
+        return np.array([getattr(r, attr) for r in spec.regimes])[regime_idx]
+
+    offsets = {"wind": rng.normal(0.0, hourly("wind_std")), "wave": rng.normal(0.0, hourly("wave_std"))}
 
     all_points = np.vstack([p.points for p in polylines.values()])
     pad = spec.grid_margin_deg + 5.0 * spec.noise_std_deg
@@ -230,80 +231,77 @@ def generate_fleet(spec: SyntheticFleetSpec) -> FleetData:
     times = spec.start_time - 3600.0 + hours * 3600.0
 
     grids = [
-        WeatherGrid(
-            variable=name,
-            times=times,
-            lats=lats,
-            lons=lons,
-            values=_field_values(name, hours, lats, lons, regime_idx, spec.regimes, offsets),
-        )
+        WeatherGrid(name, times, lats, lons,
+                    _field_values(name, hours, lats, lons, regime_idx, spec.regimes, offsets))
         for name in WEATHER_VARIABLES
     ]
-    by_var = {g.variable: g for g in grids}
 
-    def regime_at(t: float) -> int:
-        h = int((t - spec.start_time) // 3600.0) + 1
-        return int(regime_idx[min(max(h, 0), n_hours - 1)])
+    base_sog, tracks, t = hourly("base_sog"), [], spec.start_time
+    for i, name in enumerate(order):
+        skill = rng.uniform(*spec.skill_range)
+        reverse = (i // len(spec.branches)) % 2 == 1
+        track, t = _sail(rng, spec, polylines[name], reverse, skill, t, base_sog)
+        tracks.append(track)
+        t += spec.gap_s
+
+    # Each grid is sampled once for the whole fleet; the columns are then split per voyage.
+    t, lat, lon, sog, heading = map(np.concatenate, zip(*tracks))
+    sampled = [grid.interpolate_many(t, lat, lon) for grid in grids]
+    weather = dict(zip(WEATHER_VARIABLES, (values for values, _ in sampled)))
+    fuel = spec.fuel_a + spec.fuel_b * sog**2 + spec.fuel_c * weather["WindSpeed_cps"]
+    uncovered = np.column_stack([status != 0 for _, status in sampled])
+    bounds = np.cumsum([len(track[0]) for track in tracks])[:-1]
+    fleet = (uncovered, t, lat, lon, sog, heading, fuel, *weather.values())
 
     voyages: list[Voyage] = []
     labels: dict[str, str] = {}
-    t = spec.start_time
-    for i, branch_name in enumerate(order):
+    for i, (branch_name, (bad, *columns)) in enumerate(zip(order, zip(*(np.split(c, bounds) for c in fleet)))):
         vid = f"V{i + 1:04d}"
-        line = polylines[branch_name]
-        reverse = (i // len(spec.branches)) % 2 == 1
-        skill = rng.uniform(*spec.skill_range)
-        ts_list: list[float] = []
-        pos_list: list[np.ndarray] = []
-        sog_list: list[float] = []
-        heading_list: list[float] = []
-        s = 0.0
-        while s < line.total:
-            regime = spec.regimes[regime_at(t)]
-            sog = max(0.3, skill * regime.base_sog + rng.normal(0.0, spec.sog_noise))
-            center, direction = line.at(line.total - s if reverse else s)
-            if reverse:
-                direction = -direction
-            pos = center + rng.normal(0.0, spec.noise_std_deg, 2) if spec.noise_std_deg > 0 else center
-            heading = (math.degrees(math.atan2(direction[1], direction[0]))) % 360.0
-            heading = (heading + rng.normal(0.0, 2.0)) % 360.0
-            ts_list.append(t)
-            pos_list.append(pos)
-            sog_list.append(sog)
-            heading_list.append(heading)
-            s += sog * spec.sample_period_s * DEG_PER_M
-            t += spec.sample_period_s
-
-        ts = np.array(ts_list)
-        pos = np.vstack(pos_list)
-        sogs = np.array(sog_list)
-        channel_values: dict[str, np.ndarray] = {}
-        for name, grid in by_var.items():
-            values, status = grid.interpolate_many(ts, pos[:, 0], pos[:, 1])
-            if np.any(status != 0):
-                raise ConfigurationError(
-                    f"weather lattice does not cover voyage {vid} (grid {name})"
-                )
-            channel_values[name] = values
-        wind = channel_values["WindSpeed_cps"]
-        fuel = spec.fuel_a + spec.fuel_b * sogs**2 + spec.fuel_c * wind
-
-        channels = {name: channel_values[name] for name in WEATHER_VARIABLES}
-        channels.update(zip(ONBOARD_CHANNELS, (wind, channel_values["WindDirection_cps"])))
-        voyages.append(
-            Voyage(ts, pos[:, 0], pos[:, 1], sogs, heading_list, fuel, channels, voyage_id=vid)
-        )
+        if bad.any():
+            name = WEATHER_VARIABLES[np.flatnonzero(bad.any(axis=0))[0]]
+            raise ConfigurationError(f"weather lattice does not cover voyage {vid} (grid {name})")
+        channels = dict(zip(WEATHER_VARIABLES, columns[len(CORE_FIELDS):]))
+        channels.update(zip(ONBOARD_CHANNELS, (channels["WindSpeed_cps"], channels["WindDirection_cps"])))
+        voyages.append(Voyage(*columns[: len(CORE_FIELDS)], channels, voyage_id=vid))
         labels[vid] = branch_name
-        t += spec.gap_s
 
-    segment_spec = _route_segments(all_points, pad)
-    return FleetData(
-        spec=spec,
-        voyages=voyages,
-        labels=labels,
-        grids=grids,
-        segment_spec=segment_spec,
-    )
+    return FleetData(spec, voyages, labels, grids, _route_segments(all_points, pad))
+
+
+def _sail(
+    rng: np.random.Generator, spec: SyntheticFleetSpec, line: _Polyline, reverse: bool,
+    skill: float, t0: float, base_sog: np.ndarray,
+) -> tuple[tuple[np.ndarray, ...], float]:
+    """One voyage from time t0: its (t, lat, lon, sog, heading) columns and the time after it.
+
+    Each sample draws one row of normals: speed, lat and lon (none when
+    noise_std_deg is 0), heading. The sample count is known only once the
+    summed distance reaches the line's end: a block sized at the slowest
+    regime's speed, doubled until it suffices, finds it; then the stream is
+    rewound and exactly those rows are drawn, as a per-sample loop would.
+    """
+    period = spec.sample_period_s
+    noise = spec.noise_std_deg
+    scales = [spec.sog_noise, *([noise, noise] if noise > 0 else []), 2.0]
+    state = rng.bit_generator.state
+    n = int(line.total / (max(0.3, skill * base_sog.min()) * period * DEG_PER_M)) + 2
+    while True:
+        draws = rng.normal(0.0, scales, size=(n, len(scales)))
+        t = np.cumsum(np.r_[t0, np.full(n, period)])
+        hour = np.floor_divide(t[:-1] - spec.start_time, 3600.0).astype(int) + 1
+        sog = np.maximum(0.3, skill * base_sog[np.clip(hour, 0, len(base_sog) - 1)] + draws[:, 0])
+        s = np.cumsum(sog * period * DEG_PER_M)
+        rng.bit_generator.state = state
+        if s[-1] >= line.total:
+            break
+        n *= 2
+    n = int(np.searchsorted(s, line.total)) + 1  # the samples sailed before s reaches the end
+    draws = rng.normal(0.0, scales, size=(n, len(scales)))
+    s = np.r_[0.0, s[: n - 1]]
+    pos, segment = line.at(line.total - s if reverse else s)
+    pos = pos + draws[:, 1:3] if noise > 0 else pos
+    heading = np.remainder(line.headings[reverse][segment] + draws[:, -1], 360.0)
+    return (t[:n], pos[:, 0], pos[:, 1], sog[:n], heading), float(t[n])
 
 
 def _route_segments(all_points: np.ndarray, pad: float) -> RouteSegmentSpec:
@@ -346,13 +344,19 @@ def write_fleet(fleet: FleetData, out_dir: str | Path) -> dict:
     onboard = np.vstack([v.columns(*CORE_FIELDS, *ONBOARD_CHANNELS) for v in fleet.voyages])
     write_table(out / "onboard" / "fleet.csv", [*CORE_COLUMNS, *ONBOARD_CHANNELS], onboard.T)
 
+    written: dict[tuple[bytes, ...], Path] = {}
     for grid in fleet.grids:
+        path = out / "weather" / f"{grid.variable}.csv"
+        key = tuple(a.tobytes() for a in (grid.times, grid.lats, grid.lons, grid.values))
+        if key in written:  # a twin grid (the wind providers') is formatted once
+            shutil.copyfile(written[key], path)
+            continue
+        written[key] = path
         # A grid has far fewer distinct coordinates than cells: format each axis once.
         axes = (grid.times, grid.lats, grid.lons)
         cell_index = np.indices(grid.values.shape).reshape(3, -1)
         cells = [np.array(list(map(repr, a.tolist())), dtype=object)[i] for a, i in zip(axes, cell_index)]
-        header = ["time", "lat", "lon", "value"]
-        write_table(out / "weather" / f"{grid.variable}.csv", header, [*cells, grid.values.ravel()])
+        write_table(path, ["time", "lat", "lon", "value"], [*cells, grid.values.ravel()])
 
     fleet.segment_spec.to_json(out / "segments.json")
     ids = sorted(fleet.labels)

@@ -180,7 +180,10 @@ edge_floats = st.one_of(
     st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, -2.2e-308, 1e16]),
     st.floats(width=64),
 )
-text_cells = st.text(st.sampled_from(["a", "7", " ", ",", '"', "\r", "\n"]), max_size=4)
+text_cells = st.one_of(
+    st.text(st.sampled_from(["a", "7", " ", ",", '"', "\r", "\n"]), max_size=4),
+    st.sampled_from([",\r\n", "a,\r\nb", "\r\n,,"]),
+)
 other_cells = st.one_of(
     text_cells, st.none(), st.integers(-10**20, 10**20), st.booleans(), edge_floats,
     edge_floats.map(np.float64),
@@ -188,8 +191,8 @@ other_cells = st.one_of(
 
 
 @st.composite
-def tables(draw):
-    rows = draw(st.integers(0, 6))
+def tables(draw, min_rows=0, max_rows=6):
+    rows = draw(st.integers(min_rows, max_rows))
     columns = [
         np.array(draw(st.lists(edge_floats, min_size=rows, max_size=rows)), dtype=float)
         if draw(st.booleans())
@@ -197,6 +200,22 @@ def tables(draw):
         for _ in range(draw(st.integers(1, 4)))
     ]
     return draw(st.lists(text_cells, min_size=len(columns), max_size=len(columns))), columns
+
+
+@st.composite
+def balanced_tables(draw):
+    """Tables with one cell holding k line breaks and k * (width - 1) commas.
+
+    The text then has as many commas, CRs and LFs as a table with k more
+    rows, so only a row count taken from the columns sees the quoting need.
+    """
+    header, columns = draw(tables(min_rows=1))
+    width, breaks = len(columns), draw(st.integers(1, 3))
+    column = draw(st.integers(0, width - 1))
+    cells = list(columns[column])
+    cells[draw(st.integers(0, len(cells) - 1))] = "x" + ("," * (width - 1) + "\r\n") * breaks
+    columns[column] = cells
+    return header, columns
 
 
 class TestWriteTable:
@@ -236,7 +255,7 @@ class TestWriteTable:
         assert list(map(repr, cells)) == [repr(float(v)) for v in values]
 
     @settings(max_examples=300)
-    @given(tables())
+    @given(st.one_of(tables(), tables(min_rows=1, max_rows=1), balanced_tables()))
     def test_bytes_match_csv_writer(self, tmp_path_factory, table):
         header, columns = table
         out = tmp_path_factory.mktemp("table")

@@ -419,6 +419,52 @@ class TestTrilinear:
                         np.zeros((2, 2, 2)))
 
 
+
+UNIT_AXES = (np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+unit_queries = st.tuples(*[st.floats(0.0, 1.0)] * 3)
+
+
+def circular_gap(a, b):
+    return abs((a - b + 180.0) % 360.0 - 180.0)
+
+
+class TestCircularInterpolation:
+    """*Direction* grids blend their corners along the short arc."""
+
+    def test_wrapping_corners_blend_through_north(self):
+        values = np.array([350.0, 10.0] * 4).reshape(2, 2, 2)
+        grid = WeatherGrid("WaveDirection", *UNIT_AXES, values)
+        got, status = grid.interpolate_many(np.array([0.5]), np.array([0.5]), np.array([0.5]))
+        assert status.tolist() == [0]
+        assert circular_gap(got[0], 0.0) <= 1e-12
+        assert 0.0 <= got[0] < 360.0
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.floats(0.0, 179.0), min_size=8, max_size=8),
+        st.floats(0.0, 360.0),
+        st.floats(-720.0, 720.0),
+        unit_queries,
+    )
+    def test_rotation_equivariant(self, offsets, start, rotation, query):
+        # Corners spanning less than 180 degrees, anywhere on the circle.
+        base = (start + np.array(offsets)) % 360.0
+        q = [np.array([x]) for x in query]
+        got = [
+            WeatherGrid("WindDirection_cps", *UNIT_AXES, corners.reshape(2, 2, 2)).interpolate_many(*q)[0][0]
+            for corners in (base, (base + rotation) % 360.0)
+        ]
+        assert circular_gap(got[1], got[0] + rotation) <= 1e-9
+
+    @given(st.lists(st.floats(0.0, 180.0), min_size=8, max_size=8), unit_queries)
+    def test_non_wrapping_blend_is_linear_bit_for_bit(self, corners, query):
+        values = np.array(corners).reshape(2, 2, 2)
+        q = [np.array([x]) for x in query]
+        angle, _ = WeatherGrid("CurrentDirection", *UNIT_AXES, values).interpolate_many(*q)
+        linear, _ = WeatherGrid("CurrentSpeed", *UNIT_AXES, values).interpolate_many(*q)
+        assert angle.tobytes() == (linear % 360.0).tobytes()
+
+
 class TestResample:
     def test_idempotent_on_aligned(self):
         v = voyage_of(

@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import tiny_fleet_spec
+from voyagekit import synth
 from voyagekit.errors import ConfigurationError
-from voyagekit.ingestion import parse_weather_grid
-from voyagekit.store import write_table
+from voyagekit.geo import CORE_FIELDS, Voyage
+from voyagekit.ingestion import WeatherGrid, parse_weather_grid
+from voyagekit.store import ONBOARD_CHANNELS, write_table
 from voyagekit.synth import (
+    DEG_PER_M,
     Branch,
+    FleetData,
     SyntheticFleetSpec,
     WEATHER_VARIABLES,
     default_fleet_spec,
@@ -147,6 +151,207 @@ class TestWriteFleet:
                 expected = getattr(grid, axis)
                 assert getattr(parsed, axis).shape == expected.shape, axis
                 assert getattr(parsed, axis).tobytes() == expected.tobytes(), axis
+
+
+def oracle_at(points, s):
+    """Position and unit direction at arclength s along a polyline (degree units)."""
+    seg_len = np.sqrt((np.diff(points, axis=0) ** 2).sum(axis=1))
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    s = min(max(s, 0.0), float(cum[-1]))
+    i = min(int(np.searchsorted(cum, s, side="right")) - 1, len(seg_len) - 1)
+    frac = (s - cum[i]) / seg_len[i]
+    direction = (points[i + 1] - points[i]) / seg_len[i]
+    return points[i] + frac * (points[i + 1] - points[i]), direction
+
+
+def oracle_generate_fleet(spec):
+    """Reference: the generator as a per-sample loop, one interpolation per voyage and grid."""
+    rng = np.random.default_rng(spec.seed)
+    lines = {b.name: np.asarray(b.centerline, dtype=float) for b in spec.branches}
+    totals = {name: float(np.sqrt((np.diff(p, axis=0) ** 2).sum(axis=1)).sum()) for name, p in lines.items()}
+
+    min_sog = min(r.base_sog for r in spec.regimes) * spec.skill_range[0] * 0.5
+    total_s = 0.0
+    order = []
+    for i in range(spec.voyages_per_branch * len(spec.branches)):
+        branch = spec.branches[i % len(spec.branches)]
+        order.append(branch.name)
+        total_s += totals[branch.name] / DEG_PER_M / min_sog + spec.gap_s
+    n_hours = int(total_s / 3600.0) + 6
+
+    regime_idx = np.empty(n_hours, dtype=int)
+    regime_idx[0] = 0
+    for h in range(1, n_hours):
+        r = regime_idx[h - 1]
+        stay = max(0.0, 1.0 - 1.0 / spec.regimes[r].dwell_hours)
+        if rng.random() < stay:
+            regime_idx[h] = r
+        else:
+            others = [s for s in range(3) if s != r]
+            regime_idx[h] = others[int(rng.integers(2))]
+    offsets = {
+        "wind": np.array([rng.normal(0.0, spec.regimes[r].wind_std) for r in regime_idx]),
+        "wave": np.array([rng.normal(0.0, spec.regimes[r].wave_std) for r in regime_idx]),
+    }
+
+    all_points = np.vstack(list(lines.values()))
+    pad = spec.grid_margin_deg + 5.0 * spec.noise_std_deg
+    lat_lo, lon_lo = all_points.min(axis=0) - pad
+    lat_hi, lon_hi = all_points.max(axis=0) + pad
+    lats = np.arange(lat_lo, lat_hi + spec.grid_step_deg, spec.grid_step_deg)
+    lons = np.arange(lon_lo, lon_hi + spec.grid_step_deg, spec.grid_step_deg)
+    hours = np.arange(n_hours, dtype=float)
+    times = spec.start_time - 3600.0 + hours * 3600.0
+    grids = [
+        WeatherGrid(name, times, lats, lons,
+                    synth._field_values(name, hours, lats, lons, regime_idx, spec.regimes, offsets))
+        for name in WEATHER_VARIABLES
+    ]
+
+    def regime_at(t):
+        h = int((t - spec.start_time) // 3600.0) + 1
+        return int(regime_idx[min(max(h, 0), n_hours - 1)])
+
+    voyages, labels = [], {}
+    t = spec.start_time
+    for i, branch_name in enumerate(order):
+        vid = f"V{i + 1:04d}"
+        points, total = lines[branch_name], totals[branch_name]
+        reverse = (i // len(spec.branches)) % 2 == 1
+        skill = rng.uniform(*spec.skill_range)
+        ts_list, pos_list, sog_list, heading_list = [], [], [], []
+        s = 0.0
+        while s < total:
+            regime = spec.regimes[regime_at(t)]
+            sog = max(0.3, skill * regime.base_sog + rng.normal(0.0, spec.sog_noise))
+            center, direction = oracle_at(points, total - s if reverse else s)
+            if reverse:
+                direction = -direction
+            pos = center + rng.normal(0.0, spec.noise_std_deg, 2) if spec.noise_std_deg > 0 else center
+            heading = (math.degrees(math.atan2(direction[1], direction[0]))) % 360.0
+            heading = (heading + rng.normal(0.0, 2.0)) % 360.0
+            ts_list.append(t)
+            pos_list.append(pos)
+            sog_list.append(sog)
+            heading_list.append(heading)
+            s += sog * spec.sample_period_s * DEG_PER_M
+            t += spec.sample_period_s
+
+        ts, pos, sogs = np.array(ts_list), np.vstack(pos_list), np.array(sog_list)
+        channels = {}
+        for grid in grids:
+            values, status = grid.interpolate_many(ts, pos[:, 0], pos[:, 1])
+            if np.any(status != 0):
+                raise ConfigurationError(
+                    f"weather lattice does not cover voyage {vid} (grid {grid.variable})"
+                )
+            channels[grid.variable] = values
+        wind = channels["WindSpeed_cps"]
+        fuel = spec.fuel_a + spec.fuel_b * sogs**2 + spec.fuel_c * wind
+        channels.update(zip(ONBOARD_CHANNELS, (wind, channels["WindDirection_cps"])))
+        voyages.append(Voyage(ts, pos[:, 0], pos[:, 1], sogs, heading_list, fuel, channels, voyage_id=vid))
+        labels[vid] = branch_name
+        t += spec.gap_s
+    return FleetData(spec, voyages, labels, grids, synth._route_segments(all_points, pad))
+
+
+def oracle_write_fleet(fleet, out):
+    """Reference: write_fleet with every weather grid formatted on its own."""
+    write_fleet(fleet, out)
+    for grid in fleet.grids:
+        meshgrid_grid_writer(grid, out / "weather" / f"{grid.variable}.csv")
+
+
+def fleet_columns(fleet):
+    """Every array of a fleet, keyed, as bytes."""
+    columns = {}
+    for v in fleet.voyages:
+        for name in CORE_FIELDS:
+            columns[v.voyage_id, name] = getattr(v, name).tobytes()
+        for name, values in v.channels.items():
+            columns[v.voyage_id, name] = values.tobytes()
+    for g in fleet.grids:
+        for axis in ("times", "lats", "lons", "values"):
+            columns[g.variable, axis] = getattr(g, axis).tobytes()
+    return columns
+
+
+def tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def sized_default_spec(seed, voyages):
+    return dataclasses.replace(default_fleet_spec(seed), voyages_per_branch=voyages // 3)
+
+
+class TestMatchesPerSampleOracle:
+    """The columnar generator gives the per-sample loop's arrays and files, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            default_fleet_spec(1),
+            default_fleet_spec(7),
+            sized_default_spec(3, 60),
+            tiny_fleet_spec(),
+            dataclasses.replace(tiny_fleet_spec(seed=2), noise_std_deg=0.0),
+            dataclasses.replace(
+                tiny_fleet_spec(seed=5), sample_period_s=13.7, gap_s=901.3, skill_range=(0.5, 1.4)
+            ),
+            # Speed noise slower than the slowest regime: the first block of draws falls short.
+            dataclasses.replace(tiny_fleet_spec(seed=3), sog_noise=6.0),
+            dataclasses.replace(tiny_fleet_spec(seed=4), branches=[
+                Branch("mid", [(0.0, 0.0), (0.0, 0.1), (0.0, 0.1), (0.0, 0.2)]),  # a repeated point
+                Branch("north", [(0.0, 0.0), (0.12, 0.07), (0.12, 0.13), (0.0, 0.2)]),
+            ]),
+        ],
+        ids=["default-1", "default-7", "default-60-voyages", "tiny", "zero-noise", "custom-timing",
+             "noisy-speed", "repeated-point"],
+    )
+    def test_arrays_and_files(self, spec, tmp_path):
+        expected, got = oracle_generate_fleet(spec), generate_fleet(spec)
+        assert got.labels == expected.labels
+        assert fleet_columns(got) == fleet_columns(expected)
+        oracle_write_fleet(expected, tmp_path / "oracle")
+        write_fleet(got, tmp_path / "columns")
+        assert tree_bytes(tmp_path / "columns") == tree_bytes(tmp_path / "oracle")
+
+    def test_uncovered_voyage_same_error(self):
+        spec = dataclasses.replace(tiny_fleet_spec(), grid_margin_deg=-0.05)
+        with pytest.raises(ConfigurationError) as expected:
+            oracle_generate_fleet(spec)
+        with pytest.raises(ConfigurationError) as got:
+            generate_fleet(spec)
+        assert "does not cover voyage" in str(expected.value)
+        assert str(got.value) == str(expected.value)
+
+
+class TestWholeFleetCalls:
+    """Weather is sampled, and each distinct grid written, once per fleet, not per voyage."""
+
+    def test_interpolation_calls_do_not_grow_with_the_fleet(self, monkeypatch):
+        calls = []
+        sample = WeatherGrid.interpolate_many
+        monkeypatch.setattr(WeatherGrid, "interpolate_many", lambda g, *a: calls.append(1) or sample(g, *a))
+        counts = []
+        for voyages in (12, 30):
+            calls.clear()
+            generate_fleet(sized_default_spec(1, voyages))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= len(WEATHER_VARIABLES)
+
+    def test_twin_grids_formatted_once(self, monkeypatch, tmp_path):
+        paths = []
+        write = synth.write_table
+        monkeypatch.setattr(synth, "write_table", lambda path, *a: paths.append(path) or write(path, *a))
+        fleet = generate_fleet(sized_default_spec(1, 6))
+        write_fleet(fleet, tmp_path)
+        grid_writes = [p.stem for p in paths if p.parent.name == "weather"]
+        assert len(grid_writes) == 6
+        assert {"WindSpeed_sg", "WindDirection_sg"}.isdisjoint(grid_writes)
+        for twin, first in (("WindSpeed_sg", "WindSpeed_cps"), ("WindDirection_sg", "WindDirection_cps")):
+            weather = tmp_path / "weather"
+            assert (weather / f"{twin}.csv").read_bytes() == (weather / f"{first}.csv").read_bytes()
 
 
 class TestSpecJson:
