@@ -14,6 +14,7 @@ interface, so an alternative (e.g. a trained network) can be plugged in.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -43,6 +44,8 @@ FEATURE_CASES: dict[str, tuple[str, ...]] = {
 MIN_TRAINING_SAMPLES = 100
 #: Floor applied to suggested speeds when rescaling step durations, m/s.
 SPEED_FLOOR = 0.1
+#: Threads per k-d tree query: every CPU this process may run on. No result depends on it.
+QUERY_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass
@@ -174,7 +177,7 @@ class KnnRegressor:
         if self._x is None:
             raise InvalidInputError("regressor is not fitted")
         queries = self._scale(np.atleast_2d(features))
-        d, idx = self._tree.query(queries, k=self.k)
+        d, idx = self._tree.query(queries, k=self.k, workers=QUERY_WORKERS)
         # k=1 returns 1-D arrays; neighbors are sorted by distance.
         d = d.reshape(len(queries), self.k)
         ky = self._y[idx.reshape(len(queries), self.k)]
@@ -195,7 +198,8 @@ class EfficiencyEstimator:
     channels: tuple[str, ...]
     regressor: KnnRegressor
 
-    def predict_rates(self, v: Voyage, sog_override: np.ndarray | None = None) -> np.ndarray:
+    def features(self, v: Voyage, sog_override: np.ndarray | None = None) -> np.ndarray:
+        """The voyage's feature rows, with `sog_override` in place of its speeds."""
         feats = v.columns("lat", "lon", "sog", "heading", *self.channels)
         if sog_override is not None:
             if len(sog_override) != len(v):
@@ -203,7 +207,14 @@ class EfficiencyEstimator:
                     f"profile length {len(sog_override)} != voyage length {len(v)}"
                 )
             feats[:, 2] = sog_override
-        return np.maximum(self.regressor.predict(feats), 0.0)
+        return feats
+
+    def rates(self, features: np.ndarray) -> np.ndarray:
+        """Fuel rates of stacked feature rows, each row's independent of the others."""
+        return np.maximum(self.regressor.predict(features), 0.0)
+
+    def predict_rates(self, v: Voyage, sog_override: np.ndarray | None = None) -> np.ndarray:
+        return self.rates(self.features(v, sog_override))
 
 
 def train_estimator(
@@ -216,38 +227,44 @@ def train_estimator(
         )
     if not voyages:
         raise InsufficientDataError("no voyages to train the estimator on")
-    channels = FEATURE_CASES[feature_case]
-    feats = np.vstack([v.columns("lat", "lon", "sog", "heading", *channels) for v in voyages])
+    est = EfficiencyEstimator(channels=FEATURE_CASES[feature_case], regressor=KnnRegressor(k=k))
+    feats = np.vstack([est.features(v) for v in voyages])
     targets = np.concatenate([v.fuel for v in voyages])
     if len(feats) < MIN_TRAINING_SAMPLES:
         raise InsufficientDataError(
             f"estimator needs >= {MIN_TRAINING_SAMPLES} samples, got {len(feats)}"
         )
-    reg = KnnRegressor(k=k).fit(feats, targets)
-    return EfficiencyEstimator(channels=channels, regressor=reg)
+    est.regressor.fit(feats, targets)
+    return est
 
 
 def estimate_fuel_time(
-    profile: Sequence[float], context: Voyage, est: EfficiencyEstimator
-) -> tuple[float, float]:
+    profile: Sequence, context: Voyage | Sequence[Voyage], est: EfficiencyEstimator
+) -> tuple[float, float] | list[tuple[float, float]]:
     """Fuel and time totals for a suggested speed profile over a voyage.
 
     Step durations are rescaled by measured/suggested speed so distance
     over ground is preserved; suggested speeds are floored at 0.1 m/s to
     keep durations finite. Fuel integrates predicted rates with the
     left-rectangle rule over the rescaled durations.
+
+    A sequence of profiles with a sequence of voyages is one batch: the
+    rates of all their rows come from one stacked regressor query, and the
+    result is the list of (fuel, hours) pairs, each equal to its own call's.
     """
-    sog_pred = np.asarray(profile, dtype=float)
-    if len(sog_pred) != len(context):
-        raise InvalidInputError(
-            f"profile length {len(sog_pred)} != voyage length {len(context)}"
-        )
-    rates = est.predict_rates(context, sog_override=sog_pred)
-    scaled = np.diff(context.t) * context.sog[:-1] / np.maximum(sog_pred[:-1], SPEED_FLOOR)
-    # Left-to-right sums (cumsum), as in the per-step accumulation they replace.
-    fuel = np.cumsum(rates[:-1] * scaled / 3600.0)[-1]
-    hours = np.cumsum(scaled / 3600.0)[-1]
-    return float(fuel), float(hours)
+    batch = not isinstance(context, Voyage)
+    profiles, voyages = (profile, context) if batch else ([profile], [context])
+    speeds = [np.asarray(p, dtype=float) for p in profiles]
+    rows = [est.features(v, s) for s, v in zip(speeds, voyages, strict=True)]
+    rates = est.rates(np.vstack(rows)) if rows else None
+    totals, start = [], 0
+    for sog, v in zip(speeds, voyages):
+        r, start = rates[start:start + len(v)], start + len(v)
+        scaled = np.diff(v.t) * v.sog[:-1] / np.maximum(sog[:-1], SPEED_FLOOR)
+        # Left-to-right sums (cumsum), as in the per-step accumulation they replace.
+        totals.append((float(np.cumsum(r[:-1] * scaled / 3600.0)[-1]),
+                       float(np.cumsum(scaled / 3600.0)[-1])))
+    return totals if batch else totals[0]
 
 
 def write_summary_csv(

@@ -2,8 +2,8 @@
 
 States are Calm, Moderate, and Rough, ordered by ascending mean wind speed.
 Fitting is Baum-Welch over per-voyage observation sequences of
-(wind speed, wave height). Each EM pass computes a sequence's emission
-densities once and runs one batched forward-backward over all sequences,
+(wind speed, wave height). Each EM pass computes the emission densities of
+all sequences, padded into one array, and runs one batched forward-backward,
 scaled per step (Rabiner 1989) so long sequences do not underflow. Speed
 suggestions take the maximum observed training speed in Calm, the mean in
 Moderate, and the minimum in Rough, applied per decoded step.
@@ -40,19 +40,16 @@ class WeatherStateModel:
     converged: bool = False          # EM stopped on `tol`, not on `max_iter`
 
     def emission_log_density(self, obs: np.ndarray) -> np.ndarray:
-        """(T, 3) matrix of per-state diagonal-Gaussian log densities."""
+        """(..., 3) per-state diagonal-Gaussian log densities of (..., n_features) rows."""
         obs = np.atleast_2d(np.asarray(obs, dtype=float))
-        diff = obs[:, None, :] - self.means[None, :, :]
-        return -0.5 * (
-            np.log(2.0 * np.pi * self.variances)[None, :, :]
-            + diff**2 / self.variances[None, :, :]
-        ).sum(axis=2)
+        diff = obs[..., None, :] - self.means
+        return -0.5 * (np.log(2.0 * np.pi * self.variances) + diff**2 / self.variances).sum(axis=-1)
 
     def scaled_emissions(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Emission densities shifted by each step's maximum: (b, log shifts)."""
         log_b = self.emission_log_density(obs)
-        correction = log_b.max(axis=1)
-        return np.exp(log_b - correction[:, None]), correction
+        correction = log_b.max(axis=-1)
+        return np.exp(log_b - correction[..., None]), correction
 
     def forward_backward(
         self, emissions: Sequence[tuple[np.ndarray, np.ndarray]]
@@ -62,31 +59,25 @@ class WeatherStateModel:
         The sequences are padded longest first into (T_max, n, 3) arrays and
         step t updates the prefix still active: T_max Python steps per batch.
         """
-        lengths = np.array([len(b) for b, _ in emissions])
-        order = np.argsort(-lengths, kind="stable")
-        T, n = lengths[order[0]], len(order)
-        active = np.count_nonzero(lengths > np.arange(T)[:, None], axis=1)
-        b = np.zeros((T, n, N_STATES))
-        for j, i in enumerate(order):
-            b[: lengths[i], j] = emissions[i][0]
-        A = self.transitions
+        b, order, active = _time_major([b for b, _ in emissions])
+        (T, n), A = b.shape[:2], self.transitions
         alpha, beta, scales = np.empty_like(b), np.ones_like(b), np.empty((T, n))
         alpha[0] = self.start_probs * b[0]
         scales[0] = alpha[0].sum(axis=1)
         alpha[0] /= scales[0, :, None]
-        for t in range(1, T):
-            m = active[t]
-            alpha[t, :m] = (alpha[t - 1, :m] @ A) * b[t, :m]
-            scales[t, :m] = alpha[t, :m].sum(axis=1)
-            alpha[t, :m] /= scales[t, :m, None]
+        for t, m in enumerate(active[1:], 1):
+            a = alpha[t, :m]
+            np.multiply(np.matmul(alpha[t - 1, :m], A, out=a), b[t, :m], out=a)
+            np.divide(a, a.sum(axis=1, out=scales[t, :m])[:, None], out=a)
+        v = np.empty((n, N_STATES, 1))
         for t in range(T - 2, -1, -1):
             m = active[t + 1]
             # Row-wise A @ v bit for bit; `v @ A.T` and einsum differ in the last bit.
-            v = b[t + 1, :m] * beta[t + 1, :m]
-            beta[t, :m] = np.matmul(A[None], v[:, :, None])[:, :, 0] / scales[t + 1, :m, None]
+            np.multiply(b[t + 1, :m], beta[t + 1, :m], out=v[:m, :, 0])
+            np.divide(np.matmul(A[None], v[:m])[:, :, 0], scales[t + 1, :m, None], out=beta[t, :m])
         passes = [None] * n
         for j, i in enumerate(order):
-            s = scales[: lengths[i], j].copy()
+            s = scales[: len(emissions[i][0]), j].copy()
             ll = float(np.log(s).sum() + emissions[i][1].sum())
             passes[i] = (alpha[: len(s), j].copy(), beta[: len(s), j].copy(), s, ll)
         return passes
@@ -94,25 +85,50 @@ class WeatherStateModel:
     def log_likelihood(self, obs: np.ndarray) -> float:
         return self.forward_backward([self.scaled_emissions(obs)])[0][3]
 
-    def viterbi(self, obs: np.ndarray) -> np.ndarray:
-        """Most likely state sequence (log-space dynamic program)."""
-        log_b = self.emission_log_density(obs)
+    def viterbi(self, obs):
+        """Most likely state sequence (log-space dynamic program). A list of sequences is
+        one batch, padded longest first as in forward_backward and traced back together:
+        the result is the list of their state sequences, each equal to its own call's."""
+        if isinstance(obs, list) and not obs:
+            return []
+        sequences = [np.atleast_2d(np.asarray(o, dtype=float))
+                     for o in (obs if isinstance(obs, list) else [obs])]
+        x, order, active = _time_major(sequences)
+        log_b, (T, n) = self.emission_log_density(x), x.shape[:2]
         with np.errstate(divide="ignore"):
-            log_pi = np.log(self.start_probs)
-            log_a = np.log(self.transitions)
-        T = len(log_b)
-        delta = np.empty((T, N_STATES))
-        back = np.zeros((T, N_STATES), dtype=int)
+            log_pi, log_a = np.log(self.start_probs), np.log(self.transitions)
+        delta, back = np.empty((T, n, N_STATES)), np.zeros((T, n, N_STATES), dtype=int)
         delta[0] = log_pi + log_b[0]
-        for t in range(1, T):
-            scores = delta[t - 1][:, None] + log_a
-            back[t] = scores.argmax(axis=0)
-            delta[t] = scores.max(axis=0) + log_b[t]
-        states = np.empty(T, dtype=int)
-        states[-1] = int(delta[-1].argmax())
-        for t in range(T - 2, -1, -1):
-            states[t] = back[t + 1][states[t + 1]]
-        return states
+        for t, m in enumerate(active[1:], 1):
+            scores = delta[t - 1, :m, :, None] + log_a
+            back[t, :m] = scores.argmax(axis=1)
+            np.add(scores.max(axis=1), log_b[t, :m], out=delta[t, :m])
+        states, ends = np.empty((T, n), dtype=int), [*active[1:], 0]
+        for t in range(T - 1, -1, -1):
+            k = ends[t]  # sequences k..active[t]-1 end at step t; the first k go on
+            states[t, k:active[t]] = delta[t, k:active[t]].argmax(axis=1)
+            states[t, :k] = back[t + 1, np.arange(k), states[t + 1, :k]] if k else 0
+        decoded = [None] * n
+        for j, i in enumerate(order):
+            decoded[i] = states[: len(sequences[i]), j].copy()
+        return decoded if isinstance(obs, list) else decoded[0]
+
+
+def padded(arrays: Sequence[np.ndarray], fill: float = 0.0) -> np.ndarray:
+    """(n, longest, ...) stack of the arrays, each filled up at its end."""
+    out = np.full((len(arrays), max(map(len, arrays)), *np.shape(arrays[0])[1:]), fill)
+    for i, a in enumerate(arrays):
+        out[i, : len(a)] = a
+    return out
+
+
+def _time_major(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int], list[int]]:
+    """(T_max, n, ...) zero-padded stack, longest first (ties in input order), that
+    order, and per step the number of arrays still active: a prefix of the n."""
+    order = sorted(range(len(arrays)), key=lambda i: -len(arrays[i]))
+    stacked = np.ascontiguousarray(padded([arrays[i] for i in order]).swapaxes(0, 1))
+    lengths = np.array([len(a) for a in arrays])
+    return stacked, order, np.count_nonzero(lengths > np.arange(len(stacked))[:, None], axis=1).tolist()
 
 
 def _tercile_states(wind: np.ndarray) -> np.ndarray:
@@ -169,6 +185,7 @@ def fit_weather_hmm(
         sog_stats=np.zeros((N_STATES, 3)),
     )
 
+    lengths, observations = list(map(len, sequences)), padded(sequences)
     prev_ll = -np.inf
     for _ in range(max_iter):
         total_ll = 0.0
@@ -177,7 +194,8 @@ def fit_weather_hmm(
         gamma_sum = np.zeros(N_STATES)
         mean_num = np.zeros_like(model.means)
         var_num = np.zeros_like(model.variances)
-        emissions = [model.scaled_emissions(obs) for obs in sequences]
+        densities, shifts = model.scaled_emissions(observations)
+        emissions = [(densities[i, :n], shifts[i, :n]) for i, n in enumerate(lengths)]
         passes = model.forward_backward(emissions)
         for obs, (b, _), (alpha, beta, scales, ll) in zip(sequences, emissions, passes):
             total_ll += ll
@@ -212,7 +230,7 @@ def fit_weather_hmm(
     model.means = model.means[order]
     model.variances = model.variances[order]
 
-    states = np.concatenate([model.viterbi(obs) for obs in sequences])
+    states = np.concatenate(model.viterbi(sequences))
     sog = np.concatenate([v.sog for v in voyages])
     for s in range(N_STATES):
         pool = sog[states == s]

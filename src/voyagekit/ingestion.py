@@ -29,7 +29,7 @@ from .errors import (
     SchemaError,
 )
 from .geo import GeoPoint, Track, Voyage, is_angle, valid_samples
-from .store import CORE_COLUMNS, ONBOARD_CHANNELS
+from .store import CORE_COLUMNS, ONBOARD_CHANNELS, load_floats
 
 # Interpolation status codes used by WeatherGrid.interpolate_many.
 _OK = 0
@@ -72,40 +72,39 @@ def parse_onboard_csv(path: str | Path) -> tuple[Track, int]:
     if not path.exists():
         raise InvalidInputError(f"onboard file not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty") from None
-        lower_to_index = {name.strip().lower(): i for i, name in enumerate(header)}
-        missing = [name for name in CORE_COLUMNS if name.lower() not in lower_to_index]
-        if missing:
-            raise SchemaError(f"{path}: missing required column {missing[0]!r}")
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: file is empty") from None
+    lower_to_index = {name.strip().lower(): i for i, name in enumerate(header)}
+    missing = [name for name in CORE_COLUMNS if name.lower() not in lower_to_index]
+    if missing:
+        raise SchemaError(f"{path}: missing required column {missing[0]!r}")
+    names = [*CORE_COLUMNS, *(c for c in ONBOARD_CHANNELS if c.lower() in lower_to_index)]
+    table = load_floats(lines[reader.line_num:], [lower_to_index[n.lower()] for n in names])
+    if table is None:
         # Short rows are padded with empty (unparseable) cells.
         width = len(header)
         rows = [row + [""] * (width - len(row)) for row in reader if any(c.strip() for c in row)]
-    if not rows:
-        raise SchemaError(f"{path}: no data rows")
-    cells = list(zip(*rows))
-
-    def column(name: str, parse=_parse_float) -> np.ndarray:
-        return np.fromiter(map(parse, cells[lower_to_index[name.lower()]]), float, len(rows))
-
-    core = np.column_stack(
-        [column(name, _parse_timestamp if name == "Timestamp" else _parse_float)
-         for name in CORE_COLUMNS]
-    )
-    keep = valid_samples(*core.T)
-    t, lat, lon, sog, heading, fuel = core[keep].T
+        if not rows:
+            raise SchemaError(f"{path}: no data rows")
+        cells = list(zip(*rows))
+        table = np.column_stack([
+            np.fromiter(map(_parse_timestamp if name == "Timestamp" else _parse_float,
+                            cells[lower_to_index[name.lower()]]), float, len(rows))
+            for name in names
+        ])
+    keep = valid_samples(*table[:, : len(CORE_COLUMNS)].T)
+    t, lat, lon, sog, heading, fuel = table[keep, : len(CORE_COLUMNS)].T
     channels = {}
-    for name in ONBOARD_CHANNELS:
-        if name.lower() in lower_to_index:
-            values = column(name)[keep]
-            values[~np.isfinite(values)] = np.nan
-            channels[name] = values % 360.0 if is_angle(name) else values
+    for name, values in zip(names[len(CORE_COLUMNS):], table[keep, len(CORE_COLUMNS):].T):
+        values[~np.isfinite(values)] = np.nan
+        channels[name] = values % 360.0 if is_angle(name) else values
     order = np.argsort(t, kind="stable")
     stream = Track(t, lat, lon, sog, heading % 360.0, fuel, channels).take(order)
-    return stream, int(len(rows) - keep.sum())
+    return stream, int(len(table) - keep.sum())
 
 
 @dataclass

@@ -33,7 +33,7 @@ from .errors import (
     VoyagekitError,
 )
 from .geo import Voyage
-from .hmm import DEFAULT_FEATURES, STATE_NAMES, fit_weather_hmm, state_speeds
+from .hmm import DEFAULT_FEATURES, STATE_NAMES, fit_weather_hmm, padded, state_speeds
 from .store import write_table
 
 MODEL_ORDER = ("kNN", "1NN-DTW", "HMM")
@@ -147,7 +147,11 @@ class KnnSpeedModel:
         self.regressor = KnnRegressor(k=self.k).fit(train_x, train_y)
 
     def predict(self, tests: Sequence[Voyage]) -> list[np.ndarray]:
-        return [knn_predict(self.regressor, t.columns(*self.names)) for t in tests]
+        """All test voyages' rows in one knn_predict call, split back per voyage."""
+        if not tests:
+            return []
+        speeds = knn_predict(self.regressor, np.vstack([t.columns(*self.names) for t in tests]))
+        return np.split(speeds, np.cumsum([len(t) for t in tests])[:-1])
 
 
 class DtwSpeedModel:
@@ -176,19 +180,11 @@ class DtwSpeedModel:
                 for t in tests for vid, p in self._profiles.items()}
         todo = {pair: arrays for pair, arrays in todo.items() if pair not in self._memo}
         if todo:
-            x, y = (_nan_padded(side) for side in zip(*todo.values()))
+            x, y = (padded(side, np.nan) for side in zip(*todo.values()))
             self._memo.update(zip(todo, dtw_distance(x, y).tolist()))
         best = [min(keys, key=lambda vid: (self._memo[t.sog.tobytes(), keys[vid]], vid))
                 for t in tests]
         return [linear_resample(self._profiles[vid], len(t)) for vid, t in zip(best, tests)]
-
-
-def _nan_padded(rows: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack 1-D arrays as rows, NaN-padded at their ends to the longest."""
-    out = np.full((len(rows), max(map(len, rows))), np.nan)
-    for i, r in enumerate(rows):
-        out[i, :len(r)] = r
-    return out
 
 
 class HmmSpeedModel:
@@ -204,15 +200,18 @@ class HmmSpeedModel:
         self._states = {}
         self.model = fit_weather_hmm(cluster, seed=self.seed, features=self.features)
 
-    def decode(self, test: Voyage) -> np.ndarray:
-        obs = test.columns(*self.model.feature_names)
-        key = obs.tobytes()
-        if key not in self._states:
-            self._states[key] = self.model.viterbi(obs)
-        return self._states[key]
+    def decode(self, tests: Sequence[Voyage]) -> list[np.ndarray]:
+        """States per test voyage; those not decoded since fit() go in one Viterbi batch."""
+        obs = [t.columns(*self.model.feature_names) for t in tests]
+        keys = [o.tobytes() for o in obs]
+        todo = {key: o for key, o in zip(keys, obs) if key not in self._states}
+        if todo:
+            self._states.update(zip(todo, self.model.viterbi(list(todo.values()))))
+        return [self._states[key] for key in keys]
 
     def predict(self, tests: Sequence[Voyage]) -> list[np.ndarray]:
-        return [state_speeds(self.model)[self.decode(t)] for t in tests]
+        speeds = state_speeds(self.model)
+        return [speeds[states] for states in self.decode(tests)]
 
 
 class IdentitySpeedModel:
@@ -278,6 +277,9 @@ def run_optimization_benchmark(
     maxima. Per-state rows pool step-level gains across clusters, with
     states decoded by the cluster's weather HMM; that fit is also the
     default "HMM" model, while a model passed in always fits itself.
+    Pricing runs as two estimate_fuel_time batches: the measured profiles
+    first, so degenerate maxima fail before any model is fitted, then every
+    distinct (suggested profile, test voyage) pair of all the cells.
     """
     if not test_voyages:
         raise InvalidInputError("benchmark needs a non-empty test set")
@@ -292,16 +294,20 @@ def run_optimization_benchmark(
 
     priced: dict[tuple[bytes, str], tuple[float, float]] = {}
 
-    def price(profile: np.ndarray, v: Voyage) -> tuple[float, float]:  # once per distinct pair
-        if (key := (np.asarray(profile, dtype=float).tobytes(), v.voyage_id)) not in priced:
-            priced[key] = estimate_fuel_time(profile, v, estimator)
-        return priced[key]
+    def price(pairs: Sequence[tuple[np.ndarray, Voyage]]) -> list[tuple[float, float]]:
+        """(fuel, hours) per pair; the distinct pairs not priced before go in one batch."""
+        keys = [(np.asarray(p, dtype=float).tobytes(), v.voyage_id) for p, v in pairs]
+        todo = {key: pair for key, pair in zip(keys, pairs) if key not in priced}
+        if todo:
+            priced.update(zip(todo, estimate_fuel_time(*zip(*todo.values()), estimator)))
+        return [priced[key] for key in keys]
 
     # Measured baselines, shared across every (cluster, model) cell. Scores
     # are normalized by the fleet-wide (train + test) measured maxima so the
     # scale matches the fleet-level scoring convention.
-    meas_ft = {v.voyage_id: price(v.sog, v) for v in test_voyages}
-    fleet_ft = list(meas_ft.values()) + [price(v.sog, v) for v in train_voyages]
+    measured = price([(v.sog, v) for v in (*test_voyages, *train_voyages)])
+    meas_ft = dict(zip((v.voyage_id for v in test_voyages), measured))
+    fleet_ft = list(meas_ft.values()) + measured[len(test_voyages):]
     max_fuel = max(f for f, _ in fleet_ft)
     max_time = max(t for _, t in fleet_ft)
     if max_fuel <= 0 or max_time <= 0:
@@ -312,10 +318,7 @@ def run_optimization_benchmark(
 
     meas_score = {vid: score(f, t) for vid, (f, t) in meas_ft.items()}
 
-    rows: list[ClusterModelGain] = []
-    state_pool: dict[str, dict[str, list[float]]] = {
-        name: {s: [] for s in STATE_NAMES} for name in models
-    }
+    cells = []  # (cluster, model, profiles or None if the model did not fit, decoded states)
     test_ids = {v.voyage_id for v in test_voyages}
     state_fit_failures: dict[str, str] = {}
     state_fits: dict[str, dict] = {}
@@ -330,7 +333,7 @@ def run_optimization_benchmark(
                 "em_iterations": len(hmm.model.loglik_history), "converged": hmm.model.converged,
                 "loglik": float(hmm.model.loglik_history[-1]),
             }
-            decoded = {v.voyage_id: hmm.decode(v) for v in test_voyages}
+            decoded = dict(zip((v.voyage_id for v in test_voyages), hmm.decode(test_voyages)))
         except VoyagekitError as exc:
             decoded = None
             state_fit_failures[cluster_name] = str(exc)
@@ -341,25 +344,36 @@ def run_optimization_benchmark(
                 elif decoded is None:
                     raise InsufficientDataError("the cluster's weather HMM fit failed")
             except VoyagekitError:
-                rows.append(ClusterModelGain(cluster_name, model_name))
+                cells.append((cluster_name, model_name, None, None))
                 continue
             profiles = {v.voyage_id: p for v, p in zip(test_voyages, model.predict(test_voyages))}
-            gains: dict[str, float] = {}
-            for v in test_voyages:
-                suggested = score(*price(profiles[v.voyage_id], v))
-                with suppress(UndefinedGainError):
-                    gains[v.voyage_id] = efficiency_gain(meas_score[v.voyage_id], suggested)
-            rows.append(ClusterModelGain(
-                cluster_name, model_name,
-                avg_gain_pct=float(np.mean(list(gains.values()))) if gains else None,
-                improved_count=sum(1 for g in gains.values() if g > 0),
-                evaluated=len(gains), excluded=len(test_voyages) - len(gains), status="ok",
-                voyage_gains=gains, profiles=profiles,
-            ))
-            if decoded is not None:
-                for vid, gain in gains.items():
-                    for state in decoded[vid]:
-                        state_pool[model_name][STATE_NAMES[state]].append(gain)
+            cells.append((cluster_name, model_name, profiles, decoded))
+
+    suggested = iter(price([(profiles[v.voyage_id], v) for *_, profiles, _ in cells
+                            if profiles is not None for v in test_voyages]))
+    rows: list[ClusterModelGain] = []
+    state_pool: dict[str, dict[str, list[float]]] = {
+        name: {s: [] for s in STATE_NAMES} for name in models
+    }
+    for cluster_name, model_name, profiles, decoded in cells:
+        if profiles is None:
+            rows.append(ClusterModelGain(cluster_name, model_name))
+            continue
+        gains: dict[str, float] = {}
+        for v, (fuel, hours) in zip(test_voyages, suggested):
+            with suppress(UndefinedGainError):
+                gains[v.voyage_id] = efficiency_gain(meas_score[v.voyage_id], score(fuel, hours))
+        rows.append(ClusterModelGain(
+            cluster_name, model_name,
+            avg_gain_pct=float(np.mean(list(gains.values()))) if gains else None,
+            improved_count=sum(1 for g in gains.values() if g > 0),
+            evaluated=len(gains), excluded=len(test_voyages) - len(gains), status="ok",
+            voyage_gains=gains, profiles=profiles,
+        ))
+        if decoded is not None:
+            for vid, gain in gains.items():
+                for state in decoded[vid]:
+                    state_pool[model_name][STATE_NAMES[state]].append(gain)
 
     state_rows = [
         StateGain(

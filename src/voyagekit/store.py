@@ -92,28 +92,45 @@ def write_store(voyages: Sequence[Voyage], store_dir: str | Path, extra_meta: di
         fh.write("\n")
 
 
+def load_floats(lines: list[str], usecols: Sequence[int] | None = None) -> np.ndarray | None:
+    """CSV data lines as a float table from one np.loadtxt call, or None where that
+    call may differ from csv.reader and float(): a quote, a blank line, a cell it
+    rejects, or a line that gave no row. Callers then read row by row."""
+    if not lines or any('"' in line or not line.strip() for line in lines):
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, usecols=usecols, ndmin=2)
+    except ValueError:
+        return None
+    return table if len(table) == len(lines) else None
+
+
 def _read_voyage(path: Path, entry: dict) -> Voyage:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        rows = list(reader)
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    header = next(reader, None)
     if header is None:
         raise InvalidInputError(f"{path}: file is empty")
     if tuple(header[: len(CORE_COLUMNS)]) != CORE_COLUMNS:
         raise InvalidInputError(f"{path}: header must start with {', '.join(CORE_COLUMNS)}")
     width = len(header)
-    bad = np.flatnonzero(np.fromiter(map(len, rows), int, len(rows)) != width)
-    if len(bad):
-        raise InvalidInputError(
-            f"{path}: data row {bad[0] + 1} has {len(rows[bad[0]])} cells, expected {width}"
-        )
-    values: list[float] = []
-    try:
-        values.extend(map(float, chain.from_iterable(rows)))
-    except ValueError as exc:
-        # extend keeps the cells parsed before the failing one.
-        raise InvalidInputError(f"{path}: data row {len(values) // width + 1}: {exc}") from None
-    columns = np.array(values).reshape(len(rows), width).T
+    table = load_floats(lines[reader.line_num:])
+    if table is None or table.shape[1] != width:
+        rows = list(reader)
+        bad = np.flatnonzero(np.fromiter(map(len, rows), int, len(rows)) != width)
+        if len(bad):
+            raise InvalidInputError(
+                f"{path}: data row {bad[0] + 1} has {len(rows[bad[0]])} cells, expected {width}"
+            )
+        values: list[float] = []
+        try:
+            values.extend(map(float, chain.from_iterable(rows)))
+        except ValueError as exc:
+            # extend keeps the cells parsed before the failing one.
+            raise InvalidInputError(f"{path}: data row {len(values) // width + 1}: {exc}") from None
+        table = np.array(values).reshape(len(rows), width)
+    columns = table.T
     return Voyage(
         *columns[: len(CORE_COLUMNS)],
         channels=dict(zip(header[len(CORE_COLUMNS):], columns[len(CORE_COLUMNS):])),

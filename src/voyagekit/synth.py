@@ -151,6 +151,8 @@ class _Polyline:
         self.total = float(self.cum[-1])
         if self.total <= 0:
             raise ConfigurationError("degenerate centerline with zero length")
+        # Arclength `total` lies on the last segment of positive length, not on a repeated end point.
+        self.last = int(np.flatnonzero(self.seg_len > 0)[-1])
         # Segment headings, forward and reversed (zero-length segments are never sampled).
         # Scalar math.atan2 on purpose: numpy's SIMD arctan2 can differ from it in the last bit.
         unit = self.seg / np.where(self.seg_len > 0, self.seg_len, 1.0)[:, None]
@@ -159,7 +161,7 @@ class _Polyline:
 
     def at(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(n, 2) positions at arclengths 0 <= s <= total (degree units), and their segments."""
-        i = np.minimum(np.searchsorted(self.cum, s, side="right") - 1, len(self.seg_len) - 1)
+        i = np.minimum(np.searchsorted(self.cum, s, side="right") - 1, self.last)
         frac = (s - self.cum[i]) / self.seg_len[i]
         return self.points[i] + frac[:, None] * self.seg[i], i
 

@@ -53,6 +53,23 @@ def voyage_of(voyage_id: str, samples: list[dict]) -> Voyage:
     return Voyage(**vars(make_track(samples)), voyage_id=voyage_id)
 
 
+def per_pair_fuel_time(profile, voyage: Voyage, est) -> tuple[float, float]:
+    """One (profile, voyage) pair priced by a regressor query of its own, step by step.
+
+    The reference that batched estimate_fuel_time calls must equal bit for bit.
+    """
+    sog = np.asarray(profile, dtype=float)
+    feats = voyage.columns("lat", "lon", "sog", "heading", *est.channels)
+    feats[:, 2] = sog
+    rates = np.maximum(est.regressor.predict(feats), 0.0)
+    fuel = hours = 0.0
+    for i in range(len(voyage) - 1):
+        scaled = (voyage.t[i + 1] - voyage.t[i]) * voyage.sog[i] / max(sog[i], 0.1)
+        fuel += rates[i] * scaled / 3600.0
+        hours += scaled / 3600.0
+    return fuel, hours
+
+
 def tiny_fleet_spec(seed: int = 11, voyages_per_branch: int = 4) -> SyntheticFleetSpec:
     """Small, fast fleet: short route, mild branch offsets."""
     return SyntheticFleetSpec(

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_sample, voyage_of
+from conftest import make_sample, per_pair_fuel_time, voyage_of
 from voyagekit.efficiency import (
     FEATURE_CASES,
     KnnRegressor,
@@ -359,3 +359,19 @@ class TestEstimateFuelTime:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             estimate_fuel_time([5.0], self.voyages[0], self.est)
+        with pytest.raises(InvalidInputError):
+            estimate_fuel_time([self.voyages[0].sog, [5.0]], self.voyages[:2], self.est)
+
+    def test_empty_batch(self):
+        assert estimate_fuel_time([], [], self.est) == []
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(2, 60), st.floats(0.0, 3.0),
+                              st.booleans()), min_size=1, max_size=8))
+    def test_batch_matches_per_pair_oracle(self, pairs):
+        # Ragged batches of voyage prefixes; profiles scale the measured speeds or stop dead.
+        voyages = [self.voyages[i].take(np.arange(n)) for i, n, _, _ in pairs]
+        profiles = [v.sog * (0.0 if stop else scale) for v, (*_, scale, stop) in zip(voyages, pairs)]
+        got = estimate_fuel_time(profiles, voyages, self.est)
+        assert got == [per_pair_fuel_time(p, v, self.est) for p, v in zip(profiles, voyages)]
+        assert got == [estimate_fuel_time(p, v, self.est) for p, v in zip(profiles, voyages)]

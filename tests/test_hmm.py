@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_sample, voyage_of
 from voyagekit.errors import DegenerateDataError, InsufficientDataError, MissingDataError
@@ -12,6 +13,7 @@ from voyagekit.hmm import (
     WeatherStateModel,
     decode_states,
     fit_weather_hmm,
+    padded,
     state_speeds,
 )
 
@@ -145,13 +147,27 @@ class TestSharedEStep:
         original = WeatherStateModel.emission_log_density
 
         def counted(self, obs):
-            calls.append(len(obs))
+            calls.append(np.shape(obs))
             return original(self, obs)
 
         monkeypatch.setattr(WeatherStateModel, "emission_log_density", counted)
         model = fit_weather_hmm(voyages, seed=3)
-        # One emission matrix per sequence per EM pass, plus one Viterbi decode each.
-        assert len(calls) == (len(model.loglik_history) + 1) * len(voyages)
+        # One padded array of every sequence per EM pass, (sequences, steps, features), plus
+        # one for the Viterbi batch, time-major: (steps, sequences, features).
+        n, steps = len(voyages), max(map(len, voyages))
+        assert calls == [(n, steps, 2)] * len(model.loglik_history) + [(steps, n, 2)]
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+    def test_padded_emissions_match_per_sequence(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng)
+        batch = [random_obs(rng, n) for n in lengths]
+        b, shifts = model.scaled_emissions(padded(batch))
+        for i, obs in enumerate(batch):
+            ref_b, ref_shifts = model.scaled_emissions(obs)
+            assert b[i, : len(obs)].tobytes() == ref_b.tobytes()
+            assert shifts[i, : len(obs)].tobytes() == ref_shifts.tobytes()
 
 
 def random_obs(rng, length):
@@ -204,6 +220,20 @@ class TestBatchedPass:
             passes = model.forward_backward([emissions[i] for i in order])
             assert [pass_bytes(p) for p in passes] == [alone[i] for i in order]
 
+    @settings(deadline=None)
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=10), st.integers(0, 2**32 - 1))
+    def test_ragged_batches_match_per_step_reference(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng)
+        batch = [random_obs(rng, n) for n in lengths]
+        passes = model.forward_backward([model.scaled_emissions(obs) for obs in batch])
+        for obs, (alpha, beta, scales, loglik) in zip(batch, passes, strict=True):
+            ref_alpha, ref_scales, ref_ll = reference_forward(model, obs)
+            assert loglik == ref_ll
+            assert alpha.tobytes() == ref_alpha.tobytes()
+            assert scales.tobytes() == ref_scales.tobytes()
+            assert beta.tobytes() == reference_backward(model, obs, ref_scales).tobytes()
+
     def test_one_pass_per_em_iteration(self, monkeypatch):
         voyages = simulate_voyages(n_voyages=8)[0] + simulate_voyages(4, length=7, seed=6)[0]
         batches = []
@@ -216,6 +246,56 @@ class TestBatchedPass:
         monkeypatch.setattr(WeatherStateModel, "forward_backward", counted)
         model = fit_weather_hmm(voyages, seed=3)
         assert batches == [[len(v) for v in voyages]] * len(model.loglik_history)
+
+
+def reference_viterbi(model, obs):
+    """One sequence decoded on its own, step by step: the reference for batched decodes."""
+    log_b = model.emission_log_density(obs)
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(model.start_probs)
+        log_a = np.log(model.transitions)
+    T = len(log_b)
+    delta = np.empty((T, 3))
+    back = np.zeros((T, 3), dtype=int)
+    delta[0] = log_pi + log_b[0]
+    for t in range(1, T):
+        scores = delta[t - 1][:, None] + log_a
+        back[t] = scores.argmax(axis=0)
+        delta[t] = scores.max(axis=0) + log_b[t]
+    states = np.empty(T, dtype=int)
+    states[-1] = int(delta[-1].argmax())
+    for t in range(T - 2, -1, -1):
+        states[t] = back[t + 1][states[t + 1]]
+    return states
+
+
+def tied_model(rng):
+    """Two identical states and a transition matrix of repeated entries: argmax ties abound."""
+    model = random_model(rng)
+    model.means[1], model.variances[1] = model.means[0], model.variances[0]
+    model.start_probs = np.array([0.25, 0.25, 0.5])
+    model.transitions = np.array([[0.4, 0.4, 0.2], [0.4, 0.4, 0.2], [0.2, 0.2, 0.6]])
+    return model
+
+
+class TestBatchedViterbi:
+    @settings(deadline=None)
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=10), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_matches_per_sequence_reference(self, lengths, seed, ties):
+        rng = np.random.default_rng(seed)
+        model = tied_model(rng) if ties else random_model(rng)
+        # Observations on a coarse lattice repeat, so tied scores recur along a path.
+        batch = [np.round(random_obs(rng, n)) if ties else random_obs(rng, n) for n in lengths]
+        decoded = model.viterbi(batch)
+        assert isinstance(decoded, list) and len(decoded) == len(batch)
+        for obs, states in zip(batch, decoded):
+            want = reference_viterbi(model, obs)
+            assert states.dtype == want.dtype and np.array_equal(states, want)
+            assert np.array_equal(model.viterbi(obs), want)
+
+    def test_empty_batch(self):
+        assert manual_model().viterbi([]) == []
 
 
 class TestForwardOracle:

@@ -1,13 +1,16 @@
 import csv
+import functools
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import make_sample, voyage_of
+from voyagekit import ingestion, store
 from voyagekit.errors import (
     ConfigurationError,
     InsufficientDataError,
@@ -15,6 +18,7 @@ from voyagekit.errors import (
     MissingDataError,
     OutOfDomainError,
     SchemaError,
+    VoyagekitError,
 )
 from voyagekit.geo import GeoPoint, merge_tracks
 from voyagekit.ingestion import (
@@ -602,3 +606,116 @@ class TestAttachWeather:
         grid = constant_grid("WaveHeight", 1.0, t_max=50.0)
         with pytest.raises(InsufficientDataError):
             attach_weather(self.voyage(5), [grid])
+
+
+# Cell spellings where np.loadtxt and float() may part ways; each test file gets a few.
+SPELLINGS = ["", " ", "\t", "  2.5 ", '"3.5"', '" 4.5 "', '"4,5"', "nan", "-nan", "NaN", "inf",
+             "-Infinity", "1_0", " +1_1 ", "2024-01-01T00:00:00Z", "2024-01-01 00:10:00", "x",
+             "+7", ".5", "1e5", "-0.0", "1e400"]
+
+
+@st.composite
+def numeric_csv(draw, header):
+    """A CSV text under `header`: numeric rows, then cell and line edits from SPELLINGS."""
+    rows = []
+    for i in range(draw(st.integers(1, 6))):
+        # Valid samples mostly; a negative speed or fuel makes an invalid one.
+        row = [60.0 * i, draw(st.floats(-1, 1)), draw(st.floats(-1, 1)), draw(st.floats(-0.5, 9)),
+               draw(st.floats(0, 720)), draw(st.floats(-1, 60))]
+        rows.append([repr(v) for v in row + [draw(st.floats()) for _ in header[len(row):]]])
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(SPELLINGS))
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(st.sampled_from([
+            lines[i].rsplit(",", 1)[0],  # a short row
+            lines[i] + ",1.0",  # a long row
+            "",  # a blank line
+            "," * (len(header) - 1),  # a row of blank cells
+            "  ",
+            lines[i],
+        ]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([",".join(header), *lines]) + draw(st.sampled_from(["", newline]))
+
+
+def read_outcome(read, path):
+    """A reader's columns and count as bytes, or its error's type and message."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = read(path)
+    except VoyagekitError as exc:
+        return type(exc).__name__, str(exc)
+    track, skipped = result if isinstance(result, tuple) else (result, None)
+    columns = {name: getattr(track, name) for name in ("t", "lat", "lon", "sog", "heading", "fuel")}
+    columns.update(track.channels)
+    return skipped, [(name, c.dtype.str, c.tobytes()) for name, c in columns.items()]
+
+
+def rowwise(module):
+    """The module's readers with the one-call parse switched off: every file goes row by row."""
+    return mock.patch.object(module, "load_floats", lambda *args, **kwargs: None)
+
+
+class TestLoadtxtReadersMatchRowwise:
+    ONBOARD = ["Timestamp", " latitude", "LONGITUDE", "SpeedOverGround", "HeadingMagnetic",
+               "EngineFuelRate", "WindSpeed_onb", "WindDirection_onb", "Note"]
+    STORE = ["Timestamp", "Latitude", "Longitude", "SpeedOverGround", "HeadingMagnetic",
+             "EngineFuelRate", "WaveHeight", "WindDirection_onb"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_onboard(self, tmp_path_factory, data):
+        header = data.draw(st.sampled_from([self.ONBOARD, self.ONBOARD[:6], self.ONBOARD[:7]]))
+        path = write_grid_text(tmp_path_factory.mktemp("onboard"), data.draw(numeric_csv(header)))
+        expected = read_outcome(parse_onboard_csv, path)
+        with rowwise(ingestion):
+            assert read_outcome(parse_onboard_csv, path) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_store_voyage(self, tmp_path_factory, data):
+        header = data.draw(st.sampled_from([self.STORE, self.STORE[:6]]))
+        path = write_grid_text(tmp_path_factory.mktemp("store"), data.draw(numeric_csv(header)))
+        read = functools.partial(store._read_voyage, entry={"voyage_id": "V0001"})
+        expected = read_outcome(read, path)
+        with rowwise(store):
+            assert read_outcome(read, path) == expected
+
+    @pytest.mark.parametrize("rows", [
+        "", "\n\n", ",,,,,,,\n", "  \n", '"0.0","0.0","0.0","5.0","90.0","50.0","3.0","1.0"\n',
+        "0,0,0,5,90,50,3,1\r\n\r\n", "2024-01-01T00:00:00Z,0,0,5,90,50,3,1\n",
+        "1_0,0,0,5,90,50,3,1\n", "0, 0 ,0,5,90,50,3,1\n60,0,0,5,90,50,-inf,nan\n",
+    ], ids=["header-only", "blank-lines", "blank-cells", "spaces", "quoted", "crlf-blank-tail",
+            "iso-time", "underscore", "spaces-inf-nan"])
+    def test_edge_files(self, tmp_path, rows):
+        for module, header, read in (
+            (ingestion, self.ONBOARD[:8], parse_onboard_csv),
+            (store, self.STORE, functools.partial(store._read_voyage, entry={"voyage_id": "V1"})),
+        ):
+            path = write_grid_text(tmp_path, ",".join(header) + "\n" + rows)
+            expected = read_outcome(read, path)
+            with rowwise(module):
+                assert read_outcome(read, path) == expected
+
+    def test_quoted_comma_before_the_used_columns(self, tmp_path):
+        # Split at every comma, this row would shift each used cell onto one that parses.
+        header = "Note,Junk,Timestamp,Latitude,Longitude,SpeedOverGround,HeadingMagnetic,EngineFuelRate"
+        path = write_onboard(tmp_path, ['"n,0",7,60,0,0,5,90,50', "y,7,120,0,0,5,90,50"], header)
+        track, skipped = parse_onboard_csv(path)
+        assert skipped == 0 and track.t.tolist() == [60.0, 120.0] and track.fuel.tolist() == [50.0] * 2
+
+    def test_well_formed_files_take_one_call(self, tmp_path, monkeypatch):
+        calls = []
+        original = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or original(*a, **k))
+        path = write_onboard(tmp_path, ["0,0.0,0.0,5.0,90.0,50.0,3.0,200.0",
+                                        "60,0.0,0.01,5.0,90.0,50.0,3.0,200.0"])
+        track, _ = parse_onboard_csv(path)
+        store.write_store([voyage_of("V1", [make_sample(60.0 * i) for i in range(3)])], tmp_path / "s")
+        [voyage] = store.read_store(tmp_path / "s")
+        assert calls == [1, 1]
+        assert track.t.tolist() == [0.0, 60.0] and voyage.t.tolist() == [0.0, 60.0, 120.0]

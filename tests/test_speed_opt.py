@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_sample, voyage_of
+from conftest import make_sample, per_pair_fuel_time, voyage_of
 from voyagekit import speed_opt
 from voyagekit.efficiency import (
     FEATURE_CASES,
     KnnRegressor,
     build_percentile_clusters,
+    estimate_fuel_time,
     summarize_voyages,
     train_estimator,
 )
 from voyagekit.errors import InsufficientDataError, InvalidInputError, MissingDataError
 from voyagekit.hmm import (
-    DEFAULT_FEATURES, WeatherStateModel, decode_states, fit_weather_hmm, state_speeds,
+    DEFAULT_FEATURES, WeatherStateModel, decode_states, fit_weather_hmm, padded, state_speeds,
 )
 from voyagekit.speed_opt import (
     MODEL_ORDER,
@@ -25,7 +26,6 @@ from voyagekit.speed_opt import (
     HmmSpeedModel,
     IdentitySpeedModel,
     KnnSpeedModel,
-    _nan_padded,
     dtw_distance,
     linear_resample,
     run_optimization_benchmark,
@@ -121,7 +121,7 @@ class TestDtwBatch:
     @given(st.lists(st.tuples(any_floats, any_floats), min_size=1, max_size=6))
     def test_rows_bit_identical_to_pairwise(self, pairs):
         xs, ys = zip(*pairs)
-        batch = dtw_distance(_nan_padded(xs), _nan_padded(ys))
+        batch = dtw_distance(padded(xs, np.nan), padded(ys, np.nan))
         expected = np.array([dtw_distance(x, y) for x, y in pairs])
         assert batch.shape == (len(pairs),)
         assert batch.tobytes() == expected.tobytes()
@@ -408,11 +408,13 @@ class TestBenchmark:
 
     def test_each_distinct_pair_priced_once(self, benchmark_inputs, monkeypatch):
         clusters, train, test, estimator = benchmark_inputs
-        priced, price = [], speed_opt.estimate_fuel_time
+        priced, batches, price = [], [], speed_opt.estimate_fuel_time
 
-        def counted(profile, voyage, est):
-            priced.append((np.asarray(profile, dtype=float).tobytes(), voyage.voyage_id))
-            return price(profile, voyage, est)
+        def counted(profiles, voyages, est):
+            batches.append(len(voyages))
+            priced.extend((np.asarray(p, dtype=float).tobytes(), v.voyage_id)
+                          for p, v in zip(profiles, voyages, strict=True))
+            return price(profiles, voyages, est)
 
         monkeypatch.setattr(speed_opt, "estimate_fuel_time", counted)
         run_optimization_benchmark(
@@ -420,9 +422,34 @@ class TestBenchmark:
         )
         # Echoed profiles are the measured ones: only the baselines are priced.
         assert len(priced) == len(set(priced)) == len(train) + len(test)
+        assert batches == [len(train) + len(test)]
         priced.clear()
+        batches.clear()
         run_optimization_benchmark(clusters, train, test, estimator, hmm_seed=2)
         assert len(priced) == len(set(priced)) > len(train) + len(test)
+        # The baselines, then every cell's new pairs.
+        assert batches == [len(train) + len(test), len(priced) - len(train) - len(test)]
+
+    def test_batch_pricing_matches_per_pair_oracle(self, benchmark_inputs):
+        clusters, train, test, estimator = benchmark_inputs
+        report = run_optimization_benchmark(clusters, train, test, estimator, hmm_seed=2)
+        pairs = [(row.profiles[v.voyage_id], v) for row in report.rows if row.status == "ok"
+                 for v in test]
+        pairs += [(v.sog, v) for v in (*test, *train)]
+        got = estimate_fuel_time(*zip(*pairs), estimator)
+        assert got == [per_pair_fuel_time(p, v, estimator) for p, v in pairs]
+        assert got[0] == estimate_fuel_time(*pairs[0], estimator)
+
+    def test_non_positive_maxima_raised_before_any_fit(self, benchmark_inputs, monkeypatch):
+        clusters, train, test, _ = benchmark_inputs
+        idle = train_estimator([dataclasses.replace(v, fuel=np.zeros(len(v))) for v in train])
+        fits = []
+        monkeypatch.setattr(speed_opt, "fit_weather_hmm", lambda *a, **k: fits.append(a))
+        for model in (KnnSpeedModel, DtwSpeedModel):
+            monkeypatch.setattr(model, "fit", lambda self, cluster: fits.append(cluster))
+        with pytest.raises(InvalidInputError, match="maxima are not positive"):
+            run_optimization_benchmark(clusters, train, test, idle)
+        assert fits == []
 
     def test_disjointness_enforced(self, benchmark_inputs):
         clusters, train, test, estimator = benchmark_inputs
@@ -525,11 +552,12 @@ class TestHmmFitReuse:
 
 
 def counting_viterbi(monkeypatch):
+    """Records the bytes of every sequence decoded, one entry per sequence of a batch."""
     decoded = []
     original = WeatherStateModel.viterbi
 
     def counted(self, obs):
-        decoded.append(obs.tobytes())
+        decoded.extend(o.tobytes() for o in (obs if isinstance(obs, list) else [obs]))
         return original(self, obs)
 
     monkeypatch.setattr(WeatherStateModel, "viterbi", counted)
@@ -564,6 +592,13 @@ class TestHmmDecodeMemo:
         model.fit(train)
         model.predict([calm])
         assert len(decoded) == 2 + len(train) + 1
+
+
+def test_empty_test_set_predicts_nothing():
+    train = [weather_voyage(f"V{i:02d}", seed=i) for i in range(12)]
+    for model in (KnnSpeedModel(), DtwSpeedModel(), HmmSpeedModel(seed=1)):
+        model.fit(train)
+        assert model.predict([]) == []
 
 
 def test_knn_channel_missing_in_cluster_is_insufficient(benchmark_inputs):

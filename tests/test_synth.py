@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,7 +159,8 @@ def oracle_at(points, s):
     seg_len = np.sqrt((np.diff(points, axis=0) ** 2).sum(axis=1))
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
     s = min(max(s, 0.0), float(cum[-1]))
-    i = min(int(np.searchsorted(cum, s, side="right")) - 1, len(seg_len) - 1)
+    # The line ends on its last segment of positive length, before any repeated end point.
+    i = min(int(np.searchsorted(cum, s, side="right")) - 1, int(np.flatnonzero(seg_len)[-1]))
     frac = (s - cum[i]) / seg_len[i]
     direction = (points[i + 1] - points[i]) / seg_len[i]
     return points[i] + frac * (points[i + 1] - points[i]), direction
@@ -304,9 +306,13 @@ class TestMatchesPerSampleOracle:
                 Branch("mid", [(0.0, 0.0), (0.0, 0.1), (0.0, 0.1), (0.0, 0.2)]),  # a repeated point
                 Branch("north", [(0.0, 0.0), (0.12, 0.07), (0.12, 0.13), (0.0, 0.2)]),
             ]),
+            dataclasses.replace(tiny_fleet_spec(seed=6, voyages_per_branch=2), branches=[
+                Branch("a", [(0.0, 0.0), (0.0, 0.2), (0.0, 0.2)]),  # a repeated end point
+                Branch("b", [(0.0, 0.0), (0.1, 0.1), (0.0, 0.2)]),
+            ]),
         ],
         ids=["default-1", "default-7", "default-60-voyages", "tiny", "zero-noise", "custom-timing",
-             "noisy-speed", "repeated-point"],
+             "noisy-speed", "repeated-point", "repeated-end-point"],
     )
     def test_arrays_and_files(self, spec, tmp_path):
         expected, got = oracle_generate_fleet(spec), generate_fleet(spec)
@@ -315,6 +321,18 @@ class TestMatchesPerSampleOracle:
         oracle_write_fleet(expected, tmp_path / "oracle")
         write_fleet(got, tmp_path / "columns")
         assert tree_bytes(tmp_path / "columns") == tree_bytes(tmp_path / "oracle")
+
+    def test_repeated_end_point_starts_reversed_voyages_there(self):
+        # Reversed voyages start at arclength `total`, on the zero-length last segment.
+        spec = dataclasses.replace(tiny_fleet_spec(voyages_per_branch=2), noise_std_deg=0.0, branches=[
+            Branch("a", [(0, 0), (0, 0.2), (0, 0.2)]), Branch("b", [(0, 0), (0.1, 0.1), (0, 0.2)]),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no 0/0 on the way
+            fleet = generate_fleet(spec)
+        starts = {(v.lat[0], v.lon[0]) for v in fleet.voyages if fleet.labels[v.voyage_id] == "a"}
+        assert starts == {(0.0, 0.0), (0.0, 0.2)}
+        assert all(np.isfinite(v.columns(*CORE_FIELDS)).all() for v in fleet.voyages)
 
     def test_uncovered_voyage_same_error(self):
         spec = dataclasses.replace(tiny_fleet_spec(), grid_margin_deg=-0.05)
