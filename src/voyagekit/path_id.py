@@ -25,7 +25,7 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import squareform
+from scipy.spatial.distance import cdist, squareform
 
 from .errors import (
     ConfigurationError,
@@ -43,6 +43,9 @@ KMEANS_RESTARTS = 100   # k-means++ runs; the lowest inertia wins
 KMEANS_MAX_ITER = 300   # Lloyd iterations per run
 _KMEANS_BLOCK = 10      # restarts whose Lloyd steps run side by side
 EM_MAX_ITER = 200       # mixture EM passes
+# Point pairs up to which one dense block (at most 1 MiB) beats two k-d tree
+# queries; the measured per-pair crossover.
+DENSE_CELLS = 1 << 17
 
 
 @dataclass
@@ -84,17 +87,35 @@ def _unit_vectors(points: np.ndarray) -> np.ndarray:
     return np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
 
 
+def _nearest(path_i: Path, path_j: Path, metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """Distances from each point of path_i to the nearest point of path_j, and back.
+
+    A pair of at most DENSE_CELLS point pairs takes one squared-distance block,
+    whose row and column minima give both directions; a larger pair takes a
+    query of each path's k-d tree. Both sum the same squares in the same order,
+    so they agree bit for bit.
+    """
+    tree_i, tree_j = path_i.tree(metric), path_j.tree(metric)
+    if len(tree_i.data) * len(tree_j.data) <= DENSE_CELLS:
+        block = cdist(tree_i.data, tree_j.data, "sqeuclidean")
+        to_j, to_i = np.sqrt(block.min(axis=1)), np.sqrt(block.min(axis=0))
+    else:
+        to_j, to_i = tree_j.query(tree_i.data)[0], tree_i.query(tree_j.data)[0]
+    if metric == "haversine":  # chord length -> great-circle metres
+        both = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.concatenate([to_j, to_i]) / 2.0))
+        to_j, to_i = both[:len(to_j)], both[len(to_j):]
+    return to_j, to_i
+
+
 def annd_directed(path_i: Path, path_j: Path, metric: str = "euclidean") -> float:
     """Mean distance from each point of path_i to its nearest point of path_j."""
-    dist = path_j.tree(metric).query(path_i.tree(metric).data)[0]
-    if metric == "haversine":  # chord length -> great-circle metres
-        dist = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, dist / 2.0))
-    return float(dist.mean())
+    return float(_nearest(path_i, path_j, metric)[0].mean())
 
 
 def annd(path_i: Path, path_j: Path, metric: str = "euclidean") -> float:
     """Symmetrized average nearest neighbor distance between two paths."""
-    return 0.5 * (annd_directed(path_i, path_j, metric) + annd_directed(path_j, path_i, metric))
+    to_j, to_i = _nearest(path_i, path_j, metric)
+    return 0.5 * (float(to_j.mean()) + float(to_i.mean()))
 
 
 @dataclass

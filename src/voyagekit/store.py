@@ -5,7 +5,8 @@ written with full precision (repr round-trips exactly) by write_table. The
 store holds one CSV per voyage plus a JSON manifest. A voyage file
 holds the core columns followed by the channels recorded on every sample,
 in name order; a channel missing (NaN) on any sample is not stored.
-Malformed files raise InvalidInputError naming the file and row; a sample
+Malformed files raise InvalidInputError naming the file and row (a manifest
+listing a voyage twice, naming the manifest and the voyage); a sample
 that fails geo.valid_samples raises it naming the voyage and sample.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -149,8 +151,11 @@ def read_store(store_dir: str | Path) -> list[Voyage]:
         with open(manifest_path, encoding="utf-8") as fh:
             entries = json.load(fh)["voyages"]
         ids = [entry["voyage_id"] for entry in entries]
+        repeated = [vid for vid, count in Counter(ids).items() if count > 1]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"{manifest_path}: malformed manifest ({exc!r})") from None
+    if repeated:
+        raise InvalidInputError(f"{manifest_path}: voyage {repeated[0]} is listed more than once")
     voyages = []
     for vid, entry in zip(ids, entries):
         path = store / "voyages" / f"{vid}.csv"

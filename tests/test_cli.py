@@ -375,6 +375,18 @@ class TestErrorPaths:
         assert err.startswith("error: voyage 'V0002' sample 3: invalid sample (")
         assert f"{field}=nan" in err
 
+    @pytest.mark.parametrize("command", ["score", "pathid"])
+    def test_voyage_listed_twice_in_manifest(self, pipeline_dir, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir / "store", out / "store")
+        manifest_path = out / "store" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["voyages"].append(manifest["voyages"][0])
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main([command, "--out", str(out), "--seed", "11"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {manifest_path}: voyage V0001 is listed more than once\n")
+
     def test_report_missing_gains(self, tmp_path, capsys):
         out = tmp_path / "run"
         write_fleet(generate_fleet(tiny_fleet_spec(seed=14)), out / "fleet")

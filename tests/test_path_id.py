@@ -157,6 +157,20 @@ def assert_kmeans_matches_oracle(x, k, seed):
         assert inertia == pytest.approx(want_inertia, rel=1e-12, abs=0.0)
 
 
+HAVERSINE_REGIONS = pytest.mark.parametrize(
+    "lat_range,lon_range",
+    [((-60, 60), (-170, 170)), ((55, 58), (179.0, 181.0)), ((89.0, 90.0), (-180, 180))],
+    ids=["global", "antimeridian", "pole"],
+)
+
+
+def region_points(rng, lat_range, lon_range, n):
+    """n uniform [lat, lon] points, longitudes wrapped into [-180, 180)."""
+    x = np.column_stack([rng.uniform(*lat_range, n), rng.uniform(*lon_range, n)])
+    x[:, 1] = (x[:, 1] + 180) % 360 - 180
+    return x
+
+
 class TestAnnd:
     def test_identical_paths(self):
         p = path("a", [(0, 0), (0, 1), (1, 1)])
@@ -210,20 +224,11 @@ class TestAnnd:
             dense = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
             assert annd_directed(path("a", a), path("b", b)) == float(dense.min(axis=1).mean())
 
-    @pytest.mark.parametrize(
-        "lat_range,lon_range",
-        [((-60, 60), (-170, 170)), ((55, 58), (179.0, 181.0)), ((89.0, 90.0), (-180, 180))],
-        ids=["global", "antimeridian", "pole"],
-    )
+    @HAVERSINE_REGIONS
     def test_haversine_matches_dense_oracle(self, lat_range, lon_range):
         rng = np.random.default_rng(37)
         for _ in range(40):
-            a, b = (
-                np.column_stack([rng.uniform(*lat_range, n), rng.uniform(*lon_range, n)])
-                for n in rng.integers(2, 40, size=2)
-            )
-            for x in (a, b):  # wrap longitudes into [-180, 180)
-                x[:, 1] = (x[:, 1] + 180) % 360 - 180
+            a, b = (region_points(rng, lat_range, lon_range, n) for n in rng.integers(2, 40, size=2))
             expected = pairwise_haversine(a, b).min(axis=1).mean()
             got = annd_directed(path("a", a), path("b", b), metric="haversine")
             assert got == pytest.approx(expected, rel=1e-12)
@@ -236,6 +241,69 @@ class TestAnnd:
     def test_short_path_rejected(self):
         with pytest.raises(InvalidInputError):
             path("a", [(0, 0)])
+
+
+def on_each_branch(monkeypatch, fn):
+    """fn() with every pair on the k-d tree branch, then with every pair on the dense one."""
+    results = []
+    for cells in (0, 10**18):
+        monkeypatch.setattr(path_id, "DENSE_CELLS", cells)
+        results.append(fn())
+    return results
+
+
+class TestDenseOrTree:
+    """Pairs up to DENSE_CELLS point pairs take one dense block, larger ones
+    two k-d tree queries; the two must agree bit for bit."""
+
+    @pytest.mark.parametrize("metric", ["euclidean", "haversine"])
+    def test_random_paths(self, monkeypatch, metric):
+        rng = np.random.default_rng(47)
+        for _ in range(30):
+            p, q = (path(c, rng.uniform(50, 60, size=(int(rng.integers(2, 80)), 2))) for c in "ab")
+            tree, dense = on_each_branch(
+                monkeypatch, lambda: (annd(p, q, metric), annd_directed(p, q, metric),
+                                      annd_directed(q, p, metric))
+            )
+            assert tree == dense
+
+    @HAVERSINE_REGIONS
+    def test_haversine_regions(self, monkeypatch, lat_range, lon_range):
+        rng = np.random.default_rng(53)
+        paths = [path(f"p{i}", region_points(rng, lat_range, lon_range, int(n)))
+                 for i, n in enumerate(rng.integers(2, 40, size=8))]
+        tree, dense = on_each_branch(
+            monkeypatch, lambda: build_distance_matrix(paths, "haversine").values
+        )
+        np.testing.assert_array_equal(tree, dense)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "haversine"])
+    def test_sizes_straddling_the_constant(self, monkeypatch, metric):
+        rng = np.random.default_rng(59)
+        side = math.isqrt(path_id.DENSE_CELLS)  # side * side <= DENSE_CELLS < side * (side + 1)
+        paths = [path(f"p{i}", rng.uniform(50, 60, size=(n, 2)))
+                 for i, n in enumerate((side, side, side + 1, 2))]
+        at_constant = build_distance_matrix(paths, metric).values
+        tree, dense = on_each_branch(monkeypatch, lambda: build_distance_matrix(paths, metric).values)
+        np.testing.assert_array_equal(tree, dense)
+        np.testing.assert_array_equal(at_constant, dense)
+
+    @pytest.mark.parametrize("extra, queries", [(0, 0), (1, 2)])
+    def test_tree_queried_only_above_the_constant(self, monkeypatch, extra, queries):
+        calls = []
+
+        class CountingTree(path_id.cKDTree):
+            def query(self, *args, **kwargs):
+                calls.append(len(args[0]))
+                return super().query(*args, **kwargs)
+
+        monkeypatch.setattr(path_id, "cKDTree", CountingTree)
+        side = math.isqrt(path_id.DENSE_CELLS)
+        p = path("a", np.column_stack([np.zeros(side), np.arange(side)]))
+        lons = np.minimum(np.arange(side + extra), side - 1)  # a repeated last point
+        q = path("b", np.column_stack([np.ones(side + extra), lons]))
+        assert annd(p, q) == 1.0
+        assert len(calls) == queries
 
 
 class TestDistanceMatrix:
