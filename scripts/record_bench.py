@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record this checkout's benchmark numbers in BENCH_<pr>.json.
 
-    python3 scripts/record_bench.py --pr 16 --seed 1
+    python3 scripts/record_bench.py --pr N --seed 1
 
 Runs `bench/run.py` three times in the checkout that holds this script:
 demo30 and paths60 untraced (`--trace 0`, `--seconds` long), then one traced

@@ -34,12 +34,12 @@ def test_writes_every_run_with_head_and_environment(tmp_path, monkeypatch, capsy
         return canned(workload, seed, seconds, trace)
 
     monkeypatch.setattr(record_bench, "git_head", lambda checkout: ("abc123", False))
-    out = tmp_path / "BENCH_16.json"
-    assert record_bench.main(["--pr", "16", "--seed", "3", "--seconds", "5", "--out", str(out)],
+    out = tmp_path / "BENCH_42.json"
+    assert record_bench.main(["--pr", "42", "--seed", "3", "--seconds", "5", "--out", str(out)],
                              run=run) == 0
     assert calls == [("demo30", 3, 5.0, 0), ("paths60", 3, 5.0, 0), ("demo30", 3, 5.0, 1)]
     doc = json.loads(out.read_text(encoding="utf-8"))
-    assert (doc["pr"], doc["head"], doc["tracked_files_changed"]) == (16, "abc123", False)
+    assert (doc["pr"], doc["head"], doc["tracked_files_changed"]) == (42, "abc123", False)
     assert doc["src.lines"] == 3590
     assert doc["environment"]["numpy"] == "2.4.6" and doc["environment"]["platform"]
     assert [(r["workload"], r["trace"], r["seed"]) for r in doc["runs"]] == [
@@ -54,8 +54,8 @@ def test_failed_operations_write_nothing(tmp_path, monkeypatch, capsys):
         return canned(workload, seed, seconds, trace, failed=int(workload == "paths60"))
 
     monkeypatch.setattr(record_bench, "git_head", lambda checkout: ("abc123", True))
-    out = tmp_path / "BENCH_16.json"
-    assert record_bench.main(["--pr", "16", "--out", str(out)], run=run) == 1
+    out = tmp_path / "BENCH_42.json"
+    assert record_bench.main(["--pr", "42", "--out", str(out)], run=run) == 1
     assert not out.exists()
     assert "paths60 trace 0: failed 1 of 9 operations" in capsys.readouterr().err
 
@@ -64,8 +64,8 @@ def test_a_run_that_exits_non_zero_writes_nothing(tmp_path, capsys):
     def run(checkout, workload, seed, seconds, trace):
         raise RuntimeError("bench/run.py exited with 1: boom")
 
-    out = tmp_path / "BENCH_16.json"
-    assert record_bench.main(["--pr", "16", "--out", str(out)], run=run) == 1
+    out = tmp_path / "BENCH_42.json"
+    assert record_bench.main(["--pr", "42", "--out", str(out)], run=run) == 1
     assert not out.exists()
     assert capsys.readouterr().err == "error: bench/run.py exited with 1: boom\n"
 
