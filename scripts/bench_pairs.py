@@ -37,10 +37,10 @@ def last_json(output: str) -> dict:
     return json.loads(lines[-1])
 
 
-def run_bench(checkout: Path, workload: str, seed: int) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
     """One bench/run.py run in `checkout`; its JSON summary."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{checkout}: {' '.join(cmd[1:])} exited with {done.returncode}: "

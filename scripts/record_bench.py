@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Record this checkout's benchmark numbers in BENCH_<pr>.json.
 
-    python3 scripts/record_bench.py --pr N --seed 1
+    python3 scripts/record_bench.py --pr N
 
-Runs `bench/run.py` three times in the checkout that holds this script:
-demo30 and paths60 untraced (`--trace 0`, `--seconds` long), then one traced
-demo30 pass (`--trace 1`). From each run it reads the JSON summary on the
+Runs `bench/run.py` three times in the checkout that holds this script, each
+at fleet seed 1 and the benchmark's fixed run length: demo30 and paths60
+untraced (`--trace 0`), then one traced demo30 pass (`--trace 1`). From each run it reads the JSON summary on the
 last line of its output and the record it leaves in
 `.bench_work/<workload>/result.json`, and it writes one JSON file with each
 run's metrics and output digests, `src.lines` (from the traced run), the
@@ -23,22 +23,18 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bench_pairs import SECONDS, last_json
+import bench_pairs
 
 ROOT = Path(__file__).resolve().parents[1]
+SEED = 1  # the fleet seed every record uses, so records compare across changes
 RUNS = (("demo30", 0), ("paths60", 0), ("demo30", 1))  # (workload, trace)
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+def run_bench(checkout: Path, workload: str, trace: int) -> tuple[dict, dict]:
     """One bench/run.py run in `checkout`: its JSON summary and its result.json record."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd[1:])} exited with {done.returncode}: "
-                           + " | ".join(done.stderr.splitlines()[-3:]))
+    summary = bench_pairs.run_bench(checkout, workload, SEED, trace)
     record = json.loads((checkout / ".bench_work" / workload / "result.json").read_text(encoding="utf-8"))
-    return last_json(done.stdout), record
+    return summary, record
 
 
 def git_head(checkout: Path) -> tuple[str | None, bool | None]:
@@ -53,7 +49,7 @@ def git_head(checkout: Path) -> tuple[str | None, bool | None]:
     return head, bool(status.strip())
 
 
-def record(pr: int, seconds: float, runs: list[tuple[dict, dict]],
+def record(pr: int, runs: list[tuple[dict, dict]],
            head: tuple[str | None, bool | None]) -> dict:
     """The BENCH_<pr>.json document for the runs, in RUNS order."""
     entries = [{"workload": rec["workload"], "seed": rec["seed"], "trace": rec["trace"],
@@ -67,7 +63,7 @@ def record(pr: int, seconds: float, runs: list[tuple[dict, dict]],
         "head": head[0],
         "tracked_files_changed": head[1],
         "environment": {**runs[0][1]["env"], "platform": platform.platform()},
-        "seconds": seconds,
+        "seconds": bench_pairs.SECONDS,
         "src.lines": traced["metrics"]["src.lines"]["value"],
         "runs": entries,
     }
@@ -76,16 +72,14 @@ def record(pr: int, seconds: float, runs: list[tuple[dict, dict]],
 def main(argv: list[str] | None = None, run=run_bench) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=SECONDS)
     parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json in the checkout")
     args = parser.parse_args(argv)
     try:
-        runs = [run(ROOT, workload, args.seed, args.seconds, trace) for workload, trace in RUNS]
+        runs = [run(ROOT, workload, trace) for workload, trace in RUNS]
     except (RuntimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    doc = record(args.pr, args.seconds, runs, git_head(ROOT))
+    doc = record(args.pr, runs, git_head(ROOT))
     bad = [f"{e['workload']} trace {e['trace']}: failed {e['failed']} of {e['attempted']} operations"
            for e in doc["runs"] if e["failed"] or not e["correct"]]
     if bad:

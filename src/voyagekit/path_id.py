@@ -109,7 +109,10 @@ def _nearest(path_i: Path, path_j: Path, metric: str) -> tuple[np.ndarray, np.nd
 
 def annd_directed(path_i: Path, path_j: Path, metric: str = "euclidean") -> float:
     """Mean distance from each point of path_i to its nearest point of path_j."""
-    return float(_nearest(path_i, path_j, metric)[0].mean())
+    dist = path_j.tree(metric).query(path_i.tree(metric).data)[0]
+    if metric == "haversine":  # chord length -> great-circle metres
+        dist = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, dist / 2.0))
+    return float(dist.mean())
 
 
 def annd(path_i: Path, path_j: Path, metric: str = "euclidean") -> float:

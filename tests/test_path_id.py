@@ -261,11 +261,8 @@ class TestDenseOrTree:
         rng = np.random.default_rng(47)
         for _ in range(30):
             p, q = (path(c, rng.uniform(50, 60, size=(int(rng.integers(2, 80)), 2))) for c in "ab")
-            tree, dense = on_each_branch(
-                monkeypatch, lambda: (annd(p, q, metric), annd_directed(p, q, metric),
-                                      annd_directed(q, p, metric))
-            )
-            assert tree == dense
+            tree, dense = on_each_branch(monkeypatch, lambda: annd(p, q, metric))
+            assert tree == dense == 0.5 * (annd_directed(p, q, metric) + annd_directed(q, p, metric))
 
     @HAVERSINE_REGIONS
     def test_haversine_regions(self, monkeypatch, lat_range, lon_range):
