@@ -22,6 +22,7 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
     SchemaError,
+    UnclassifiableError,
     VoyagekitError,
 )
 from .geo import RouteSegmentSpec, merge_tracks, split_into_voyages
@@ -297,18 +298,19 @@ def cmd_pathid(config: RunConfig, method: str | None = None) -> None:
         )
         by_id = {p.voyage_id: p for p in paths}
         models = path_id.fit_segment_gmms(
-            [by_id[i] for i in train_ids],
-            {i: truth[i] for i in train_ids},
-            spec,
-            components_per_segment=config.components_per_segment,
-            seed=config.seed,
+            [by_id[i] for i in train_ids], {i: truth[i] for i in train_ids}, spec
         )
         for m in models.mixtures.values():
             log.log("pathid", "segment_fit", segment=m.segment, points=m.points,
-                    components=len(m.weights), em_iterations=m.em_iterations, converged=m.converged)
+                    components=len(m.counts),
+                    label_points=dict(zip(m.component_labels, m.counts.tolist())))
         labeling, unclassifiable = path_id.classify_paths([by_id[i] for i in test_ids], models)
         for vid in unclassifiable:
             log.log("pathid", "unclassifiable", voyage_id=vid)
+        if test_ids and not labeling:
+            raise UnclassifiableError(
+                f"none of the {len(test_ids)} test voyages has a point in a discriminative segment"
+            )
         evaluated_truth = {vid: truth[vid] for vid in labeling}
 
     path_id.write_labeling(labeling, out / "labeling.csv")

@@ -41,7 +41,6 @@ class RunConfig:
     pathid_metric: str = "euclidean"
     dendrogram_cutoff: float = 0.07
     kmeans_k: int = 3
-    components_per_segment: int | None = None
     # Shared.
     seed: int = 0
     out_dir: str = "out"
@@ -85,8 +84,6 @@ _FIELD_TYPES = {
     "float": ((int, float), "a number", float),
     "str": ((str,), "a string", str),
     "str | None": ((str, type(None)), "a string or null", str),
-    "int | None": ((int, type(None)), "an integer or null",
-                   lambda raw: None if raw.lower() in ("", "none", "null") else int(raw)),
     "tuple[str, ...]": ((list,), "a list of strings",
                         lambda raw: tuple(p.strip() for p in raw.split(",") if p.strip())),
 }

@@ -5,8 +5,9 @@ Two families of methods label which fairway branch a voyage took:
 * distance-based: an average-nearest-neighbor distance (ANND) matrix over
   all paths, clustered by k-means, a Gaussian mixture, or agglomerative
   average linkage with a dendrogram cut-off;
-* segmented Gaussian likelihood: per-route-segment position mixtures whose
-  winning components vote for a path label.
+* segmented Gaussian likelihood: in each route segment, one position
+  Gaussian per training label (Gaussian discriminant analysis); the label
+  whose Gaussian best explains a path's points there gets that segment's vote.
 
 Cluster labels are arbitrary, so evaluation first aligns predicted labels
 to ground truth by maximizing agreement, then computes one-vs-all
@@ -303,16 +304,14 @@ def _gaussian_log_density_2d(points: np.ndarray, mean: np.ndarray, cov: np.ndarr
 
 @dataclass
 class SegmentMixture:
-    """Full-covariance 2-D Gaussian mixture for one route segment."""
+    """One 2-D Gaussian per training label crossing a route segment, in label order."""
 
     segment: str
-    weights: np.ndarray      # (c,)
+    counts: np.ndarray       # (c,) training points of each label in the segment
     means: np.ndarray        # (c, 2)
     covariances: np.ndarray  # (c, 2, 2)
     component_labels: list[str]
     points: int              # training points in the segment
-    em_iterations: int
-    converged: bool
 
     def component_log_density(self, points: np.ndarray) -> np.ndarray:
         """(n, c) log densities of each point under each component."""
@@ -323,58 +322,28 @@ class SegmentMixture:
 
 @dataclass
 class SegmentModelSet:
-    """Per-segment mixtures plus the (segment, component) -> label table."""
+    """Per-segment label Gaussians, and the segments that hold more than one label."""
 
     spec: RouteSegmentSpec
     mixtures: dict[str, SegmentMixture]
     discriminative: list[str]
 
 
-def _fit_gmm_2d(
-    points: np.ndarray, components: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, bool]:
-    """Full-covariance 2-D mixture EM: (w, mu, cov, resp, EM iterations, converged)."""
-    components = min(components, len(points))
-    init_labels = _kmeans(points, components, seed)[0]
-    weights = np.empty(components)
-    means = np.empty((components, 2))
-    covs = np.empty((components, 2, 2))
-    eye = np.eye(2) * COVARIANCE_FLOOR
-    for c in range(components):
-        group = points[init_labels == c]
-        weights[c] = len(group) / len(points)
-        means[c] = group.mean(axis=0)
-        covs[c] = np.cov(group.T, bias=True) + eye if len(group) > 1 else eye * 1e3
-
-    history: list[float] = []
-    while len(history) < EM_MAX_ITER and not _em_converged(history):
-        log_p = np.empty((len(points), components))
-        for c in range(components):
-            log_p[:, c] = _gaussian_log_density_2d(points, means[c], covs[c])
-            log_p[:, c] += math.log(max(weights[c], 1e-300))
-        ll, resp, nk, weights, means = _mixture_step(points, log_p)
-        history.append(ll)
-        for c in range(components):
-            d = points - means[c]
-            covs[c] = (resp[:, c][:, None] * d).T @ d / nk[c] + eye
-    return weights, means, covs, resp, len(history), _em_converged(history)
-
-
 def fit_segment_gmms(
     paths: Sequence[Path],
     labels: PathLabeling,
     spec: RouteSegmentSpec,
-    components_per_segment: int | None = None,
     seed: int = 0,
 ) -> SegmentModelSet:
-    """Fit one position mixture per route segment and build its label table.
+    """Fit one Gaussian per training label in each route segment.
 
     A training point belongs to the segment ``spec.locate`` gives it (the
-    first-polygon rule of RouteSegmentSpec). The component count defaults
-    to the number of distinct path labels among a segment's points. Each
-    component is mapped to the label most frequent among the points it
-    claims; segments whose components disagree on labels are the
-    discriminative ones.
+    first-polygon rule of RouteSegmentSpec). Each label, in sorted order,
+    gets one component from its own points in the segment: their mean, and
+    their biased covariance plus COVARIANCE_FLOOR * I (the floor alone for a
+    single point). Segments holding more than one label are the
+    discriminative ones. The fit draws nothing at random; ``seed`` is
+    accepted and unused.
     """
     for p in paths:
         if p.voyage_id not in labels:
@@ -386,28 +355,22 @@ def fit_segment_gmms(
         [np.empty(0, dtype=str), *(np.full(len(p.points), labels[p.voyage_id]) for p in paths)]
     )
     segment_of = spec.locate(points[:, 0], points[:, 1])
+    floor = np.eye(2) * COVARIANCE_FLOOR
 
     mixtures: dict[str, SegmentMixture] = {}
     for s, name in enumerate(spec.names):
         inside = segment_of == s
         if (count := int(inside.sum())) < 10:
             raise ConfigurationError(f"segment {name!r} has {count} training points, need >= 10")
-        # Sorted distinct labels; a component takes its most frequent label,
-        # ties to the smallest, and an empty component the largest label.
-        seg_labels, codes = np.unique(point_labels[inside], return_inverse=True)
-        weights, means, covs, resp, iterations, converged = _fit_gmm_2d(
-            points[inside], components_per_segment or len(seg_labels), seed
-        )
-        votes = np.zeros((len(weights), len(seg_labels)), dtype=int)
-        np.add.at(votes, (resp.argmax(axis=1), codes), 1)
-        component_labels = [
-            str(seg_labels[row.argmax()] if row.any() else seg_labels[-1]) for row in votes
-        ]
+        seg_labels, counts = np.unique(point_labels[inside], return_counts=True)
+        groups = [points[inside & (point_labels == label)] for label in seg_labels]
+        means = np.array([g.mean(axis=0) for g in groups])
+        covs = np.array([np.cov(g.T, bias=True) + floor for g in groups])
         mixtures[name] = SegmentMixture(
-            name, weights, means, covs, component_labels, count, iterations, converged
+            name, counts, means, covs, [str(label) for label in seg_labels], count
         )
 
-    discriminative = [name for name, m in mixtures.items() if len(set(m.component_labels)) > 1]
+    discriminative = [name for name, m in mixtures.items() if len(m.component_labels) > 1]
     return SegmentModelSet(spec=spec, mixtures=mixtures, discriminative=discriminative)
 
 

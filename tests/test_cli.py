@@ -235,9 +235,10 @@ class TestPathidRunLog:
         spec = json.loads((pipeline_dir / "fleet" / "segments.json").read_text())
         assert [d["segment"] for d in fits] == [seg["name"] for seg in spec]
         for d in fits:
-            assert set(d) == {"segment", "points", "components", "em_iterations", "converged"}
-            assert d["points"] >= 10 and d["components"] >= 1
-            assert d["converged"] is True and 1 <= d["em_iterations"] <= 200
+            assert set(d) == {"segment", "points", "components", "label_points"}
+            assert d["points"] >= 10 and d["components"] == len(d["label_points"]) >= 1
+            assert sum(d["label_points"].values()) == d["points"]
+            assert set(d["label_points"]) <= {"mid", "north", "south"}
         # Deterministic: a second run logs the same events.
         assert self.run_pathid(pipeline_dir, tmp_path / "b", "--method", "segment-gmm") == fits
 
@@ -319,6 +320,24 @@ class TestErrorPaths:
         code = main(["pathid", "--method", "segment-gmm", "--out", str(out)])
         assert code == 2
         assert "segments.json" in capsys.readouterr().err
+
+    def test_segment_gmm_labelling_nothing_exits_1(self, pipeline_dir, tmp_path, capsys):
+        # One polygon around the north branch's arc: one label, so no segment
+        # discriminates and no test voyage can be labelled.
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir / "store", out / "store")
+        shutil.copytree(pipeline_dir / "fleet", out / "fleet")
+        north = [[0.08, 0.05], [0.08, 0.15], [0.2, 0.15], [0.2, 0.05]]
+        (out / "fleet" / "segments.json").write_text(
+            json.dumps([{"name": "north_arc", "polygon": north}]), encoding="utf-8"
+        )
+        assert main(["pathid", "--method", "segment-gmm", "--out", str(out), "--seed", "11"]) == 1
+        assert "none of the 4 test voyages" in capsys.readouterr().err
+        assert not (out / "labeling.csv").exists()
+        records = read_log(out)
+        [fit] = [r["detail"] for r in records if r["event"] == "segment_fit"]
+        assert fit["segment"] == "north_arc" and list(fit["label_points"]) == ["north"]
+        assert len([r for r in records if r["event"] == "unclassifiable"]) == 4
 
     def test_truth_missing_voyage(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -410,7 +429,6 @@ class TestErrorPaths:
         [
             ("KNN_K", "abc", "an integer"),
             ("TRAIN_FRACTION", "0.7x", "a number"),
-            ("COMPONENTS_PER_SEGMENT", "2.5", "an integer or null"),
         ],
     )
     def test_malformed_env_value(self, tmp_path, capsys, monkeypatch, name, raw, expected):

@@ -49,12 +49,12 @@ class TestConfig:
             env={
                 "VOYAGEKIT_TRAIN_FRACTION": "0.8",
                 "VOYAGEKIT_HMM_FEATURES": "WindSpeed_onb, WaveHeight",
-                "VOYAGEKIT_COMPONENTS_PER_SEGMENT": "4",
+                "VOYAGEKIT_KNN_K": "4",
             },
         )
         assert config.train_fraction == 0.8
         assert config.hmm_features == ("WindSpeed_onb", "WaveHeight")
-        assert config.components_per_segment == 4
+        assert config.knn_k == 4
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -97,8 +97,6 @@ class TestConfig:
             ("labels", 1),  # str field defaulting to None
             ("hmm_features", ["WaveHeight", 1]),
             ("hmm_features", "WaveHeight"),
-            ("components_per_segment", "4"),
-            ("components_per_segment", 4.0),
         ],
     )
     def test_json_type_checked(self, tmp_path, field, value):
@@ -110,12 +108,10 @@ class TestConfig:
     def test_json_types_accepted(self, tmp_path):
         path = tmp_path / "cfg.json"
         raw = {"dendrogram_cutoff": 1, "train_fraction": 0.8, "labels": None,
-               "components_per_segment": None, "hmm_features": ["WaveHeight"]}
+               "hmm_features": ["WaveHeight"]}
         path.write_text(json.dumps(raw), encoding="utf-8")
         config = load_config(path, env={})
         assert config.dendrogram_cutoff == 1 and config.hmm_features == ("WaveHeight",)
-        path.write_text(json.dumps({"components_per_segment": 4}), encoding="utf-8")
-        assert load_config(path, env={}).components_per_segment == 4
 
     def test_every_field_type_has_json_types(self):
         assert {f.type for f in dataclasses.fields(RunConfig)} <= set(_FIELD_TYPES)

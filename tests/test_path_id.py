@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voyagekit import path_id
+from voyagekit.cli import split_train_test
 from voyagekit.errors import (
     ConfigurationError,
     InsufficientDataError,
@@ -29,6 +31,7 @@ from voyagekit.path_id import (
     hierarchical_cluster,
     kmeans_rows,
 )
+from voyagekit.synth import default_fleet_spec, generate_fleet
 
 
 def brute_force_annd(a: np.ndarray, b: np.ndarray) -> float:
@@ -604,7 +607,7 @@ class TestSegmentGmms:
         paths, labels = two_branch_training
         models = fit_segment_gmms(paths, labels, corridor_spec(), seed=0)
         for mixture in models.mixtures.values():
-            assert mixture.weights.sum() == pytest.approx(1.0, abs=1e-9)
+            assert mixture.counts.sum() == mixture.points
 
     def test_covariance_floor(self, two_branch_training):
         paths, labels = two_branch_training
@@ -614,19 +617,19 @@ class TestSegmentGmms:
                 eigvals = np.linalg.eigvalsh(cov)
                 assert np.all(eigvals >= 1e-6 - 1e-12)
 
-    def test_em_status_reported(self, two_branch_training, monkeypatch):
+    def test_em_status_reported(self, two_branch_training):
         paths, labels = two_branch_training
         models = fit_segment_gmms(paths, labels, corridor_spec(), seed=0)
         segment_of = corridor_spec().locate(
             *np.concatenate([p.points for p in paths]).T
         )
+        point_labels = np.concatenate([[labels[p.voyage_id]] * len(p.points) for p in paths])
         for s, mixture in enumerate(models.mixtures.values()):
             assert mixture.points == int((segment_of == s).sum())
-            assert mixture.converged and 2 <= mixture.em_iterations < path_id.EM_MAX_ITER
-        monkeypatch.setattr(path_id, "EM_MAX_ITER", 1)
-        capped = fit_segment_gmms(paths, labels, corridor_spec(), seed=0)
-        for mixture in capped.mixtures.values():
-            assert (mixture.em_iterations, mixture.converged) == (1, False)
+            assert mixture.component_labels == ["high", "low"]
+            assert mixture.counts.tolist() == [
+                int(((segment_of == s) & (point_labels == label)).sum()) for label in ("high", "low")
+            ]
 
     def test_all_segments_discriminative(self, two_branch_training):
         paths, labels = two_branch_training
@@ -648,13 +651,33 @@ class TestSegmentGmms:
         assert models.mixtures["low_only"].component_labels == ["low"]
         assert models.discriminative == ["both"]
 
-    def test_component_label_tie_goes_to_smallest_label(self):
-        # One component claims the points of two identical paths equally.
-        twin = bundle(0.0, 1, seed=11)[0].points
-        paths = [path("first", twin), path("second", twin)]
+    def test_components_from_label_points(self, two_branch_training):
+        paths, labels = two_branch_training
+        models = fit_segment_gmms(paths, labels, corridor_spec(), seed=0)
+        points = np.concatenate([p.points for p in paths])
+        point_labels = np.concatenate([[labels[p.voyage_id]] * len(p.points) for p in paths])
+        segment_of = corridor_spec().locate(*points.T)
+        for s, mixture in enumerate(models.mixtures.values()):
+            for c, label in enumerate(mixture.component_labels):
+                own = points[(segment_of == s) & (point_labels == label)]
+                expected = np.cov(own.T, bias=True) + path_id.COVARIANCE_FLOOR * np.eye(2)
+                np.testing.assert_array_equal(mixture.means[c], own.mean(axis=0))
+                np.testing.assert_array_equal(mixture.covariances[c], expected)
+                centred = own - own.mean(axis=0)
+                np.testing.assert_allclose(
+                    mixture.covariances[c] - path_id.COVARIANCE_FLOOR * np.eye(2),
+                    centred.T @ centred / len(own), rtol=1e-12, atol=1e-18,
+                )
+
+    def test_one_point_label_gets_the_floor(self):
+        # "b" has one point in the box; its other point lies in no segment.
+        paths = bundle(0.0, 1, seed=12, prefix="a") + [path("b", [(0.5, 0.5), (5.0, 5.0)])]
         spec = RouteSegmentSpec([("box", [[-1.0, -0.1], [-1.0, 1.1], [1.0, 1.1], [1.0, -0.1]])])
-        models = fit_segment_gmms(paths, {"first": "b", "second": "a"}, spec, 1, seed=0)
-        assert models.mixtures["box"].component_labels == ["a"]
+        models = fit_segment_gmms(paths, {"a0": "a", "b": "b"}, spec, seed=0)
+        box = models.mixtures["box"]
+        assert box.component_labels == ["a", "b"] and box.counts.tolist() == [12, 1]
+        np.testing.assert_array_equal(box.means[1], [0.5, 0.5])
+        np.testing.assert_array_equal(box.covariances[1], path_id.COVARIANCE_FLOOR * np.eye(2))
 
     def test_empty_segment_is_configuration_error(self, two_branch_training):
         paths, labels = two_branch_training
@@ -670,6 +693,20 @@ class TestSegmentGmms:
         partial.pop(paths[0].voyage_id)
         with pytest.raises(InvalidInputError):
             fit_segment_gmms(paths, partial, corridor_spec(), seed=0)
+
+
+@pytest.mark.parametrize("fleet_seed", [1, 2, 7])
+def test_noisy_default_fleet_all_test_voyages_right(fleet_seed):
+    # 0.2 degrees of position noise on the demo geometry; the test split holds 9 voyages.
+    fleet = generate_fleet(dataclasses.replace(default_fleet_spec(fleet_seed), noise_std_deg=0.2))
+    paths = {v.voyage_id: Path.from_voyage(v) for v in fleet.voyages}
+    train_ids, test_ids = split_train_test(list(paths), 0.7, 7)
+    models = fit_segment_gmms(
+        [paths[i] for i in train_ids], {i: fleet.labels[i] for i in train_ids}, fleet.segment_spec
+    )
+    labeling, unclassifiable = classify_paths([paths[i] for i in test_ids], models)
+    assert len(test_ids) == 9 and not unclassifiable
+    assert sum(labeling[i] == fleet.labels[i] for i in test_ids) == 9
 
 
 @pytest.fixture(scope="module")
