@@ -3,8 +3,9 @@
 
     python scripts/compare_outputs.py runs/before runs/after --tol 1e-12
 
-The trees must hold the same files. CSV cells and JSON/JSON-lines values
-that are not numbers must be identical; numbers must satisfy
+The trees must hold the same files. CSV cells, voyage-store .npy table
+cells (column names, then values) and JSON/JSON-lines values that are not
+numbers must be identical; numbers must satisfy
 |a - b| <= tol * max(1, |a|), with `a` taken from the first tree (two NaNs
 agree; an infinity agrees only with the same infinity). Any other file must
 be byte-identical. One line per file gives its worst scaled difference and
@@ -17,6 +18,8 @@ import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 
 class Mismatch(Exception):
@@ -68,6 +71,9 @@ def _compare(a, b, where: str, tol: float, worst: list) -> None:
 
 
 def _load(path: Path):
+    if path.suffix == ".npy":
+        table = np.load(path, allow_pickle=False)
+        return [list(table.dtype.names), *map(list, table.tolist())]
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".csv":
         return list(csv.reader(text.splitlines()))
@@ -80,7 +86,7 @@ def compare_file(a: Path, b: Path, tol: float) -> str:
     """A one-line verdict for files that agree; raises Mismatch otherwise."""
     if a.read_bytes() == b.read_bytes():
         return "identical"
-    if a.suffix not in (".csv", ".json", ".jsonl"):
+    if a.suffix not in (".csv", ".npy", ".json", ".jsonl"):
         raise Mismatch("bytes differ")
     worst = [0.0, ""]
     _compare(_load(a), _load(b), "", tol, worst)

@@ -268,8 +268,8 @@ def cmd_pathid(config: RunConfig, method: str | None = None) -> None:
         raise ConfigurationError(
             f"unknown path-id method {method!r}; valid: {', '.join(PATHID_METHODS)}"
         )
-    voyages = store.read_store(out / "store")
-    paths = [path_id.Path.from_voyage(v) for v in voyages]
+    # Only the tracks are kept: the voyages' weather channels are freed before the matrix is built.
+    paths = [path_id.Path.from_voyage(v) for v in store.read_store(out / "store")]
     labels_path = _resolve_input(config, "labels", "labels.csv", required=method == "segment-gmm")
     truth = path_id.read_labeling(labels_path) if labels_path else None
     if truth is not None:
@@ -329,6 +329,10 @@ def cmd_pathid(config: RunConfig, method: str | None = None) -> None:
         for label in result.classes:
             m = result.per_class[label]
             print(f"  {label}: precision {m.precision:.3f} recall {m.recall:.3f} f1 {m.f1:.3f}")
+    else:  # nothing to score: an earlier run's metrics must not pass for this labeling's
+        for name in ("metrics.csv", "confusion_matrix.csv"):
+            (out / name).unlink(missing_ok=True)
+        log.log("pathid", "metrics_skipped", reason="no labels file" if truth is None else "none labelled")
 
 
 def cmd_report(config: RunConfig) -> None:

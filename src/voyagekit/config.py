@@ -119,8 +119,11 @@ def load_config(
                 raise ConfigurationError(f"{path}: {name} must be {expected}, got {json.dumps(value)}")
         values.update(raw)
     env = os.environ if env is None else env
-    for name in _FIELDS:
-        key = ENV_PREFIX + name.upper()
+    env_keys = {ENV_PREFIX + name.upper(): name for name in _FIELDS}
+    unknown = sorted(key for key in env if key.startswith(ENV_PREFIX) and key not in env_keys)
+    if unknown:
+        raise ConfigurationError(f"unknown environment variables {unknown}")
+    for key, name in env_keys.items():
         if key in env:
             _, expected, parse = _FIELD_TYPES[_FIELDS[name].type]
             try:

@@ -1,13 +1,12 @@
 """File-based voyage store, and the one CSV table writer every module uses.
 
-Commands hand data to each other through CSV files, so every float is
-written with full precision (repr round-trips exactly) by write_table. The
-store holds one CSV per voyage plus a JSON manifest. A voyage file
-holds the core columns followed by the channels recorded on every sample,
-in name order; a channel missing (NaN) on any sample is not stored.
-Malformed files raise InvalidInputError naming the file and row (a manifest
-listing a voyage twice, naming the manifest and the voyage); a sample
-that fails geo.valid_samples raises it naming the voyage and sample.
+The store is a JSON manifest plus one .npy table per voyage, saved by np.save
+and loaded with pickling off, so floats round-trip bit for bit and no text is
+parsed: a 1-D array of named little-endian float64 fields, the core columns and
+then, in name order, the channels with no missing (NaN) sample. A malformed or
+old CSV voyage file raises InvalidInputError naming the file; a voyage listed
+twice names the manifest, a sample failing geo.valid_samples the voyage and
+sample. write_table writes every output CSV, floats with repr to read back exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.format import MAGIC_PREFIX as NPY_MAGIC
 
 from .errors import InvalidInputError
 from .geo import CORE_FIELDS, Voyage
@@ -77,7 +77,8 @@ def write_store(voyages: Sequence[Voyage], store_dir: str | Path, extra_meta: di
     for v in voyages:
         channels = sorted(name for name, values in v.channels.items() if not np.isnan(values).any())
         columns = [*(getattr(v, name) for name in CORE_FIELDS), *(v.channels[c] for c in channels)]
-        write_table(store / "voyages" / f"{v.voyage_id}.csv", [*CORE_COLUMNS, *channels], columns)
+        table = np.column_stack(columns).view([(c, "<f8") for c in [*CORE_COLUMNS, *channels]])[:, 0]
+        np.save(store / "voyages" / f"{v.voyage_id}.npy", table, allow_pickle=False)
         entries.append(
             {
                 "voyage_id": v.voyage_id,
@@ -108,34 +109,23 @@ def load_floats(lines: list[str], usecols: Sequence[int] | None = None) -> np.nd
 
 
 def _read_voyage(path: Path, entry: dict) -> Voyage:
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None:
-        raise InvalidInputError(f"{path}: file is empty")
-    if tuple(header[: len(CORE_COLUMNS)]) != CORE_COLUMNS:
-        raise InvalidInputError(f"{path}: header must start with {', '.join(CORE_COLUMNS)}")
-    width = len(header)
-    table = load_floats(lines[reader.line_num:])
-    if table is None or table.shape[1] != width:
-        rows = list(reader)
-        bad = np.flatnonzero(np.fromiter(map(len, rows), int, len(rows)) != width)
-        if len(bad):
-            raise InvalidInputError(
-                f"{path}: data row {bad[0] + 1} has {len(rows[bad[0]])} cells, expected {width}"
-            )
-        values: list[float] = []
-        try:
-            values.extend(map(float, chain.from_iterable(rows)))
-        except ValueError as exc:
-            # extend keeps the cells parsed before the failing one.
-            raise InvalidInputError(f"{path}: data row {len(values) // width + 1}: {exc}") from None
-        table = np.array(values).reshape(len(rows), width)
-    columns = table.T
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(len(NPY_MAGIC)) != NPY_MAGIC:  # np.load would try a pickle or a zip archive
+                raise ValueError("not an .npy file")
+            fh.seek(0)
+            table = np.load(fh, allow_pickle=False)
+    except (OSError, EOFError, ValueError) as exc:
+        raise InvalidInputError(f"{path}: not a voyage table ({exc})") from None
+    names = table.dtype.names
+    if names is None or table.ndim != 1 or table.dtype != np.dtype([(n, "<f8") for n in names]):
+        raise InvalidInputError(f"{path}: not a voyage table (expected one float64 field per column)")
+    if names[: len(CORE_COLUMNS)] != CORE_COLUMNS:
+        raise InvalidInputError(f"{path}: columns must start with {', '.join(CORE_COLUMNS)}")
+    columns = table.view(np.float64).reshape(len(table), len(names)).T
     return Voyage(
         *columns[: len(CORE_COLUMNS)],
-        channels=dict(zip(header[len(CORE_COLUMNS):], columns[len(CORE_COLUMNS):])),
+        channels=dict(zip(names[len(CORE_COLUMNS):], columns[len(CORE_COLUMNS):])),
         voyage_id=entry["voyage_id"],
         origin=entry.get("origin", ""),
         destination=entry.get("destination", ""),
@@ -158,8 +148,10 @@ def read_store(store_dir: str | Path) -> list[Voyage]:
         raise InvalidInputError(f"{manifest_path}: voyage {repeated[0]} is listed more than once")
     voyages = []
     for vid, entry in zip(ids, entries):
-        path = store / "voyages" / f"{vid}.csv"
+        path = store / "voyages" / f"{vid}.npy"
         if not path.exists():
-            raise InvalidInputError(f"store manifest lists {vid} but {path} is missing")
+            old = path.with_suffix(".csv")
+            why = f"; {old.name} is from an older version: re-run `voyagekit ingest`" if old.exists() else ""
+            raise InvalidInputError(f"store manifest lists {vid} but {path} is missing{why}")
         voyages.append(_read_voyage(path, entry))
     return voyages

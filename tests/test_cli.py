@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import voyagekit
@@ -339,6 +340,22 @@ class TestErrorPaths:
         assert fit["segment"] == "north_arc" and list(fit["label_points"]) == ["north"]
         assert len([r for r in records if r["event"] == "unclassifiable"]) == 4
 
+    @pytest.mark.parametrize("method", ["kmeans", "gmm", "hierarchical"])
+    def test_pathid_without_labels_removes_stale_metrics(self, pipeline_dir, tmp_path, method):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        assert (out / "metrics.csv").exists() and (out / "confusion_matrix.csv").exists()
+        (out / "fleet" / "labels.csv").unlink()
+        base = ["--config", str(out / "cfg.json"), "--out", str(out), "--seed", "11"]
+        assert main(["pathid", "--method", method, *base]) == 0
+        assert not (out / "metrics.csv").exists() and not (out / "confusion_matrix.csv").exists()
+        assert len(read_rows(out / "labeling.csv")) == 12
+        [skipped] = [r["detail"] for r in read_log(out) if r["event"] == "metrics_skipped"]
+        assert skipped == {"reason": "no labels file"}
+        assert main(["report", *base]) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["path_identification"]["metrics"] is None
+
     def test_truth_missing_voyage(self, tmp_path, capsys):
         out = tmp_path / "run"
         write_fleet(generate_fleet(tiny_fleet_spec(seed=13)), out / "fleet")
@@ -383,12 +400,10 @@ class TestErrorPaths:
     ):
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir / "store", out / "store")
-        voyage = out / "store" / "voyages" / "V0002.csv"
-        lines = voyage.read_text(encoding="utf-8").splitlines()
-        cells = lines[4].split(",")  # data row 4: sample 3
-        cells[lines[0].split(",").index(column)] = "nan"
-        lines[4] = ",".join(cells)
-        voyage.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        voyage = out / "store" / "voyages" / "V0002.npy"
+        table = np.load(voyage, allow_pickle=False)
+        table[column][3] = np.nan
+        np.save(voyage, table, allow_pickle=False)
         assert main([command, "--out", str(out), "--seed", "11"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: voyage 'V0002' sample 3: invalid sample (")
@@ -435,6 +450,14 @@ class TestErrorPaths:
         monkeypatch.setenv(f"VOYAGEKIT_{name}", raw)
         assert main(["score", "--out", str(tmp_path)]) == 2
         assert f"VOYAGEKIT_{name} must be {expected}, got {raw!r}" in capsys.readouterr().err
+
+    def test_unknown_env_variable_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("VOYAGEKIT_KNNK", "3")
+        monkeypatch.setenv("VOYAGEKIT_COMPONENTS_PER_SEGMENT", "4")
+        assert main(["score", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown environment variables "
+            "['VOYAGEKIT_COMPONENTS_PER_SEGMENT', 'VOYAGEKIT_KNNK']\n")
 
 
 IMPORT_GUARD = """

@@ -4,6 +4,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
@@ -71,6 +72,19 @@ def test_changed_text_cell(monkeypatch, tmp_path, capsys):
     gains = TREE["gains.csv"].replace("insufficient", "ok")
     assert run(monkeypatch, tmp_path, **{"gains.csv": gains}) == 1
     assert "FAIL gains.csv" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("lat, names, status", [
+    (0.5000000000001, ("Timestamp", "Latitude"), 0),
+    (0.51, ("Timestamp", "Latitude"), 1),
+    (0.5, ("Timestamp", "Longitude"), 1),
+])
+def test_store_table_cells_against_tol(monkeypatch, tmp_path, lat, names, status):
+    for side, row, fields in (("a", (60.0, 0.5), ("Timestamp", "Latitude")), ("b", (60.0, lat), names)):
+        path = tmp_path / side / "store" / "voyages" / "V0001.npy"
+        path.parent.mkdir(parents=True)
+        np.save(path, np.array([row], dtype=[(name, "<f8") for name in fields]), allow_pickle=False)
+    assert run(monkeypatch, tmp_path) == status
 
 
 def test_changed_other_file_bytes(monkeypatch, tmp_path):

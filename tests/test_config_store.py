@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import io
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,10 @@ import voyagekit
 from voyagekit.cli import main
 from voyagekit.config import _FIELD_TYPES, RunConfig, load_config
 from voyagekit.errors import ConfigurationError, InvalidInputError
-from voyagekit.geo import CORE_FIELDS
-from voyagekit.store import read_store, write_store, write_table
+from voyagekit.geo import CORE_FIELDS, Voyage
+from voyagekit.store import (
+    CORE_COLUMNS, ONBOARD_CHANNELS, WEATHER_VARIABLES, read_store, write_store, write_table,
+)
 
 
 class TestConfig:
@@ -55,6 +59,12 @@ class TestConfig:
         assert config.train_fraction == 0.8
         assert config.hmm_features == ("WindSpeed_onb", "WaveHeight")
         assert config.knn_k == 4
+
+    def test_unknown_env_variable(self):
+        env = {"VOYAGEKIT_KNNK": "3", "VOYAGEKIT_SEED": "9", "VOYAGEKIT_": "", "PATH": "/bin"}
+        with pytest.raises(ConfigurationError, match=r"\['VOYAGEKIT_', 'VOYAGEKIT_KNNK'\]"):
+            load_config(None, env=env)
+        assert load_config(None, env={"VOYAGEKIT_SEED": "9", "voyagekit_knnk": "3"}).seed == 9
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -272,6 +282,41 @@ class TestWriteTable:
         assert writers == ["store.py"]
 
 
+def _npy_bytes(table):
+    buffer = io.BytesIO()
+    np.save(buffer, table, allow_pickle=False)
+    return buffer.getvalue()
+
+
+NOT_FLOAT64 = r"not a voyage table \(expected one float64 field per column\)"
+
+# Edge values that must survive the store bit for bit, within each column's sample rule.
+UNSIGNED_EDGES = [0.0, -0.0, 5e-324, 1.5, 1e308]
+SIGNED_EDGES = [*UNSIGNED_EDGES, -5e-324, -1e308]
+
+
+@st.composite
+def stored_voyages(draw):
+    """A Voyage with edge values in every column and its own set of channels, one maybe NaN."""
+    n = draw(st.integers(2, 5))
+    column = lambda values, **kw: np.array(draw(st.lists(st.one_of(st.sampled_from(values), st.floats(**kw)),
+                                                         min_size=n, max_size=n)))
+    channels = {name: column(SIGNED_EDGES, allow_nan=False)
+                for name in draw(st.sets(st.sampled_from([*ONBOARD_CHANNELS, *WEATHER_VARIABLES])))}
+    if channels and draw(st.booleans()):
+        channels[min(channels)][draw(st.integers(0, n - 1))] = np.nan  # not stored
+    return Voyage(
+        np.sort(column([0.0, -0.0, 5e-324, 60.0], min_value=-1e9, max_value=1e9)),
+        column([-0.0, 5e-324, 90.0, -90.0], min_value=-90, max_value=90),
+        column([-0.0, 5e-324, 180.0, -180.0], min_value=-180, max_value=180),
+        column(UNSIGNED_EDGES, min_value=0, allow_infinity=False),
+        column(SIGNED_EDGES, allow_nan=False, allow_infinity=False),
+        column(UNSIGNED_EDGES, min_value=0, allow_infinity=False),
+        channels=channels,
+        voyage_id=draw(st.sampled_from(["V0001", "V0002", "V0003", "A.b"])),
+    )
+
+
 class TestStore:
     def test_round_trip(self, tiny_fleet, tmp_path):
         voyages = tiny_fleet.voyages[:3]
@@ -295,24 +340,83 @@ class TestStore:
         return tmp_path / "store"
 
     def corrupt(self, store, edit):
-        path = store / "voyages" / "V0002.csv"
-        lines = edit(path.read_text(encoding="utf-8").splitlines())
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        """Replace V0002's table by edit(table): bytes as they are, an array np.save'd."""
+        path = store / "voyages" / "V0002.npy"
+        with open(path, "rb") as fh:
+            content = edit(np.load(fh))
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            np.save(path, content, allow_pickle=True)
 
     def test_empty_voyage_file(self, store):
-        self.corrupt(store, lambda lines: [])
-        with pytest.raises(InvalidInputError, match=r"V0002\.csv: file is empty"):
+        self.corrupt(store, lambda table: b"")
+        with pytest.raises(InvalidInputError, match=r"V0002\.npy: not a voyage table \(not an \.npy file\)"):
             read_store(store)
 
     def test_short_row(self, store):
-        self.corrupt(store, lambda lines: [*lines[:3], lines[3].rsplit(",", 1)[0], *lines[4:]])
-        with pytest.raises(InvalidInputError, match=r"V0002\.csv: data row 3 has"):
+        # A truncated file: the last row's final cell is cut off.
+        self.corrupt(store, lambda table: _npy_bytes(table)[:-8])
+        with pytest.raises(InvalidInputError, match=r"V0002\.npy: not a voyage table \(Failed to read all"):
             read_store(store)
 
     def test_non_numeric_cell(self, store):
-        self.corrupt(store, lambda lines: [*lines[:5], "x" + lines[5], *lines[6:]])
-        with pytest.raises(InvalidInputError, match=r"V0002\.csv: data row 5: .*'x"):
+        self.corrupt(store, lambda table: table.astype([(n, "U32") for n in table.dtype.names]))
+        with pytest.raises(InvalidInputError, match=r"V0002\.npy: not a voyage table \(expected one float64"):
             read_store(store)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda table: b"Timestamp,Latitude\n0.0,1.0\n", r"not a voyage table \(not an \.npy file\)"),
+        (lambda table: _npy_bytes(table)[:20], r"not a voyage table \(EOF: reading array header"),
+        (lambda table: np.array([{"Timestamp": 0.0}], dtype=object), r"not a voyage table \(Object arrays"),
+        (lambda table: pickle.dumps(table), r"not a voyage table \(not an \.npy file\)"),
+        (lambda table: table.view(np.float64).reshape(len(table), -1), NOT_FLOAT64),
+        (lambda table: table.astype([(n, ">f8") for n in table.dtype.names]), NOT_FLOAT64),
+        (lambda table: table.astype([(n, "<f4") for n in table.dtype.names]), NOT_FLOAT64),
+        (lambda table: table[::-1].copy().reshape(-1, 1), NOT_FLOAT64),
+        (lambda table: table.astype([(n, "<f8") for n in reversed(table.dtype.names)]),
+         r"columns must start with Timestamp, Latitude, Longitude, SpeedOverGround, HeadingMagnetic"),
+    ], ids=["csv-text", "truncated-header", "object-array", "pickle", "unnamed-columns", "big-endian",
+            "float32", "two-dimensional", "header-order"])
+    def test_malformed_voyage_file(self, store, edit, message):
+        self.corrupt(store, edit)
+        with pytest.raises(InvalidInputError, match=r"voyages/V0002\.npy: " + message):
+            read_store(store)
+
+    def test_missing_voyage_file(self, store):
+        (store / "voyages" / "V0002.npy").unlink()
+        with pytest.raises(InvalidInputError, match=r"store manifest lists V0002 but .*V0002\.npy is missing"):
+            read_store(store)
+
+    def test_csv_store_from_older_version(self, store):
+        for path in (store / "voyages").glob("*.npy"):
+            path.with_suffix(".csv").write_text("Timestamp,Latitude\n", encoding="utf-8")
+            path.unlink()
+        with pytest.raises(InvalidInputError, match=r"V0001\.npy is missing; V0001\.csv is from an older "
+                                                     r"version: re-run `voyagekit ingest`"):
+            read_store(store)
+
+    def test_table_layout(self, store):
+        with open(store / "voyages" / "V0002.npy", "rb") as fh:
+            table = np.load(fh, allow_pickle=False)
+        channels = sorted(read_store(store)[1].channels)
+        assert table.dtype == np.dtype([(n, "<f8") for n in [*CORE_COLUMNS, *channels]])
+        assert table.ndim == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(voyages=st.lists(stored_voyages(), min_size=1, max_size=3, unique_by=lambda v: v.voyage_id))
+    def test_binary_round_trip_is_bit_exact(self, tmp_path_factory, voyages):
+        out = tmp_path_factory.mktemp("store")
+        write_store(voyages, out)
+        loaded = read_store(out)
+        assert [v.voyage_id for v in loaded] == [v.voyage_id for v in voyages]
+        for a, b in zip(voyages, loaded):
+            kept = {name: values for name, values in a.channels.items() if not np.isnan(values).any()}
+            assert list(b.channels) == sorted(kept)
+            for name, values in [*((n, getattr(a, n)) for n in CORE_FIELDS), *kept.items()]:
+                got = getattr(b, name) if name in CORE_FIELDS else b.channels[name]
+                assert (got.dtype.str, got.strides, got.tobytes()) == (
+                    values.dtype.str, values.strides, values.tobytes()), name
 
     def test_manifest_without_voyages(self, store):
         (store / "manifest.json").write_text(json.dumps({"note": 1}), encoding="utf-8")
@@ -321,7 +425,7 @@ class TestStore:
 
     @pytest.mark.parametrize(
         "edit",
-        [lambda lines: [], lambda lines: [*lines[:2], "?" + lines[2], *lines[3:]]],
+        [lambda table: b"", lambda table: table.astype([(n, "U32") for n in table.dtype.names])],
         ids=["empty", "non-numeric"],
     )
     def test_cli_reports_malformed_store(self, store, edit, capsys):
