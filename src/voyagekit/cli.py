@@ -247,10 +247,10 @@ def cmd_optimize(config: RunConfig, plots: bool = False) -> None:
             log.log("optimize", "insufficient_cluster", cluster=row.cluster, model=row.model)
         log.log("optimize", "cell_scored", cluster=row.cluster, model=row.model,
                 status=row.status, evaluated=row.evaluated, excluded=row.excluded)
-    for cluster, fit in gain_report.state_fits.items():
-        log.log("optimize", "hmm_fit", cluster=cluster, **fit)
-    for cluster, reason in gain_report.state_fit_failures.items():
-        log.log("optimize", "state_gains_unpooled", cluster=cluster, reason=reason)
+    if gain_report.state_fit is not None:
+        log.log("optimize", "hmm_fit", **gain_report.state_fit)
+    else:
+        log.log("optimize", "state_gains_unpooled", reason=gain_report.state_fit_failure)
     log.log("optimize", "gains_written", rows=len(gain_report.rows),
             test_size=gain_report.test_size)
     ok_rows = [r for r in gain_report.rows if r.avg_gain_pct is not None]

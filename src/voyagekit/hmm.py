@@ -4,9 +4,11 @@ States are Calm, Moderate, and Rough, ordered by ascending mean wind speed.
 Fitting is Baum-Welch over per-voyage observation sequences of
 (wind speed, wave height). Each EM pass computes the emission densities of
 all sequences, padded into one array, and runs one batched forward-backward,
-scaled per step (Rabiner 1989) so long sequences do not underflow. Speed
-suggestions take the maximum observed training speed in Calm, the mean in
-Moderate, and the minimum in Rough, applied per decoded step.
+scaled per step (Rabiner 1989) so long sequences do not underflow. States
+describe the sea, not the crew, so `voyagekit optimize` fits one model per run
+on all training voyages and decodes every voyage once. The speed rule,
+`state_speeds`, then takes per state the maximum SOG of a cluster's decoded
+steps in Calm, the mean in Moderate, and the minimum in Rough.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ VARIANCE_FLOOR = 1e-6
 
 @dataclass
 class WeatherStateModel:
-    """Fitted weather-state HMM plus per-state speed statistics."""
+    """Fitted weather-state HMM."""
 
     feature_names: tuple[str, ...]
     start_probs: np.ndarray          # (3,)
     transitions: np.ndarray          # (3, 3), rows sum to 1
     means: np.ndarray                # (3, n_features)
     variances: np.ndarray            # (3, n_features), floored
-    sog_stats: np.ndarray            # (3, 3): per state [min, mean, max] of SOG
     loglik_history: list[float] = field(default_factory=list)
     converged: bool = False          # EM stopped on `tol`, not on `max_iter`
 
@@ -151,8 +152,7 @@ def fit_weather_hmm(
     Initialization splits observations into wind-speed terciles; a tiny
     seeded jitter on the initial means breaks ties between identical
     states. After fitting, states are relabeled by ascending mean wind
-    speed and per-state SOG statistics are taken from the Viterbi
-    decoding of the training voyages.
+    speed.
     """
     sequences = [v.columns(*features) for v in voyages]
     if not sequences:
@@ -182,7 +182,6 @@ def fit_weather_hmm(
         transitions=trans,
         means=means,
         variances=variances,
-        sog_stats=np.zeros((N_STATES, 3)),
     )
 
     lengths, observations = list(map(len, sequences)), padded(sequences)
@@ -229,14 +228,6 @@ def fit_weather_hmm(
     model.transitions = model.transitions[np.ix_(order, order)]
     model.means = model.means[order]
     model.variances = model.variances[order]
-
-    states = np.concatenate(model.viterbi(sequences))
-    sog = np.concatenate([v.sog for v in voyages])
-    for s in range(N_STATES):
-        pool = sog[states == s]
-        if not len(pool):
-            pool = sog
-        model.sog_stats[s] = (pool.min(), pool.mean(), pool.max())
     return model
 
 
@@ -245,6 +236,8 @@ def decode_states(test: Voyage, model: WeatherStateModel) -> np.ndarray:
     return model.viterbi(test.columns(*model.feature_names))
 
 
-def state_speeds(model: WeatherStateModel) -> np.ndarray:
-    """Speed suggested per state: Calm -> max, Moderate -> mean, Rough -> min."""
-    return model.sog_stats[np.arange(N_STATES), [2, 1, 0]]
+def state_speeds(states: np.ndarray, sog: np.ndarray) -> np.ndarray:
+    """(3,) speed per state from decoded steps and their SOG: Calm -> max, Moderate -> mean,
+    Rough -> min, each over all the SOG for a state with no step."""
+    return np.array([rule(sog[states == s] if np.any(states == s) else sog)
+                     for s, rule in enumerate((np.max, np.mean, np.min))])

@@ -33,7 +33,7 @@ from .errors import (
     VoyagekitError,
 )
 from .geo import Voyage
-from .hmm import DEFAULT_FEATURES, STATE_NAMES, fit_weather_hmm, padded, state_speeds
+from .hmm import DEFAULT_FEATURES, STATE_NAMES, WeatherStateModel, fit_weather_hmm, padded, state_speeds
 from .store import write_table
 
 MODEL_ORDER = ("kNN", "1NN-DTW", "HMM")
@@ -188,21 +188,22 @@ class DtwSpeedModel:
 
 
 class HmmSpeedModel:
-    """Weather-HMM speed rule; decodes are memoised per fit on the observations' bytes."""
+    """Weather-HMM speed rule of a fitted state model; decodes memoised on the observations' bytes."""
 
-    def __init__(self, seed: int = 0, features: tuple[str, ...] = DEFAULT_FEATURES):
-        self.seed = seed
-        self.features = features
-        self.model = None
+    def __init__(self, model: WeatherStateModel):
+        self.model = model
+        self.speeds: np.ndarray | None = None
         self._states: dict[bytes, np.ndarray] = {}
 
     def fit(self, cluster: Sequence[Voyage]) -> None:
-        self._states = {}
-        self.model = fit_weather_hmm(cluster, seed=self.seed, features=self.features)
+        if not cluster:
+            raise InsufficientDataError("the HMM speed rule needs a non-empty training cluster")
+        states = np.concatenate(self.decode(cluster))
+        self.speeds = state_speeds(states, np.concatenate([v.sog for v in cluster]))
 
-    def decode(self, tests: Sequence[Voyage]) -> list[np.ndarray]:
-        """States per test voyage; those not decoded since fit() go in one Viterbi batch."""
-        obs = [t.columns(*self.model.feature_names) for t in tests]
+    def decode(self, voyages: Sequence[Voyage]) -> list[np.ndarray]:
+        """States per voyage; those not decoded before go in one Viterbi batch."""
+        obs = [v.columns(*self.model.feature_names) for v in voyages]
         keys = [o.tobytes() for o in obs]
         todo = {key: o for key, o in zip(keys, obs) if key not in self._states}
         if todo:
@@ -210,8 +211,7 @@ class HmmSpeedModel:
         return [self._states[key] for key in keys]
 
     def predict(self, tests: Sequence[Voyage]) -> list[np.ndarray]:
-        speeds = state_speeds(self.model)
-        return [speeds[states] for states in self.decode(tests)]
+        return [self.speeds[states] for states in self.decode(tests)]
 
 
 class IdentitySpeedModel:
@@ -251,10 +251,10 @@ class GainReport:
     rows: list[ClusterModelGain]
     state_rows: list[StateGain]
     test_size: int
-    # Cluster -> why its weather-state fit failed; its gains are in no state row.
-    state_fit_failures: dict[str, str] = dataclasses_field(default_factory=dict)
-    # Cluster -> its weather-state fit: voyages, observations, em_iterations, converged, loglik.
-    state_fits: dict[str, dict] = dataclasses_field(default_factory=dict)
+    # The run's weather-state fit (voyages, observations, em_iterations, converged, loglik),
+    # or why it failed: then the default HMM cells are insufficient and no state row has a step.
+    state_fit: dict | None = None
+    state_fit_failure: str | None = None
 
 
 def run_optimization_benchmark(
@@ -273,24 +273,22 @@ def run_optimization_benchmark(
 
     Measured and suggested profiles go through the same estimator and
     duration-rescaling path, so a model that echoes the measured profile
-    gains exactly zero. Scores are normalized by the test set's measured
-    maxima. Per-state rows pool step-level gains across clusters, with
-    states decoded by the cluster's weather HMM; that fit is also the
-    default "HMM" model, while a model passed in always fits itself.
+    gains exactly zero. Scores are normalized by the fleet's (train + test)
+    measured maxima. One weather HMM is fitted per run, on all training
+    voyages, and every training and test voyage is decoded once: the default
+    "HMM" model takes each cluster's state speeds from that decode, and the
+    per-state rows pool every cell's step-level gains over the test decode.
     Pricing runs as two estimate_fuel_time batches: the measured profiles
-    first, so degenerate maxima fail before any model is fitted, then every
-    distinct (suggested profile, test voyage) pair of all the cells.
+    first, so degenerate maxima fail before any fit, then every distinct
+    (suggested profile, test voyage) pair of all the cells.
     """
     if not test_voyages:
         raise InvalidInputError("benchmark needs a non-empty test set")
     by_id = {v.voyage_id: v for v in train_voyages}
-    hmm = HmmSpeedModel(seed=hmm_seed, features=hmm_features)
-    if models is None:
-        models = {
-            "kNN": KnnSpeedModel(k=knn_k, feature_case=feature_case),
-            "1NN-DTW": DtwSpeedModel(),
-            "HMM": hmm,
-        }
+    test_ids = {v.voyage_id for v in test_voyages}
+    for cluster_name, member_ids in clusters.as_ordered():
+        if test_ids & member_ids:
+            raise InvalidInputError(f"test voyages overlap training cluster {cluster_name}")
 
     priced: dict[tuple[bytes, str], tuple[float, float]] = {}
 
@@ -318,44 +316,46 @@ def run_optimization_benchmark(
 
     meas_score = {vid: score(f, t) for vid, (f, t) in meas_ft.items()}
 
-    cells = []  # (cluster, model, profiles or None if the model did not fit, decoded states)
-    test_ids = {v.voyage_id for v in test_voyages}
-    state_fit_failures: dict[str, str] = {}
-    state_fits: dict[str, dict] = {}
+    hmm, decoded, state_fit, state_fit_failure = None, None, None, None
+    try:
+        weather = fit_weather_hmm(train_voyages, seed=hmm_seed, features=hmm_features)
+        hmm = HmmSpeedModel(weather)
+        # One Viterbi batch for every voyage; the clusters' fits then reuse its states.
+        states = hmm.decode([*test_voyages, *train_voyages])
+        decoded = dict(zip((v.voyage_id for v in test_voyages), states))
+        state_fit = {"voyages": len(train_voyages), "observations": sum(map(len, train_voyages)),
+                     "em_iterations": len(weather.loglik_history), "converged": weather.converged,
+                     "loglik": float(weather.loglik_history[-1])}
+    except VoyagekitError as exc:
+        state_fit_failure = str(exc)
+    if models is None:
+        models = {
+            "kNN": KnnSpeedModel(k=knn_k, feature_case=feature_case),
+            "1NN-DTW": DtwSpeedModel(),
+            "HMM": hmm,
+        }
+
+    cells = []  # (cluster, model, profiles or None if the model did not fit)
     for cluster_name, member_ids in clusters.as_ordered():
         cluster_voyages = [by_id[vid] for vid in sorted(member_ids) if vid in by_id]
-        if test_ids & member_ids:
-            raise InvalidInputError(f"test voyages overlap training cluster {cluster_name}")
-        try:
-            hmm.fit(cluster_voyages)
-            state_fits[cluster_name] = {
-                "voyages": len(cluster_voyages), "observations": sum(map(len, cluster_voyages)),
-                "em_iterations": len(hmm.model.loglik_history), "converged": hmm.model.converged,
-                "loglik": float(hmm.model.loglik_history[-1]),
-            }
-            decoded = dict(zip((v.voyage_id for v in test_voyages), hmm.decode(test_voyages)))
-        except VoyagekitError as exc:
-            decoded = None
-            state_fit_failures[cluster_name] = str(exc)
         for model_name, model in models.items():
             try:
-                if model is not hmm:
-                    model.fit(cluster_voyages)
-                elif decoded is None:
-                    raise InsufficientDataError("the cluster's weather HMM fit failed")
+                if model is None:
+                    raise InsufficientDataError("the weather HMM fit failed")
+                model.fit(cluster_voyages)
             except VoyagekitError:
-                cells.append((cluster_name, model_name, None, None))
+                cells.append((cluster_name, model_name, None))
                 continue
             profiles = {v.voyage_id: p for v, p in zip(test_voyages, model.predict(test_voyages))}
-            cells.append((cluster_name, model_name, profiles, decoded))
+            cells.append((cluster_name, model_name, profiles))
 
-    suggested = iter(price([(profiles[v.voyage_id], v) for *_, profiles, _ in cells
+    suggested = iter(price([(profiles[v.voyage_id], v) for *_, profiles in cells
                             if profiles is not None for v in test_voyages]))
     rows: list[ClusterModelGain] = []
     state_pool: dict[str, dict[str, list[float]]] = {
         name: {s: [] for s in STATE_NAMES} for name in models
     }
-    for cluster_name, model_name, profiles, decoded in cells:
+    for cluster_name, model_name, profiles in cells:
         if profiles is None:
             rows.append(ClusterModelGain(cluster_name, model_name))
             continue
@@ -386,7 +386,7 @@ def run_optimization_benchmark(
         for model_name in models
         for state, pool in state_pool[model_name].items()
     ]
-    return GainReport(rows, state_rows, len(test_voyages), state_fit_failures, state_fits)
+    return GainReport(rows, state_rows, len(test_voyages), state_fit, state_fit_failure)
 
 
 def write_gain_report(report: GainReport, gains_path: str | Path, states_path: str | Path) -> None:

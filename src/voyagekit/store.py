@@ -71,8 +71,13 @@ def write_table(path: str | Path, header: Sequence[str], columns: Iterable[Itera
 
 
 def write_store(voyages: Sequence[Voyage], store_dir: str | Path, extra_meta: dict | None = None) -> None:
+    """One .npy table per voyage, then the manifest; other .npy and .csv files there go."""
     store = Path(store_dir)
     (store / "voyages").mkdir(parents=True, exist_ok=True)
+    written = {f"{v.voyage_id}.npy" for v in voyages}
+    for path in [*store.glob("voyages/*.npy"), *store.glob("voyages/*.csv")]:
+        if path.name not in written:
+            path.unlink()
     entries = []
     for v in voyages:
         channels = sorted(name for name, values in v.channels.items() if not np.isnan(values).any())

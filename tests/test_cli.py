@@ -186,23 +186,24 @@ class TestPipelineOutputs:
             assert d["evaluated"] == sum(1 for r in voyage_rows if (r["cluster"], r["model"]) == cell)
             assert d["excluded"] == 0
 
-    def test_hmm_fit_per_fitted_cluster(self, tmp_path):
-        # 36 voyages: the larger clusters have the observations a weather fit
-        # needs, the smaller ones do not.
+    def test_one_hmm_fit_per_run(self, tmp_path):
+        # 36 voyages: Top10Pr alone has fewer observations than a weather fit needs, but
+        # the run fits once, on every training voyage, so every HMM cell is scored.
         write_fleet(generate_fleet(tiny_fleet_spec(seed=11, voyages_per_branch=12)), tmp_path / "fleet")
         for step in ("ingest", "optimize"):
             assert main([step, "--out", str(tmp_path), "--seed", "11"]) == 0
         records = read_log(tmp_path)
         fits = [r["detail"] for r in records if r["event"] == "hmm_fit"]
-        unpooled = [r["detail"]["cluster"] for r in records if r["event"] == "state_gains_unpooled"]
-        assert fits and unpooled
-        assert sorted([d["cluster"] for d in fits] + unpooled) == ["Top10Pr", "Top25Pr", "Top50Pr", "Top75Pr"]
-        for d in fits:
-            assert set(d) == {"cluster", "voyages", "observations", "em_iterations", "converged", "loglik"}
-            assert d["observations"] >= 300 and d["voyages"] >= 1
-            assert d["converged"] is True and 1 <= d["em_iterations"] <= 200
-            assert isinstance(d["loglik"], float)
-        # Deterministic: a second run logs the same events.
+        assert not [r for r in records if r["event"] == "state_gains_unpooled"]
+        assert len(fits) == 1
+        (fit,) = fits
+        assert set(fit) == {"voyages", "observations", "em_iterations", "converged", "loglik"}
+        assert fit["observations"] >= 300 and fit["voyages"] >= 1
+        assert fit["converged"] is True and 1 <= fit["em_iterations"] <= 200
+        assert isinstance(fit["loglik"], float)
+        hmm = [r["status"] for r in read_rows(tmp_path / "gains.csv") if r["model"] == "HMM"]
+        assert hmm == ["ok"] * 4
+        # Deterministic: a second run logs the same event.
         assert main(["optimize", "--out", str(tmp_path), "--seed", "11"]) == 0
         assert [r["detail"] for r in read_log(tmp_path) if r["event"] == "hmm_fit"] == fits * 2
 
@@ -213,11 +214,13 @@ class TestPipelineOutputs:
         cfg.write_text(json.dumps({"hmm_features": ["NoSuchChannel"]}), encoding="utf-8")
         assert main(["optimize", "--config", str(cfg), "--out", str(out), "--seed", "11"]) == 0
         unpooled = [r["detail"] for r in read_log(out) if r["event"] == "state_gains_unpooled"]
-        assert [d["cluster"] for d in unpooled] == ["Top10Pr", "Top25Pr", "Top50Pr", "Top75Pr"]
-        assert all("NoSuchChannel" in d["reason"] for d in unpooled)
+        assert len(unpooled) == 1 and set(unpooled[0]) == {"reason"}
+        assert "NoSuchChannel" in unpooled[0]["reason"]
         assert not [r for r in read_log(out) if r["event"] == "hmm_fit"]
         state_rows = read_rows(out / "state_gains.csv")
         assert all(r["avg"] == "nan" for r in state_rows)
+        hmm = [r["status"] for r in read_rows(out / "gains.csv") if r["model"] == "HMM"]
+        assert hmm == ["insufficient"] * 4
 
 
 def read_log(out):

@@ -396,6 +396,20 @@ class TestStore:
                                                      r"version: re-run `voyagekit ingest`"):
             read_store(store)
 
+    def test_rewrite_removes_stale_voyage_files(self, tiny_fleet, tmp_path):
+        store, voyages = tmp_path / "store", tiny_fleet.voyages
+        write_store(voyages[:3], store)
+        # An older version's CSV of a stored voyage, and one of a voyage never stored.
+        for vid in (voyages[0].voyage_id, "V9999"):
+            (store / "voyages" / f"{vid}.csv").write_text("Timestamp,Latitude\n", encoding="utf-8")
+        (store / "voyages" / "notes.txt").write_text("kept\n", encoding="utf-8")
+        write_store(voyages[:2], store)
+        ids = [e["voyage_id"] for e in json.loads((store / "manifest.json").read_text())["voyages"]]
+        assert ids == [v.voyage_id for v in voyages[:2]]
+        assert sorted(p.name for p in (store / "voyages").iterdir()) == sorted(
+            [*(f"{vid}.npy" for vid in ids), "notes.txt"])
+        assert [v.voyage_id for v in read_store(store)] == ids
+
     def test_table_layout(self, store):
         with open(store / "voyages" / "V0002.npy", "rb") as fh:
             table = np.load(fh, allow_pickle=False)

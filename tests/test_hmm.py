@@ -54,7 +54,6 @@ def manual_model():
         transitions=np.array([[0.8, 0.1, 0.1], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]]),
         means=np.array([[2.0, 0.3], [8.0, 1.2], [15.0, 3.0]]),
         variances=np.array([[0.5, 0.05], [0.7, 0.1], [1.0, 0.2]]),
-        sog_stats=np.array([[5.0, 6.0, 7.0], [4.0, 5.0, 6.0], [4.0, 4.5, 5.0]]),
     )
 
 
@@ -118,7 +117,6 @@ def random_model(rng):
         transitions=rng.dirichlet(np.ones(3), size=3),
         means=rng.uniform(0.0, 15.0, size=(3, 2)),
         variances=rng.uniform(0.05, 4.0, size=(3, 2)),
-        sog_stats=np.zeros((3, 3)),
     )
 
 
@@ -152,10 +150,9 @@ class TestSharedEStep:
 
         monkeypatch.setattr(WeatherStateModel, "emission_log_density", counted)
         model = fit_weather_hmm(voyages, seed=3)
-        # One padded array of every sequence per EM pass, (sequences, steps, features), plus
-        # one for the Viterbi batch, time-major: (steps, sequences, features).
+        # One padded array of every sequence per EM pass: (sequences, steps, features).
         n, steps = len(voyages), max(map(len, voyages))
-        assert calls == [(n, steps, 2)] * len(model.loglik_history) + [(steps, n, 2)]
+        assert calls == [(n, steps, 2)] * len(model.loglik_history)
 
     @settings(deadline=None)
     @given(st.lists(st.integers(1, 40), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
@@ -413,30 +410,38 @@ class TestPredict:
 
     def test_rough_takes_minimum(self):
         model = manual_model()
-        model.sog_stats[2] = [4.0, 4.5, 5.0]
-        pred = state_speeds(model)[decode_states(self.state_voyage(15.0, 3.0), model)]
+        speeds = state_speeds(np.array([0, 1, 2, 2, 2]), np.array([9.0, 8.0, 4.0, 4.5, 5.0]))
+        pred = speeds[decode_states(self.state_voyage(15.0, 3.0), model)]
         assert np.all(pred == 4.0)
 
     def test_calm_takes_maximum(self):
         model = manual_model()
-        model.sog_stats[0] = [5.0, 6.0, 7.0]
-        pred = state_speeds(model)[decode_states(self.state_voyage(2.0, 0.3), model)]
+        speeds = state_speeds(np.array([0, 0, 0, 1, 2]), np.array([5.0, 6.0, 7.0, 9.0, 9.0]))
+        pred = speeds[decode_states(self.state_voyage(2.0, 0.3), model)]
         assert np.all(pred == 7.0)
 
     def test_moderate_takes_mean(self):
         model = manual_model()
-        model.sog_stats[1] = [5.0, 6.0, 7.0]
-        pred = state_speeds(model)[decode_states(self.state_voyage(8.0, 1.2), model)]
+        speeds = state_speeds(np.array([0, 1, 1, 1, 2]), np.array([1.0, 5.0, 6.0, 7.0, 1.0]))
+        pred = speeds[decode_states(self.state_voyage(8.0, 1.2), model)]
         assert np.all(pred == 6.0)
+
+    def test_empty_state_takes_rule_over_all_sog(self):
+        sog = np.array([5.0, 7.0, 3.0, 4.0])
+        assert state_speeds(np.array([0, 0, 0, 0]), sog).tolist() == [7.0, 4.75, 3.0]
+        assert state_speeds(np.array([1, 1, 2, 2]), sog).tolist() == [7.0, 6.0, 3.0]
 
     def test_prediction_within_state_stats(self):
         voyages, _ = simulate_voyages(seed=11)
         model = fit_weather_hmm(voyages, seed=11)
+        states = np.concatenate([decode_states(v, model) for v in voyages])
+        sog = np.concatenate([v.sog for v in voyages])
         test_v, _ = simulate_voyages(n_voyages=1, length=40, seed=12)
-        pred = state_speeds(model)[decode_states(test_v[0], model)]
+        pred = state_speeds(states, sog)[decode_states(test_v[0], model)]
         allowed = set()
         for s in range(3):
-            allowed.update(model.sog_stats[s])
+            pool = sog[states == s]
+            allowed.update((pool.min(), pool.mean(), pool.max()))
         assert set(np.unique(pred)) <= allowed
 
     def test_state_names(self):

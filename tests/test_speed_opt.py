@@ -17,9 +17,7 @@ from voyagekit.efficiency import (
     train_estimator,
 )
 from voyagekit.errors import InsufficientDataError, InvalidInputError, MissingDataError
-from voyagekit.hmm import (
-    DEFAULT_FEATURES, WeatherStateModel, decode_states, fit_weather_hmm, padded, state_speeds,
-)
+from voyagekit.hmm import DEFAULT_FEATURES, WeatherStateModel, decode_states, fit_weather_hmm, padded
 from voyagekit.speed_opt import (
     MODEL_ORDER,
     DtwSpeedModel,
@@ -495,27 +493,34 @@ class TestHmmFitReuse:
             if r.model == name
         ]
 
-    def test_default_models_fit_once_per_cluster(self, benchmark_inputs, fit_calls):
+    def test_default_models_fit_once_per_cluster(self, benchmark_inputs, fit_calls, monkeypatch):
         clusters, train, test, estimator = benchmark_inputs
+        model_fits = []
+
+        def counted(original):
+            def fit(self, cluster):
+                model_fits.append((type(self).__name__, len(cluster)))
+                return original(self, cluster)
+            return fit
+
+        for model in (KnnSpeedModel, DtwSpeedModel, HmmSpeedModel):
+            monkeypatch.setattr(model, "fit", counted(model.fit))
         report = run_optimization_benchmark(clusters, train, test, estimator, hmm_seed=2)
-        assert len(fit_calls) == 4
-        assert len(fit_calls) == len(set(fit_calls))
+        # Each model fits each cluster; the weather HMM is fitted once, on the training set.
+        sizes = [len(ids) for _, ids in clusters.as_ordered()]
+        assert model_fits == [(model, n) for n in sizes
+                              for model in ("KnnSpeedModel", "DtwSpeedModel", "HmmSpeedModel")]
+        assert fit_calls == [(frozenset(v.voyage_id for v in train), (),
+                              (("seed", 2), ("features", DEFAULT_FEATURES)))]
         assert all(r.status == "ok" for r in report.rows if r.model == "HMM")
-        assert report.state_fit_failures == {}
-        # Each fit's summary, as a direct fit of the cluster reports it.
-        by_id = {v.voyage_id: v for v in train}
-        assert list(report.state_fits) == [name for name, _ in clusters.as_ordered()]
-        for name, ids in clusters.as_ordered():
-            members = [by_id[i] for i in sorted(ids)]
-            fit = report.state_fits[name]
-            assert fit["voyages"] == len(members)
-            assert fit["observations"] == sum(len(v) for v in members)
-        name, ids = clusters.as_ordered()[0]
-        model = fit_weather_hmm([by_id[i] for i in sorted(ids)], seed=2)
-        fit = report.state_fits[name]
-        assert (fit["em_iterations"], fit["converged"], fit["loglik"]) == (
-            len(model.loglik_history), model.converged, model.loglik_history[-1]
-        )
+        assert report.state_fit_failure is None
+        # The fit's summary, as a direct fit of the training set reports it.
+        model = fit_weather_hmm(train, seed=2)
+        assert report.state_fit == {
+            "voyages": len(train), "observations": sum(len(v) for v in train),
+            "em_iterations": len(model.loglik_history), "converged": model.converged,
+            "loglik": model.loglik_history[-1],
+        }
 
     def test_other_seed_or_subclass_fits_itself(self, benchmark_inputs, fit_calls):
         class SubclassHmm(HmmSpeedModel):
@@ -523,82 +528,117 @@ class TestHmmFitReuse:
 
         clusters, train, test, estimator = benchmark_inputs
         default = run_optimization_benchmark(clusters, train, test, estimator, hmm_seed=2)
-        assert len(fit_calls) == 4
-        # A model passed in always fits itself, whatever its seed or class.
-        for model in (HmmSpeedModel(seed=2), SubclassHmm(seed=2), HmmSpeedModel(seed=3)):
+        assert len(fit_calls) == 1
+        # A model passed in keeps its own state model, whatever its seed or class; the
+        # run still fits one for the state table.
+        for cls, seed in ((HmmSpeedModel, 2), (SubclassHmm, 2), (HmmSpeedModel, 3)):
             fit_calls.clear()
+            model = cls(fit_weather_hmm(train, seed=seed))
             supplied = run_optimization_benchmark(
                 clusters, train, test, estimator, models={"HMM": model}, hmm_seed=2
             )
-            assert len(fit_calls) == 4 + 4
-            if model.seed == 2:
+            assert len(fit_calls) == 1
+            if seed == 2:
                 assert self.hmm_rows(supplied) == self.hmm_rows(default)
 
     def test_failed_state_fit_is_insufficient_without_retry(self, benchmark_inputs, fit_calls):
         clusters, train, test, estimator = benchmark_inputs
-        # One observation channel never recorded: every cluster's state fit fails.
+        # One observation channel never recorded: the run's state fit fails.
         report = run_optimization_benchmark(
             clusters, train, test, estimator, hmm_features=("NoSuchChannel",)
         )
         hmm_rows = [r for r in report.rows if r.model == "HMM"]
         assert [r.status for r in hmm_rows] == ["insufficient"] * 4
         assert hmm_rows[0] == speed_opt.ClusterModelGain(hmm_rows[0].cluster, "HMM")
-        assert len(fit_calls) == 4
-        # Every cluster's gains are left out of the state pools, and the report says why.
-        assert list(report.state_fit_failures) == [name for name, _ in clusters.as_ordered()]
-        assert all("NoSuchChannel" in reason for reason in report.state_fit_failures.values())
-        assert report.state_fits == {}
+        assert len(fit_calls) == 1
+        # No gain is in the state pools, and the report says why.
+        assert "NoSuchChannel" in report.state_fit_failure
+        assert report.state_fit is None
         assert all(r.steps == 0 for r in report.state_rows)
+        assert [r.status for r in report.rows if r.model != "HMM"] == ["ok"] * 8
+
+    def test_cluster_speeds_from_shared_decode(self, benchmark_inputs):
+        clusters, train, test, estimator = benchmark_inputs
+        report = run_optimization_benchmark(clusters, train, test, estimator, hmm_seed=2)
+        weather = fit_weather_hmm(train, seed=2)
+        by_id = {v.voyage_id: v for v in train}
+        rows = {r.cluster: r for r in report.rows if r.model == "HMM"}
+        empty_states = 0
+        for name, ids in clusters.as_ordered():
+            members = [by_id[i] for i in sorted(ids)]
+            states = np.concatenate([decode_states(v, weather) for v in members])
+            sog = np.concatenate([v.sog for v in members])
+            speeds = []
+            # Calm -> max, Moderate -> mean, Rough -> min; an empty state uses all the SOG.
+            for s, rule in enumerate(("max", "mean", "min")):
+                pool = sog[states == s]
+                empty_states += not len(pool)
+                speeds.append(getattr(pool if len(pool) else sog, rule)())
+            speeds = np.array(speeds)
+            for t in test:
+                want = speeds[decode_states(t, weather)]
+                assert np.array_equal(rows[name].profiles[t.voyage_id], want)
+        # The small clusters see no Rough step, so the fallback is exercised.
+        assert empty_states > 0
 
 
 def counting_viterbi(monkeypatch):
-    """Records the bytes of every sequence decoded, one entry per sequence of a batch."""
-    decoded = []
+    """Records the bytes of every sequence decoded, one entry per sequence of a batch,
+    and the number of batches."""
+    decoded, batches = [], []
     original = WeatherStateModel.viterbi
 
     def counted(self, obs):
+        batches.append(1)
         decoded.extend(o.tobytes() for o in (obs if isinstance(obs, list) else [obs]))
         return original(self, obs)
 
     monkeypatch.setattr(WeatherStateModel, "viterbi", counted)
-    return decoded
+    return decoded, batches
 
 
 class TestHmmDecodeMemo:
-    def test_test_voyages_decoded_once_per_cluster(self, benchmark_inputs, monkeypatch):
+    def test_each_voyage_decoded_once_per_run(self, benchmark_inputs, monkeypatch):
         clusters, train, test, estimator = benchmark_inputs
-        decoded = counting_viterbi(monkeypatch)
+        decoded, batches = counting_viterbi(monkeypatch)
         report = run_optimization_benchmark(clusters, train, test, estimator, hmm_seed=2)
         ok = [r for r in report.rows if r.model == "HMM" and r.status == "ok"]
         assert len(ok) == 4
-        # The state table and the HMM predictions share each decode.
-        test_obs = {v.columns(*DEFAULT_FEATURES).tobytes() for v in test}
-        assert sum(1 for obs in decoded if obs in test_obs) == len(ok) * len(test)
+        # One batch: the state table, every cluster's speeds and the HMM predictions
+        # share each decode.
+        obs = sorted(v.columns(*DEFAULT_FEATURES).tobytes() for v in (*test, *train))
+        assert len(set(obs)) == len(obs)
+        assert sorted(decoded) == obs
+        assert batches == [1]
 
     def test_reused_id_is_decoded_afresh(self, monkeypatch):
         train = [weather_voyage(f"V{i:02d}", seed=i) for i in range(12)]
         calm = weather_voyage("T", wind_fn=lambda i: 0.5)
         windy = weather_voyage("T", wind_fn=lambda i: 9.5)
-        model = HmmSpeedModel(seed=1)
+        weather = fit_weather_hmm(train, seed=1)
+        model = HmmSpeedModel(weather)
         model.fit(train)
-        expected = [state_speeds(model.model)[decode_states(v, model.model)] for v in (calm, windy)]
+        expected = [model.speeds[decode_states(v, weather)] for v in (calm, windy)]
         assert not np.array_equal(*expected)
-        decoded = counting_viterbi(monkeypatch)
+        decoded, _ = counting_viterbi(monkeypatch)
         got = model.predict([calm, calm, windy, windy])
         for speeds, want in zip(got, np.repeat(expected, 2, axis=0), strict=True):
             assert np.array_equal(speeds, want)
         assert len(decoded) == 2
-        # A refit drops the previous fit's decodes.
+        # A refit keeps the decodes: the state model is fixed.
         model.fit(train)
         model.predict([calm])
-        assert len(decoded) == 2 + len(train) + 1
+        assert len(decoded) == 2
 
 
 def test_empty_test_set_predicts_nothing():
     train = [weather_voyage(f"V{i:02d}", seed=i) for i in range(12)]
-    for model in (KnnSpeedModel(), DtwSpeedModel(), HmmSpeedModel(seed=1)):
+    hmm = HmmSpeedModel(fit_weather_hmm(train, seed=1))
+    for model in (KnnSpeedModel(), DtwSpeedModel(), hmm):
         model.fit(train)
         assert model.predict([]) == []
+    with pytest.raises(InsufficientDataError):
+        hmm.fit([])
 
 
 def test_knn_channel_missing_in_cluster_is_insufficient(benchmark_inputs):
