@@ -1,14 +1,15 @@
 """Three-state weather HMM with diagonal-Gaussian emissions.
 
 States are Calm, Moderate, and Rough, ordered by ascending mean wind speed.
-Fitting is Baum-Welch over per-voyage observation sequences of
-(wind speed, wave height). Each EM pass computes the emission densities of
-all sequences, padded into one array, and runs one batched forward-backward,
-scaled per step (Rabiner 1989) so long sequences do not underflow. States
-describe the sea, not the crew, so `voyagekit optimize` fits one model per run
-on all training voyages and decodes every voyage once. The speed rule,
-`state_speeds`, then takes per state the maximum SOG of a cluster's decoded
-steps in Calm, the mean in Moderate, and the minimum in Rough.
+Fitting is Baum-Welch over per-voyage sequences of (wind speed, wave height),
+laid out once per fit as one time-major (step, sequence) batch. Each EM pass
+runs one forward-backward over the batch, scaled per step (Rabiner 1989) so
+long sequences do not underflow, and sums the expected counts over every cell
+a sequence reaches. States describe the sea, not the crew, so `voyagekit
+optimize` fits one model per run on all training voyages and decodes every
+voyage once. The speed rule, `state_speeds`, then takes per state the maximum
+SOG of a cluster's decoded steps in Calm, the mean in Moderate, and the
+minimum in Rough.
 """
 
 from __future__ import annotations
@@ -53,16 +54,16 @@ class WeatherStateModel:
         return np.exp(log_b - correction[..., None]), correction
 
     def forward_backward(
-        self, emissions: Sequence[tuple[np.ndarray, np.ndarray]]
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
-        """Scaled passes over a batch of `scaled_emissions` pairs, in input order.
+        self, b: np.ndarray, active: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Scaled passes over the (T_max, n, 3) `scaled_emissions` of a `_time_major` batch.
 
-        The sequences are padded longest first into (T_max, n, 3) arrays and
-        step t updates the prefix still active: T_max Python steps per batch.
+        Step t updates the first `active[t]` sequences, the ones still running:
+        2·T_max Python steps per batch. Returns time-major (alpha, beta, scales);
+        cells past a sequence's end hold alpha 0, beta 1 and scale 1.
         """
-        b, order, active = _time_major([b for b, _ in emissions])
         (T, n), A = b.shape[:2], self.transitions
-        alpha, beta, scales = np.empty_like(b), np.ones_like(b), np.empty((T, n))
+        alpha, beta, scales = np.zeros_like(b), np.ones_like(b), np.ones((T, n))
         alpha[0] = self.start_probs * b[0]
         scales[0] = alpha[0].sum(axis=1)
         alpha[0] /= scales[0, :, None]
@@ -76,19 +77,15 @@ class WeatherStateModel:
             # Row-wise A @ v bit for bit; `v @ A.T` and einsum differ in the last bit.
             np.multiply(b[t + 1, :m], beta[t + 1, :m], out=v[:m, :, 0])
             np.divide(np.matmul(A[None], v[:m])[:, :, 0], scales[t + 1, :m, None], out=beta[t, :m])
-        passes = [None] * n
-        for j, i in enumerate(order):
-            s = scales[: len(emissions[i][0]), j].copy()
-            ll = float(np.log(s).sum() + emissions[i][1].sum())
-            passes[i] = (alpha[: len(s), j].copy(), beta[: len(s), j].copy(), s, ll)
-        return passes
+        return alpha, beta, scales
 
     def log_likelihood(self, obs: np.ndarray) -> float:
-        return self.forward_backward([self.scaled_emissions(obs)])[0][3]
+        b, shifts = self.scaled_emissions(np.asarray(obs, dtype=float)[:, None])
+        return float(np.log(self.forward_backward(b, [1] * len(b))[2]).sum() + shifts.sum())
 
     def viterbi(self, obs):
         """Most likely state sequence (log-space dynamic program). A list of sequences is
-        one batch, padded longest first as in forward_backward and traced back together:
+        one `_time_major` batch, as in forward_backward, and traced back together:
         the result is the list of their state sequences, each equal to its own call's."""
         if isinstance(obs, list) and not obs:
             return []
@@ -130,6 +127,22 @@ def _time_major(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int], li
     stacked = np.ascontiguousarray(padded([arrays[i] for i in order]).swapaxes(0, 1))
     lengths = np.array([len(a) for a in arrays])
     return stacked, order, np.count_nonzero(lengths > np.arange(len(stacked))[:, None], axis=1).tolist()
+
+
+def _expected_counts(model: WeatherStateModel, x: np.ndarray, active: Sequence[int]) -> tuple:
+    """One E-step over a `_time_major` batch of observations: the log-likelihood and the
+    start, transition, occupancy and first/second-moment sums over every (step, sequence)
+    cell that a sequence reaches."""
+    b, shifts = model.scaled_emissions(x)
+    alpha, beta, scales = model.forward_backward(b, active)
+    cells = np.arange(x.shape[1]) < np.array(active)[:, None]  # (t, j): sequence j has step t
+    later = cells[1:]  # (t, j) where sequence j steps from t to t + 1
+    gamma = alpha[cells] * beta[cells]  # rows in (t, j) order: step 0 of every sequence first
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    weighted = (b * beta / scales[..., None])[1:][later]
+    obs, ll = x[cells], float(np.log(scales).sum() + shifts[cells].sum())
+    return (ll, gamma[: x.shape[1]].sum(axis=0), model.transitions * (alpha[:-1][later].T @ weighted),
+            gamma.sum(axis=0), gamma.T @ obs, gamma.T @ obs**2)
 
 
 def _tercile_states(wind: np.ndarray) -> np.ndarray:
@@ -176,51 +189,22 @@ def fit_weather_hmm(
     trans = np.full((N_STATES, N_STATES), 0.1 / (N_STATES - 1))
     np.fill_diagonal(trans, 0.9)
 
-    model = WeatherStateModel(
-        feature_names=tuple(features),
-        start_probs=start,
-        transitions=trans,
-        means=means,
-        variances=variances,
-    )
-
-    lengths, observations = list(map(len, sequences)), padded(sequences)
+    model = WeatherStateModel(feature_names=tuple(features), start_probs=start,
+                              transitions=trans, means=means, variances=variances)
+    x, _, active = _time_major(sequences)
     prev_ll = -np.inf
     for _ in range(max_iter):
-        total_ll = 0.0
-        start_acc = np.zeros(N_STATES)
-        trans_num = np.zeros((N_STATES, N_STATES))
-        gamma_sum = np.zeros(N_STATES)
-        mean_num = np.zeros_like(model.means)
-        var_num = np.zeros_like(model.variances)
-        densities, shifts = model.scaled_emissions(observations)
-        emissions = [(densities[i, :n], shifts[i, :n]) for i, n in enumerate(lengths)]
-        passes = model.forward_backward(emissions)
-        for obs, (b, _), (alpha, beta, scales, ll) in zip(sequences, emissions, passes):
-            total_ll += ll
-            gamma = alpha * beta
-            gamma /= gamma.sum(axis=1, keepdims=True)
-            weighted = (b[1:] * beta[1:]) / scales[1:, None]
-            trans_num += model.transitions * (alpha[:-1].T @ weighted)
-            start_acc += gamma[0]
-            gamma_sum += gamma.sum(axis=0)
-            mean_num += gamma.T @ obs
-            var_num += gamma.T @ (obs**2)
-        model.loglik_history.append(total_ll)
-
-        new_means = mean_num / gamma_sum[:, None]
-        model.start_probs = start_acc / len(sequences)
-        denom = trans_num.sum(axis=1, keepdims=True)
+        ll, start_sum, trans_sum, occupancy, first, second = _expected_counts(model, x, active)
+        model.loglik_history.append(ll)
+        denom = trans_sum.sum(axis=1, keepdims=True)
         denom[denom == 0.0] = 1.0
-        model.transitions = trans_num / denom
-        model.means = new_means
-        model.variances = np.maximum(
-            var_num / gamma_sum[:, None] - new_means**2, VARIANCE_FLOOR
-        )
-        if total_ll - prev_ll < tol and np.isfinite(prev_ll):
+        model.start_probs, model.transitions = start_sum / len(sequences), trans_sum / denom
+        model.means = first / occupancy[:, None]
+        model.variances = np.maximum(second / occupancy[:, None] - model.means**2, VARIANCE_FLOOR)
+        if ll - prev_ll < tol and np.isfinite(prev_ll):
             model.converged = True
             break
-        prev_ll = total_ll
+        prev_ll = ll
 
     # Relabel so Calm < Moderate < Rough in mean wind speed (feature 0).
     order = np.argsort(model.means[:, 0], kind="stable")

@@ -217,21 +217,6 @@ def kmeans_rows(matrix: DistanceMatrix, k: int, seed: int) -> PathLabeling:
     return _canonical_labels(_kmeans(matrix.values, k, seed)[0], matrix.voyage_ids)
 
 
-def _mixture_step(
-    x: np.ndarray, log_p: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Mixture E-step from (n, k) weighted log densities, plus the weight and mean update.
-
-    Returns (log-likelihood, responsibilities, floored nk, weights, means).
-    """
-    top = log_p.max(axis=1, keepdims=True)
-    norm = top[:, 0] + np.log(np.exp(log_p - top).sum(axis=1))
-    resp = np.exp(log_p - norm[:, None])
-    nk = resp.sum(axis=0)
-    nk[nk < 1e-12] = 1e-12
-    return float(norm.sum()), resp, nk, nk / len(x), (resp.T @ x) / nk[:, None]
-
-
 def _em_converged(history: list[float]) -> bool:
     """EM stops once a pass raises the log-likelihood by less than 1e-6."""
     return len(history) > 1 and history[-1] - history[-2] < 1e-6
@@ -255,8 +240,14 @@ def _gmm_em_rows(x: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, list[flo
             np.log(2.0 * np.pi * variances)[None, :, :]
             + (x[:, None, :] - means[None, :, :]) ** 2 / variances[None, :, :]
         ).sum(axis=2) + np.log(weights)[None, :]
-        ll, resp, nk, weights, means = _mixture_step(x, log_p)
-        history.append(ll)
+        # E-step: log-sum-exp normaliser, responsibilities and floored nk.
+        top = log_p.max(axis=1, keepdims=True)
+        norm = top[:, 0] + np.log(np.exp(log_p - top).sum(axis=1))
+        resp = np.exp(log_p - norm[:, None])
+        nk = resp.sum(axis=0)
+        nk[nk < 1e-12] = 1e-12
+        history.append(float(norm.sum()))
+        weights, means = nk / len(x), (resp.T @ x) / nk[:, None]
         variances = np.maximum((resp.T @ (x**2)) / nk[:, None] - means**2, COVARIANCE_FLOOR)
     return resp.argmax(axis=1), history
 

@@ -10,10 +10,12 @@ from voyagekit.errors import DegenerateDataError, InsufficientDataError, Missing
 from voyagekit.hmm import (
     DEFAULT_FEATURES,
     STATE_NAMES,
+    VARIANCE_FLOOR,
     WeatherStateModel,
+    _expected_counts,
+    _time_major,
     decode_states,
     fit_weather_hmm,
-    padded,
     state_speeds,
 )
 
@@ -120,6 +122,28 @@ def random_model(rng):
     )
 
 
+def batched_passes(model, batch):
+    """One forward_backward over the `_time_major` batch: each input sequence's
+    (alpha, beta, scales) column sliced out through the batch's order, in input order,
+    and the full time-major outputs with the number of sequences still active per step."""
+    x, order, active = _time_major(batch)
+    alpha, beta, scales = model.forward_backward(model.scaled_emissions(x)[0], active)
+    passes = [None] * len(batch)
+    for j, i in enumerate(order):
+        n = len(batch[i])
+        passes[i] = (alpha[:n, j], beta[:n, j], scales[:n, j])
+    return passes, (alpha, beta, scales), active
+
+
+def assert_matches_reference(model, obs, alpha, beta, scales):
+    ref_alpha, ref_scales, ref_ll = reference_forward(model, obs)
+    assert alpha.shape == beta.shape == (len(obs), 3)
+    assert model.log_likelihood(obs) == ref_ll
+    assert alpha.tobytes() == ref_alpha.tobytes()
+    assert scales.tobytes() == ref_scales.tobytes()
+    assert beta.tobytes() == reference_backward(model, obs, ref_scales).tobytes()
+
+
 class TestSharedEStep:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_reference_passes_exactly(self, seed):
@@ -131,10 +155,7 @@ class TestSharedEStep:
             )
             alpha, scales, loglik = reference_forward(model, obs)
             assert model.log_likelihood(obs) == loglik
-            [(got_alpha, got_beta, got_scales, got_ll)] = model.forward_backward(
-                [model.scaled_emissions(obs)]
-            )
-            assert got_ll == loglik
+            [(got_alpha, got_beta, got_scales)], _, _ = batched_passes(model, [obs])
             assert got_alpha.tobytes() == alpha.tobytes()
             assert got_scales.tobytes() == scales.tobytes()
             assert got_beta.tobytes() == reference_backward(model, obs, scales).tobytes()
@@ -150,9 +171,9 @@ class TestSharedEStep:
 
         monkeypatch.setattr(WeatherStateModel, "emission_log_density", counted)
         model = fit_weather_hmm(voyages, seed=3)
-        # One padded array of every sequence per EM pass: (sequences, steps, features).
+        # One time-major array of every sequence per EM pass: (steps, sequences, features).
         n, steps = len(voyages), max(map(len, voyages))
-        assert calls == [(n, steps, 2)] * len(model.loglik_history)
+        assert calls == [(steps, n, 2)] * len(model.loglik_history)
 
     @settings(deadline=None)
     @given(st.lists(st.integers(1, 40), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
@@ -160,11 +181,12 @@ class TestSharedEStep:
         rng = np.random.default_rng(seed)
         model = random_model(rng)
         batch = [random_obs(rng, n) for n in lengths]
-        b, shifts = model.scaled_emissions(padded(batch))
-        for i, obs in enumerate(batch):
-            ref_b, ref_shifts = model.scaled_emissions(obs)
-            assert b[i, : len(obs)].tobytes() == ref_b.tobytes()
-            assert shifts[i, : len(obs)].tobytes() == ref_shifts.tobytes()
+        x, order, _ = _time_major(batch)
+        b, shifts = model.scaled_emissions(x)
+        for j, i in enumerate(order):
+            ref_b, ref_shifts = model.scaled_emissions(batch[i])
+            assert b[: len(batch[i]), j].tobytes() == ref_b.tobytes()
+            assert shifts[: len(batch[i]), j].tobytes() == ref_shifts.tobytes()
 
 
 def random_obs(rng, length):
@@ -174,7 +196,7 @@ def random_obs(rng, length):
 
 
 def pass_bytes(result):
-    """One sequence's (alpha, beta, scales, loglik) as shapes and raw bytes."""
+    """One sequence's (alpha, beta, scales) as shapes and raw bytes."""
     return tuple((np.shape(x), np.asarray(x).tobytes()) for x in result)
 
 
@@ -195,26 +217,20 @@ class TestBatchedPass:
         rng = np.random.default_rng(seed)
         model = random_model(rng)
         batch = [random_obs(rng, length) for length in lengths]
-        passes = model.forward_backward([model.scaled_emissions(obs) for obs in batch])
-        assert len(passes) == len(batch)
-        for obs, (alpha, beta, scales, loglik) in zip(batch, passes):
-            ref_alpha, ref_scales, ref_ll = reference_forward(model, obs)
-            assert alpha.shape == beta.shape == (len(obs), 3)
-            assert loglik == ref_ll
-            assert alpha.tobytes() == ref_alpha.tobytes()
-            assert scales.tobytes() == ref_scales.tobytes()
-            assert beta.tobytes() == reference_backward(model, obs, ref_scales).tobytes()
+        passes, (alpha, _, _), _ = batched_passes(model, batch)
+        assert len(passes) == len(batch) and alpha.shape == (max(lengths), len(batch), 3)
+        for obs, result in zip(batch, passes):
+            assert_matches_reference(model, obs, *result)
 
     def test_outputs_independent_of_position(self):
         rng = np.random.default_rng(7)
         model = random_model(rng)
         batch = [random_obs(rng, length) for length in (40, 1, 40, 2, 17, 90, 3, 40)]
-        emissions = [model.scaled_emissions(obs) for obs in batch]
-        alone = [pass_bytes(model.forward_backward([e])[0]) for e in emissions]
+        alone = [pass_bytes(batched_passes(model, [obs])[0][0]) for obs in batch]
         orders = [list(range(len(batch))), list(range(len(batch)))[::-1]]
         orders += [list(rng.permutation(len(batch))) for _ in range(5)]
         for order in orders:
-            passes = model.forward_backward([emissions[i] for i in order])
+            passes = batched_passes(model, [batch[i] for i in order])[0]
             assert [pass_bytes(p) for p in passes] == [alone[i] for i in order]
 
     @settings(deadline=None)
@@ -223,26 +239,92 @@ class TestBatchedPass:
         rng = np.random.default_rng(seed)
         model = random_model(rng)
         batch = [random_obs(rng, n) for n in lengths]
-        passes = model.forward_backward([model.scaled_emissions(obs) for obs in batch])
-        for obs, (alpha, beta, scales, loglik) in zip(batch, passes, strict=True):
-            ref_alpha, ref_scales, ref_ll = reference_forward(model, obs)
-            assert loglik == ref_ll
-            assert alpha.tobytes() == ref_alpha.tobytes()
-            assert scales.tobytes() == ref_scales.tobytes()
-            assert beta.tobytes() == reference_backward(model, obs, ref_scales).tobytes()
+        passes, (alpha, beta, scales), active = batched_passes(model, batch)
+        for obs, result in zip(batch, passes, strict=True):
+            assert_matches_reference(model, obs, *result)
+        # Cells past a sequence's end: alpha 0, beta 1, scale 1.
+        past = np.arange(len(batch)) >= np.array(active)[:, None]
+        assert np.all(alpha[past] == 0.0) and np.all(beta[past] == 1.0) and np.all(scales[past] == 1.0)
 
     def test_one_pass_per_em_iteration(self, monkeypatch):
         voyages = simulate_voyages(n_voyages=8)[0] + simulate_voyages(4, length=7, seed=6)[0]
         batches = []
         original = WeatherStateModel.forward_backward
 
-        def counted(self, emissions):
-            batches.append([len(b) for b, _ in emissions])
-            return original(self, emissions)
+        def counted(self, b, active):
+            batches.append((b.shape, list(active)))
+            return original(self, b, active)
 
         monkeypatch.setattr(WeatherStateModel, "forward_backward", counted)
         model = fit_weather_hmm(voyages, seed=3)
-        assert batches == [[len(v) for v in voyages]] * len(model.loglik_history)
+        # Eight 60-step voyages, then four 7-step ones: all 12 active for 7 steps, then 8.
+        assert batches == [((60, 12, 3), [12] * 7 + [8] * 53)] * len(model.loglik_history)
+
+
+def per_sequence_sums(model, batch):
+    """The E-step accumulated one sequence at a time, from the per-step reference passes:
+    the oracle for `_expected_counts`' sums over the time-major batch."""
+    total_ll, start, trans = 0.0, np.zeros(3), np.zeros((3, 3))
+    occupancy, first, second = np.zeros(3), np.zeros_like(model.means), np.zeros_like(model.means)
+    for obs in batch:
+        alpha, scales, ll = reference_forward(model, obs)
+        beta = reference_backward(model, obs, scales)
+        b = model.scaled_emissions(obs)[0]
+        total_ll += ll
+        gamma = alpha * beta
+        gamma /= gamma.sum(axis=1, keepdims=True)
+        weighted = (b[1:] * beta[1:]) / scales[1:, None]
+        trans += model.transitions * (alpha[:-1].T @ weighted)
+        start += gamma[0]
+        occupancy += gamma.sum(axis=0)
+        first += gamma.T @ obs
+        second += gamma.T @ (obs**2)
+    return total_ll, start, trans, occupancy, first, second
+
+
+def oracle_fit(voyages, seed, max_iter=200, tol=1e-6):
+    """Baum-Welch from `fit_weather_hmm`'s initial model with the per-sequence E-step:
+    (loglik history, converged)."""
+    model = fit_weather_hmm(voyages, seed, max_iter=0)
+    assert np.all(np.diff(model.means[:, 0]) > 0)  # the relabel left the start as it was
+    sequences = [v.columns(*DEFAULT_FEATURES) for v in voyages]
+    history = []
+    for _ in range(max_iter):
+        ll, start, trans, occupancy, first, second = per_sequence_sums(model, sequences)
+        history.append(ll)
+        denom = trans.sum(axis=1, keepdims=True)
+        denom[denom == 0.0] = 1.0
+        model.start_probs, model.transitions = start / len(sequences), trans / denom
+        model.means = first / occupancy[:, None]
+        model.variances = np.maximum(second / occupancy[:, None] - model.means**2, VARIANCE_FLOOR)
+        if len(history) > 1 and history[-1] - history[-2] < tol:
+            return history, True
+    return history, False
+
+
+class TestMaskedEStep:
+    @settings(deadline=None)
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=10), st.integers(0, 2**32 - 1))
+    def test_sums_match_per_sequence_accumulation(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng)
+        batch = [random_obs(rng, n) for n in lengths]
+        x, _, active = _time_major(batch)
+        got = _expected_counts(model, x, active)
+        want = per_sequence_sums(model, batch)
+        assert got[0] == pytest.approx(want[0], rel=1e-12)
+        for g, w in zip(got[1:], want[1:], strict=True):
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_fit_stops_with_oracle(self, seed):
+        voyages = simulate_voyages(n_voyages=8, seed=seed)[0] + simulate_voyages(4, length=7, seed=6)[0]
+        model = fit_weather_hmm(voyages, seed=seed)
+        history, converged = oracle_fit(voyages, seed)
+        assert len(model.loglik_history) == len(history)
+        assert model.converged == converged
+        np.testing.assert_allclose(model.loglik_history, history, rtol=1e-12, atol=0.0)
 
 
 def reference_viterbi(model, obs):
