@@ -206,24 +206,7 @@ def cmd_optimize(config: RunConfig, plots: bool = False) -> None:
         knn_k=config.knn_k,
         feature_case=config.feature_case,
     )
-    speed_opt.write_gain_report(gain_report, out / "gains.csv", out / "state_gains.csv")
-
-    cells = [
-        (row.cluster, row.model, vid, float(row.voyage_gains[vid]))
-        for row in gain_report.rows
-        for vid in sorted(row.voyage_gains)
-    ]
-    store.write_table(
-        out / "voyage_gains.csv", ["cluster", "model", "voyage_id", "gain_pct"], zip(*cells)
-    )
-
-    profiles_dir = out / "profiles"
-    profiles_dir.mkdir(exist_ok=True)
-    for row in gain_report.rows:
-        for vid, sog_pred in row.profiles.items():
-            name = f"{_safe_name(row.cluster)}_{_safe_name(row.model)}_{vid}.csv"
-            columns = [range(len(sog_pred)), by_id[vid].sog, np.asarray(sog_pred, dtype=float)]
-            store.write_table(profiles_dir / name, ["step", "sog_meas", "sog_pred"], columns)
+    speed_opt.write_gain_report(gain_report, out, {v.voyage_id: v.sog for v in test})
 
     if plots:
         plots_dir = out / "plots"

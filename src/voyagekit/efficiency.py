@@ -239,21 +239,19 @@ def train_estimator(
 
 
 def estimate_fuel_time(
-    profile: Sequence, context: Voyage | Sequence[Voyage], est: EfficiencyEstimator
-) -> tuple[float, float] | list[tuple[float, float]]:
-    """Fuel and time totals for a suggested speed profile over a voyage.
+    profiles: Sequence, voyages: Sequence[Voyage], est: EfficiencyEstimator
+) -> list[tuple[float, float]]:
+    """Fuel and time totals for each suggested speed profile over its voyage.
 
     Step durations are rescaled by measured/suggested speed so distance
     over ground is preserved; suggested speeds are floored at 0.1 m/s to
     keep durations finite. Fuel integrates predicted rates with the
     left-rectangle rule over the rescaled durations.
 
-    A sequence of profiles with a sequence of voyages is one batch: the
-    rates of all their rows come from one stacked regressor query, and the
-    result is the list of (fuel, hours) pairs, each equal to its own call's.
+    The pairs are one batch: the rates of all their rows come from one
+    stacked regressor query, and the result is the list of (fuel, hours)
+    pairs, each equal to its own one-pair batch's.
     """
-    batch = not isinstance(context, Voyage)
-    profiles, voyages = (profile, context) if batch else ([profile], [context])
     speeds = [np.asarray(p, dtype=float) for p in profiles]
     rows = [est.features(v, s) for s, v in zip(speeds, voyages, strict=True)]
     rates = est.rates(np.vstack(rows)) if rows else None
@@ -264,7 +262,7 @@ def estimate_fuel_time(
         # Left-to-right sums (cumsum), as in the per-step accumulation they replace.
         totals.append((float(np.cumsum(r[:-1] * scaled / 3600.0)[-1]),
                        float(np.cumsum(scaled / 3600.0)[-1])))
-    return totals if batch else totals[0]
+    return totals
 
 
 def write_summary_csv(

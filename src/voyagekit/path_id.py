@@ -108,14 +108,6 @@ def _nearest(path_i: Path, path_j: Path, metric: str) -> tuple[np.ndarray, np.nd
     return to_j, to_i
 
 
-def annd_directed(path_i: Path, path_j: Path, metric: str = "euclidean") -> float:
-    """Mean distance from each point of path_i to its nearest point of path_j."""
-    dist = path_j.tree(metric).query(path_i.tree(metric).data)[0]
-    if metric == "haversine":  # chord length -> great-circle metres
-        dist = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, dist / 2.0))
-    return float(dist.mean())
-
-
 def annd(path_i: Path, path_j: Path, metric: str = "euclidean") -> float:
     """Symmetrized average nearest neighbor distance between two paths."""
     to_j, to_i = _nearest(path_i, path_j, metric)
@@ -324,7 +316,6 @@ def fit_segment_gmms(
     paths: Sequence[Path],
     labels: PathLabeling,
     spec: RouteSegmentSpec,
-    seed: int = 0,
 ) -> SegmentModelSet:
     """Fit one Gaussian per training label in each route segment.
 
@@ -333,8 +324,7 @@ def fit_segment_gmms(
     gets one component from its own points in the segment: their mean, and
     their biased covariance plus COVARIANCE_FLOOR * I (the floor alone for a
     single point). Segments holding more than one label are the
-    discriminative ones. The fit draws nothing at random; ``seed`` is
-    accepted and unused.
+    discriminative ones. The fit draws nothing at random.
     """
     for p in paths:
         if p.voyage_id not in labels:

@@ -389,14 +389,37 @@ def run_optimization_benchmark(
     return GainReport(rows, state_rows, len(test_voyages), state_fit, state_fit_failure)
 
 
-def write_gain_report(report: GainReport, gains_path: str | Path, states_path: str | Path) -> None:
-    """Emit the per-cluster and per-weather-state gain tables as CSV."""
+def write_gain_report(report: GainReport, out_dir: str | Path, measured: Mapping[str, np.ndarray]) -> None:
+    """Write optimize's four tables into ``out_dir``; ``measured`` maps each test voyage id to its SOG.
+
+    voyage_gains.csv, a row per voyage gain, and profiles.csv, a row per step of each suggested
+    profile beside the measured SOG, follow gains.csv's cells, then voyage id. The profiles/
+    directory of older versions, one CSV per (cluster, model, voyage), is removed.
+    """
+    out = Path(out_dir)
     gains = ("cluster", "model", "avg_gain_pct", "improved_count", "status")
     write_table(
-        gains_path,
+        out / "gains.csv",
         ["cluster", "model", "eff_gain_pct", "improved_count", "status"],
         [[getattr(r, name) for r in report.rows] for name in gains],
     )
     states = ("model", "weather_state", "avg", "std")
     columns = [[getattr(r, name) for r in report.state_rows] for name in states]
-    write_table(states_path, states, columns)
+    write_table(out / "state_gains.csv", states, columns)
+    cells = [(r.cluster, r.model, vid, float(r.voyage_gains[vid]))
+             for r in report.rows for vid in sorted(r.voyage_gains)]
+    write_table(out / "voyage_gains.csv", ["cluster", "model", "voyage_id", "gain_pct"], zip(*cells))
+
+    profiles = [(r.cluster, r.model, vid, r.profiles[vid]) for r in report.rows for vid in sorted(r.profiles)]
+    per_step = [p for p in profiles for _ in range(len(p[3]))]  # each profile once per step
+    write_table(out / "profiles.csv", ["cluster", "model", "voyage_id", "step", "sog_meas", "sog_pred"], [
+        *([p[k] for p in per_step] for k in range(3)),
+        [i for p in profiles for i in range(len(p[3]))],
+        # The empty leading blocks let a run with no profile write the header alone.
+        np.concatenate([np.empty(0), *(measured[vid] for _, _, vid, _ in profiles)]),
+        np.concatenate([np.empty(0), *(sog for *_, sog in profiles)]),
+    ])
+    for path in out.glob("profiles/*.csv"):
+        path.unlink()
+    with suppress(OSError):  # the directory stays while it holds other files
+        (out / "profiles").rmdir()

@@ -158,7 +158,6 @@ def test_a4_path_identification(pathid_fleet):
         [by_id[i] for i in train_ids],
         {i: truth[i] for i in train_ids},
         pathid_fleet.segment_spec,
-        seed=spec.seed,
     )
     labeling, unclassifiable = path_id.classify_paths([by_id[i] for i in test_ids], models)
     assert not unclassifiable

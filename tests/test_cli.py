@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import shutil
@@ -12,6 +13,7 @@ import pytest
 
 import voyagekit
 from conftest import tiny_fleet_spec
+from voyagekit import speed_opt, store
 from voyagekit.cli import main, split_train_test
 from voyagekit.synth import generate_fleet, write_fleet
 
@@ -109,10 +111,10 @@ class TestPipelineOutputs:
         }
 
     def test_profiles_and_plots(self, pipeline_dir):
-        profiles = list((pipeline_dir / "profiles").glob("*.csv"))
-        assert profiles
-        rows = read_rows(profiles[0])
-        assert set(rows[0]) == {"step", "sog_meas", "sog_pred"}
+        rows = read_rows(pipeline_dir / "profiles.csv")
+        assert rows
+        assert list(rows[0]) == ["cluster", "model", "voyage_id", "step", "sog_meas", "sog_pred"]
+        assert not (pipeline_dir / "profiles").exists()
         assert list((pipeline_dir / "plots").glob("profile_*.svg"))
 
     def test_pathid_outputs(self, pipeline_dir):
@@ -221,6 +223,56 @@ class TestPipelineOutputs:
         assert all(r["avg"] == "nan" for r in state_rows)
         hmm = [r["status"] for r in read_rows(out / "gains.csv") if r["model"] == "HMM"]
         assert hmm == ["insufficient"] * 4
+
+
+class TestProfilesTable:
+    def test_rebuilds_every_per_voyage_table(self, tmp_path, monkeypatch):
+        # The seed-7 demo: one table of (step, sog_meas, sog_pred) per (cluster, model, test
+        # voyage), as separate files held them, in the cells' order and then voyage id order.
+        reports, write = [], speed_opt.write_gain_report
+
+        def kept(report, *args):
+            reports.append(report)
+            write(report, *args)
+
+        monkeypatch.setattr(speed_opt, "write_gain_report", kept)
+        for step in ("synth", "ingest", "optimize"):
+            assert main([step, "--out", str(tmp_path), "--seed", "7"]) == 0
+        (report,) = reports
+        sog = {v.voyage_id: v.sog.tolist() for v in store.read_store(tmp_path / "store")}
+        tables: dict[tuple[str, str, str], list] = {}
+        for r in read_rows(tmp_path / "profiles.csv"):
+            tables.setdefault((r["cluster"], r["model"], r["voyage_id"]), []).append(
+                (int(r["step"]), float(r["sog_meas"]), float(r["sog_pred"]))
+            )
+        want = {
+            (row.cluster, row.model, vid): list(
+                zip(itertools.count(), sog[vid], np.asarray(row.profiles[vid], dtype=float).tolist())
+            )
+            for row in report.rows
+            for vid in sorted(row.profiles)
+        }
+        assert list(tables) == list(want)
+        assert tables == want
+        ok_cells = sum(row.status == "ok" for row in report.rows)
+        assert len(tables) == ok_cells * report.test_size == 108
+
+    @pytest.mark.parametrize("other_file", [False, True])
+    def test_old_profiles_directory_removed(self, pipeline_dir, tmp_path, other_file):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir / "store", out / "store")
+        old = out / "profiles"
+        old.mkdir()
+        for name in ("Top10Pr_kNN_V0001.csv", "Top75Pr_HMM_V9999.csv"):
+            (old / name).write_text("step,sog_meas,sog_pred\r\n0,1.0,2.0\r\n", encoding="utf-8")
+        if other_file:
+            (old / "notes.txt").write_text("kept", encoding="utf-8")
+        assert main(["optimize", "--out", str(out), "--seed", "11"]) == 0
+        if other_file:
+            assert [p.name for p in old.iterdir()] == ["notes.txt"]
+        else:
+            assert not old.exists()
+        assert read_rows(out / "profiles.csv")
 
 
 def read_log(out):

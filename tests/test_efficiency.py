@@ -317,8 +317,8 @@ class TestEstimateFuelTime:
     def test_identity_profile_reproduces(self):
         v = self.voyages[0]
         measured = v.sog.tolist()
-        f1, t1 = estimate_fuel_time(measured, v, self.est)
-        f2, t2 = estimate_fuel_time(measured, v, self.est)
+        [(f1, t1)] = estimate_fuel_time([measured], [v], self.est)
+        [(f2, t2)] = estimate_fuel_time([measured], [v], self.est)
         assert f1 == f2 and t1 == t2
         rates = self.est.predict_rates(v)
         expected_fuel = sum(
@@ -329,14 +329,14 @@ class TestEstimateFuelTime:
     def test_faster_profile_scales_time(self):
         v = self.voyages[0]
         measured = v.sog.copy()
-        _, t_meas = estimate_fuel_time(measured, v, self.est)
-        _, t_fast = estimate_fuel_time(measured * 1.1, v, self.est)
+        [(_, t_meas)] = estimate_fuel_time([measured], [v], self.est)
+        [(_, t_fast)] = estimate_fuel_time([measured * 1.1], [v], self.est)
         assert t_fast == pytest.approx(t_meas / 1.1, rel=1e-9)
 
     def test_zero_speed_clamped(self):
         v = self.voyages[0]
         profile = np.zeros(len(v))
-        fuel, hours = estimate_fuel_time(profile, v, self.est)
+        [(fuel, hours)] = estimate_fuel_time([profile], [v], self.est)
         assert np.isfinite(fuel) and np.isfinite(hours)
         # Every step duration is dt * sog / 0.1.
         expected_hours = sum(
@@ -354,11 +354,11 @@ class TestEstimateFuelTime:
             scaled = (v.t[i + 1] - v.t[i]) * v.sog[i] / max(profile[i], 0.1)
             fuel += rates[i] * scaled / 3600.0
             hours += scaled / 3600.0
-        assert estimate_fuel_time(profile, v, self.est) == (fuel, hours)
+        assert estimate_fuel_time([profile], [v], self.est)[0] == (fuel, hours)
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
-            estimate_fuel_time([5.0], self.voyages[0], self.est)
+            estimate_fuel_time([[5.0]], self.voyages[:1], self.est)
         with pytest.raises(InvalidInputError):
             estimate_fuel_time([self.voyages[0].sog, [5.0]], self.voyages[:2], self.est)
 
@@ -374,4 +374,4 @@ class TestEstimateFuelTime:
         profiles = [v.sog * (0.0 if stop else scale) for v, (*_, scale, stop) in zip(voyages, pairs)]
         got = estimate_fuel_time(profiles, voyages, self.est)
         assert got == [per_pair_fuel_time(p, v, self.est) for p, v in zip(profiles, voyages)]
-        assert got == [estimate_fuel_time(p, v, self.est) for p, v in zip(profiles, voyages)]
+        assert got == [estimate_fuel_time([p], [v], self.est)[0] for p, v in zip(profiles, voyages)]

@@ -52,7 +52,7 @@ class TestAssignSegment:
         for first, second in ((SQUARE, big), (big, SQUARE)):
             spec = RouteSegmentSpec([("first", first), ("second", second)])
             with pytest.raises(ConfigurationError, match="'second' has 0 training points"):
-                fit_segment_gmms(paths, labels, spec, seed=0)
+                fit_segment_gmms(paths, labels, spec)
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ConfigurationError):

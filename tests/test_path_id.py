@@ -20,7 +20,6 @@ from voyagekit.path_id import (
     Path,
     align_labels,
     annd,
-    annd_directed,
     build_distance_matrix,
     classify_by_segment_likelihood,
     classify_paths,
@@ -48,6 +47,15 @@ def brute_force_annd(a: np.ndarray, b: np.ndarray) -> float:
         return total / len(p)
 
     return 0.5 * (directed(a, b) + directed(b, a))
+
+
+def annd_directed(path_i: Path, path_j: Path, metric: str = "euclidean") -> float:
+    """Reference: mean distance from each point of path_i to its nearest point of
+    path_j, by one k-d tree query."""
+    dist = path_j.tree(metric).query(path_i.tree(metric).data)[0]
+    if metric == "haversine":  # chord length -> great-circle metres
+        dist = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, dist / 2.0))
+    return float(dist.mean())
 
 
 def pairwise_haversine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -596,7 +604,7 @@ def two_branch_training():
 class TestSegmentGmms:
     def test_component_means_near_centerlines(self, two_branch_training):
         paths, labels = two_branch_training
-        models = fit_segment_gmms(paths, labels, corridor_spec(), seed=0)
+        models = fit_segment_gmms(paths, labels, corridor_spec())
         for name in ("west", "mid", "east"):
             mixture = models.mixtures[name]
             lat_means = sorted(mixture.means[:, 0])
@@ -605,13 +613,13 @@ class TestSegmentGmms:
 
     def test_weights_sum_to_one(self, two_branch_training):
         paths, labels = two_branch_training
-        models = fit_segment_gmms(paths, labels, corridor_spec(), seed=0)
+        models = fit_segment_gmms(paths, labels, corridor_spec())
         for mixture in models.mixtures.values():
             assert mixture.counts.sum() == mixture.points
 
     def test_covariance_floor(self, two_branch_training):
         paths, labels = two_branch_training
-        models = fit_segment_gmms(paths, labels, corridor_spec(), seed=0)
+        models = fit_segment_gmms(paths, labels, corridor_spec())
         for mixture in models.mixtures.values():
             for cov in mixture.covariances:
                 eigvals = np.linalg.eigvalsh(cov)
@@ -619,7 +627,7 @@ class TestSegmentGmms:
 
     def test_em_status_reported(self, two_branch_training):
         paths, labels = two_branch_training
-        models = fit_segment_gmms(paths, labels, corridor_spec(), seed=0)
+        models = fit_segment_gmms(paths, labels, corridor_spec())
         segment_of = corridor_spec().locate(
             *np.concatenate([p.points for p in paths]).T
         )
@@ -633,7 +641,7 @@ class TestSegmentGmms:
 
     def test_all_segments_discriminative(self, two_branch_training):
         paths, labels = two_branch_training
-        models = fit_segment_gmms(paths, labels, corridor_spec(), seed=0)
+        models = fit_segment_gmms(paths, labels, corridor_spec())
         assert models.discriminative == ["west", "mid", "east"]
 
     def test_single_branch_segment_maps_to_its_label(self):
@@ -647,13 +655,13 @@ class TestSegmentGmms:
                 ("both", [[-1.0, 0.8], [-1.0, 1.1], [3.0, 1.1], [3.0, 0.8]]),
             ]
         )
-        models = fit_segment_gmms(low + high, labels, spec, seed=0)
+        models = fit_segment_gmms(low + high, labels, spec)
         assert models.mixtures["low_only"].component_labels == ["low"]
         assert models.discriminative == ["both"]
 
     def test_components_from_label_points(self, two_branch_training):
         paths, labels = two_branch_training
-        models = fit_segment_gmms(paths, labels, corridor_spec(), seed=0)
+        models = fit_segment_gmms(paths, labels, corridor_spec())
         points = np.concatenate([p.points for p in paths])
         point_labels = np.concatenate([[labels[p.voyage_id]] * len(p.points) for p in paths])
         segment_of = corridor_spec().locate(*points.T)
@@ -673,7 +681,7 @@ class TestSegmentGmms:
         # "b" has one point in the box; its other point lies in no segment.
         paths = bundle(0.0, 1, seed=12, prefix="a") + [path("b", [(0.5, 0.5), (5.0, 5.0)])]
         spec = RouteSegmentSpec([("box", [[-1.0, -0.1], [-1.0, 1.1], [1.0, 1.1], [1.0, -0.1]])])
-        models = fit_segment_gmms(paths, {"a0": "a", "b": "b"}, spec, seed=0)
+        models = fit_segment_gmms(paths, {"a0": "a", "b": "b"}, spec)
         box = models.mixtures["box"]
         assert box.component_labels == ["a", "b"] and box.counts.tolist() == [12, 1]
         np.testing.assert_array_equal(box.means[1], [0.5, 0.5])
@@ -685,14 +693,14 @@ class TestSegmentGmms:
             [("nowhere", [[50.0, 50.0], [50.0, 51.0], [51.0, 51.0], [51.0, 50.0]])]
         )
         with pytest.raises(ConfigurationError, match="nowhere"):
-            fit_segment_gmms(paths, labels, spec, seed=0)
+            fit_segment_gmms(paths, labels, spec)
 
     def test_missing_label_rejected(self, two_branch_training):
         paths, labels = two_branch_training
         partial = dict(labels)
         partial.pop(paths[0].voyage_id)
         with pytest.raises(InvalidInputError):
-            fit_segment_gmms(paths, partial, corridor_spec(), seed=0)
+            fit_segment_gmms(paths, partial, corridor_spec())
 
 
 @pytest.mark.parametrize("fleet_seed", [1, 2, 7])
@@ -712,7 +720,7 @@ def test_noisy_default_fleet_all_test_voyages_right(fleet_seed):
 @pytest.fixture(scope="module")
 def models(two_branch_training):
     paths, labels = two_branch_training
-    return fit_segment_gmms(paths, labels, corridor_spec(), seed=0)
+    return fit_segment_gmms(paths, labels, corridor_spec())
 
 
 class TestClassify:
@@ -748,7 +756,7 @@ class TestClassify:
                 ("fork", [[-1.0, 0.3], [-1.0, 1.1], [3.0, 1.1], [3.0, 0.3]]),
             ]
         )
-        models = fit_segment_gmms(paths, labels, spec, seed=0)
+        models = fit_segment_gmms(paths, labels, spec)
         assert models.discriminative == ["fork"]
         in_both = path("Q", [(0.01, 0.35), (-0.01, 0.4), (0.0, 0.45)])
         assert (spec.locate(in_both.points[:, 0], in_both.points[:, 1]) == 0).all()
@@ -759,7 +767,7 @@ class TestClassify:
 
     def test_tie_breaks_to_earliest_segment(self, two_branch_training):
         paths, labels = two_branch_training
-        models = fit_segment_gmms(paths, labels, corridor_spec(), seed=0)
+        models = fit_segment_gmms(paths, labels, corridor_spec())
         # Force a 1-1 vote: relabel the mid segment's components so that a
         # low-branch path gets "high" from mid but "low" from west (earlier).
         mid = models.mixtures["mid"]

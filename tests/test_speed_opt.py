@@ -436,7 +436,7 @@ class TestBenchmark:
         pairs += [(v.sog, v) for v in (*test, *train)]
         got = estimate_fuel_time(*zip(*pairs), estimator)
         assert got == [per_pair_fuel_time(p, v, estimator) for p, v in pairs]
-        assert got[0] == estimate_fuel_time(*pairs[0], estimator)
+        assert got[0] == estimate_fuel_time([pairs[0][0]], [pairs[0][1]], estimator)[0]
 
     def test_non_positive_maxima_raised_before_any_fit(self, benchmark_inputs, monkeypatch):
         clusters, train, test, _ = benchmark_inputs
@@ -465,12 +465,35 @@ class TestBenchmark:
         report = run_optimization_benchmark(
             clusters, train, test, estimator, models={"identity": IdentitySpeedModel()}
         )
-        write_gain_report(report, tmp_path / "gains.csv", tmp_path / "states.csv")
+        write_gain_report(report, tmp_path, {v.voyage_id: v.sog for v in test})
         gains_text = (tmp_path / "gains.csv").read_text().splitlines()
         assert gains_text[0] == "cluster,model,eff_gain_pct,improved_count,status"
         assert len(gains_text) == 1 + 4  # header + 4 clusters x 1 model
-        states_text = (tmp_path / "states.csv").read_text().splitlines()
+        states_text = (tmp_path / "state_gains.csv").read_text().splitlines()
         assert states_text[0] == "model,weather_state,avg,std"
+        voyage_text = (tmp_path / "voyage_gains.csv").read_text().splitlines()
+        assert voyage_text[0] == "cluster,model,voyage_id,gain_pct"
+        assert len(voyage_text) == 1 + 4 * len(test)
+        profiles_text = (tmp_path / "profiles.csv").read_text().splitlines()
+        assert profiles_text[0] == "cluster,model,voyage_id,step,sog_meas,sog_pred"
+        assert len(profiles_text) == 1 + 4 * sum(map(len, test))
+
+    def test_no_fitted_cell_writes_header_only_tables(self, benchmark_inputs, tmp_path):
+        clusters, train, test, estimator = benchmark_inputs
+
+        class Unfittable(IdentitySpeedModel):
+            def fit(self, cluster):
+                raise InsufficientDataError("never fits")
+
+        report = run_optimization_benchmark(
+            clusters, train, test, estimator, models={"never": Unfittable()}
+        )
+        assert {r.status for r in report.rows} == {"insufficient"}
+        write_gain_report(report, tmp_path, {v.voyage_id: v.sog for v in test})
+        assert (tmp_path / "voyage_gains.csv").read_bytes() == b"cluster,model,voyage_id,gain_pct\r\n"
+        assert (tmp_path / "profiles.csv").read_bytes() == (
+            b"cluster,model,voyage_id,step,sog_meas,sog_pred\r\n"
+        )
 
 
 class TestHmmFitReuse:

@@ -80,7 +80,7 @@ voyages = [voyage(f"V{i}", 90 + 7 * i, i) for i in range(4)]
 est = efficiency.train_estimator(voyages, feature_case="I")
 pairs = [(voyages[0].sog, voyages[0]), (voyages[1].sog * 0.9, voyages[1]), (voyages[0].sog, voyages[0])]
 batch = efficiency.estimate_fuel_time([p for p, _ in pairs], [v for _, v in pairs], est)
-single = [list(efficiency.estimate_fuel_time(p, v, est)) for p, v in pairs]
+single = [list(efficiency.estimate_fuel_time([p], [v], est)[0]) for p, v in pairs]
 rows = np.random.default_rng(9).uniform(size=(7, 3))
 predicted = efficiency.KnnRegressor(k=3).fit(rows, np.arange(7.0)).predict(rows[:5])
 model = hmm.fit_weather_hmm(voyages, 3, ("WindSpeed_cps", "WaveHeight"), 50, 1e-6)
