@@ -203,8 +203,6 @@ def cmd_optimize(config: RunConfig, plots: bool = False) -> None:
         estimator,
         hmm_seed=config.seed,
         hmm_features=config.hmm_features,
-        knn_k=config.knn_k,
-        feature_case=config.feature_case,
     )
     speed_opt.write_gain_report(gain_report, out, {v.voyage_id: v.sog for v in test})
 

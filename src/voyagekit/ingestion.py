@@ -1,12 +1,13 @@
 """Onboard CSV parsing, weather-grid ingestion, resampling, and alignment.
 
-Onboard CSVs are parsed column by column into a time-sorted Track (see
-geo); cells that do not parse are NaN, and rows that fail geo.valid_samples
-(the rule every Voyage enforces) are skipped. Weather hindcasts arrive as
-long-format CSV (one file per variable, columns time/lat/lon/value); they
-are read as whole columns and assembled into dense 3-D grids. attach_weather adds every grid variable to
-a voyage as a channel, by trilinear interpolation over the enclosing
-(time, lat, lon) cell.
+Both input formats go through one CSV reader: one np.loadtxt call for the
+columns a file needs, or, for a file that call rejects, a row-by-row read in
+which a cell that does not parse is NaN. Onboard CSVs become a time-sorted
+Track (see geo); rows that fail geo.valid_samples (the rule every Voyage
+enforces) are skipped. Weather hindcasts arrive as long-format CSV (one file
+per variable, columns time/lat/lon/value) and are assembled into dense 3-D
+grids. attach_weather adds every grid variable to a voyage as a channel, by
+trilinear interpolation over the enclosing (time, lat, lon) cell.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import warnings
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .errors import (
     SchemaError,
 )
 from .geo import GeoPoint, Track, Voyage, is_angle, valid_samples
-from .store import CORE_COLUMNS, ONBOARD_CHANNELS, load_floats
+from .store import CORE_COLUMNS, ONBOARD_CHANNELS
 
 # Interpolation status codes used by WeatherGrid.interpolate_many.
 _OK = 0
@@ -38,26 +40,62 @@ _MISSING_CORNER = 2
 
 
 def _parse_timestamp(raw: str) -> float:
-    """Epoch seconds from an integer/float string or ISO-8601 text (UTC); NaN if neither."""
+    """Epoch seconds from an integer/float string or ISO-8601 text (UTC); ValueError if neither."""
     raw = raw.strip()
     try:
         return float(raw)
     except ValueError:
-        pass
-    try:
         dt = datetime.fromisoformat(raw.replace("Z", "+00:00"))
-        if dt.tzinfo is None:
-            dt = dt.replace(tzinfo=timezone.utc)
-        return dt.timestamp()
-    except ValueError:
-        return math.nan
+    return (dt if dt.tzinfo else dt.replace(tzinfo=timezone.utc)).timestamp()
 
 
-def _parse_float(raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        return math.nan
+def _read_columns(
+    path: Path, required: Sequence[str], optional: Sequence[str] = (), *, missing: str,
+    parsers: Mapping[str, Callable[[str], float]] = {},
+) -> tuple[list[str], np.ndarray, tuple[int, list[str]] | None]:
+    """The required and present optional columns of a CSV file, as floats.
+
+    Header names match stripped and case-insensitively; a missing required
+    column raises SchemaError(`missing` formatted with its name), as does a
+    used name that appears twice. One np.loadtxt call reads the table; a
+    file it rejects is read row by row, skipping rows of blank cells, each
+    cell through its column's parser (float unless `parsers` names one). A
+    missing or rejected cell reads NaN; the first row with one is returned
+    (index, cells) beside the names and the table.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip().lower() for h in next(reader, ())]
+        if not reader.line_num:
+            raise SchemaError(f"{path}: file is empty")
+        absent = [name for name in required if name.lower() not in header]
+        if absent:
+            raise SchemaError(f"{path}: " + missing.format(absent[0]))
+        names = [*required, *(name for name in optional if name.lower() in header)]
+        for name in names:
+            if header.count(name.lower()) > 1:
+                raise SchemaError(f"{path}: column {name!r} appears more than once")
+        usecols, bad = [header.index(name.lower()) for name in names], None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
+                table = np.loadtxt(path, delimiter=",", quotechar='"', comments=None, usecols=usecols,
+                                   ndmin=2, skiprows=reader.line_num, encoding="utf-8")
+        except ValueError:
+            rows, parse = [], [parsers.get(name, float) for name in names]
+            for row in reader:
+                if any(cell.strip() for cell in row):
+                    rows.append([])
+                    for p, i in zip(parse, usecols):
+                        try:
+                            rows[-1].append(p(row[i]))
+                        except (ValueError, IndexError):
+                            rows[-1].append(math.nan)
+                            bad = bad or (len(rows) - 1, row)
+            table = np.array(rows).reshape(-1, len(names))
+    if not len(table):
+        raise SchemaError(f"{path}: no data rows")
+    return names, table, bad
 
 
 def parse_onboard_csv(path: str | Path) -> tuple[Track, int]:
@@ -71,31 +109,10 @@ def parse_onboard_csv(path: str | Path) -> tuple[Track, int]:
     path = Path(path)
     if not path.exists():
         raise InvalidInputError(f"onboard file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError(f"{path}: file is empty") from None
-    lower_to_index = {name.strip().lower(): i for i, name in enumerate(header)}
-    missing = [name for name in CORE_COLUMNS if name.lower() not in lower_to_index]
-    if missing:
-        raise SchemaError(f"{path}: missing required column {missing[0]!r}")
-    names = [*CORE_COLUMNS, *(c for c in ONBOARD_CHANNELS if c.lower() in lower_to_index)]
-    table = load_floats(lines[reader.line_num:], [lower_to_index[n.lower()] for n in names])
-    if table is None:
-        # Short rows are padded with empty (unparseable) cells.
-        width = len(header)
-        rows = [row + [""] * (width - len(row)) for row in reader if any(c.strip() for c in row)]
-        if not rows:
-            raise SchemaError(f"{path}: no data rows")
-        cells = list(zip(*rows))
-        table = np.column_stack([
-            np.fromiter(map(_parse_timestamp if name == "Timestamp" else _parse_float,
-                            cells[lower_to_index[name.lower()]]), float, len(rows))
-            for name in names
-        ])
+    names, table, _ = _read_columns(
+        path, CORE_COLUMNS, ONBOARD_CHANNELS, missing="missing required column {!r}",
+        parsers={"Timestamp": _parse_timestamp},
+    )
     keep = valid_samples(*table[:, : len(CORE_COLUMNS)].T)
     t, lat, lon, sog, heading, fuel = table[keep, : len(CORE_COLUMNS)].T
     channels = {}
@@ -191,22 +208,6 @@ class WeatherGrid:
         return (result % 360.0 if angle else result), status
 
 
-def _scan_grid_rows(path: Path, usecols: list[int]) -> tuple[np.ndarray, Exception | None]:
-    """The rows before the first bad one, read cell by cell, and that row's error."""
-    rows, error = [], None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if any(cell.strip() for cell in row):
-                try:
-                    rows.append([float(row[i]) for i in usecols])
-                except (ValueError, IndexError):
-                    error = InvalidInputError(f"{path}: unparseable row {row!r}")
-                    break
-    return np.array(rows).reshape(-1, 4), error
-
-
 def parse_weather_grid(path: str | Path) -> WeatherGrid:
     """Assemble a dense WeatherGrid from a long-format time/lat/lon/value CSV.
 
@@ -217,29 +218,11 @@ def parse_weather_grid(path: str | Path) -> WeatherGrid:
     path = Path(path)
     if not path.exists():
         raise InvalidInputError(f"weather file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise SchemaError(f"{path}: file is empty")
-    header = [h.strip().lower() for h in header]
-    try:
-        usecols = [header.index(name) for name in ("time", "lat", "lon", "value")]
-    except ValueError as exc:
-        raise SchemaError(f"{path}: expected columns time, lat, lon, value") from exc
-    # Whole columns in one call. A file loadtxt rejects (a bad cell, a row
-    # of blank cells) is read again row by row, up to its first bad row.
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
-            table = np.loadtxt(
-                path, delimiter=",", quotechar='"', comments=None, usecols=usecols,
-                ndmin=2, skiprows=1, encoding="utf-8",
-            )
-        error = None
-    except ValueError:
-        table, error = _scan_grid_rows(path, usecols)
-    if not len(table):
-        raise error or SchemaError(f"{path}: no data rows")
+    _, table, bad = _read_columns(
+        path, ("time", "lat", "lon", "value"), missing="expected columns time, lat, lon, value"
+    )
+    if bad is not None:  # the rows before it are checked for conflicts first
+        table = table[: bad[0]]
     if (nan_rows := np.isnan(table[:, :3]).any(axis=1)).any():
         where = tuple(table[nan_rows.argmax(), :3].tolist())
         raise InvalidInputError(f"{path}: NaN coordinate at (time, lat, lon)={where}")
@@ -260,8 +243,8 @@ def parse_weather_grid(path: str | Path) -> WeatherGrid:
             f"{path}: conflicting values at (time, lat, lon)={where}: "
             f"{value[at].item()} vs {value[at + 1].item()}"
         )
-    if error is not None:
-        raise error
+    if bad is not None:
+        raise InvalidInputError(f"{path}: unparseable row {bad[1]!r}")
     values = np.full([len(axis) for axis in axes], np.nan)
     last = np.append(~same, True)  # the last row of a cell sets its value
     values.flat[key[last]] = value[last]

@@ -131,11 +131,11 @@ class SpeedModel(Protocol):
 
 
 class KnnSpeedModel:
-    """Per-sample kNN regression of speed on (lat, lon, case weather channels)."""
+    """Per-sample kNN regression of speed on (lat, lon, weather channels)."""
 
-    def __init__(self, k: int = 5, feature_case: str = "IV"):
+    def __init__(self, k: int = 5, channels: tuple[str, ...] = FEATURE_CASES["IV"]):
         self.k = k
-        self.names = ("lat", "lon", *FEATURE_CASES[feature_case])
+        self.names = ("lat", "lon", *channels)
         self.regressor: KnnRegressor | None = None
 
     def fit(self, cluster: Sequence[Voyage]) -> None:
@@ -266,8 +266,6 @@ def run_optimization_benchmark(
     *,
     hmm_seed: int = 0,
     hmm_features: tuple[str, ...] = DEFAULT_FEATURES,
-    knn_k: int = 5,
-    feature_case: str = "IV",
 ) -> GainReport:
     """Train each model on each percentile cluster and score the test set.
 
@@ -278,6 +276,7 @@ def run_optimization_benchmark(
     voyages, and every training and test voyage is decoded once: the default
     "HMM" model takes each cluster's state speeds from that decode, and the
     per-state rows pool every cell's step-level gains over the test decode.
+    The default "kNN" model takes its k and channels from `estimator`.
     Pricing runs as two estimate_fuel_time batches: the measured profiles
     first, so degenerate maxima fail before any fit, then every distinct
     (suggested profile, test voyage) pair of all the cells.
@@ -330,7 +329,7 @@ def run_optimization_benchmark(
         state_fit_failure = str(exc)
     if models is None:
         models = {
-            "kNN": KnnSpeedModel(k=knn_k, feature_case=feature_case),
+            "kNN": KnnSpeedModel(k=estimator.regressor.k, channels=estimator.channels),
             "1NN-DTW": DtwSpeedModel(),
             "HMM": hmm,
         }

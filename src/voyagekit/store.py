@@ -39,6 +39,9 @@ WEATHER_VARIABLES = (
     "WaveHeight", "WaveDirection", "CurrentSpeed", "CurrentDirection",
 )
 
+#: Rows write_table formats and writes at a time.
+WRITE_BLOCK_ROWS = 4096
+
 
 def _spell(cells: Iterable) -> list[str]:
     """Cells as csv.writer spells them: None as "", a float (numpy's too) as float repr."""
@@ -48,26 +51,32 @@ def _spell(cells: Iterable) -> list[str]:
             else str(c) for c in cells]
 
 
-def write_table(path: str | Path, header: Sequence[str], columns: Iterable[Iterable]) -> None:
+def write_table(path: str | Path, header: Sequence[str], columns: Iterable[Sequence]) -> None:
     """Write a header row, then one CSV row per position of ``columns``.
 
-    Each cell is formatted once, as csv.writer would write it (a float
-    ndarray column through repr, once per column), and the rows are joined
-    in one string. csv.writer writes a table that has a cell it would quote:
-    one holding '"', or more ',', CR or LF than the column count and the
-    row count (taken from the columns) imply, or the lone, maybe empty,
-    field of a one-column row. Columns of different lengths raise ValueError.
+    The rows go out in blocks of WRITE_BLOCK_ROWS. Each cell is formatted
+    once, as csv.writer would write it (a float ndarray column through repr,
+    once per block), and the header or a block is joined in one string.
+    csv.writer writes a header or block that has a cell it would quote: one
+    holding '"', or more ',', CR or LF than its shape implies, or the lone,
+    maybe empty, field of a one-column row. Columns of different lengths
+    raise ValueError.
     """
-    cells = [_spell(column) for column in columns]
-    head = _spell(header)
-    n, width = len(cells[0]) if cells else 0, len(cells)
-    text = "\r\n".join(chain([",".join(head)], map(",".join, zip(*cells, strict=True)), [""]))
-    separators = (len(head) - 1 + n * (width - 1), n + 1, n + 1)  # the commas, CRs, LFs of the shape
+    columns = list(columns)
+    n = len(columns[0]) if columns else 0
+    if any(len(column) != n for column in columns):
+        raise ValueError("write_table: columns of different lengths")
+    blocks = (
+        list(zip(*(_spell(c[i: i + WRITE_BLOCK_ROWS]) for c in columns))) for i in range(0, n, WRITE_BLOCK_ROWS)
+    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        if min(len(head), width) < 2 or '"' in text or tuple(map(text.count, ",\r\n")) != separators:
-            csv.writer(fh).writerows([head, *zip(*cells)])
-        else:
-            fh.write(text)
+        for rows in chain([[_spell(header)]], blocks):
+            text = "\r\n".join(map(",".join, rows)) + "\r\n"
+            shape = (len(rows) * (len(rows[0]) - 1), len(rows), len(rows))  # its commas, CRs and LFs
+            if len(rows[0]) < 2 or '"' in text or tuple(map(text.count, ",\r\n")) != shape:
+                csv.writer(fh).writerows(rows)
+            else:
+                fh.write(text)
 
 
 def write_store(voyages: Sequence[Voyage], store_dir: str | Path, extra_meta: dict | None = None) -> None:
@@ -98,19 +107,6 @@ def write_store(voyages: Sequence[Voyage], store_dir: str | Path, extra_meta: di
     with open(store / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_floats(lines: list[str], usecols: Sequence[int] | None = None) -> np.ndarray | None:
-    """CSV data lines as a float table from one np.loadtxt call, or None where that
-    call may differ from csv.reader and float(): a quote, a blank line, a cell it
-    rejects, or a line that gave no row. Callers then read row by row."""
-    if not lines or any('"' in line or not line.strip() for line in lines):
-        return None
-    try:
-        table = np.loadtxt(lines, delimiter=",", comments=None, usecols=usecols, ndmin=2)
-    except ValueError:
-        return None
-    return table if len(table) == len(lines) else None
 
 
 def _read_voyage(path: Path, entry: dict) -> Voyage:

@@ -15,7 +15,8 @@ from voyagekit.config import _FIELD_TYPES, RunConfig, load_config
 from voyagekit.errors import ConfigurationError, InvalidInputError
 from voyagekit.geo import CORE_FIELDS, Voyage
 from voyagekit.store import (
-    CORE_COLUMNS, ONBOARD_CHANNELS, WEATHER_VARIABLES, read_store, write_store, write_table,
+    CORE_COLUMNS, ONBOARD_CHANNELS, WEATHER_VARIABLES, WRITE_BLOCK_ROWS, read_store, write_store,
+    write_table,
 )
 
 
@@ -268,6 +269,16 @@ class TestWriteTable:
         csv_writer_table(out / "a.csv", header, columns)
         write_table(out / "b.csv", header, columns)
         assert (out / "a.csv").read_bytes() == (out / "b.csv").read_bytes()
+
+    def test_blocks_match_csv_writer(self, tmp_path):
+        # Three full blocks and a short one; only the third block has a cell to quote.
+        n = 3 * WRITE_BLOCK_ROWS + 5
+        text = [f"r{i}" for i in range(n)]
+        text[2 * WRITE_BLOCK_ROWS + 7] = 'a,"b"\r\n'
+        columns = [np.arange(n) / 7.0, text, list(range(n))]
+        csv_writer_table(tmp_path / "a.csv", ["x", "y", "z"], columns)
+        write_table(tmp_path / "b.csv", ["x", "y", "z"], columns)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_columns_of_different_lengths_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import make_sample, voyage_of
-from voyagekit import ingestion, store
+from voyagekit import store
 from voyagekit.errors import (
     ConfigurationError,
     InsufficientDataError,
@@ -84,6 +84,15 @@ class TestParseOnboard:
         path = write_onboard(tmp_path, [])
         with pytest.raises(SchemaError):
             parse_onboard_csv(path)
+
+    def test_duplicate_column_rejected(self, tmp_path):
+        header = HEADER + ",Note, latitude ,note"
+        path = write_onboard(tmp_path, ["0,1.0,2.0,5.0,90.0,50.0,3.0,200.0,x,7.0,y"], header=header)
+        with pytest.raises(SchemaError, match="column 'Latitude' appears more than once"):
+            parse_onboard_csv(path)
+        # An unused column may repeat.
+        path = write_onboard(tmp_path, ["0,1.0,2.0,5.0,90.0,50.0,3.0,200.0,x,y"], header=HEADER + ",Note,note")
+        assert parse_onboard_csv(path)[0].lat.tolist() == [1.0]
 
     def test_case_insensitive_headers(self, tmp_path):
         header = "timestamp,latitude,longitude,speedoverground,headingmagnetic,enginefuelrate"
@@ -185,6 +194,13 @@ class TestParseWeatherGrid:
         grid = parse_weather_grid(lattice_csv(tmp_path, rows))
         assert grid.values.shape == (2, 2, 2)
 
+    def test_duplicate_column_rejected(self, tmp_path):
+        path = write_grid_text(tmp_path, "time,lat,lon,value,LAT\n" + "\n".join(
+            f"{line},5.0" for line in LATTICE.splitlines()
+        ))
+        with pytest.raises(SchemaError, match="column 'lat' appears more than once"):
+            parse_weather_grid(path)
+
     def test_variable_from_stem(self, tmp_path):
         path = lattice_csv(tmp_path, full_lattice_rows(lambda *a: 0.0), name="WindSpeed_cps.csv")
         assert parse_weather_grid(path).variable == "WindSpeed_cps"
@@ -272,6 +288,10 @@ GRID_CASES = {
     "extra_columns": "source,time,lat,lon,value,flag\n" + "\n".join(
         f"x,{line},{i}" for i, line in enumerate(QUOTED.splitlines())
     ),
+    # Split at every comma, each row would shift its used cells onto the next column.
+    "quoted_comma_extra_column": "source,time,lat,lon,value\n" + "\n".join(
+        f'"a,{i}",{line}' for i, line in enumerate(LATTICE.splitlines())
+    ),
     "missing_column": "time,lat,lon,val\n" + QUOTED,
     "blank_lines": HEAD + "\n" + QUOTED.replace("\n", "\n\n\n", 2) + "\n\n",
     "all_blank_rows": HEAD + ",,,\n" + LATTICE.replace("\n", "\n , ,\t,\n", 3),
@@ -305,7 +325,10 @@ class TestParseWeatherGridMatchesReference:
     @pytest.mark.parametrize("case", sorted(GRID_CASES))
     def test_case(self, tmp_path, case):
         path = write_grid_text(tmp_path, GRID_CASES[case])
-        assert outcome(parse_weather_grid, path) == outcome(reference_parse_weather_grid, path)
+        expected = outcome(reference_parse_weather_grid, path)
+        assert outcome(parse_weather_grid, path) == expected
+        with rowwise():
+            assert outcome(parse_weather_grid, path) == expected
 
     def test_cases_cover_both_outcomes(self, tmp_path):
         kinds = {
@@ -654,9 +677,9 @@ def read_outcome(read, path):
     return skipped, [(name, c.dtype.str, c.tobytes()) for name, c in columns.items()]
 
 
-def rowwise(module):
-    """The module's readers with the one-call parse switched off: every file goes row by row."""
-    return mock.patch.object(module, "load_floats", lambda *args, **kwargs: None)
+def rowwise():
+    """The readers with the one-call parse failing: every file goes row by row."""
+    return mock.patch.object(np, "loadtxt", side_effect=ValueError("forced row by row"))
 
 
 class TestLoadtxtReadersMatchRowwise:
@@ -669,7 +692,7 @@ class TestLoadtxtReadersMatchRowwise:
         header = data.draw(st.sampled_from([self.ONBOARD, self.ONBOARD[:6], self.ONBOARD[:7]]))
         path = write_grid_text(tmp_path_factory.mktemp("onboard"), data.draw(numeric_csv(header)))
         expected = read_outcome(parse_onboard_csv, path)
-        with rowwise(ingestion):
+        with rowwise():
             assert read_outcome(parse_onboard_csv, path) == expected
 
     @pytest.mark.parametrize("rows", [
@@ -681,7 +704,7 @@ class TestLoadtxtReadersMatchRowwise:
     def test_edge_files(self, tmp_path, rows):
         path = write_grid_text(tmp_path, ",".join(self.ONBOARD[:8]) + "\n" + rows)
         expected = read_outcome(parse_onboard_csv, path)
-        with rowwise(ingestion):
+        with rowwise():
             assert read_outcome(parse_onboard_csv, path) == expected
 
     def test_quoted_comma_before_the_used_columns(self, tmp_path):

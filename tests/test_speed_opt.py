@@ -664,6 +664,21 @@ def test_empty_test_set_predicts_nothing():
         hmm.fit([])
 
 
+def test_default_knn_model_follows_the_estimator(benchmark_inputs, monkeypatch):
+    clusters, train, test, _ = benchmark_inputs
+    made = []
+
+    class Recorded(KnnSpeedModel):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(speed_opt, "KnnSpeedModel", Recorded)
+    run_optimization_benchmark(clusters, train, test, train_estimator(train, feature_case="I", k=3))
+    [model] = made
+    assert model.k == 3 and model.names == ("lat", "lon", *FEATURE_CASES["I"])
+
+
 def test_knn_channel_missing_in_cluster_is_insufficient(benchmark_inputs):
     clusters, train, test, _ = benchmark_inputs
     # A channel kNN reads but neither the case I estimator nor the state HMM does.
