@@ -145,7 +145,7 @@ def cmd_ingest(config: RunConfig) -> None:
     if not voyages:
         raise InvalidInputError("ingestion produced no voyages")
 
-    store.write_store(
+    left_out = store.write_store(
         voyages,
         out / "store",
         extra_meta={
@@ -155,6 +155,9 @@ def cmd_ingest(config: RunConfig) -> None:
             "dropped_singletons": result.dropped_count,
         },
     )
+    for vid, channels in left_out.items():
+        for channel, missing in channels.items():
+            log.log("ingest", "channel_dropped", voyage_id=vid, channel=channel, missing=missing)
     log.log("ingest", "store_written", voyages=len(voyages),
             dropped_samples=dropped_samples, skipped_rows=skipped)
     print(
@@ -213,10 +216,8 @@ def cmd_optimize(config: RunConfig, plots: bool = False) -> None:
             if not row.profiles:
                 continue
             vid = sorted(row.profiles)[0]
-            measured = [(float(i), m) for i, m in enumerate(by_id[vid].sog.tolist())]
-            suggested = [(float(i), float(v)) for i, v in enumerate(row.profiles[vid])]
             svg = report.svg_lines(
-                {"measured": measured, "suggested": suggested},
+                {"measured": by_id[vid].sog, "suggested": row.profiles[vid]},
                 "step", "speed over ground [m/s]",
                 f"{row.model} on {row.cluster}: voyage {vid}",
             )
@@ -240,15 +241,11 @@ def cmd_optimize(config: RunConfig, plots: bool = False) -> None:
         print(f"  {r.cluster:8s} {r.model:8s} gain {r.avg_gain_pct:+.2f}% improved {r.improved_count}/{r.evaluated}")
 
 
-def cmd_pathid(config: RunConfig, method: str | None = None) -> None:
+def cmd_pathid(config: RunConfig) -> None:
     from . import path_id  # imported here: it loads SciPy, which synth to score do not need
     out = Path(config.out_dir)
     log = RunLog(out)
-    method = method or config.pathid_method
-    if method not in PATHID_METHODS:
-        raise ConfigurationError(
-            f"unknown path-id method {method!r}; valid: {', '.join(PATHID_METHODS)}"
-        )
+    method = config.pathid_method
     # Only the tracks are kept: the voyages' weather channels are freed before the matrix is built.
     paths = [path_id.Path.from_voyage(v) for v in store.read_store(out / "store")]
     labels_path = _resolve_input(config, "labels", "labels.csv", required=method == "segment-gmm")
@@ -352,7 +349,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(
             args.config,
-            overrides={"seed": args.seed, "out_dir": args.out},
+            overrides={"seed": args.seed, "out_dir": args.out,
+                       "pathid_method": getattr(args, "method", None)},
         )
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
         if args.command == "synth":
@@ -364,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "optimize":
             cmd_optimize(config, plots=args.plots)
         elif args.command == "pathid":
-            cmd_pathid(config, method=args.method)
+            cmd_pathid(config)
         elif args.command == "report":
             cmd_report(config)
     except (ConfigurationError, SchemaError) as exc:

@@ -11,6 +11,7 @@ from typing import Mapping
 
 from .efficiency import FEATURE_CASES
 from .errors import ConfigurationError
+from .geo import PORT_DWELL_MAX_SOG, PORT_DWELL_S
 from .hmm import DEFAULT_FEATURES
 
 ENV_PREFIX = "VOYAGEKIT_"
@@ -29,8 +30,8 @@ class RunConfig:
     # Ingestion parameters.
     gap_threshold_s: float = 1800.0
     resample_period_s: float = 60.0
-    port_dwell_s: float = 120.0
-    port_max_sog: float = 0.5
+    port_dwell_s: float = PORT_DWELL_S
+    port_max_sog: float = PORT_DWELL_MAX_SOG
     # Estimation / optimization parameters.
     feature_case: str = "IV"
     knn_k: int = 5

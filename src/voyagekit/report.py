@@ -11,6 +11,7 @@ import json
 import math
 from collections import Counter
 from pathlib import Path
+from typing import Sequence
 
 from .errors import InvalidInputError
 
@@ -113,18 +114,16 @@ def svg_scatter(points, xlabel: str, ylabel: str, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def svg_lines(series: dict[str, list[tuple[float, float]]], xlabel: str, ylabel: str, title: str) -> str:
-    """Multi-series line plot with a small legend."""
-    all_points = [p for pts in series.values() for p in pts] or [(0.0, 0.0)]
-    xs = [p[0] for p in all_points]
-    ys = [p[1] for p in all_points]
-    x_range = (min(xs), max(xs))
+def svg_lines(series: dict[str, Sequence[float]], xlabel: str, ylabel: str, title: str) -> str:
+    """Multi-series line plot of each series' values against their index, with a small legend."""
+    ys = [float(y) for values in series.values() for y in values] or [0.0]
+    x_range = (0.0, float(max([len(values) - 1 for values in series.values()] + [0])))
     y_range = (min(ys), max(ys))
     parts = _frame(xlabel, ylabel, x_range, y_range, title)
-    for i, (name, pts) in enumerate(series.items()):
+    for i, (name, values) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]
-        if pts:
-            scaled = _scale(pts, x_range, y_range)
+        if len(values):
+            scaled = _scale([(float(x), float(y)) for x, y in enumerate(values)], x_range, y_range)
             coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in scaled)
             parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = MARGIN + 14 * i + 10
@@ -228,14 +227,12 @@ def write_report_outputs(out_dir: str | Path) -> list[str]:
     if voyage_gains_path.exists():
         rows = _read_csv_rows(voyage_gains_path)
         first_cluster = rows[0]["cluster"] if rows else ""
-        series: dict[str, list[tuple[float, float]]] = {}
+        series: dict[str, list[float]] = {}
         for r in rows:
-            if r["cluster"] != first_cluster:
-                continue
-            series.setdefault(r["model"], []).append((0.0, float(r["gain_pct"])))
-        for model, pts in series.items():
-            values = sorted((g for _, g in pts), reverse=True)
-            series[model] = [(float(i), g) for i, g in enumerate(values)]
+            if r["cluster"] == first_cluster:
+                series.setdefault(r["model"], []).append(float(r["gain_pct"]))
+        for values in series.values():
+            values.sort(reverse=True)
         (out / "sorted_gains.svg").write_text(
             svg_lines(series, "test voyage (sorted)", "efficiency gain [%]",
                       f"Sorted gains, {first_cluster} training cluster"),

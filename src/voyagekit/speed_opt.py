@@ -122,6 +122,14 @@ def knn_predict(regressor: KnnRegressor, features: np.ndarray) -> np.ndarray:
     return np.maximum(regressor.predict(features), 0.0)
 
 
+def _batched(memo: dict, keys: Sequence, items: Sequence, compute) -> list:
+    """memo[key] per key; the distinct items not memoised yet go into one compute(list) call."""
+    todo = {key: item for key, item in zip(keys, items) if key not in memo}
+    if todo:
+        memo.update(zip(todo, compute(list(todo.values()))))
+    return [memo[key] for key in keys]
+
+
 class SpeedModel(Protocol):
     """Fitted per cluster; predict() maps the whole test set to one profile per voyage."""
 
@@ -175,15 +183,12 @@ class DtwSpeedModel:
 
     def predict(self, tests: Sequence[Voyage]) -> list[np.ndarray]:
         """Every pair not yet memoised goes into one batched dtw_distance call."""
-        keys = {vid: p.tobytes() for vid, p in self._profiles.items()}
-        todo = {(t.sog.tobytes(), keys[vid]): (t.sog, p)
-                for t in tests for vid, p in self._profiles.items()}
-        todo = {pair: arrays for pair, arrays in todo.items() if pair not in self._memo}
-        if todo:
-            x, y = (padded(side, np.nan) for side in zip(*todo.values()))
-            self._memo.update(zip(todo, dtw_distance(x, y).tolist()))
-        best = [min(keys, key=lambda vid: (self._memo[t.sog.tobytes(), keys[vid]], vid))
-                for t in tests]
+        own = {vid: p.tobytes() for vid, p in self._profiles.items()}  # one key per profile, not per pair
+        keys = [(t.sog.tobytes(), key) for t in tests for key in own.values()]
+        pairs = [(t.sog, p) for t in tests for p in self._profiles.values()]
+        dist = _batched(self._memo, keys, pairs,
+                        lambda todo: dtw_distance(*(padded(side, np.nan) for side in zip(*todo))).tolist())
+        best = [min(zip(dist[i * len(own):(i + 1) * len(own)], own))[1] for i in range(len(tests))]
         return [linear_resample(self._profiles[vid], len(t)) for vid, t in zip(best, tests)]
 
 
@@ -204,11 +209,7 @@ class HmmSpeedModel:
     def decode(self, voyages: Sequence[Voyage]) -> list[np.ndarray]:
         """States per voyage; those not decoded before go in one Viterbi batch."""
         obs = [v.columns(*self.model.feature_names) for v in voyages]
-        keys = [o.tobytes() for o in obs]
-        todo = {key: o for key, o in zip(keys, obs) if key not in self._states}
-        if todo:
-            self._states.update(zip(todo, self.model.viterbi(list(todo.values()))))
-        return [self._states[key] for key in keys]
+        return _batched(self._states, [o.tobytes() for o in obs], obs, self.model.viterbi)
 
     def predict(self, tests: Sequence[Voyage]) -> list[np.ndarray]:
         return [self.speeds[states] for states in self.decode(tests)]
@@ -294,96 +295,67 @@ def run_optimization_benchmark(
     def price(pairs: Sequence[tuple[np.ndarray, Voyage]]) -> list[tuple[float, float]]:
         """(fuel, hours) per pair; the distinct pairs not priced before go in one batch."""
         keys = [(np.asarray(p, dtype=float).tobytes(), v.voyage_id) for p, v in pairs]
-        todo = {key: pair for key, pair in zip(keys, pairs) if key not in priced}
-        if todo:
-            priced.update(zip(todo, estimate_fuel_time(*zip(*todo.values()), estimator)))
-        return [priced[key] for key in keys]
+        return _batched(priced, keys, pairs, lambda todo: estimate_fuel_time(*zip(*todo), estimator))
 
-    # Measured baselines, shared across every (cluster, model) cell. Scores
-    # are normalized by the fleet-wide (train + test) measured maxima so the
-    # scale matches the fleet-level scoring convention.
+    # Measured baselines, test voyages first: the gain loop zips them with test_voyages.
     measured = price([(v.sog, v) for v in (*test_voyages, *train_voyages)])
-    meas_ft = dict(zip((v.voyage_id for v in test_voyages), measured))
-    fleet_ft = list(meas_ft.values()) + measured[len(test_voyages):]
-    max_fuel = max(f for f, _ in fleet_ft)
-    max_time = max(t for _, t in fleet_ft)
+    max_fuel, max_time = map(max, zip(*measured))
     if max_fuel <= 0 or max_time <= 0:
         raise InvalidInputError("measured fuel/time maxima are not positive")
 
     def score(fuel: float, hours: float) -> float:
         return efficiency_score(fuel / max_fuel, hours / max_time)
 
-    meas_score = {vid: score(f, t) for vid, (f, t) in meas_ft.items()}
-
-    hmm, decoded, state_fit, state_fit_failure = None, None, None, None
+    hmm, test_states, state_fit, state_fit_failure = None, [], None, None
     try:
         weather = fit_weather_hmm(train_voyages, seed=hmm_seed, features=hmm_features)
         hmm = HmmSpeedModel(weather)
         # One Viterbi batch for every voyage; the clusters' fits then reuse its states.
-        states = hmm.decode([*test_voyages, *train_voyages])
-        decoded = dict(zip((v.voyage_id for v in test_voyages), states))
+        test_states = hmm.decode([*test_voyages, *train_voyages])[:len(test_voyages)]
         state_fit = {"voyages": len(train_voyages), "observations": sum(map(len, train_voyages)),
                      "em_iterations": len(weather.loglik_history), "converged": weather.converged,
                      "loglik": float(weather.loglik_history[-1])}
     except VoyagekitError as exc:
         state_fit_failure = str(exc)
     if models is None:
-        models = {
-            "kNN": KnnSpeedModel(k=estimator.regressor.k, channels=estimator.channels),
-            "1NN-DTW": DtwSpeedModel(),
-            "HMM": hmm,
-        }
+        models = {"kNN": KnnSpeedModel(k=estimator.regressor.k, channels=estimator.channels),
+                  "1NN-DTW": DtwSpeedModel(), "HMM": hmm}
 
-    cells = []  # (cluster, model, profiles or None if the model did not fit)
+    rows: list[ClusterModelGain] = []
     for cluster_name, member_ids in clusters.as_ordered():
         cluster_voyages = [by_id[vid] for vid in sorted(member_ids) if vid in by_id]
         for model_name, model in models.items():
+            row = ClusterModelGain(cluster_name, model_name)
+            rows.append(row)
             try:
                 if model is None:
                     raise InsufficientDataError("the weather HMM fit failed")
                 model.fit(cluster_voyages)
             except VoyagekitError:
-                cells.append((cluster_name, model_name, None))
                 continue
-            profiles = {v.voyage_id: p for v, p in zip(test_voyages, model.predict(test_voyages))}
-            cells.append((cluster_name, model_name, profiles))
+            row.status = "ok"
+            row.profiles = {v.voyage_id: p for v, p in zip(test_voyages, model.predict(test_voyages))}
 
-    suggested = iter(price([(profiles[v.voyage_id], v) for *_, profiles in cells
-                            if profiles is not None for v in test_voyages]))
-    rows: list[ClusterModelGain] = []
-    state_pool: dict[str, dict[str, list[float]]] = {
-        name: {s: [] for s in STATE_NAMES} for name in models
-    }
-    for cluster_name, model_name, profiles in cells:
-        if profiles is None:
-            rows.append(ClusterModelGain(cluster_name, model_name))
-            continue
-        gains: dict[str, float] = {}
-        for v, (fuel, hours) in zip(test_voyages, suggested):
+    ok = [row for row in rows if row.status == "ok"]
+    suggested = iter(price([(row.profiles[v.voyage_id], v) for row in ok for v in test_voyages]))
+    pools: dict[tuple[str, str], list[float]] = {(name, s): [] for name in models for s in STATE_NAMES}
+    for row in ok:
+        gains = row.voyage_gains
+        for v, baseline, (fuel, hours) in zip(test_voyages, measured, suggested):
             with suppress(UndefinedGainError):
-                gains[v.voyage_id] = efficiency_gain(meas_score[v.voyage_id], score(fuel, hours))
-        rows.append(ClusterModelGain(
-            cluster_name, model_name,
-            avg_gain_pct=float(np.mean(list(gains.values()))) if gains else None,
-            improved_count=sum(1 for g in gains.values() if g > 0),
-            evaluated=len(gains), excluded=len(test_voyages) - len(gains), status="ok",
-            voyage_gains=gains, profiles=profiles,
-        ))
-        if decoded is not None:
-            for vid, gain in gains.items():
-                for state in decoded[vid]:
-                    state_pool[model_name][STATE_NAMES[state]].append(gain)
+                gains[v.voyage_id] = efficiency_gain(score(*baseline), score(fuel, hours))
+        row.avg_gain_pct = float(np.mean(list(gains.values()))) if gains else None
+        row.improved_count = sum(1 for g in gains.values() if g > 0)
+        row.evaluated, row.excluded = len(gains), len(test_voyages) - len(gains)
+        for v, states in zip(test_voyages, test_states):
+            if v.voyage_id in gains:  # the voyage's gain once per step decoded in each state
+                for state, steps in zip(STATE_NAMES, np.bincount(states, minlength=len(STATE_NAMES)).tolist()):
+                    pools[row.model, state] += [gains[v.voyage_id]] * steps
 
     state_rows = [
-        StateGain(
-            model=model_name,
-            weather_state=state,
-            avg=float(np.mean(pool)) if pool else float("nan"),
-            std=float(np.std(pool)) if pool else float("nan"),
-            steps=len(pool),
-        )
-        for model_name in models
-        for state, pool in state_pool[model_name].items()
+        StateGain(model_name, state, avg=float(np.mean(pool)) if pool else float("nan"),
+                  std=float(np.std(pool)) if pool else float("nan"), steps=len(pool))
+        for (model_name, state), pool in pools.items()
     ]
     return GainReport(rows, state_rows, len(test_voyages), state_fit, state_fit_failure)
 

@@ -79,17 +79,20 @@ def write_table(path: str | Path, header: Sequence[str], columns: Iterable[Seque
                 fh.write(text)
 
 
-def write_store(voyages: Sequence[Voyage], store_dir: str | Path, extra_meta: dict | None = None) -> None:
-    """One .npy table per voyage, then the manifest; other .npy and .csv files there go."""
+def write_store(voyages: Sequence[Voyage], store_dir: str | Path, extra_meta: dict | None = None) -> dict:
+    """One .npy table per voyage, then the manifest; other .npy and .csv files there go.
+    Returns {voyage id: {channel left out: its missing (NaN) sample count}}."""
     store = Path(store_dir)
     (store / "voyages").mkdir(parents=True, exist_ok=True)
     written = {f"{v.voyage_id}.npy" for v in voyages}
     for path in [*store.glob("voyages/*.npy"), *store.glob("voyages/*.csv")]:
         if path.name not in written:
             path.unlink()
-    entries = []
+    entries, left_out = [], {}
     for v in voyages:
-        channels = sorted(name for name, values in v.channels.items() if not np.isnan(values).any())
+        missing = {name: int(np.isnan(values).sum()) for name, values in sorted(v.channels.items())}
+        channels = [name for name, count in missing.items() if not count]
+        left_out[v.voyage_id] = {name: count for name, count in missing.items() if count}
         columns = [*(getattr(v, name) for name in CORE_FIELDS), *(v.channels[c] for c in channels)]
         table = np.column_stack(columns).view([(c, "<f8") for c in [*CORE_COLUMNS, *channels]])[:, 0]
         np.save(store / "voyages" / f"{v.voyage_id}.npy", table, allow_pickle=False)
@@ -107,6 +110,7 @@ def write_store(voyages: Sequence[Voyage], store_dir: str | Path, extra_meta: di
     with open(store / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return left_out
 
 
 def _read_voyage(path: Path, entry: dict) -> Voyage:

@@ -355,6 +355,25 @@ class TestIngestEdgeCases:
         assert len(manifest["voyages"]) == 2
 
 
+    def test_channel_with_missing_sample_is_logged(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path), "--seed", "7"]) == 0
+        onboard = tmp_path / "fleet" / "onboard" / "fleet.csv"
+        lines = onboard.read_text(encoding="utf-8").splitlines()
+        column = lines[0].split(",").index("WindSpeed_onb")
+        cells = lines[1000].split(",")
+        cells[column] = "n/a"
+        lines[1000] = ",".join(cells)
+        onboard.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["ingest", "--out", str(tmp_path)]) == 0
+        events = [json.loads(line) for line in (tmp_path / "run_log.jsonl").read_text().splitlines()]
+        dropped = [e["detail"] for e in events if e["event"] == "channel_dropped"]
+        assert dropped == [{"voyage_id": "V0006", "channel": "WindSpeed_onb", "missing": 1}]
+        # The store leaves the channel out, so a later stage that reads it names the same voyage.
+        assert main(["score", "--out", str(tmp_path)]) == 0
+        assert main(["optimize", "--out", str(tmp_path), "--seed", "7"]) == 1
+        assert "voyage 'V0006': weather channel 'WindSpeed_onb' missing" in capsys.readouterr().err
+
+
 class TestErrorPaths:
     def test_score_without_store(self, tmp_path, capsys):
         assert main(["score", "--out", str(tmp_path)]) == 1

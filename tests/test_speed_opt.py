@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -12,12 +13,14 @@ from voyagekit.efficiency import (
     FEATURE_CASES,
     KnnRegressor,
     build_percentile_clusters,
+    efficiency_gain,
+    efficiency_score,
     estimate_fuel_time,
     summarize_voyages,
     train_estimator,
 )
-from voyagekit.errors import InsufficientDataError, InvalidInputError, MissingDataError
-from voyagekit.hmm import DEFAULT_FEATURES, WeatherStateModel, decode_states, fit_weather_hmm, padded
+from voyagekit.errors import InsufficientDataError, InvalidInputError, MissingDataError, UndefinedGainError
+from voyagekit.hmm import DEFAULT_FEATURES, STATE_NAMES, WeatherStateModel, decode_states, fit_weather_hmm, padded
 from voyagekit.speed_opt import (
     MODEL_ORDER,
     DtwSpeedModel,
@@ -437,6 +440,46 @@ class TestBenchmark:
         got = estimate_fuel_time(*zip(*pairs), estimator)
         assert got == [per_pair_fuel_time(p, v, estimator) for p, v in pairs]
         assert got[0] == estimate_fuel_time([pairs[0][0]], [pairs[0][1]], estimator)[0]
+
+    def test_gains_match_per_pair_oracle(self, benchmark_inputs):
+        clusters, train, test, estimator = benchmark_inputs
+        report = run_optimization_benchmark(clusters, train, test, estimator)
+
+        def fuel_time(profile, voyage):
+            [pair] = estimate_fuel_time([profile], [voyage], estimator)
+            return pair
+
+        measured = {v.voyage_id: fuel_time(v.sog, v) for v in (*test, *train)}
+        max_fuel = max(f for f, _ in measured.values())
+        max_time = max(t for _, t in measured.values())
+
+        def score(fuel, hours):
+            return efficiency_score(fuel / max_fuel, hours / max_time)
+
+        weather = fit_weather_hmm(train, seed=0)
+        states = {v.voyage_id: decode_states(v, weather) for v in test}
+        pools = {(m, s): [] for m in MODEL_ORDER for s in STATE_NAMES}
+        assert [r.status for r in report.rows] == ["ok"] * 12
+        for row in report.rows:
+            gains = {}
+            for v in test:
+                with contextlib.suppress(UndefinedGainError):
+                    gains[v.voyage_id] = efficiency_gain(
+                        score(*measured[v.voyage_id]), score(*fuel_time(row.profiles[v.voyage_id], v))
+                    )
+            assert row.voyage_gains == gains
+            assert row.avg_gain_pct == (float(np.mean(list(gains.values()))) if gains else None)
+            assert row.improved_count == sum(1 for g in gains.values() if g > 0)
+            assert (row.evaluated, row.excluded) == (len(gains), len(test) - len(gains))
+            # Each gain counts once per test step decoded in a state.
+            for vid, gain in gains.items():
+                for s, name in enumerate(STATE_NAMES):
+                    pools[row.model, name] += [gain] * int(np.sum(states[vid] == s))
+        assert all(pools.values())
+        assert report.state_rows == [
+            speed_opt.StateGain(m, s, float(np.mean(pool)), float(np.std(pool)), len(pool))
+            for (m, s), pool in pools.items()
+        ]
 
     def test_non_positive_maxima_raised_before_any_fit(self, benchmark_inputs, monkeypatch):
         clusters, train, test, _ = benchmark_inputs
