@@ -191,8 +191,16 @@ def cmd_optimize(config: RunConfig, plots: bool = False) -> None:
     voyages = store.read_store(out / "store")
     by_id = {v.voyage_id: v for v in voyages}
     train_ids, test_ids = split_train_test(by_id, config.train_fraction, config.seed)
-    train = [by_id[i] for i in train_ids]
-    test = [by_id[i] for i in test_ids]
+    # After the split, so the others keep their roles, a voyage the store holds without a
+    # channel the estimator or the HMM reads is left out. A channel no voyage has fails later.
+    needed = {*efficiency.FEATURE_CASES[config.feature_case], *config.hmm_features}
+    needed &= {c for v in voyages for c in v.channels}
+    missing = {v.voyage_id: sorted(needed - v.channels.keys()) for v in voyages}
+    for vid, channels in missing.items():
+        if channels:
+            log.log("optimize", "voyage_excluded", voyage_id=vid, missing=channels)
+    train = [by_id[i] for i in train_ids if not missing[i]]
+    test = [by_id[i] for i in test_ids if not missing[i]]
 
     train_summaries = efficiency.summarize_voyages(train)
     clusters = efficiency.build_percentile_clusters(train_summaries)

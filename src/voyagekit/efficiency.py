@@ -46,6 +46,8 @@ MIN_TRAINING_SAMPLES = 100
 SPEED_FLOOR = 0.1
 #: Threads per k-d tree query: every CPU this process may run on. No result depends on it.
 QUERY_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+#: Most feature rows estimate_fuel_time stacks into one regressor query. No result depends on it.
+PRICE_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -248,20 +250,26 @@ def estimate_fuel_time(
     keep durations finite. Fuel integrates predicted rates with the
     left-rectangle rule over the rescaled durations.
 
-    The pairs are one batch: the rates of all their rows come from one
-    stacked regressor query, and the result is the list of (fuel, hours)
-    pairs, each equal to its own one-pair batch's.
+    Consecutive pairs are priced by one stacked regressor query per block
+    of at most PRICE_BLOCK_ROWS rows (a longer pair is a block of its own),
+    so memory does not grow with the batch. The result, a (fuel, hours)
+    pair per pair, equals each pair's own one-pair batch's.
     """
-    speeds = [np.asarray(p, dtype=float) for p in profiles]
-    rows = [est.features(v, s) for s, v in zip(speeds, voyages, strict=True)]
-    rates = est.rates(np.vstack(rows)) if rows else None
+    pairs = list(zip(profiles, voyages, strict=True))
     totals, start = [], 0
-    for sog, v in zip(speeds, voyages):
-        r, start = rates[start:start + len(v)], start + len(v)
-        scaled = np.diff(v.t) * v.sog[:-1] / np.maximum(sog[:-1], SPEED_FLOOR)
-        # Left-to-right sums (cumsum), as in the per-step accumulation they replace.
-        totals.append((float(np.cumsum(r[:-1] * scaled / 3600.0)[-1]),
-                       float(np.cumsum(scaled / 3600.0)[-1])))
+    while start < len(pairs):
+        stop, rows = start + 1, len(pairs[start][1])
+        while stop < len(pairs) and rows + len(pairs[stop][1]) <= PRICE_BLOCK_ROWS:
+            rows, stop = rows + len(pairs[stop][1]), stop + 1
+        block = [(np.asarray(p, dtype=float), v) for p, v in pairs[start:stop]]
+        rates = est.rates(np.vstack([est.features(v, sog) for sog, v in block]))
+        start = stop
+        for sog, v in block:
+            r, rates = rates[:len(v)], rates[len(v):]
+            scaled = np.diff(v.t) * v.sog[:-1] / np.maximum(sog[:-1], SPEED_FLOOR)
+            # Left-to-right sums (cumsum), as in the per-step accumulation they replace.
+            totals.append((float(np.cumsum(r[:-1] * scaled / 3600.0)[-1]),
+                           float(np.cumsum(scaled / 3600.0)[-1])))
     return totals
 
 

@@ -88,12 +88,13 @@ def _dtw_batch(x, y) -> np.ndarray:
     ends = n + m_max - pads[1].sum(axis=1)
     x, y_rev = np.where(pads[0], 0.0, x).T.copy(), np.where(pads[1], np.inf, y)[:, ::-1].T.copy()
     out = np.empty(p)
-    prev2, prev1 = np.full((2, n_max + 1, p), np.inf)
+    prev2, prev1, curr = np.full((3, n_max + 1, p), np.inf)
     prev2[0] = 0.0
     with np.errstate(over="ignore"):
         for k in range(2, int(ends.max(initial=1)) + 1):
             lo, hi = max(1, k - m_max), min(n_max, k - 1)
-            curr = np.full_like(prev1, np.inf)
+            # Later diagonals read this one only in rows lo - 1 .. hi + 1; the rest stays unread.
+            curr[lo - 1] = curr[min(hi + 1, n_max)] = np.inf
             best = curr[lo:hi + 1]
             np.minimum(prev2[lo - 1:hi], prev1[lo - 1:hi], out=best)  # diagonal, up
             np.minimum(best, prev1[lo:hi + 1], out=best)  # left
@@ -101,7 +102,7 @@ def _dtw_batch(x, y) -> np.ndarray:
             np.add(np.abs(cost, out=cost), best, out=best)
             done = np.flatnonzero(ends == k)
             out[done] = curr[n[done], done]
-            prev2, prev1 = prev1, curr
+            prev2, prev1, curr = prev1, curr, prev2
     return out
 
 

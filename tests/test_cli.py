@@ -368,10 +368,13 @@ class TestIngestEdgeCases:
         events = [json.loads(line) for line in (tmp_path / "run_log.jsonl").read_text().splitlines()]
         dropped = [e["detail"] for e in events if e["event"] == "channel_dropped"]
         assert dropped == [{"voyage_id": "V0006", "channel": "WindSpeed_onb", "missing": 1}]
-        # The store leaves the channel out, so a later stage that reads it names the same voyage.
+        # The store leaves the channel out, so optimize leaves that one voyage out and logs it.
         assert main(["score", "--out", str(tmp_path)]) == 0
-        assert main(["optimize", "--out", str(tmp_path), "--seed", "7"]) == 1
-        assert "voyage 'V0006': weather channel 'WindSpeed_onb' missing" in capsys.readouterr().err
+        assert main(["optimize", "--out", str(tmp_path), "--seed", "7"]) == 0
+        events = [json.loads(line) for line in (tmp_path / "run_log.jsonl").read_text().splitlines()]
+        excluded = [e["detail"] for e in events if e["event"] == "voyage_excluded"]
+        assert excluded == [{"voyage_id": "V0006", "missing": ["WindSpeed_onb"]}]
+        assert len(read_rows(tmp_path / "gains.csv")) == 12
 
 
 class TestErrorPaths:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_sample, per_pair_fuel_time, voyage_of
+from voyagekit import efficiency
 from voyagekit.efficiency import (
     FEATURE_CASES,
     KnnRegressor,
@@ -290,28 +293,30 @@ class TestTrainEstimator:
         assert np.all(rates >= 0.0)
 
 
+def random_voyage(voyage_id, n, rng):
+    samples = []
+    for j in range(n):
+        sog = float(rng.uniform(4.0, 8.0))
+        wind = float(rng.uniform(0.0, 10.0))
+        weather = {name: 1.0 for name in FEATURE_CASES["IV"]}
+        weather["WindSpeed_onb"] = wind
+        weather["WindSpeed_cps"] = wind
+        samples.append(
+            make_sample(
+                j * 60.0,
+                lon=0.001 * j,
+                sog=sog,
+                fuel_rate=10.0 + sog**2 + 2.0 * wind,
+                weather=weather,
+            )
+        )
+    return voyage_of(voyage_id, samples)
+
+
 class TestEstimateFuelTime:
     def setup_method(self):
         rng = np.random.default_rng(42)
-        self.voyages = []
-        for i in range(4):
-            samples = []
-            for j in range(60):
-                sog = float(rng.uniform(4.0, 8.0))
-                wind = float(rng.uniform(0.0, 10.0))
-                weather = {name: 1.0 for name in FEATURE_CASES["IV"]}
-                weather["WindSpeed_onb"] = wind
-                weather["WindSpeed_cps"] = wind
-                samples.append(
-                    make_sample(
-                        j * 60.0,
-                        lon=0.001 * j,
-                        sog=sog,
-                        fuel_rate=10.0 + sog**2 + 2.0 * wind,
-                        weather=weather,
-                    )
-                )
-            self.voyages.append(voyage_of(f"V{i:04d}", samples))
+        self.voyages = [random_voyage(f"V{i:04d}", 60, rng) for i in range(4)]
         self.est = train_estimator(self.voyages, feature_case="IV")
 
     def test_identity_profile_reproduces(self):
@@ -364,6 +369,42 @@ class TestEstimateFuelTime:
 
     def test_empty_batch(self):
         assert estimate_fuel_time([], [], self.est) == []
+
+    @pytest.mark.parametrize("block", [1, 59, 60, 61])
+    def test_blocks_match_per_pair_oracle(self, block, monkeypatch):
+        # Block sizes of one row, of one whole pair (60 rows) and one row either side of it.
+        monkeypatch.setattr(efficiency, "PRICE_BLOCK_ROWS", block)
+        stacked = []
+        rates = self.est.rates
+        monkeypatch.setattr(self.est, "rates", lambda rows: stacked.append(len(rows)) or rates(rows))
+        voyages = [self.voyages[i % 4].take(np.arange(n)) for i, n in enumerate([60, 30, 31, 2, 59, 60, 29])]
+        profiles = [v.sog * (0.5 + i / 4) for i, v in enumerate(voyages)]
+        got = estimate_fuel_time(profiles, voyages, self.est)
+        assert got == [per_pair_fuel_time(p, v, self.est) for p, v in zip(profiles, voyages)]
+        # Each query stacks a run of consecutive pairs: at most `block` rows, or one longer pair.
+        lengths = iter(map(len, voyages))
+        for n in stacked:
+            run = [next(lengths)]
+            while sum(run) < n:
+                run.append(next(lengths))
+            assert sum(run) == n and (n <= block or len(run) == 1)
+        assert next(lengths, None) is None
+        assert estimate_fuel_time([], [], self.est) == []
+
+    def test_memory_does_not_grow_with_the_pair_count(self):
+        # Each pair is a quarter block: 4 copies fill one block, 40 copies ten.
+        v = random_voyage("V0009", efficiency.PRICE_BLOCK_ROWS // 4, np.random.default_rng(9))
+
+        def transient(copies):
+            tracemalloc.start()
+            try:
+                estimate_fuel_time([v.sog] * copies, [v] * copies, self.est)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        transient(4)  # warm-up: first-call allocations are not the batch's
+        assert transient(40) < 2 * transient(4)
 
     @settings(deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(2, 60), st.floats(0.0, 3.0),
