@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Paired benchmark runs of two checkouts, judged by the rule for claiming a gain.
+"""Paired benchmark runs of two checkouts, judged for a gain and for a regression.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload demo30 --seeds 1 2 11 --pairs 10
 
@@ -13,8 +13,13 @@ For each end-to-end metric that CHANGE's BENCHMARK.json declares, it prints
 every pair, each side's median and quartiles, and the number of pairs the
 change won (ties count for neither side). The gain holds when the change won
 at least nine tenths of the pairs and its median is better than the parent's
-by more than the parent's interquartile range (IQR). The exit status is 1 when
-a run fails or reports failed operations.
+by more than the parent's interquartile range (IQR). Each metric also gets a
+regression verdict from its `bound`, a fraction of the parent's median: it
+"regressed" when the change's median is worse than the parent's by more than
+that; it is "unresolved" when the parent's IQR exceeds it, unless every run
+of the change is better than every run of the parent; otherwise it shows
+"no regression". The exit status is 1 when a run fails or reports failed
+operations.
 """
 
 from __future__ import annotations
@@ -57,13 +62,25 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def verdict(parent: list[float], change: list[float], better: str) -> dict:
-    """Wins of the change, both sides' quartiles, and whether the gain holds."""
+    """Wins of the change, both sides' quartiles, whether the gain holds, and whether every
+    run of the change is better than every run of the parent."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(1 for p, c in zip(parent, change, strict=True) if sign * (p - c) > 0)
     before, after = quartiles(parent), quartiles(change)
     gap, iqr = sign * (before[1] - after[1]), before[2] - before[0]
     return {"wins": wins, "pairs": len(parent), "parent": before, "change": after,
-            "gap": gap, "parent_iqr": iqr, "holds": wins >= 0.9 * len(parent) and gap > iqr}
+            "gap": gap, "parent_iqr": iqr, "holds": wins >= 0.9 * len(parent) and gap > iqr,
+            "every_run_better": all(sign * (p - c) > 0 for p in parent for c in change)}
+
+
+def regression(v: dict, bound: float) -> str:
+    """A verdict's regression check: the bound is a fraction of the parent's median."""
+    allowed = bound * abs(v["parent"][1])
+    if -v["gap"] > allowed:
+        return "regressed"
+    if v["parent_iqr"] > allowed and not v["every_run_better"]:
+        return "unresolved"
+    return "no regression"
 
 
 def collect(parent: Path, change: Path, workload: str, seeds: list[int], pairs: int,
@@ -98,6 +115,7 @@ def report(results: list[tuple[int, dict, dict]], metrics: list[dict]) -> tuple[
         for side in ("parent", "change"):
             q1, median, q3 = v[side]
             lines.append(f"  {side}: median {median:.4g} quartiles {q1:.4g} .. {q3:.4g}")
+        lines.append(f"  bound {metric['bound']:g} of the parent median: {regression(v, metric['bound'])}")
         lines.append(f"  change won {v['wins']}/{v['pairs']}; median gap {v['gap']:.4g}, "
                      f"parent IQR {v['parent_iqr']:.4g}; gain {'holds' if v['holds'] else 'not shown'}")
     return lines, clean

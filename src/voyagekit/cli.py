@@ -233,8 +233,6 @@ def cmd_optimize(config: RunConfig, plots: bool = False) -> None:
             (plots_dir / name).write_text(svg, encoding="utf-8")
 
     for row in gain_report.rows:
-        if row.status != "ok":
-            log.log("optimize", "insufficient_cluster", cluster=row.cluster, model=row.model)
         log.log("optimize", "cell_scored", cluster=row.cluster, model=row.model,
                 status=row.status, evaluated=row.evaluated, excluded=row.excluded)
     if gain_report.state_fit is not None:

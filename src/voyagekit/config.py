@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,10 +52,17 @@ class RunConfig:
             value = getattr(self, attr)
             if value and not Path(value).exists():
                 raise ConfigurationError(f"{attr} does not exist: {value}")
+        for f in dataclasses.fields(self):  # a comparison, as a huge JSON int overflows isfinite
+            if f.type == "float" and not -math.inf < (value := getattr(self, f.name)) < math.inf:
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.gap_threshold_s <= 0:
             raise ConfigurationError(f"gap_threshold_s must be > 0, got {self.gap_threshold_s}")
         if self.resample_period_s <= 0:
             raise ConfigurationError(f"resample_period_s must be > 0, got {self.resample_period_s}")
+        if self.port_dwell_s < 0:
+            raise ConfigurationError(f"port_dwell_s must be >= 0, got {self.port_dwell_s}")
+        if self.port_max_sog <= 0:
+            raise ConfigurationError(f"port_max_sog must be > 0, got {self.port_max_sog}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigurationError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.feature_case not in FEATURE_CASES:

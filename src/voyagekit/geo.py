@@ -128,8 +128,6 @@ class Voyage(Track):
     """An ordered port-to-port track (n >= 2) whose samples pass valid_samples."""
 
     voyage_id: str
-    origin: str = ""
-    destination: str = ""
 
     def __post_init__(self):
         super().__post_init__()

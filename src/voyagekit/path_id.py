@@ -42,7 +42,6 @@ PathLabeling = dict[str, str]
 COVARIANCE_FLOOR = 1e-6
 KMEANS_RESTARTS = 100   # k-means++ runs; the lowest inertia wins
 KMEANS_MAX_ITER = 300   # Lloyd iterations per run
-_KMEANS_BLOCK = 10      # restarts whose Lloyd steps run side by side
 EM_MAX_ITER = 200       # mixture EM passes
 # Point pairs up to which one dense block (at most 1 MiB) beats two k-d tree
 # queries; the measured per-pair crossover.
@@ -153,59 +152,46 @@ def _canonical_labels(assignment: np.ndarray, voyage_ids: Sequence[str]) -> Path
 
 
 def _kmeans(x: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, float]:
-    """(labels, inertia) of the lowest-inertia k-means++ run (the first on ties), run in blocks."""
+    """(labels, inertia) of the lowest-inertia k-means++ run, the first on ties."""
+    n = len(x)
+    if not 2 <= k <= n:
+        raise ConfigurationError(f"k={k} outside [2, {n}]")
     rng = np.random.default_rng(seed)
-    seeds = np.empty((KMEANS_RESTARTS, k, x.shape[1]))
-    for centers in seeds:  # k-means++ seeding
-        centers[0] = x[int(rng.integers(len(x)))]
+    best = (np.full(n, -1), math.inf)
+    for _ in range(KMEANS_RESTARTS):
+        centers = np.empty((k, x.shape[1]))  # k-means++ seeding
+        centers[0] = x[int(rng.integers(n))]
         closest = ((x - centers[0]) ** 2).sum(axis=1)
         for c in range(1, k):
             if (total := closest.sum()) <= 0:
-                centers[c] = x[int(rng.integers(len(x)))]
+                centers[c] = x[int(rng.integers(n))]
                 continue
             r = rng.random() * total
-            centers[c] = x[min(int(np.searchsorted(np.cumsum(closest), r)), len(x) - 1)]
+            centers[c] = x[min(int(np.searchsorted(np.cumsum(closest), r)), n - 1)]
             closest = np.minimum(closest, ((x - centers[c]) ** 2).sum(axis=1))
-    blocks = range(0, KMEANS_RESTARTS, _KMEANS_BLOCK)
-    return min((_lloyd_block(x, seeds[b:b + _KMEANS_BLOCK]) for b in blocks), key=lambda r: r[1])
-
-
-def _lloyd_block(x: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lloyd's steps from (A, k, d) seeds side by side; the best run's (labels, inertia)."""
-    runs, k, dims = seeds.shape
-    labels, inertia = np.full((runs, len(x)), -1), np.empty(runs)
-    live, centers, xt = np.arange(runs), seeds, x.T.copy()  # xt: a row per dimension
-    for step in range(KMEANS_MAX_ITER + 1):
-        d2 = np.zeros((len(live), k, len(x)))  # squared distances, one dimension at a time
-        for j in range(dims):
-            d2 += (xt[j] - centers[:, :, j, None]) ** 2
-        new = d2.argmin(axis=1)  # the nearest centre, the first on ties
-        # Reseed each empty cluster, in order, at the point farthest from its centre
-        # among those whose cluster keeps another member (the first on ties).
-        for r in np.flatnonzero(~(new[:, None] == np.arange(k)[:, None]).any(axis=2).all(axis=1)):
+        labels = np.full(n, -1)
+        for step in range(KMEANS_MAX_ITER + 1):
+            d2 = ((x[:, None, :] - centers) ** 2).sum(axis=2)
+            new = d2.argmin(axis=1)  # the nearest centre, the first on ties
+            # Reseed each empty cluster, in order, at the point farthest from its centre
+            # among those whose cluster keeps another member (the first on ties).
             for c in range(k):
-                if not np.any(new[r] == c):
-                    movable = np.bincount(new[r], minlength=k)[new[r]] > 1
-                    new[r, np.where(movable, d2[r, new[r], np.arange(len(x))], -1.0).argmax()] = c
-        # A run that settled, or has taken KMEANS_MAX_ITER steps, is scored on its last labels.
-        done = (new == labels[live]).all(axis=1) | (step == KMEANS_MAX_ITER)
-        inertia[live[done]] = np.take_along_axis(d2, labels[live][:, None], 1)[done, 0].sum(axis=1)
-        if not (live := live[~done]).size:
-            break
-        labels[live] = new[~done]
-        # Centres: per-cluster sums in point order (as a mean sums them) over the counts.
-        slots = (labels[live] + k * np.arange(len(live))[:, None]).ravel()
-        counts = np.bincount(slots, minlength=k * len(live))
-        sums = [np.bincount(slots, np.tile(xt[j], len(live)), len(counts)) for j in range(dims)]
-        centers = (np.stack(sums, axis=1) / counts[:, None]).reshape(len(live), k, dims)
-    return labels[inertia.argmin()], float(inertia.min())  # the first on ties
+                if not np.any(new == c):
+                    movable = np.bincount(new, minlength=k)[new] > 1
+                    new[np.where(movable, d2[np.arange(n), new], -1.0).argmax()] = c
+            # A run that settled, or has taken KMEANS_MAX_ITER steps, is scored on its last labels.
+            if step == KMEANS_MAX_ITER or np.array_equal(new, labels):
+                break
+            labels = new
+            centers = np.array([x[labels == c].mean(axis=0) for c in range(k)])
+        inertia = float(np.take_along_axis(d2, labels[:, None], axis=1).sum())
+        if inertia < best[1]:
+            best = (labels, inertia)
+    return best
 
 
 def kmeans_rows(matrix: DistanceMatrix, k: int, seed: int) -> PathLabeling:
     """Lloyd's k-means on the distance-matrix rows as feature vectors."""
-    m = len(matrix.voyage_ids)
-    if not 2 <= k <= m:
-        raise ConfigurationError(f"k={k} outside [2, {m}]")
     return _canonical_labels(_kmeans(matrix.values, k, seed)[0], matrix.voyage_ids)
 
 
@@ -246,9 +232,6 @@ def _gmm_em_rows(x: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, list[flo
 
 def gmm_rows(matrix: DistanceMatrix, k: int, seed: int) -> tuple[PathLabeling, int, bool]:
     """Diagonal-covariance mixture on matrix rows, k-means init: (labeling, EM steps, converged)."""
-    m = len(matrix.voyage_ids)
-    if not 2 <= k <= m:
-        raise ConfigurationError(f"k={k} outside [2, {m}]")
     labels, history = _gmm_em_rows(matrix.values, k, seed)
     return _canonical_labels(labels, matrix.voyage_ids), len(history), _em_converged(history)
 

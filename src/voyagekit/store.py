@@ -96,14 +96,7 @@ def write_store(voyages: Sequence[Voyage], store_dir: str | Path, extra_meta: di
         columns = [*(getattr(v, name) for name in CORE_FIELDS), *(v.channels[c] for c in channels)]
         table = np.column_stack(columns).view([(c, "<f8") for c in [*CORE_COLUMNS, *channels]])[:, 0]
         np.save(store / "voyages" / f"{v.voyage_id}.npy", table, allow_pickle=False)
-        entries.append(
-            {
-                "voyage_id": v.voyage_id,
-                "n_samples": len(v),
-                "origin": v.origin,
-                "destination": v.destination,
-            }
-        )
+        entries.append({"voyage_id": v.voyage_id, "n_samples": len(v)})
     manifest = {"voyages": entries}
     if extra_meta:
         manifest.update(extra_meta)
@@ -113,7 +106,7 @@ def write_store(voyages: Sequence[Voyage], store_dir: str | Path, extra_meta: di
     return left_out
 
 
-def _read_voyage(path: Path, entry: dict) -> Voyage:
+def _read_voyage(path: Path, voyage_id: str) -> Voyage:
     try:
         with open(path, "rb") as fh:
             if fh.read(len(NPY_MAGIC)) != NPY_MAGIC:  # np.load would try a pickle or a zip archive
@@ -131,9 +124,7 @@ def _read_voyage(path: Path, entry: dict) -> Voyage:
     return Voyage(
         *columns[: len(CORE_COLUMNS)],
         channels=dict(zip(names[len(CORE_COLUMNS):], columns[len(CORE_COLUMNS):])),
-        voyage_id=entry["voyage_id"],
-        origin=entry.get("origin", ""),
-        destination=entry.get("destination", ""),
+        voyage_id=voyage_id,
     )
 
 
@@ -152,11 +143,11 @@ def read_store(store_dir: str | Path) -> list[Voyage]:
     if repeated:
         raise InvalidInputError(f"{manifest_path}: voyage {repeated[0]} is listed more than once")
     voyages = []
-    for vid, entry in zip(ids, entries):
+    for vid in ids:
         path = store / "voyages" / f"{vid}.npy"
         if not path.exists():
             old = path.with_suffix(".csv")
             why = f"; {old.name} is from an older version: re-run `voyagekit ingest`" if old.exists() else ""
             raise InvalidInputError(f"store manifest lists {vid} but {path} is missing{why}")
-        voyages.append(_read_voyage(path, entry))
+        voyages.append(_read_voyage(path, vid))
     return voyages

@@ -1,4 +1,4 @@
-"""scripts/bench_pairs.py: paired runs of two checkouts and the gain rule, on canned outputs."""
+"""scripts/bench_pairs.py: paired runs of two checkouts, the gain rule and the regression check, on canned outputs."""
 
 import importlib.util
 import json
@@ -88,6 +88,33 @@ def test_main_alternates_sides_and_prints_each_metric(tmp_path, capsys):
     assert out[out.index("peak_rss_mb [MB], lower is better") - 1] == (
         "  change won 4/4; median gap 1.25, parent IQR 0.75; gain holds")
     assert "  change won 0/4; median gap -4, parent IQR 0; gain not shown" in out
+
+
+@pytest.mark.parametrize(
+    "parent, change, expected",
+    [
+        # The change's median is 1.3 s against 1.0 s: worse by more than 25%.
+        ([1.0] * 4, [1.3] * 4, "regressed"),
+        # The parent's IQR (1.0) exceeds 25% of its median (1.5)...
+        ([1.0, 2.0, 1.0, 2.0], [1.4, 1.6, 1.4, 1.6], "unresolved"),
+        # ...which winning every pair does not resolve...
+        ([1.0, 2.0, 1.0, 2.0], [0.9, 1.9, 0.9, 1.9], "unresolved"),
+        # ...but every run of the change below every run of the parent does.
+        ([1.0, 2.0, 1.0, 2.0], [0.5] * 4, "no regression"),
+        # Worse, but within the bound.
+        ([1.0] * 4, [1.2] * 4, "no regression"),
+    ],
+)
+def test_regression_verdict_from_the_bound(tmp_path, capsys, parent, change, expected):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    run, _ = canned_run({"parent": [summary(v) for v in parent], "change": [summary(v) for v in change]})
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
+                             "paths60", "--seeds", "1", "--pairs", "4"], run=run) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert f"  bound 0.25 of the parent median: {expected}" in out
+    assert "  bound 0.2 of the parent median: no regression" in out  # peak_rss_mb unchanged
 
 
 def test_failed_operations_set_the_exit_status(tmp_path, capsys):

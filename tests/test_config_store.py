@@ -19,6 +19,8 @@ from voyagekit.store import (
     write_table,
 )
 
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
+
 
 class TestConfig:
     def test_defaults(self):
@@ -84,6 +86,34 @@ class TestConfig:
     def test_validation(self, field, value):
         with pytest.raises(ConfigurationError):
             RunConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_non_finite_float_rejected(self, tmp_path, field, raw):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
+            load_config(None, env={f"VOYAGEKIT_{field.upper()}": raw})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: float(raw)}), encoding="utf-8")  # NaN, Infinity
+        with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
+            load_config(path, env={})
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("port_dwell_s", -1.0, ">= 0"), ("port_max_sog", 0.0, "> 0"), ("port_max_sog", -0.5, "> 0")],
+    )
+    def test_port_dwell_rule_range(self, tmp_path, field, value, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: value}), encoding="utf-8")
+        with pytest.raises(ConfigurationError, match=f"^{field} must be {message}"):
+            load_config(path, env={})
+        with pytest.raises(ConfigurationError, match=f"^{field} must be {message}"):
+            load_config(None, env={f"VOYAGEKIT_{field.upper()}": str(value)})
+        assert load_config(None, env={"VOYAGEKIT_PORT_DWELL_S": "0"}).port_dwell_s == 0.0
+
+    def test_non_finite_env_value_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("VOYAGEKIT_RESAMPLE_PERIOD_S", "nan")
+        assert main(["ingest", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: resample_period_s must be finite, got nan\n"
 
     @pytest.mark.parametrize(
         "command,raw",
@@ -442,6 +472,15 @@ class TestStore:
                 got = getattr(b, name) if name in CORE_FIELDS else b.channels[name]
                 assert (got.dtype.str, got.strides, got.tobytes()) == (
                     values.dtype.str, values.strides, values.tobytes()), name
+
+    def test_manifest_entry_keys(self, store):
+        manifest_path = store / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert [sorted(e) for e in manifest["voyages"]] == [["n_samples", "voyage_id"]] * 2
+        for entry in manifest["voyages"]:  # as an older version wrote them
+            entry.update(origin="", destination="")
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert [v.voyage_id for v in read_store(store)] == [e["voyage_id"] for e in manifest["voyages"]]
 
     def test_manifest_without_voyages(self, store):
         (store / "manifest.json").write_text(json.dumps({"note": 1}), encoding="utf-8")

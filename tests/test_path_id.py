@@ -114,7 +114,7 @@ def bundle(center_lat, n_paths, seed, n_points=12, lon_span=1.0, noise=0.02, pre
 
 
 def oracle_kmeans_once(x, k, rng):
-    """Reference: one k-means++ run with its own Lloyd loop, as before restarts were batched."""
+    """Reference: one k-means++ run with its own Lloyd loop, written apart from path_id."""
     n = len(x)
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[int(rng.integers(n))]
@@ -162,10 +162,7 @@ def assert_kmeans_matches_oracle(x, k, seed):
     labels, inertia = path_id._kmeans(x, k, seed)
     want_labels, want_inertia = oracle_kmeans(x, k, seed)
     np.testing.assert_array_equal(labels, want_labels)
-    if x.shape[1] < 8:  # distances summed in the same order: bit-equal
-        assert inertia == want_inertia
-    else:  # numpy's pairwise sum over >= 8 dimensions groups terms differently
-        assert inertia == pytest.approx(want_inertia, rel=1e-12, abs=0.0)
+    assert inertia == want_inertia  # distances summed in the same order: bit-equal
 
 
 HAVERSINE_REGIONS = pytest.mark.parametrize(
@@ -381,14 +378,15 @@ class TestKmeansRows:
 
     def test_bad_k(self, three_bundles):
         matrix, _ = three_bundles
-        with pytest.raises(ConfigurationError):
-            kmeans_rows(matrix, 1, seed=0)
-        with pytest.raises(ConfigurationError):
-            kmeans_rows(matrix, len(matrix.voyage_ids) + 1, seed=0)
+        m = len(matrix.voyage_ids)
+        for fit in (kmeans_rows, gmm_rows):
+            for k in (1, m + 1):
+                with pytest.raises(ConfigurationError, match=fr"^k={k} outside \[2, {m}\]$"):
+                    fit(matrix, k, seed=0)
 
 
 class TestBatchedKmeans:
-    """The blocked Lloyd steps against one Lloyd loop per restart."""
+    """path_id._kmeans against the reference k-means, labels and inertia bit-equal."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -440,7 +438,7 @@ class TestBatchedKmeans:
 
     def test_iteration_cap_and_partial_block(self, monkeypatch):
         # Two Lloyd steps are too few to converge here, so every restart is
-        # scored at the cap; 25 restarts leave a last block of 5.
+        # scored at the cap, and 25 restarts replace the default 100.
         monkeypatch.setattr(path_id, "KMEANS_MAX_ITER", 2)
         monkeypatch.setattr(path_id, "KMEANS_RESTARTS", 25)
         x = np.random.default_rng(9).normal(size=(200, 2))
