@@ -33,7 +33,7 @@ def main() -> None:
     print(f"{'case':>5s} {'channels':>9s} {'rmse':>8s} {'r2':>7s}")
     for case in sorted(FEATURE_CASES):
         estimator = train_estimator(train, feature_case=case, k=args.knn_k)
-        predicted = np.concatenate([estimator.predict_rates(v) for v in test])
+        predicted = np.concatenate([estimator.rates(estimator.features(v)) for v in test])
         rmse = float(np.sqrt(np.mean((predicted - actual) ** 2)))
         ss_res = float(np.sum((predicted - actual) ** 2))
         ss_tot = float(np.sum((actual - actual.mean()) ** 2))

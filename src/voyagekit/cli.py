@@ -192,8 +192,9 @@ def cmd_optimize(config: RunConfig, plots: bool = False) -> None:
     by_id = {v.voyage_id: v for v in voyages}
     train_ids, test_ids = split_train_test(by_id, config.train_fraction, config.seed)
     # After the split, so the others keep their roles, a voyage the store holds without a
-    # channel the estimator or the HMM reads is left out. A channel no voyage has fails later.
-    needed = {*efficiency.FEATURE_CASES[config.feature_case], *config.hmm_features}
+    # channel the feature case or the HMM reads is left out. A channel no voyage has fails later.
+    case = efficiency.FEATURE_CASES[config.feature_case]
+    needed = {*case, *config.hmm_features}
     needed &= {c for v in voyages for c in v.channels}
     missing = {v.voyage_id: sorted(needed - v.channels.keys()) for v in voyages}
     for vid, channels in missing.items():
@@ -214,6 +215,8 @@ def cmd_optimize(config: RunConfig, plots: bool = False) -> None:
         estimator,
         hmm_seed=config.seed,
         hmm_features=config.hmm_features,
+        knn_k=config.knn_k,
+        knn_channels=case,
     )
     speed_opt.write_gain_report(gain_report, out, {v.voyage_id: v.sog for v in test})
 

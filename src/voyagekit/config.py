@@ -81,6 +81,8 @@ class RunConfig:
             raise ConfigurationError("knn_k must be >= 1 and kmeans_k >= 2")
         if self.dendrogram_cutoff < 0:
             raise ConfigurationError("dendrogram_cutoff must be >= 0")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         return self
 
 

@@ -6,9 +6,8 @@ worst voyage (both maxima) scores 0, and a hypothetical zero-fuel zero-time
 voyage scores 1. Percentile clusters are nested sets of the top-P% voyages
 by that score.
 
-The fuel-rate estimator used to compare measured against suggested speed
-profiles is a distance-weighted nearest-neighbor regressor behind a small
-interface, so an alternative (e.g. a trained network) can be plugged in.
+Speed profiles are priced by a distance-weighted nearest-neighbor fuel-rate
+regressor; pricing calls only its `features(v, sog_override)` and `rates(rows)`.
 """
 
 from __future__ import annotations
@@ -195,7 +194,7 @@ class KnnRegressor:
 
 @dataclass
 class EfficiencyEstimator:
-    """Fuel-rate estimator: (lat, lon, sog, heading, case channels) -> L/h."""
+    """Fuel rates (L/h) of (lat, lon, sog, heading, case channels) rows; pricing calls only features(), rates()."""
 
     channels: tuple[str, ...]
     regressor: KnnRegressor
@@ -214,9 +213,6 @@ class EfficiencyEstimator:
     def rates(self, features: np.ndarray) -> np.ndarray:
         """Fuel rates of stacked feature rows, each row's independent of the others."""
         return np.maximum(self.regressor.predict(features), 0.0)
-
-    def predict_rates(self, v: Voyage, sog_override: np.ndarray | None = None) -> np.ndarray:
-        return self.rates(self.features(v, sog_override))
 
 
 def train_estimator(

@@ -268,6 +268,8 @@ def run_optimization_benchmark(
     *,
     hmm_seed: int = 0,
     hmm_features: tuple[str, ...] = DEFAULT_FEATURES,
+    knn_k: int = 5,
+    knn_channels: tuple[str, ...] = FEATURE_CASES["IV"],
 ) -> GainReport:
     """Train each model on each percentile cluster and score the test set.
 
@@ -278,7 +280,7 @@ def run_optimization_benchmark(
     voyages, and every training and test voyage is decoded once: the default
     "HMM" model takes each cluster's state speeds from that decode, and the
     per-state rows pool every cell's step-level gains over the test decode.
-    The default "kNN" model takes its k and channels from `estimator`.
+    The default "kNN" model is KnnSpeedModel(k=knn_k, channels=knn_channels).
     Pricing runs as two estimate_fuel_time batches: the measured profiles
     first, so degenerate maxima fail before any fit, then every distinct
     (suggested profile, test voyage) pair of all the cells.
@@ -319,7 +321,7 @@ def run_optimization_benchmark(
     except VoyagekitError as exc:
         state_fit_failure = str(exc)
     if models is None:
-        models = {"kNN": KnnSpeedModel(k=estimator.regressor.k, channels=estimator.channels),
+        models = {"kNN": KnnSpeedModel(k=knn_k, channels=knn_channels),
                   "1NN-DTW": DtwSpeedModel(), "HMM": hmm}
 
     rows: list[ClusterModelGain] = []

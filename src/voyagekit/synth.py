@@ -95,6 +95,8 @@ class SyntheticFleetSpec:
             raise ConfigurationError(f"bad skill range {self.skill_range}")
         if len(self.regimes) != 3:
             raise ConfigurationError("exactly 3 weather regimes are required")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def default_regimes() -> tuple[WeatherRegime, WeatherRegime, WeatherRegime]:

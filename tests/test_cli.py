@@ -75,6 +75,33 @@ class TestSynthCommand:
         manifest = json.loads((tmp_path / "fleet" / "manifest.json").read_text())
         assert manifest["voyage_count"] == 4
 
+    @pytest.mark.parametrize("source", ["flag", "env", "file"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, source):
+        args = ["synth", "--out", str(tmp_path)]
+        if source == "flag":
+            args += ["--seed", "-1"]
+        elif source == "env":
+            monkeypatch.setenv("VOYAGEKIT_SEED", "-1")
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1}), encoding="utf-8")
+            args += ["--config", str(tmp_path / "cfg.json")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("seed", [-2, 1.5, True])
+    def test_spec_seed_not_a_non_negative_int_exits_2(self, tmp_path, capsys, seed):
+        spec = {
+            "branches": [
+                {"name": "a", "centerline": [[0.0, 0.0], [0.0, 0.1]]},
+                {"name": "b", "centerline": [[0.05, 0.0], [0.05, 0.1]]},
+            ],
+            "seed": seed,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: seed must be a non-negative integer, got {seed!r}\n"
+
 
 class TestPipelineOutputs:
     def test_store_written(self, pipeline_dir):

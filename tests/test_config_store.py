@@ -81,6 +81,7 @@ class TestConfig:
             ("pathid_method", "dbscan"),
             ("resample_period_s", 0.0),
             ("dendrogram_cutoff", -1.0),
+            ("seed", -1),
         ],
     )
     def test_validation(self, field, value):

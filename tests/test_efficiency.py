@@ -289,7 +289,7 @@ class TestTrainEstimator:
 
     def test_prediction_non_negative(self):
         est = train_estimator(self.cluster(), feature_case="IV")
-        rates = est.predict_rates(self.cluster()[0])
+        rates = est.rates(est.features(self.cluster()[0]))
         assert np.all(rates >= 0.0)
 
 
@@ -325,7 +325,7 @@ class TestEstimateFuelTime:
         [(f1, t1)] = estimate_fuel_time([measured], [v], self.est)
         [(f2, t2)] = estimate_fuel_time([measured], [v], self.est)
         assert f1 == f2 and t1 == t2
-        rates = self.est.predict_rates(v)
+        rates = self.est.rates(self.est.features(v))
         expected_fuel = sum(
             rates[i] * (v.t[i + 1] - v.t[i]) / 3600.0 for i in range(len(v) - 1)
         )
@@ -353,7 +353,7 @@ class TestEstimateFuelTime:
         v = self.voyages[1]
         # Seeded so that ndarray.sum's pairwise order would differ from the loop in both totals.
         profile = v.sog * np.random.default_rng(1).uniform(0.0, 3.0, len(v))
-        rates = self.est.predict_rates(v, sog_override=profile)
+        rates = self.est.rates(self.est.features(v, sog_override=profile))
         fuel = hours = 0.0
         for i in range(len(v) - 1):
             scaled = (v.t[i + 1] - v.t[i]) * v.sog[i] / max(profile[i], 0.1)

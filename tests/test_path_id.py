@@ -715,6 +715,27 @@ def test_noisy_default_fleet_all_test_voyages_right(fleet_seed):
     assert sum(labeling[i] == fleet.labels[i] for i in test_ids) == 9
 
 
+def per_class_f1(labeling, truth):
+    result = confusion_and_metrics(truth, align_labels(labeling, truth))
+    return [result.per_class[c].f1 for c in result.classes]
+
+
+@pytest.mark.parametrize("fleet_seed", [1, 2, 7])
+@pytest.mark.parametrize("noise", [0.2, 0.3])
+def test_distance_based_noise_limits(fleet_seed, noise):
+    # Demo geometry, all 30 voyages, euclidean ANND: every method is exact at 0.2 degrees
+    # of position noise; at 0.3 the 0.07 degree dendrogram cut splits the branches.
+    fleet = generate_fleet(dataclasses.replace(default_fleet_spec(fleet_seed), noise_std_deg=noise))
+    matrix = build_distance_matrix([Path.from_voyage(v) for v in fleet.voyages])
+    assert per_class_f1(kmeans_rows(matrix, 3, 7), fleet.labels) == [1.0] * 3
+    assert per_class_f1(gmm_rows(matrix, 3, 7)[0], fleet.labels) == [1.0] * 3
+    hierarchical = hierarchical_cluster(matrix, 0.07)
+    if noise == 0.2:
+        assert per_class_f1(hierarchical, fleet.labels) == [1.0] * 3
+    else:
+        assert len(set(hierarchical.values())) > 3
+
+
 @pytest.fixture(scope="module")
 def models(two_branch_training):
     paths, labels = two_branch_training

@@ -707,8 +707,8 @@ def test_empty_test_set_predicts_nothing():
         hmm.fit([])
 
 
-def test_default_knn_model_follows_the_estimator(benchmark_inputs, monkeypatch):
-    clusters, train, test, _ = benchmark_inputs
+def test_default_knn_model_follows_its_arguments(benchmark_inputs, monkeypatch):
+    clusters, train, test, estimator = benchmark_inputs  # case IV, k = 5
     made = []
 
     class Recorded(KnnSpeedModel):
@@ -717,9 +717,37 @@ def test_default_knn_model_follows_the_estimator(benchmark_inputs, monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(speed_opt, "KnnSpeedModel", Recorded)
-    run_optimization_benchmark(clusters, train, test, train_estimator(train, feature_case="I", k=3))
+    run_optimization_benchmark(clusters, train, test, estimator, knn_k=3, knn_channels=FEATURE_CASES["I"])
     [model] = made
     assert model.k == 3 and model.names == ("lat", "lon", *FEATURE_CASES["I"])
+
+
+class Quadratic:
+    """An estimator of only the two methods pricing calls: rate a + b·v² of the profile speed v."""
+
+    a, b = 10.0, 2.0
+
+    def features(self, v, sog_override=None):
+        return np.asarray(v.sog if sog_override is None else sog_override, dtype=float)[:, None]
+
+    def rates(self, rows):
+        return self.a + self.b * rows[:, 0] ** 2
+
+
+def test_pricing_a_quadratic_rate_matches_the_hand_integral():
+    v = voyage_of("Q", [make_sample(60.0 * i, sog=sog) for i, sog in enumerate([2.5, 5.0, 7.5, 1.0])])
+    # At 2.5 m/s the three 60 s steps take 60, 120 and 180 s: 360 s = 0.1 h,
+    # burning (10 + 2 * 2.5**2) L/h = 22.5 L/h throughout, so 2.25 L.
+    [(fuel, hours)] = estimate_fuel_time([np.full(4, 2.5)], [v], Quadratic())
+    assert hours == pytest.approx(0.1, rel=1e-12)
+    assert fuel == pytest.approx(2.25, rel=1e-12)
+
+
+def test_default_models_run_with_an_estimator_that_is_not_knn(benchmark_inputs):
+    clusters, train, test, _ = benchmark_inputs
+    report = run_optimization_benchmark(clusters, train, test, Quadratic())
+    assert len(report.rows) == 12
+    assert all(row.status == "ok" for row in report.rows)
 
 
 def test_knn_channel_missing_in_cluster_is_insufficient(benchmark_inputs):

@@ -62,7 +62,7 @@ BATCH_SCRIPT = """
 import json, sys, tempfile
 import numpy as np
 from tracer import Tracer, instrument
-from voyagekit import efficiency, hmm, store  # wrapped functions are called through these
+from voyagekit import efficiency, hmm, speed_opt, store  # wrapped functions are called through these
 from voyagekit.geo import Voyage
 
 def voyage(vid, n, seed):
@@ -83,6 +83,9 @@ batch = efficiency.estimate_fuel_time([p for p, _ in pairs], [v for _, v in pair
 single = [list(efficiency.estimate_fuel_time([p], [v], est)[0]) for p, v in pairs]
 rows = np.random.default_rng(9).uniform(size=(7, 3))
 predicted = efficiency.KnnRegressor(k=3).fit(rows, np.arange(7.0)).predict(rows[:5])
+speed_model = speed_opt.KnnSpeedModel(k=3, channels=efficiency.FEATURE_CASES["I"])
+speed_model.fit(voyages)
+speeds = speed_model.predict(voyages[:2])
 model = hmm.fit_weather_hmm(voyages, 3, ("WindSpeed_cps", "WaveHeight"), 50, 1e-6)
 obs = [v.columns(*model.feature_names) for v in voyages[:3]]
 decoded = model.viterbi(obs)
@@ -93,7 +96,8 @@ print(json.dumps({
     "spans": sorted({span[0] for span in tracer.spans}),
     "counts": dict(tracer.counts),
     "batch": [list(ft) for ft in batch], "single": single,
-    "predicted": len(predicted),
+    "predicted": len(predicted), "speeds": [len(s) for s in speeds],
+    "knn_parents": sorted({tracer.spans[s[3]][0] for s in tracer.spans if s[0] == "efficiency.knn" and s[3] >= 0}),
     "decoded_equal": all(np.array_equal(d, model.viterbi(o)) for d, o in zip(decoded, obs)),
     "read": [v.voyage_id for v in read],
 }))
@@ -113,9 +117,13 @@ def test_hooks_take_the_batch_calls():
         assert span in result["spans"]
     assert result["batch"] == result["single"]
     assert result["decoded_equal"] and result["predicted"] == 5
+    # The speed model's query is a speed_opt.knn span around its efficiency.knn span.
+    assert "speed_opt.knn" in result["knn_parents"]
+    assert result["speeds"] == [90, 97]
     assert result["read"] == ["V0", "V1", "V2", "V3"]
     # The kNN hook counts every row of a stacked query: the batch's 3 voyages,
-    # the same rows again in the single calls, and the 5 rows predicted directly.
-    rows = 2 * (90 + 97 + 90) + 5
+    # the same rows again in the single calls, the 5 rows predicted directly
+    # and the speed model's 2 test voyages.
+    rows = 2 * (90 + 97 + 90) + 5 + (90 + 97)
     assert result["counts"]["efficiency.knn_queries"] == rows
     assert result["counts"]["hmm.em_iterations"] >= 1
