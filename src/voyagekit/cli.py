@@ -132,7 +132,7 @@ def cmd_ingest(config: RunConfig) -> None:
             continue
         if grids:
             try:
-                v, dropped = attach_weather(v, grids)
+                v, dropped, reasons = attach_weather(v, grids)
             except InsufficientDataError:
                 dropped_voyages += 1
                 log.log("ingest", "voyage_dropped", voyage_id=v.voyage_id,
@@ -140,7 +140,7 @@ def cmd_ingest(config: RunConfig) -> None:
                 continue
             if dropped:
                 dropped_samples += dropped
-                log.log("ingest", "samples_dropped", voyage_id=v.voyage_id, count=dropped)
+                log.log("ingest", "samples_dropped", voyage_id=v.voyage_id, count=dropped, **reasons)
         voyages.append(v)
     if not voyages:
         raise InvalidInputError("ingestion produced no voyages")

@@ -324,22 +324,28 @@ def resample_voyage(v: Voyage, period: float = 60.0) -> Voyage:
     )
 
 
-def attach_weather(v: Voyage, grids: list[WeatherGrid]) -> tuple[Voyage, int]:
+def attach_weather(v: Voyage, grids: list[WeatherGrid]) -> tuple[Voyage, int, dict[str, int]]:
     """Attach every grid variable as a channel by trilinear interpolation.
 
-    Samples for which any grid fails (out of domain or missing corner) are
-    dropped; the drop count is returned. Raises InsufficientDataError when
-    fewer than two samples survive.
+    Samples for which any grid fails are dropped. Returns the voyage, the
+    drop count and its split by reason: `out_of_domain` (outside some grid)
+    and `missing_corner` (inside every grid, but a cell it needs is missing).
+    Raises InsufficientDataError when fewer than two samples survive.
     """
-    keep = np.ones(len(v), dtype=bool)
+    outside = np.zeros(len(v), dtype=bool)
+    missing = np.zeros(len(v), dtype=bool)
     channels = dict(v.channels)
     for grid in grids:
         values, status = grid.interpolate_many(v.t, v.lat, v.lon)
-        keep &= status == _OK
+        outside |= status == _OUT_OF_DOMAIN
+        missing |= status == _MISSING_CORNER
         channels[grid.variable] = values
+    missing &= ~outside
+    keep = ~(outside | missing)
     kept = int(keep.sum())
     if kept < 2:
         raise InsufficientDataError(
             f"voyage {v.voyage_id!r}: only {kept} samples remain after weather alignment"
         )
-    return replace(v, channels=channels).take(keep), len(v) - kept
+    reasons = {"out_of_domain": int(outside.sum()), "missing_corner": int(missing.sum())}
+    return replace(v, channels=channels).take(keep), len(v) - kept, reasons

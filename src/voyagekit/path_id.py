@@ -24,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, squareform
 
@@ -396,9 +395,57 @@ def align_labels(pred: PathLabeling, truth: PathLabeling) -> PathLabeling:
     t_idx = {label: i for i, label in enumerate(truth_labels)}
     for vid, p_label in pred.items():
         contingency[p_idx[p_label], t_idx[truth[vid]]] += 1
-    rows, cols = linear_sum_assignment(-contingency)
-    mapping = {pred_labels[r]: truth_labels[c] for r, c in zip(rows, cols)}
+    cols = _assign((-contingency).tolist())
+    mapping = {pred_labels[r]: truth_labels[c] for r, c in enumerate(cols)}
     return {vid: mapping[label] for vid, label in pred.items()}
+
+
+def _assign(cost: list[list[float]]) -> list[int]:
+    """Column of each row in a minimum-cost assignment; no more rows than columns.
+
+    A step-for-step port of the shortest augmenting path solver behind
+    scipy.optimize.linear_sum_assignment (Crouse, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 2016), so every tie
+    resolves as SciPy resolves it.
+    """
+    nr, nc = len(cost), len(cost[0]) if cost else 0
+    u, v, path = [0.0] * nr, [0.0] * nc, [-1] * nc
+    col4row, row4col = [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        i, min_val, sink, rows, cols = cur, 0.0, -1, set(), []
+        remaining = list(range(nc - 1, -1, -1))  # reversed: a constant table gives the identity
+        short = [math.inf] * nc
+        while sink == -1:
+            rows.add(i)
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + cost[i][j] - u[i] - v[j]
+                if r < short[j]:
+                    path[j], short[j] = i, r
+                # On a tie, prefer an unassigned column: it ends the path.
+                if short[j] < lowest or (short[j] == lowest and row4col[j] == -1):
+                    index, lowest = it, short[j]
+            min_val, j = lowest, remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows - {cur}:
+            u[i] += min_val - short[col4row[i]]
+        for j in cols:
+            v[j] -= min_val - short[j]
+        j = sink
+        while True:  # augment back to the current row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 @dataclass

@@ -86,8 +86,9 @@ class SyntheticFleetSpec:
             raise ConfigurationError(f"noise std {self.noise_std_deg} must be >= 0")
         if min(self.fuel_a, self.fuel_b, self.fuel_c) < 0:
             raise ConfigurationError("fuel coefficients must be >= 0")
-        if self.voyages_per_branch < 1:
-            raise ConfigurationError("voyages_per_branch must be >= 1")
+        if not _is_count(self.voyages_per_branch) or self.voyages_per_branch < 1:
+            raise ConfigurationError(
+                f"voyages_per_branch must be an integer >= 1, got {self.voyages_per_branch!r}")
         if self.sample_period_s <= 0 or self.gap_s <= 0:
             raise ConfigurationError("sample period and gap must be > 0")
         lo, hi = self.skill_range
@@ -95,8 +96,12 @@ class SyntheticFleetSpec:
             raise ConfigurationError(f"bad skill range {self.skill_range}")
         if len(self.regimes) != 3:
             raise ConfigurationError("exactly 3 weather regimes are required")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+        if not _is_count(self.seed) or self.seed < 0:
             raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def default_regimes() -> tuple[WeatherRegime, WeatherRegime, WeatherRegime]:
@@ -124,14 +129,17 @@ def default_fleet_spec(seed: int = 0) -> SyntheticFleetSpec:
 
 
 def spec_from_json(path: str | Path) -> SyntheticFleetSpec:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: cannot read fleet spec ({exc})") from exc
     try:
         branches = [Branch(b["name"], [tuple(p) for p in b["centerline"]]) for b in raw.pop("branches")]
         regimes = tuple(WeatherRegime(**r) for r in raw.pop("regimes", [])) or default_regimes()
         skill = tuple(raw.pop("skill_range", (0.9, 1.0)))
         return SyntheticFleetSpec(branches=branches, regimes=regimes, skill_range=skill, **raw)
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ConfigurationError(f"{path}: malformed fleet spec ({exc})") from exc
 
 

@@ -102,6 +102,31 @@ class TestSynthCommand:
         assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: seed must be a non-negative integer, got {seed!r}\n"
 
+    @pytest.mark.parametrize("text", [None, "{bad"], ids=["missing", "not-json"])
+    def test_unreadable_spec_file_exits_2(self, tmp_path, capsys, text):
+        spec_path = tmp_path / "spec.json"
+        if text is not None:
+            spec_path.write_text(text, encoding="utf-8")
+        assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec_path}: cannot read fleet spec (")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("count", [2.5, True, "3", 0])
+    def test_spec_voyages_per_branch_not_a_positive_int_exits_2(self, tmp_path, capsys, count):
+        spec = {
+            "branches": [
+                {"name": "a", "centerline": [[0.0, 0.0], [0.0, 0.1]]},
+                {"name": "b", "centerline": [[0.05, 0.0], [0.05, 0.1]]},
+            ],
+            "voyages_per_branch": count,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: voyages_per_branch must be an integer >= 1, got {count!r}\n")
+
 
 class TestPipelineOutputs:
     def test_store_written(self, pipeline_dir):
@@ -363,6 +388,24 @@ class TestIngestEdgeCases:
         assert manifest["voyages"][0]["n_samples"] == 6
         log = (tmp_path / "run_log.jsonl").read_text()
         assert "samples_dropped" in log
+
+    def test_samples_dropped_by_reason(self, tmp_path):
+        # A 3x3 lattice over two times with the (t=0, lat=1, lon=1) cell absent:
+        # the sample at (0.5, 0.5) needs it, the one at t = 540 s is past the grid.
+        rows = [f"{i * 60},-0.5,-0.5,5.0,90.0,50.0" for i in range(8)]
+        rows += ["480,0.5,0.5,5.0,90.0,50.0", "540,-0.5,-0.5,5.0,90.0,50.0"]
+        self.write_inputs(tmp_path, rows)
+        lines = ["time,lat,lon,value"] + [
+            f"{t},{lat},{lon},2.5" for t in (0.0, 500.0) for lat in (-1.0, 0.0, 1.0)
+            for lon in (-1.0, 0.0, 1.0) if (t, lat, lon) != (0.0, 1.0, 1.0)]
+        (tmp_path / "fleet" / "weather" / "WaveHeight.csv").write_text(
+            "\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["ingest", "--out", str(tmp_path)]) == 0
+        events = [json.loads(line) for line in (tmp_path / "run_log.jsonl").read_text().splitlines()]
+        dropped = [e for e in events if e["event"] == "samples_dropped"]
+        assert len(dropped) == 1
+        assert dropped[0]["detail"] == {"voyage_id": dropped[0]["detail"]["voyage_id"], "count": 2,
+                                        "out_of_domain": 1, "missing_corner": 1}
 
     def test_port_dwell_rule_via_config(self, tmp_path):
         rows = [f"{i * 30},0.5,0.0,5.0,90.0,50.0" for i in range(5)]

@@ -603,8 +603,9 @@ class TestAttachWeather:
         )
 
     def test_constant_field(self):
-        v, dropped = attach_weather(self.voyage(), [constant_grid("WaveHeight", 1.25)])
+        v, dropped, reasons = attach_weather(self.voyage(), [constant_grid("WaveHeight", 1.25)])
         assert dropped == 0
+        assert reasons == {"out_of_domain": 0, "missing_corner": 0}
         assert v.channels["WaveHeight"] == pytest.approx(np.full(5, 1.25), abs=1e-9)
 
     def test_affine_field(self):
@@ -613,16 +614,31 @@ class TestAttachWeather:
             "V1",
             [make_sample(600.0 * i, lat=0.2 * i, lon=10.0 + 0.3 * i) for i in range(4)],
         )
-        out, dropped = attach_weather(v, [grid])
+        out, dropped, _ = attach_weather(v, [grid])
         assert dropped == 0
         expected = a * out.t + b * out.lat + c * out.lon + d
         assert out.channels["affine"] == pytest.approx(expected, abs=1e-6)
 
     def test_out_of_range_dropped(self):
         grid = constant_grid("WaveHeight", 1.0, t_max=150.0)
-        v, dropped = attach_weather(self.voyage(5), [grid])
+        v, dropped, reasons = attach_weather(self.voyage(5), [grid])
         assert dropped == 2
+        assert reasons == {"out_of_domain": 2, "missing_corner": 0}
         assert len(v) == 3
+
+    def test_drops_split_by_reason(self):
+        # Samples 1 and 4 (lat 1) need the holed grid's missing (lat 5, lon 15) cell;
+        # sample 4 (t = 240 s) is also past the short grid, so it counts once, as out of domain.
+        short = constant_grid("WaveHeight", 1.0, t_max=200.0)
+        values = np.full((2, 3, 3), 3.0)
+        values[0, 2, 2] = np.nan
+        holed = WeatherGrid("WindSpeed", np.array([0.0, 10_000.0]), np.array([-5.0, 0.0, 5.0]),
+                            np.array([5.0, 10.0, 15.0]), values)
+        v = voyage_of("V1", [make_sample(i * 60.0, lat=1.0 if i in (1, 4) else -1.0, lon=10.5 + 0.1 * i)
+                             for i in range(5)])
+        out, dropped, reasons = attach_weather(v, [short, holed])
+        assert (dropped, len(out)) == (2, 3)
+        assert reasons == {"out_of_domain": 1, "missing_corner": 1}
 
     def test_all_dropped_raises(self):
         grid = constant_grid("WaveHeight", 1.0, t_max=50.0)

@@ -1,6 +1,10 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
@@ -838,6 +842,66 @@ class TestAlignLabels:
     def test_voyage_mismatch(self):
         with pytest.raises(InvalidInputError):
             align_labels({"a": "0"}, {"b": "0"})
+
+
+class TestAssign:
+    """path_id._assign against SciPy's solver, which it ports, as the oracle."""
+
+    @staticmethod
+    def scipy_columns(cost):
+        from scipy.optimize import linear_sum_assignment
+
+        rows, cols = linear_sum_assignment(cost)
+        assert rows.tolist() == list(range(len(cost)))
+        return cols.tolist()
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["square", "wide"])
+    def test_matches_scipy_on_tied_tables(self, wide):
+        rng = np.random.default_rng(27)
+        for _ in range(3000):
+            rows = int(rng.integers(1, 8))
+            cols = rows + int(rng.integers(1, 4)) if wide else rows
+            cost = -rng.integers(0, 4, (rows, cols)).astype(float)  # small counts: many ties
+            assert path_id._assign(cost.tolist()) == self.scipy_columns(cost), cost
+
+    def test_matches_scipy_on_larger_tables(self):
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            rows = int(rng.integers(1, 31))
+            cost = -rng.integers(0, 20, (rows, rows + int(rng.integers(0, 10)))).astype(float)
+            assert path_id._assign(cost.tolist()) == self.scipy_columns(cost)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (3, 5), (6, 6)])
+    def test_constant_table_gives_identity(self, shape):
+        cost = np.full(shape, -4.0)
+        assert path_id._assign(cost.tolist()) == list(range(shape[0])) == self.scipy_columns(cost)
+
+    def test_all_zero_row(self):
+        cost = -np.array([[3.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 2.0, 2.0, 0.0]])
+        assert path_id._assign(cost.tolist()) == self.scipy_columns(cost) == [0, 1, 2]
+
+    def test_empty_table(self):
+        assert path_id._assign([]) == []
+
+
+GUARD = """
+import sys
+import numpy as np
+from voyagekit.path_id import DistanceMatrix, align_labels, hierarchical_cluster
+
+matrix = DistanceMatrix(("a", "b", "c"), np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 9.0], [9.0, 9.0, 0.0]]))
+labels = hierarchical_cluster(matrix, cutoff=2.0)
+assert align_labels(labels, {"a": "x", "b": "x", "c": "y"}) == {"a": "x", "b": "x", "c": "y"}
+assert "scipy.optimize" not in sys.modules, "path_id loaded scipy.optimize"
+"""
+
+
+def test_path_id_does_not_load_scipy_optimize():
+    # A fresh interpreter: this test process may have imported scipy.optimize already.
+    env = {**os.environ, "PYTHONPATH": str(FilePath(path_id.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", GUARD], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestConfusionAndMetrics:
