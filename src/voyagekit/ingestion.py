@@ -332,20 +332,18 @@ def attach_weather(v: Voyage, grids: list[WeatherGrid]) -> tuple[Voyage, int, di
     and `missing_corner` (inside every grid, but a cell it needs is missing).
     Raises InsufficientDataError when fewer than two samples survive.
     """
+    keep = np.ones(len(v), dtype=bool)
     outside = np.zeros(len(v), dtype=bool)
-    missing = np.zeros(len(v), dtype=bool)
     channels = dict(v.channels)
     for grid in grids:
         values, status = grid.interpolate_many(v.t, v.lat, v.lon)
+        keep &= status == _OK
         outside |= status == _OUT_OF_DOMAIN
-        missing |= status == _MISSING_CORNER
         channels[grid.variable] = values
-    missing &= ~outside
-    keep = ~(outside | missing)
-    kept = int(keep.sum())
+    kept, out_of_domain = int(keep.sum()), int(outside.sum())
     if kept < 2:
         raise InsufficientDataError(
             f"voyage {v.voyage_id!r}: only {kept} samples remain after weather alignment"
         )
-    reasons = {"out_of_domain": int(outside.sum()), "missing_corner": int(missing.sum())}
+    reasons = {"out_of_domain": out_of_domain, "missing_corner": len(v) - kept - out_of_domain}
     return replace(v, channels=channels).take(keep), len(v) - kept, reasons

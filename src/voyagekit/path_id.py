@@ -401,13 +401,9 @@ def align_labels(pred: PathLabeling, truth: PathLabeling) -> PathLabeling:
 
 
 def _assign(cost: list[list[float]]) -> list[int]:
-    """Column of each row in a minimum-cost assignment; no more rows than columns.
-
-    A step-for-step port of the shortest augmenting path solver behind
-    scipy.optimize.linear_sum_assignment (Crouse, "On implementing 2D
-    rectangular assignment algorithms", IEEE TAES 2016), so every tie
-    resolves as SciPy resolves it.
-    """
+    """Column of each row in a minimum-cost assignment (no more rows than columns): a
+    step-for-step port of the shortest augmenting path solver that SciPy's
+    linear_sum_assignment runs (Crouse, IEEE TAES 2016), so ties resolve as in SciPy."""
     nr, nc = len(cost), len(cost[0]) if cost else 0
     u, v, path = [0.0] * nr, [0.0] * nc, [-1] * nc
     col4row, row4col = [-1] * nr, [-1] * nc
@@ -428,8 +424,7 @@ def _assign(cost: list[list[float]]) -> list[int]:
             min_val, j = lowest, remaining[index]
             if row4col[j] == -1:
                 sink = j
-            else:
-                i = row4col[j]
+            i = row4col[j]
             cols.append(j)
             remaining[index] = remaining[-1]
             remaining.pop()
@@ -438,13 +433,10 @@ def _assign(cost: list[list[float]]) -> list[int]:
             u[i] += min_val - short[col4row[i]]
         for j in cols:
             v[j] -= min_val - short[j]
-        j = sink
-        while True:  # augment back to the current row
+        j, i = sink, -1
+        while i != cur:  # augment back to the current row
             i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur:
-                break
+            row4col[j], col4row[i], j = i, j, col4row[i]
     return col4row
 
 

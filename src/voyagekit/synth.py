@@ -87,8 +87,7 @@ class SyntheticFleetSpec:
         if min(self.fuel_a, self.fuel_b, self.fuel_c) < 0:
             raise ConfigurationError("fuel coefficients must be >= 0")
         if not _is_count(self.voyages_per_branch) or self.voyages_per_branch < 1:
-            raise ConfigurationError(
-                f"voyages_per_branch must be an integer >= 1, got {self.voyages_per_branch!r}")
+            raise ConfigurationError(f"voyages_per_branch must be an integer >= 1, got {self.voyages_per_branch!r}")
         if self.sample_period_s <= 0 or self.gap_s <= 0:
             raise ConfigurationError("sample period and gap must be > 0")
         lo, hi = self.skill_range
@@ -130,8 +129,7 @@ def default_fleet_spec(seed: int = 0) -> SyntheticFleetSpec:
 
 def spec_from_json(path: str | Path) -> SyntheticFleetSpec:
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"{path}: cannot read fleet spec ({exc})") from exc
     try:
