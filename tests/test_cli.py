@@ -404,8 +404,8 @@ class TestIngestEdgeCases:
         events = [json.loads(line) for line in (tmp_path / "run_log.jsonl").read_text().splitlines()]
         dropped = [e for e in events if e["event"] == "samples_dropped"]
         assert len(dropped) == 1
-        assert dropped[0]["detail"] == {"voyage_id": dropped[0]["detail"]["voyage_id"], "count": 2,
-                                        "out_of_domain": 1, "missing_corner": 1}
+        detail = dropped[0]["detail"]
+        assert (detail["count"], detail["out_of_domain"], detail["missing_corner"]) == (2, 1, 1)
 
     def test_port_dwell_rule_via_config(self, tmp_path):
         rows = [f"{i * 30},0.5,0.0,5.0,90.0,50.0" for i in range(5)]

@@ -877,8 +877,9 @@ class TestAssign:
         assert path_id._assign(cost.tolist()) == list(range(shape[0])) == self.scipy_columns(cost)
 
     def test_all_zero_row(self):
-        cost = -np.array([[3.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 2.0, 2.0, 0.0]])
-        assert path_id._assign(cost.tolist()) == self.scipy_columns(cost) == [0, 1, 2]
+        # The zero row ties on every column row 0 left free; SciPy's order gives it column 0.
+        cost = -np.array([[0.0, 3.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 3.0, 0.0]])
+        assert path_id._assign(cost.tolist()) == self.scipy_columns(cost) == [1, 0, 2]
 
     def test_empty_table(self):
         assert path_id._assign([]) == []
