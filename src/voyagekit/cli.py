@@ -304,6 +304,8 @@ def cmd_pathid(config: RunConfig) -> None:
     log.log("pathid", "labeling_written", method=method, voyages=len(labeling))
     print(f"pathid: {method} labeled {len(labeling)} voyages")
 
+    for name in ("metrics.csv", "confusion_matrix.csv"):  # an earlier run's must not pass for this labeling's
+        (out / name).unlink(missing_ok=True)
     if evaluated_truth:
         aligned = (
             path_id.align_labels(labeling, evaluated_truth)
@@ -316,9 +318,7 @@ def cmd_pathid(config: RunConfig) -> None:
         for label in result.classes:
             m = result.per_class[label]
             print(f"  {label}: precision {m.precision:.3f} recall {m.recall:.3f} f1 {m.f1:.3f}")
-    else:  # nothing to score: an earlier run's metrics must not pass for this labeling's
-        for name in ("metrics.csv", "confusion_matrix.csv"):
-            (out / name).unlink(missing_ok=True)
+    else:
         log.log("pathid", "metrics_skipped", reason="no labels file" if truth is None else "none labelled")
 
 

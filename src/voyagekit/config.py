@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .efficiency import FEATURE_CASES
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_json
 from .geo import PORT_DWELL_MAX_SOG, PORT_DWELL_S
 from .hmm import DEFAULT_FEATURES
 
@@ -108,14 +108,7 @@ def load_config(
     """Layered configuration: JSON file, then environment, then overrides."""
     values: dict = {}
     if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigurationError(f"config file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+        raw = read_json(path, "config file")
         if not isinstance(raw, dict):
             raise ConfigurationError(f"{path}: expected a JSON object")
         unknown = set(raw) - set(_FIELDS)

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the JSON file reader that raises into it."""
+
+import json
+from pathlib import Path
 
 
 class VoyagekitError(Exception):
@@ -43,3 +46,12 @@ class MissingDataError(VoyagekitError):
 
 class UnclassifiableError(VoyagekitError):
     """No point of a path belongs to a discriminative route segment."""
+
+
+def read_json(path: str | Path, what: str):
+    """A UTF-8 JSON file, parsed; ConfigurationError naming it if it cannot be opened, decoded or parsed."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, RecursionError, ValueError) as exc:  # RecursionError: arrays nested too deep
+        raise ConfigurationError(f"{path}: cannot read {what} ({exc})") from exc

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, MissingDataError
+from .errors import ConfigurationError, InvalidInputError, MissingDataError, read_json
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -194,11 +194,7 @@ class RouteSegmentSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RouteSegmentSpec":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigurationError(f"segment spec file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json(path, "segment spec")
         if not isinstance(raw, list):
             raise ConfigurationError(f"{path}: expected a JSON array of segments")
         try:

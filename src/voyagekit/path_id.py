@@ -495,25 +495,28 @@ def read_labeling(path: str | FilePath) -> PathLabeling:
     """Voyage id -> label from a voyage_id,label CSV.
 
     A row without a label, or a voyage listed twice with different labels,
-    raises InvalidInputError naming the file and the data row.
+    raises InvalidInputError naming the file and the data row; non-UTF-8 text raises it too.
     """
     path = FilePath(path)
     if not path.exists():
         raise InvalidInputError(f"labels file not found: {path}")
     labeling: PathLabeling = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or {"voyage_id", "label"} - set(reader.fieldnames):
-            raise InvalidInputError(f"{path}: expected columns voyage_id, label")
-        for n, row in enumerate(reader, 1):
-            vid, label = row["voyage_id"], row["label"]
-            if not label:
-                raise InvalidInputError(f"{path}: data row {n}: voyage {vid!r} has no label")
-            if labeling.setdefault(vid, label) != label:
-                raise InvalidInputError(
-                    f"{path}: data row {n}: voyage {vid!r} labelled {label!r}, "
-                    f"but {labeling[vid]!r} before"
-                )
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or {"voyage_id", "label"} - set(reader.fieldnames):
+                raise InvalidInputError(f"{path}: expected columns voyage_id, label")
+            for n, row in enumerate(reader, 1):
+                vid, label = row["voyage_id"], row["label"]
+                if not label:
+                    raise InvalidInputError(f"{path}: data row {n}: voyage {vid!r} has no label")
+                if labeling.setdefault(vid, label) != label:
+                    raise InvalidInputError(
+                        f"{path}: data row {n}: voyage {vid!r} labelled {label!r}, "
+                        f"but {labeling[vid]!r} before"
+                    )
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text ({exc})") from exc
     return labeling
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_json
 from .geo import CORE_FIELDS, RouteSegmentSpec, Voyage
 from .ingestion import WeatherGrid
 from .store import CORE_COLUMNS, ONBOARD_CHANNELS, WEATHER_VARIABLES, write_table
@@ -128,10 +128,7 @@ def default_fleet_spec(seed: int = 0) -> SyntheticFleetSpec:
 
 
 def spec_from_json(path: str | Path) -> SyntheticFleetSpec:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: cannot read fleet spec ({exc})") from exc
+    raw = read_json(path, "fleet spec")
     try:
         branches = [Branch(b["name"], [tuple(p) for p in b["centerline"]]) for b in raw.pop("branches")]
         regimes = tuple(WeatherRegime(**r) for r in raw.pop("regimes", [])) or default_regimes()

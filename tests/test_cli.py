@@ -586,6 +586,56 @@ class TestErrorPaths:
         cfg.write_text("{not json", encoding="utf-8")
         assert main(["score", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("case", ["config-not-utf8", "config-is-directory", "config-nested-too-deep",
+                                      "port-regions-not-json", "segment-spec-not-json"])
+    def test_unreadable_json_input_exits_2(self, pipeline_dir, tmp_path, capsys, case):
+        out, bad = tmp_path / "run", tmp_path / "bad.json"
+        shutil.copytree(pipeline_dir / "store", out / "store")
+        shutil.copytree(pipeline_dir / "fleet", out / "fleet")
+        bad.write_text("{bad", encoding="utf-8")
+        cfg, command, what = tmp_path / "cfg.json", "ingest", "config file"
+        if case == "config-not-utf8":
+            cfg.write_bytes(b"\xff\xfe{}")
+        elif case == "config-is-directory":
+            cfg.mkdir()
+        elif case == "config-nested-too-deep":
+            cfg.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        elif case == "port-regions-not-json":
+            cfg.write_text(json.dumps({"port_regions": str(bad)}), encoding="utf-8")
+            what = "segment spec"
+        else:
+            cfg.write_text(json.dumps({"segment_spec": str(bad), "pathid_method": "segment-gmm"}),
+                           encoding="utf-8")
+            command, what = "pathid", "segment spec"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--seed", "11"]) == 2
+        err = capsys.readouterr().err
+        failed = bad if case.endswith("not-json") else cfg
+        assert err.startswith(f"error: {failed}: cannot read {what} (") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, name", [("ingest", "onboard/fleet.csv"), ("pathid", "labels.csv")])
+    def test_csv_input_not_utf8_exits_1(self, pipeline_dir, tmp_path, capsys, command, name):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir / "store", out / "store")
+        shutil.copytree(pipeline_dir / "fleet", out / "fleet")
+        path = out / "fleet" / name  # in the last row: in the onboard file, np.loadtxt is the first to read it
+        path.write_bytes(path.read_bytes()[:-1] + b"\xe9\n")
+        assert main([command, "--out", str(out), "--seed", "11"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text (") and err.count("\n") == 1
+
+    def test_failed_alignment_leaves_no_stale_metrics(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        assert main(["pathid", "--method", "kmeans", "--config", str(out / "cfg.json"), "--out", str(out),
+                     "--seed", "11"]) == 0
+        assert (out / "metrics.csv").exists() and (out / "confusion_matrix.csv").exists()
+        cfg = tmp_path / "cutoff0.json"
+        cfg.write_text(json.dumps({"dendrogram_cutoff": 0}), encoding="utf-8")
+        assert main(["pathid", "--method", "hierarchical", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: 12 predicted labels exceed 3 truth labels\n"
+        assert len(read_rows(out / "labeling.csv")) == 12
+        assert not (out / "metrics.csv").exists() and not (out / "confusion_matrix.csv").exists()
+
     @pytest.mark.parametrize(
         "name, raw, expected",
         [
@@ -610,6 +660,7 @@ class TestErrorPaths:
 IMPORT_GUARD = """
 import sys
 import voyagekit
+assert not [name for name in sys.modules if name.startswith("voyagekit.")], "the package loads its submodules"
 import voyagekit.cli
 
 spec, out = sys.argv[1:]
@@ -620,7 +671,6 @@ loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded[:3]
 assert voyagekit.cli.main(["pathid", "--method", "kmeans", *base]) == 0
 assert "scipy.spatial" in sys.modules
-assert voyagekit.annd is voyagekit.path_id.annd
 """
 
 
