@@ -258,7 +258,7 @@ def cmd_pathid(config: RunConfig) -> None:
     # Only the tracks are kept: the voyages' weather channels are freed before the matrix is built.
     paths = [path_id.Path.from_voyage(v) for v in store.read_store(out / "store")]
     labels_path = _resolve_input(config, "labels", "labels.csv", required=method == "segment-gmm")
-    truth = path_id.read_labeling(labels_path) if labels_path else None
+    truth = store.read_labeling(labels_path) if labels_path else None
     if truth is not None:
         missing = sorted(p.voyage_id for p in paths if p.voyage_id not in truth)
         if missing:
@@ -300,7 +300,7 @@ def cmd_pathid(config: RunConfig) -> None:
             )
         evaluated_truth = {vid: truth[vid] for vid in labeling}
 
-    path_id.write_labeling(labeling, out / "labeling.csv")
+    store.write_labeling(labeling, out / "labeling.csv")
     log.log("pathid", "labeling_written", method=method, voyages=len(labeling))
     print(f"pathid: {method} labeled {len(labeling)} voyages")
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit, and the JSON file reader that raises into it."""
+"""Exception hierarchy shared across the toolkit, the JSON file reader that raises into it, and the JSON writer."""
 
 import json
 from pathlib import Path
@@ -55,3 +55,10 @@ def read_json(path: str | Path, what: str):
             return json.load(fh)
     except (OSError, RecursionError, ValueError) as exc:  # RecursionError: arrays nested too deep
         raise ConfigurationError(f"{path}: cannot read {what} ({exc})") from exc
+
+
+def write_json(path: str | Path, obj) -> None:
+    """``obj`` as a JSON file: indent 2, sorted keys, NaN and infinity refused, a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")

@@ -11,7 +11,6 @@ polygon, and is the only caller of point_in_polygon.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -19,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, MissingDataError, read_json
+from .errors import ConfigurationError, InvalidInputError, MissingDataError, read_json, write_json
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -214,10 +213,7 @@ class RouteSegmentSpec:
         return int(found) if found.ndim == 0 else found
 
     def to_json(self, path: str | Path) -> None:
-        payload = [
-            {"name": name, "polygon": poly.tolist()} for name, poly in self.segments
-        ]
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        write_json(path, [{"name": name, "polygon": poly.tolist()} for name, poly in self.segments])
 
 
 def point_in_polygon(

@@ -31,7 +31,7 @@ from .errors import (
     SchemaError,
 )
 from .geo import GeoPoint, Track, Voyage, is_angle, valid_samples
-from .store import CORE_COLUMNS, ONBOARD_CHANNELS
+from .store import CORE_COLUMNS, ONBOARD_CHANNELS, open_csv
 
 # Interpolation status codes used by WeatherGrid.interpolate_many.
 _OK = 0
@@ -61,41 +61,38 @@ def _read_columns(
     file it rejects is read row by row, skipping rows of blank cells, each
     cell through its column's parser (float unless `parsers` names one). A
     missing or rejected cell reads NaN; the first row with one is returned
-    (index, cells) beside the names and the table. Non-UTF-8 text raises InvalidInputError.
+    (index, cells) beside the names and the table. store.open_csv's errors pass through.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = [h.strip().lower() for h in next(reader, ())]
-            if not reader.line_num:
-                raise SchemaError(f"{path}: file is empty")
-            absent = [name for name in required if name.lower() not in header]
-            if absent:
-                raise SchemaError(f"{path}: " + missing.format(absent[0]))
-            names = [*required, *(name for name in optional if name.lower() in header)]
-            for name in names:
-                if header.count(name.lower()) > 1:
-                    raise SchemaError(f"{path}: column {name!r} appears more than once")
-            usecols, bad = [header.index(name.lower()) for name in names], None
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
-                    table = np.loadtxt(path, delimiter=",", quotechar='"', comments=None, usecols=usecols,
-                                       ndmin=2, skiprows=reader.line_num, encoding="utf-8")
-            except ValueError:
-                rows, parse = [], [parsers.get(name, float) for name in names]
-                for row in reader:
-                    if any(cell.strip() for cell in row):
-                        rows.append([])
-                        for p, i in zip(parse, usecols):
-                            try:
-                                rows[-1].append(p(row[i]))
-                            except (ValueError, IndexError):
-                                rows[-1].append(math.nan)
-                                bad = bad or (len(rows) - 1, row)
-                table = np.array(rows).reshape(-1, len(names))
-    except UnicodeDecodeError as exc:  # np.loadtxt's, a ValueError, is raised again row by row
-        raise InvalidInputError(f"{path}: not UTF-8 text ({exc})") from exc
+    with open_csv(path) as fh:
+        reader = csv.reader(fh)
+        header = [h.strip().lower() for h in next(reader, ())]
+        if not reader.line_num:
+            raise SchemaError(f"{path}: file is empty")
+        absent = [name for name in required if name.lower() not in header]
+        if absent:
+            raise SchemaError(f"{path}: " + missing.format(absent[0]))
+        names = [*required, *(name for name in optional if name.lower() in header)]
+        for name in names:
+            if header.count(name.lower()) > 1:
+                raise SchemaError(f"{path}: column {name!r} appears more than once")
+        usecols, bad = [header.index(name.lower()) for name in names], None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
+                table = np.loadtxt(path, delimiter=",", quotechar='"', comments=None, usecols=usecols,
+                                   ndmin=2, skiprows=reader.line_num, encoding="utf-8")
+        except ValueError:  # np.loadtxt's decode error too: the row-by-row read raises it again
+            rows, parse = [], [parsers.get(name, float) for name in names]
+            for row in reader:
+                if any(cell.strip() for cell in row):
+                    rows.append([])
+                    for p, i in zip(parse, usecols):
+                        try:
+                            rows[-1].append(p(row[i]))
+                        except (ValueError, IndexError):
+                            rows[-1].append(math.nan)
+                            bad = bad or (len(rows) - 1, row)
+            table = np.array(rows).reshape(-1, len(names))
     if not len(table):
         raise SchemaError(f"{path}: no data rows")
     return names, table, bad

@@ -16,7 +16,6 @@ precision/recall/F1 from the confusion matrix.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path as FilePath
@@ -484,40 +483,6 @@ def confusion_and_metrics(truth: PathLabeling, pred: PathLabeling) -> MetricsRes
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         per_class[label] = ClassMetrics(precision, recall, f1, tp, fp, fn, tn)
     return MetricsResult(classes=classes, confusion=confusion, per_class=per_class)
-
-
-def write_labeling(labeling: PathLabeling, path: str | FilePath) -> None:
-    ids = sorted(labeling)
-    write_table(path, ["voyage_id", "label"], [ids, [labeling[vid] for vid in ids]])
-
-
-def read_labeling(path: str | FilePath) -> PathLabeling:
-    """Voyage id -> label from a voyage_id,label CSV.
-
-    A row without a label, or a voyage listed twice with different labels,
-    raises InvalidInputError naming the file and the data row; non-UTF-8 text raises it too.
-    """
-    path = FilePath(path)
-    if not path.exists():
-        raise InvalidInputError(f"labels file not found: {path}")
-    labeling: PathLabeling = {}
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or {"voyage_id", "label"} - set(reader.fieldnames):
-                raise InvalidInputError(f"{path}: expected columns voyage_id, label")
-            for n, row in enumerate(reader, 1):
-                vid, label = row["voyage_id"], row["label"]
-                if not label:
-                    raise InvalidInputError(f"{path}: data row {n}: voyage {vid!r} has no label")
-                if labeling.setdefault(vid, label) != label:
-                    raise InvalidInputError(
-                        f"{path}: data row {n}: voyage {vid!r} labelled {label!r}, "
-                        f"but {labeling[vid]!r} before"
-                    )
-    except UnicodeDecodeError as exc:
-        raise InvalidInputError(f"{path}: not UTF-8 text ({exc})") from exc
-    return labeling
 
 
 def write_metrics(result: MetricsResult, metrics_path: str | FilePath, confusion_path: str | FilePath) -> None:

@@ -6,14 +6,13 @@ plots are diffable and byte-stable across runs with the same seed.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from collections import Counter
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, write_json
+from .store import read_labeling, read_table
 
 SVG_WIDTH = 640
 SVG_HEIGHT = 400
@@ -133,40 +132,41 @@ def svg_lines(series: dict[str, Sequence[float]], xlabel: str, ylabel: str, titl
     return "\n".join(parts) + "\n"
 
 
-def _read_csv_rows(path: Path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+def _read(path: Path, columns: Sequence[str], convert: Callable[[dict[str, str]], dict]) -> list[dict]:
+    """read_table's rows, each through ``convert``; a cell it rejects raises InvalidInputError naming the data row."""
+    rows = []
+    for n, row in enumerate(read_table(path, columns), 1):
+        try:
+            rows.append(convert(row))
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: data row {n}: {exc}") from None
+    return rows
 
 
-def build_report(out_dir: str | Path) -> dict:
-    """Assemble the consolidated JSON summary from prior command outputs."""
-    out = Path(out_dir)
-    required = ["summaries.csv", "gains.csv", "state_gains.csv", "labeling.csv"]
-    missing = [name for name in required if not (out / name).exists()]
-    if missing:
-        raise InvalidInputError(f"missing report inputs in {out}: {', '.join(missing)}")
+def _optional(cell: str, kind: type) -> int | float | None:
+    return kind(cell) if cell else None
 
-    summaries = _read_csv_rows(out / "summaries.csv")
-    scores = [float(r["eff_score"]) for r in summaries]
-    cluster_sizes = {
-        f"Top{pct}Pr": sum(int(r[f"top{pct}"]) for r in summaries) for pct in (10, 25, 50, 75)
-    }
-    gains = _read_csv_rows(out / "gains.csv")
-    state_rows = _read_csv_rows(out / "state_gains.csv")
-    label_counts = Counter(row["label"] for row in _read_csv_rows(out / "labeling.csv"))
 
+def _finite(cell: str) -> float | None:
+    # nan, for a state no step was pooled in, is written as null.
+    return float(cell) if math.isfinite(float(cell)) else None
+
+
+def build_report(out: Path, summaries: list[dict]) -> dict:
+    """The consolidated JSON summary of ``summaries`` (summaries.csv's rows) and the other outputs in ``out``."""
+    scores = [r["eff_score"] for r in summaries]
     metrics = None
     if (out / "metrics.csv").exists():
-        metrics = [
-            {"class": r["class"], **{name: float(r[name]) for name in ("precision", "recall", "f1")}}
-            for r in _read_csv_rows(out / "metrics.csv")
-        ]
-
+        scored = ("precision", "recall", "f1")
+        metrics = _read(out / "metrics.csv", ("class", *scored),
+                        lambda r: {"class": r["class"], **{name: float(r[name]) for name in scored}})
     return {
         "schema_version": 1,
         "efficiency": {
             "voyage_count": len(summaries),
-            "cluster_sizes": cluster_sizes,
+            "cluster_sizes": {
+                f"Top{pct}Pr": sum(r[f"top{pct}"] for r in summaries) for pct in (10, 25, 50, 75)
+            },
             "eff_score": {
                 "min": min(scores),
                 "max": max(scores),
@@ -174,45 +174,40 @@ def build_report(out_dir: str | Path) -> dict:
             },
         },
         "optimization": {
-            "rows": [
-                {
-                    "cluster": r["cluster"],
-                    "model": r["model"],
-                    "eff_gain_pct": float(r["eff_gain_pct"]) if r["eff_gain_pct"] else None,
-                    "improved_count": int(r["improved_count"]) if r["improved_count"] else None,
-                    "status": r["status"],
-                }
-                for r in gains
-            ],
-            "state_rows": [
-                {
-                    "model": r["model"],
-                    "weather_state": r["weather_state"],
-                    # nan, for a state no step was pooled in, is written as null.
-                    **{k: float(r[k]) if math.isfinite(float(r[k])) else None for k in ("avg", "std")},
-                }
-                for r in state_rows
-            ],
+            "rows": _read(out / "gains.csv", ("cluster", "model", "eff_gain_pct", "improved_count", "status"),
+                          lambda r: {**r, "eff_gain_pct": _optional(r["eff_gain_pct"], float),
+                                     "improved_count": _optional(r["improved_count"], int)}),
+            "state_rows": _read(out / "state_gains.csv", ("model", "weather_state", "avg", "std"),
+                                lambda r: {**r, "avg": _finite(r["avg"]), "std": _finite(r["std"])}),
         },
         "path_identification": {
-            "label_counts": dict(sorted(label_counts.items())),
+            "label_counts": dict(sorted(Counter(read_labeling(out / "labeling.csv").values()).items())),
             "metrics": metrics,
         },
     }
 
 
 def write_report_outputs(out_dir: str | Path) -> list[str]:
-    """Write report.json and the SVG figures; returns the file names."""
-    out = Path(out_dir)
-    report = build_report(out)
-    written = ["report.json"]
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    """Write report.json and the SVG figures; returns the file names.
 
-    summaries = _read_csv_rows(out / "summaries.csv")
-    fuel_points = [(float(r["fuel_total"]), float(r["eff_score"])) for r in summaries]
-    time_points = [(float(r["time_total"]), float(r["eff_score"])) for r in summaries]
+    A missing input, or one read_table or read_labeling rejects, a cell that
+    does not parse and a summaries.csv without data rows raise InvalidInputError.
+    """
+    out = Path(out_dir)
+    required = ["summaries.csv", "gains.csv", "state_gains.csv", "labeling.csv"]
+    missing = [name for name in required if not (out / name).exists()]
+    if missing:
+        raise InvalidInputError(f"missing report inputs in {out}: {', '.join(missing)}")
+    counts = ("top10", "top25", "top50", "top75")
+    summaries = _read(out / "summaries.csv", ("fuel_total", "time_total", "eff_score", *counts),
+                      lambda r: {name: int(r[name]) if name in counts else float(r[name]) for name in r})
+    if not summaries:
+        raise InvalidInputError(f"{out / 'summaries.csv'}: no data rows")
+    write_json(out / "report.json", build_report(out, summaries))
+    written = ["report.json"]
+
+    fuel_points = [(r["fuel_total"], r["eff_score"]) for r in summaries]
+    time_points = [(r["time_total"], r["eff_score"]) for r in summaries]
     (out / "eff_vs_fuel.svg").write_text(
         svg_scatter(fuel_points, "total fuel [L]", "efficiency score", "Efficiency score vs total fuel"),
         encoding="utf-8",
@@ -225,12 +220,13 @@ def write_report_outputs(out_dir: str | Path) -> list[str]:
 
     voyage_gains_path = out / "voyage_gains.csv"
     if voyage_gains_path.exists():
-        rows = _read_csv_rows(voyage_gains_path)
+        rows = _read(voyage_gains_path, ("cluster", "model", "gain_pct"),
+                     lambda r: {**r, "gain_pct": float(r["gain_pct"])})
         first_cluster = rows[0]["cluster"] if rows else ""
         series: dict[str, list[float]] = {}
         for r in rows:
             if r["cluster"] == first_cluster:
-                series.setdefault(r["model"], []).append(float(r["gain_pct"]))
+                series.setdefault(r["model"], []).append(r["gain_pct"])
         for values in series.values():
             values.sort(reverse=True)
         (out / "sorted_gains.svg").write_text(

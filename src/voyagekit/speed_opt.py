@@ -367,8 +367,7 @@ def write_gain_report(report: GainReport, out_dir: str | Path, measured: Mapping
     """Write optimize's four tables into ``out_dir``; ``measured`` maps each test voyage id to its SOG.
 
     voyage_gains.csv, a row per voyage gain, and profiles.csv, a row per step of each suggested
-    profile beside the measured SOG, follow gains.csv's cells, then voyage id. The profiles/
-    directory of older versions, one CSV per (cluster, model, voyage), is removed.
+    profile beside the measured SOG, follow gains.csv's cells, then voyage id.
     """
     out = Path(out_dir)
     gains = ("cluster", "model", "avg_gain_pct", "improved_count", "status")
@@ -393,7 +392,3 @@ def write_gain_report(report: GainReport, out_dir: str | Path, measured: Mapping
         np.concatenate([np.empty(0), *(measured[vid] for _, _, vid, _ in profiles)]),
         np.concatenate([np.empty(0), *(sog for *_, sog in profiles)]),
     ])
-    for path in out.glob("profiles/*.csv"):
-        path.unlink()
-    with suppress(OSError):  # the directory stays while it holds other files
-        (out / "profiles").rmdir()

@@ -1,12 +1,13 @@
-"""File-based voyage store, and the one CSV table writer every module uses.
+"""File-based voyage store, the CSV tables every module writes and reads, and the labels file.
 
 The store is a JSON manifest plus one .npy table per voyage, saved by np.save
 and loaded with pickling off, so floats round-trip bit for bit and no text is
 parsed: a 1-D array of named little-endian float64 fields, the core columns and
-then, in name order, the channels with no missing (NaN) sample. A malformed or
-old CSV voyage file raises InvalidInputError naming the file; a voyage listed
-twice names the manifest, a sample failing geo.valid_samples the voyage and
-sample. write_table writes every output CSV, floats with repr to read back exactly.
+then, in name order, the channels with no missing (NaN) sample. A malformed
+voyage file raises InvalidInputError naming the file; a voyage listed twice
+names the manifest, a sample failing geo.valid_samples the voyage and sample.
+write_table writes every output CSV, floats with repr to read back exactly;
+every CSV read opens through open_csv.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 from numpy.lib.format import MAGIC_PREFIX as NPY_MAGIC
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, write_json
 from .geo import CORE_FIELDS, Voyage
 
 #: Onboard and store column names of geo.CORE_FIELDS, in that order.
@@ -79,13 +81,57 @@ def write_table(path: str | Path, header: Sequence[str], columns: Iterable[Seque
                 fh.write(text)
 
 
+@contextmanager
+def open_csv(path: str | Path) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 CSV text; InvalidInputError naming it if it cannot be opened or decoded."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: cannot read ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def read_table(path: str | Path, columns: Sequence[str]) -> list[dict[str, str]]:
+    """Each data row as {column: cell} over ``columns`` ("" for a cell a short row lacks; blank lines skipped).
+    Besides open_csv's errors, a header without one of ``columns`` raises InvalidInputError naming the file."""
+    with open_csv(path) as fh:
+        reader = csv.DictReader(fh, restval="")
+        absent = [name for name in columns if name not in (reader.fieldnames or ())]
+        if absent:
+            raise InvalidInputError(f"{path}: missing column {absent[0]!r}")
+        return [{name: row[name] for name in columns} for row in reader]
+
+
+def write_labeling(labeling: Mapping[str, str], path: str | Path) -> None:
+    """The voyage_id,label file, in voyage id order."""
+    ids = sorted(labeling)
+    write_table(path, ["voyage_id", "label"], [ids, [labeling[vid] for vid in ids]])
+
+
+def read_labeling(path: str | Path) -> dict[str, str]:
+    """Voyage id -> label from a voyage_id,label CSV. Besides read_table's errors, a row without a label, or
+    a voyage listed twice with different labels, raises InvalidInputError naming the file and the data row."""
+    labeling: dict[str, str] = {}
+    for n, row in enumerate(read_table(path, ("voyage_id", "label")), 1):
+        vid, label = row["voyage_id"], row["label"]
+        if not label:
+            raise InvalidInputError(f"{path}: data row {n}: voyage {vid!r} has no label")
+        if labeling.setdefault(vid, label) != label:
+            raise InvalidInputError(
+                f"{path}: data row {n}: voyage {vid!r} labelled {label!r}, but {labeling[vid]!r} before"
+            )
+    return labeling
+
+
 def write_store(voyages: Sequence[Voyage], store_dir: str | Path, extra_meta: dict | None = None) -> dict:
-    """One .npy table per voyage, then the manifest; other .npy and .csv files there go.
+    """One .npy table per voyage, then the manifest; other .npy files there go.
     Returns {voyage id: {channel left out: its missing (NaN) sample count}}."""
     store = Path(store_dir)
     (store / "voyages").mkdir(parents=True, exist_ok=True)
     written = {f"{v.voyage_id}.npy" for v in voyages}
-    for path in [*store.glob("voyages/*.npy"), *store.glob("voyages/*.csv")]:
+    for path in store.glob("voyages/*.npy"):
         if path.name not in written:
             path.unlink()
     entries, left_out = [], {}
@@ -100,9 +146,7 @@ def write_store(voyages: Sequence[Voyage], store_dir: str | Path, extra_meta: di
     manifest = {"voyages": entries}
     if extra_meta:
         manifest.update(extra_meta)
-    with open(store / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(store / "manifest.json", manifest)
     return left_out
 
 
@@ -138,7 +182,7 @@ def read_store(store_dir: str | Path) -> list[Voyage]:
             entries = json.load(fh)["voyages"]
         ids = [entry["voyage_id"] for entry in entries]
         repeated = [vid for vid, count in Counter(ids).items() if count > 1]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OSError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"{manifest_path}: malformed manifest ({exc!r})") from None
     if repeated:
         raise InvalidInputError(f"{manifest_path}: voyage {repeated[0]} is listed more than once")
@@ -146,8 +190,6 @@ def read_store(store_dir: str | Path) -> list[Voyage]:
     for vid in ids:
         path = store / "voyages" / f"{vid}.npy"
         if not path.exists():
-            old = path.with_suffix(".csv")
-            why = f"; {old.name} is from an older version: re-run `voyagekit ingest`" if old.exists() else ""
-            raise InvalidInputError(f"store manifest lists {vid} but {path} is missing{why}")
+            raise InvalidInputError(f"store manifest lists {vid} but {path} is missing")
         voyages.append(_read_voyage(path, vid))
     return voyages

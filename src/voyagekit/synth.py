@@ -19,7 +19,6 @@ exported grid files.
 
 from __future__ import annotations
 
-import json
 import math
 import shutil
 from dataclasses import dataclass
@@ -27,10 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, read_json
+from .errors import ConfigurationError, read_json, write_json
 from .geo import CORE_FIELDS, RouteSegmentSpec, Voyage
 from .ingestion import WeatherGrid
-from .store import CORE_COLUMNS, ONBOARD_CHANNELS, WEATHER_VARIABLES, write_table
+from .store import CORE_COLUMNS, ONBOARD_CHANNELS, WEATHER_VARIABLES, write_labeling, write_table
 
 DEG_PER_M = 1.0 / 111_195.0  # flat-earth conversion used by the simulator
 
@@ -366,8 +365,7 @@ def write_fleet(fleet: FleetData, out_dir: str | Path) -> dict:
         write_table(path, ["time", "lat", "lon", "value"], [*cells, grid.values.ravel()])
 
     fleet.segment_spec.to_json(out / "segments.json")
-    ids = sorted(fleet.labels)
-    write_table(out / "labels.csv", ["voyage_id", "label"], [ids, [fleet.labels[i] for i in ids]])
+    write_labeling(fleet.labels, out / "labels.csv")
 
     manifest = {
         "voyage_count": len(fleet.voyages),
@@ -379,7 +377,5 @@ def write_fleet(fleet: FleetData, out_dir: str | Path) -> dict:
         "seed": fleet.spec.seed,
         "weather_variables": list(WEATHER_VARIABLES),
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
     return manifest

@@ -309,23 +309,6 @@ class TestProfilesTable:
         ok_cells = sum(row.status == "ok" for row in report.rows)
         assert len(tables) == ok_cells * report.test_size == 108
 
-    @pytest.mark.parametrize("other_file", [False, True])
-    def test_old_profiles_directory_removed(self, pipeline_dir, tmp_path, other_file):
-        out = tmp_path / "run"
-        shutil.copytree(pipeline_dir / "store", out / "store")
-        old = out / "profiles"
-        old.mkdir()
-        for name in ("Top10Pr_kNN_V0001.csv", "Top75Pr_HMM_V9999.csv"):
-            (old / name).write_text("step,sog_meas,sog_pred\r\n0,1.0,2.0\r\n", encoding="utf-8")
-        if other_file:
-            (old / "notes.txt").write_text("kept", encoding="utf-8")
-        assert main(["optimize", "--out", str(out), "--seed", "11"]) == 0
-        if other_file:
-            assert [p.name for p in old.iterdir()] == ["notes.txt"]
-        else:
-            assert not old.exists()
-        assert read_rows(out / "profiles.csv")
-
 
 def read_log(out):
     return [json.loads(line) for line in (out / "run_log.jsonl").read_text().splitlines()]
@@ -612,16 +595,46 @@ class TestErrorPaths:
         failed = bad if case.endswith("not-json") else cfg
         assert err.startswith(f"error: {failed}: cannot read {what} (") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("command, name", [("ingest", "onboard/fleet.csv"), ("pathid", "labels.csv")])
+    @pytest.mark.parametrize("command, name", [("ingest", "onboard/fleet.csv"), ("pathid", "labels.csv"),
+                                               ("report", "summaries.csv")])
     def test_csv_input_not_utf8_exits_1(self, pipeline_dir, tmp_path, capsys, command, name):
         out = tmp_path / "run"
-        shutil.copytree(pipeline_dir / "store", out / "store")
-        shutil.copytree(pipeline_dir / "fleet", out / "fleet")
-        path = out / "fleet" / name  # in the last row: in the onboard file, np.loadtxt is the first to read it
+        shutil.copytree(pipeline_dir, out)
+        # In the last row: in the onboard file, np.loadtxt is the first to read it.
+        path = out / name if command == "report" else out / "fleet" / name
         path.write_bytes(path.read_bytes()[:-1] + b"\xe9\n")
         assert main([command, "--out", str(out), "--seed", "11"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: not UTF-8 text (") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("summaries.csv", lambda text: text.replace("eff_score", "score"), "missing column 'eff_score'"),
+        ("summaries.csv", lambda text: text.splitlines(keepends=True)[0], "no data rows"),
+        ("summaries.csv", lambda text: text.replace(text.splitlines()[1], "V0001,x,1,1,1,1,0,0,0,0"),
+         "data row 1: could not convert string to float: 'x'"),
+        ("labeling.csv", lambda text: text.replace(text.splitlines()[3], "V0003,"),
+         "data row 3: voyage 'V0003' has no label"),
+    ], ids=["no-eff-score-column", "header-only-summaries", "unparseable-cell", "blank-label"])
+    def test_malformed_report_input_exits_1(self, pipeline_dir, tmp_path, capsys, name, edit, message):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        path = out / name
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8", newline="")
+        assert main(["report", "--out", str(out), "--seed", "11"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("command, name", [("pathid", "fleet/labels.csv"), ("score", "store/manifest.json"),
+                                               ("ingest", "fleet/onboard/zz.csv")])
+    def test_directory_for_input_file_exits_1(self, pipeline_dir, tmp_path, capsys, command, name):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir / "store", out / "store")
+        shutil.copytree(pipeline_dir / "fleet", out / "fleet")
+        path = out / name
+        path.unlink(missing_ok=True)
+        path.mkdir()
+        assert main([command, "--out", str(out), "--seed", "11"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Is a directory" in err and err.count("\n") == 1
 
     def test_failed_alignment_leaves_no_stale_metrics(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "run"

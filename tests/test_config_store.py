@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import io
@@ -322,6 +323,18 @@ class TestWriteTable:
         package = Path(voyagekit.__file__).parent
         writers = sorted(p.name for p in package.glob("*.py") if "csv.writer" in p.read_text(encoding="utf-8"))
         assert writers == ["store.py"]
+        # Only the CSV readers import csv, only errors.write_json dumps JSON to a file, and the
+        # labels file's writer and reader live in store, so report and synth do not load path_id.
+        imports, dumps = {}, []
+        for path in package.glob("*.py"):
+            nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+            imports[path.name] = {name for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))
+                                  for name in [getattr(node, "module", None), *(a.name for a in node.names)]}
+            dumps += [path.name for node in nodes if isinstance(node, ast.Attribute) and node.attr == "dump"
+                      and isinstance(node.value, ast.Name) and node.value.id == "json"]
+        assert sorted(name for name, names in imports.items() if "csv" in names) == ["ingestion.py", "store.py"]
+        assert dumps == ["errors.py"]
+        assert not {"path_id"} & (imports["report.py"] | imports["synth.py"])
 
 
 def _npy_bytes(table):
@@ -430,20 +443,9 @@ class TestStore:
         with pytest.raises(InvalidInputError, match=r"store manifest lists V0002 but .*V0002\.npy is missing"):
             read_store(store)
 
-    def test_csv_store_from_older_version(self, store):
-        for path in (store / "voyages").glob("*.npy"):
-            path.with_suffix(".csv").write_text("Timestamp,Latitude\n", encoding="utf-8")
-            path.unlink()
-        with pytest.raises(InvalidInputError, match=r"V0001\.npy is missing; V0001\.csv is from an older "
-                                                     r"version: re-run `voyagekit ingest`"):
-            read_store(store)
-
     def test_rewrite_removes_stale_voyage_files(self, tiny_fleet, tmp_path):
         store, voyages = tmp_path / "store", tiny_fleet.voyages
         write_store(voyages[:3], store)
-        # An older version's CSV of a stored voyage, and one of a voyage never stored.
-        for vid in (voyages[0].voyage_id, "V9999"):
-            (store / "voyages" / f"{vid}.csv").write_text("Timestamp,Latitude\n", encoding="utf-8")
         (store / "voyages" / "notes.txt").write_text("kept\n", encoding="utf-8")
         write_store(voyages[:2], store)
         ids = [e["voyage_id"] for e in json.loads((store / "manifest.json").read_text())["voyages"]]
