@@ -58,7 +58,7 @@ def read_json(path: str | Path, what: str):
 
 
 def write_json(path: str | Path, obj) -> None:
-    """``obj`` as a JSON file: indent 2, sorted keys, NaN and infinity refused, a trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    """``obj`` as a JSON file: indent 2, sorted keys, NaN and infinity refused, a trailing newline.
+    The text is built before the file is opened, so a value JSON cannot hold leaves the file as it was."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    Path(path).write_text(text, encoding="utf-8")

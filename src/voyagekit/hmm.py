@@ -1,15 +1,16 @@
-"""Three-state weather HMM with diagonal-Gaussian emissions.
+"""HMMs with diagonal-Gaussian emissions, and the three-state weather model.
 
-States are Calm, Moderate, and Rough, ordered by ascending mean wind speed.
-Fitting is Baum-Welch over per-voyage sequences of (wind speed, wave height),
-laid out once per fit as one time-major (step, sequence) batch. Each EM pass
-runs one forward-backward over the batch, scaled per step (Rabiner 1989) so
-long sequences do not underflow, and sums the expected counts over every cell
-a sequence reaches. States describe the sea, not the crew, so `voyagekit
-optimize` fits one model per run on all training voyages and decodes every
-voyage once. The speed rule, `state_speeds`, then takes per state the maximum
-SOG of a cluster's decoded steps in Calm, the mean in Moderate, and the
-minimum in Rough.
+`baum_welch` fits any number of states over sequences laid out once per fit as
+one time-major (step, sequence) batch. Each EM pass runs one forward-backward
+over the batch, scaled per step (Rabiner 1989) so long sequences do not
+underflow, and sums the expected counts over every cell a sequence reaches. A
+Gaussian mixture is an HMM of one-step sequences: `path_id.gmm_rows` fits one.
+
+The weather states, Calm, Moderate, and Rough, ascend in mean wind speed. They
+describe the sea, not the crew, so `voyagekit optimize` fits one model per run
+on all training voyages and decodes every voyage once. `state_speeds` then takes
+per state the maximum SOG of a cluster's decoded steps in Calm, the mean in
+Moderate, and the minimum in Rough.
 """
 
 from __future__ import annotations
@@ -31,18 +32,18 @@ VARIANCE_FLOOR = 1e-6
 
 @dataclass
 class WeatherStateModel:
-    """Fitted weather-state HMM."""
+    """HMM with k states and diagonal-Gaussian emissions; the weather model has k = 3."""
 
     feature_names: tuple[str, ...]
-    start_probs: np.ndarray          # (3,)
-    transitions: np.ndarray          # (3, 3), rows sum to 1
-    means: np.ndarray                # (3, n_features)
-    variances: np.ndarray            # (3, n_features), floored
+    start_probs: np.ndarray          # (k,)
+    transitions: np.ndarray          # (k, k), rows sum to 1
+    means: np.ndarray                # (k, n_features)
+    variances: np.ndarray            # (k, n_features), floored
     loglik_history: list[float] = field(default_factory=list)
     converged: bool = False          # EM stopped on `tol`, not on `max_iter`
 
     def emission_log_density(self, obs: np.ndarray) -> np.ndarray:
-        """(..., 3) per-state diagonal-Gaussian log densities of (..., n_features) rows."""
+        """(..., k) per-state diagonal-Gaussian log densities of (..., n_features) rows."""
         obs = np.atleast_2d(np.asarray(obs, dtype=float))
         diff = obs[..., None, :] - self.means
         return -0.5 * (np.log(2.0 * np.pi * self.variances) + diff**2 / self.variances).sum(axis=-1)
@@ -56,7 +57,7 @@ class WeatherStateModel:
     def forward_backward(
         self, b: np.ndarray, active: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Scaled passes over the (T_max, n, 3) `scaled_emissions` of a `_time_major` batch.
+        """Scaled passes over the (T_max, n, k) `scaled_emissions` of a `_time_major` batch.
 
         Step t updates the first `active[t]` sequences, the ones still running:
         2·T_max Python steps per batch. Returns time-major (alpha, beta, scales);
@@ -71,7 +72,7 @@ class WeatherStateModel:
             a = alpha[t, :m]
             np.multiply(np.matmul(alpha[t - 1, :m], A, out=a), b[t, :m], out=a)
             np.divide(a, a.sum(axis=1, out=scales[t, :m])[:, None], out=a)
-        v = np.empty((n, N_STATES, 1))
+        v = np.empty((n, len(A), 1))
         for t in range(T - 2, -1, -1):
             m = active[t + 1]
             # Row-wise A @ v bit for bit; `v @ A.T` and einsum differ in the last bit.
@@ -95,7 +96,7 @@ class WeatherStateModel:
         log_b, (T, n) = self.emission_log_density(x), x.shape[:2]
         with np.errstate(divide="ignore"):
             log_pi, log_a = np.log(self.start_probs), np.log(self.transitions)
-        delta, back = np.empty((T, n, N_STATES)), np.zeros((T, n, N_STATES), dtype=int)
+        delta, back = np.empty(log_b.shape), np.zeros(log_b.shape, dtype=int)
         delta[0] = log_pi + log_b[0]
         for t, m in enumerate(active[1:], 1):
             scores = delta[t - 1, :m, :, None] + log_a
@@ -145,6 +146,29 @@ def _expected_counts(model: WeatherStateModel, x: np.ndarray, active: Sequence[i
             gamma.sum(axis=0), gamma.T @ obs, gamma.T @ obs**2)
 
 
+def baum_welch(
+    model: WeatherStateModel, sequences: Sequence[np.ndarray], max_iter: int = 200, tol: float = 1e-6
+) -> WeatherStateModel:
+    """EM fit of `model`, in place and returned, over (length, n_features) sequences: it stops,
+    `converged`, once a pass raises the log-likelihood by less than `tol`, or after `max_iter`."""
+    x, _, active = _time_major(sequences)
+    prev_ll = -np.inf
+    for _ in range(max_iter):
+        ll, start_sum, trans_sum, occupancy, first, second = _expected_counts(model, x, active)
+        model.loglik_history.append(ll)
+        denom = trans_sum.sum(axis=1, keepdims=True)
+        denom[denom == 0.0] = 1.0
+        occupancy = np.maximum(occupancy, 1e-12)  # a state no cell reaches keeps finite means
+        model.start_probs, model.transitions = start_sum / len(sequences), trans_sum / denom
+        model.means = first / occupancy[:, None]
+        model.variances = np.maximum(second / occupancy[:, None] - model.means**2, VARIANCE_FLOOR)
+        if ll - prev_ll < tol and np.isfinite(prev_ll):
+            model.converged = True
+            break
+        prev_ll = ll
+    return model
+
+
 def _tercile_states(wind: np.ndarray) -> np.ndarray:
     """Rank-based 3-quantile split of wind speed (stable under ties)."""
     order = np.argsort(wind, kind="stable")
@@ -189,23 +213,8 @@ def fit_weather_hmm(
     trans = np.full((N_STATES, N_STATES), 0.1 / (N_STATES - 1))
     np.fill_diagonal(trans, 0.9)
 
-    model = WeatherStateModel(feature_names=tuple(features), start_probs=start,
-                              transitions=trans, means=means, variances=variances)
-    x, _, active = _time_major(sequences)
-    prev_ll = -np.inf
-    for _ in range(max_iter):
-        ll, start_sum, trans_sum, occupancy, first, second = _expected_counts(model, x, active)
-        model.loglik_history.append(ll)
-        denom = trans_sum.sum(axis=1, keepdims=True)
-        denom[denom == 0.0] = 1.0
-        model.start_probs, model.transitions = start_sum / len(sequences), trans_sum / denom
-        model.means = first / occupancy[:, None]
-        model.variances = np.maximum(second / occupancy[:, None] - model.means**2, VARIANCE_FLOOR)
-        if ll - prev_ll < tol and np.isfinite(prev_ll):
-            model.converged = True
-            break
-        prev_ll = ll
-
+    model = baum_welch(WeatherStateModel(tuple(features), start, trans, means, variances),
+                       sequences, max_iter, tol)
     # Relabel so Calm < Moderate < Rough in mean wind speed (feature 0).
     order = np.argsort(model.means[:, 0], kind="stable")
     model.start_probs = model.start_probs[order]

@@ -3,8 +3,8 @@
 Two families of methods label which fairway branch a voyage took:
 
 * distance-based: an average-nearest-neighbor distance (ANND) matrix over
-  all paths, clustered by k-means, a Gaussian mixture, or agglomerative
-  average linkage with a dendrogram cut-off;
+  all paths, clustered by k-means, a Gaussian mixture (`hmm.baum_welch` over
+  one-step sequences), or agglomerative average linkage with a cut-off;
 * segmented Gaussian likelihood: in each route segment, one position
   Gaussian per training label (Gaussian discriminant analysis); the label
   whose Gaussian best explains a path's points there gets that segment's vote.
@@ -33,6 +33,7 @@ from .errors import (
     UnclassifiableError,
 )
 from .geo import EARTH_RADIUS_M, RouteSegmentSpec, Voyage
+from .hmm import WeatherStateModel, baum_welch
 from .store import write_table
 
 PathLabeling = dict[str, str]
@@ -40,7 +41,6 @@ PathLabeling = dict[str, str]
 COVARIANCE_FLOOR = 1e-6
 KMEANS_RESTARTS = 100   # k-means++ runs; the lowest inertia wins
 KMEANS_MAX_ITER = 300   # Lloyd iterations per run
-EM_MAX_ITER = 200       # mixture EM passes
 # Point pairs up to which one dense block (at most 1 MiB) beats two k-d tree
 # queries; the measured per-pair crossover.
 DENSE_CELLS = 1 << 17
@@ -193,45 +193,26 @@ def kmeans_rows(matrix: DistanceMatrix, k: int, seed: int) -> PathLabeling:
     return _canonical_labels(_kmeans(matrix.values, k, seed)[0], matrix.voyage_ids)
 
 
-def _em_converged(history: list[float]) -> bool:
-    """EM stops once a pass raises the log-likelihood by less than 1e-6."""
-    return len(history) > 1 and history[-1] - history[-2] < 1e-6
-
-
-def _gmm_em_rows(x: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, list[float]]:
-    """Diagonal-covariance EM on row vectors; returns (labels, ll history)."""
-    init_labels = _kmeans(x, k, seed)[0]
-    weights = np.empty(k)
-    means = np.empty((k, x.shape[1]))
-    variances = np.empty((k, x.shape[1]))
-    for c in range(k):
-        group = x[init_labels == c]
-        weights[c] = len(group) / len(x)
-        means[c] = group.mean(axis=0)
-        variances[c] = np.maximum(group.var(axis=0), COVARIANCE_FLOOR)
-
-    history: list[float] = []
-    while len(history) < EM_MAX_ITER and not _em_converged(history):
-        log_p = -0.5 * (
-            np.log(2.0 * np.pi * variances)[None, :, :]
-            + (x[:, None, :] - means[None, :, :]) ** 2 / variances[None, :, :]
-        ).sum(axis=2) + np.log(weights)[None, :]
-        # E-step: log-sum-exp normaliser, responsibilities and floored nk.
-        top = log_p.max(axis=1, keepdims=True)
-        norm = top[:, 0] + np.log(np.exp(log_p - top).sum(axis=1))
-        resp = np.exp(log_p - norm[:, None])
-        nk = resp.sum(axis=0)
-        nk[nk < 1e-12] = 1e-12
-        history.append(float(norm.sum()))
-        weights, means = nk / len(x), (resp.T @ x) / nk[:, None]
-        variances = np.maximum((resp.T @ (x**2)) / nk[:, None] - means**2, COVARIANCE_FLOOR)
-    return resp.argmax(axis=1), history
-
-
 def gmm_rows(matrix: DistanceMatrix, k: int, seed: int) -> tuple[PathLabeling, int, bool]:
-    """Diagonal-covariance mixture on matrix rows, k-means init: (labeling, EM steps, converged)."""
-    labels, history = _gmm_em_rows(matrix.values, k, seed)
-    return _canonical_labels(labels, matrix.voyage_ids), len(history), _em_converged(history)
+    """Diagonal-covariance mixture on matrix rows: (labeling, EM passes, converged).
+
+    A mixture is an HMM whose sequences each hold one step (Rabiner 1989), so
+    `baum_welch` fits it, each row one sequence, from the k-means groups' weights,
+    means and floored variances. Each row takes its most likely component under
+    the fit: the highest log weight plus log density.
+    """
+    x = matrix.values
+    init_labels = _kmeans(x, k, seed)[0]
+    groups = [x[init_labels == c] for c in range(k)]
+    weights = np.array([len(group) for group in groups]) / len(x)
+    means = np.array([group.mean(axis=0) for group in groups])
+    variances = np.maximum([group.var(axis=0) for group in groups], COVARIANCE_FLOOR)
+    # The transitions go unused: a one-step sequence makes none.
+    model = WeatherStateModel(matrix.voyage_ids, weights, np.eye(k), means, variances)
+    baum_welch(model, list(x[:, None]))
+    with np.errstate(divide="ignore"):
+        labels = (np.log(model.start_probs) + model.emission_log_density(x)).argmax(axis=1)
+    return _canonical_labels(labels, matrix.voyage_ids), len(model.loglik_history), model.converged
 
 
 def cutoff_in_matrix_units(cutoff_deg: float, metric: str) -> float:

@@ -143,13 +143,19 @@ def _read(path: Path, columns: Sequence[str], convert: Callable[[dict[str, str]]
     return rows
 
 
-def _optional(cell: str, kind: type) -> int | float | None:
+def _optional(cell: str, kind: Callable[[str], int | float]) -> int | float | None:
     return kind(cell) if cell else None
 
 
-def _finite(cell: str) -> float | None:
+def _finite(cell: str) -> float:
+    if not math.isfinite(value := float(cell)):
+        raise ValueError(f"{cell!r} is not a finite number")
+    return value
+
+
+def _pooled(cell: str) -> float | None:
     # nan, for a state no step was pooled in, is written as null.
-    return float(cell) if math.isfinite(float(cell)) else None
+    return None if math.isnan(float(cell)) else _finite(cell)
 
 
 def build_report(out: Path, summaries: list[dict]) -> dict:
@@ -159,7 +165,7 @@ def build_report(out: Path, summaries: list[dict]) -> dict:
     if (out / "metrics.csv").exists():
         scored = ("precision", "recall", "f1")
         metrics = _read(out / "metrics.csv", ("class", *scored),
-                        lambda r: {"class": r["class"], **{name: float(r[name]) for name in scored}})
+                        lambda r: {"class": r["class"], **{name: _finite(r[name]) for name in scored}})
     return {
         "schema_version": 1,
         "efficiency": {
@@ -175,10 +181,10 @@ def build_report(out: Path, summaries: list[dict]) -> dict:
         },
         "optimization": {
             "rows": _read(out / "gains.csv", ("cluster", "model", "eff_gain_pct", "improved_count", "status"),
-                          lambda r: {**r, "eff_gain_pct": _optional(r["eff_gain_pct"], float),
+                          lambda r: {**r, "eff_gain_pct": _optional(r["eff_gain_pct"], _finite),
                                      "improved_count": _optional(r["improved_count"], int)}),
             "state_rows": _read(out / "state_gains.csv", ("model", "weather_state", "avg", "std"),
-                                lambda r: {**r, "avg": _finite(r["avg"]), "std": _finite(r["std"])}),
+                                lambda r: {**r, "avg": _pooled(r["avg"]), "std": _pooled(r["std"])}),
         },
         "path_identification": {
             "label_counts": dict(sorted(Counter(read_labeling(out / "labeling.csv").values()).items())),
@@ -190,8 +196,9 @@ def build_report(out: Path, summaries: list[dict]) -> dict:
 def write_report_outputs(out_dir: str | Path) -> list[str]:
     """Write report.json and the SVG figures; returns the file names.
 
-    A missing input, or one read_table or read_labeling rejects, a cell that
-    does not parse and a summaries.csv without data rows raise InvalidInputError.
+    A missing input, or one read_table or read_labeling rejects, a cell that does not
+    parse or is not a finite float (state_gains.csv's nan, for a state no step was pooled
+    in, excepted) and a summaries.csv without data rows raise InvalidInputError.
     """
     out = Path(out_dir)
     required = ["summaries.csv", "gains.csv", "state_gains.csv", "labeling.csv"]
@@ -200,9 +207,12 @@ def write_report_outputs(out_dir: str | Path) -> list[str]:
         raise InvalidInputError(f"missing report inputs in {out}: {', '.join(missing)}")
     counts = ("top10", "top25", "top50", "top75")
     summaries = _read(out / "summaries.csv", ("fuel_total", "time_total", "eff_score", *counts),
-                      lambda r: {name: int(r[name]) if name in counts else float(r[name]) for name in r})
+                      lambda r: {name: int(r[name]) if name in counts else _finite(r[name]) for name in r})
     if not summaries:
         raise InvalidInputError(f"{out / 'summaries.csv'}: no data rows")
+    voyage_gains_path = out / "voyage_gains.csv"  # read first: a rejected input leaves every output as it was
+    rows = _read(voyage_gains_path, ("cluster", "model", "gain_pct"),
+                 lambda r: {**r, "gain_pct": _finite(r["gain_pct"])}) if voyage_gains_path.exists() else None
     write_json(out / "report.json", build_report(out, summaries))
     written = ["report.json"]
 
@@ -218,10 +228,7 @@ def write_report_outputs(out_dir: str | Path) -> list[str]:
     )
     written += ["eff_vs_fuel.svg", "eff_vs_time.svg"]
 
-    voyage_gains_path = out / "voyage_gains.csv"
-    if voyage_gains_path.exists():
-        rows = _read(voyage_gains_path, ("cluster", "model", "gain_pct"),
-                     lambda r: {**r, "gain_pct": float(r["gain_pct"])})
+    if rows is not None:
         first_cluster = rows[0]["cluster"] if rows else ""
         series: dict[str, list[float]] = {}
         for r in rows:

@@ -83,9 +83,9 @@ def write_table(path: str | Path, header: Sequence[str], columns: Iterable[Seque
 
 @contextmanager
 def open_csv(path: str | Path) -> Iterator[TextIO]:
-    """``path`` opened as UTF-8 CSV text; InvalidInputError naming it if it cannot be opened or decoded."""
+    """``path`` as UTF-8 CSV text, any byte-order mark dropped; InvalidInputError naming it if unopenable or undecodable."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except OSError as exc:
         raise InvalidInputError(f"{path}: cannot read ({exc})") from exc

@@ -31,6 +31,21 @@ def pipeline_dir(tmp_path_factory):
     return out
 
 
+def with_cell(text, row, column, value):
+    """CSV text with one data row's cell in ``column`` replaced."""
+    lines = text.splitlines(keepends=True)
+    cells = lines[row].rstrip("\r\n").split(",")
+    cells[lines[0].rstrip("\r\n").split(",").index(column)] = value
+    lines[row] = ",".join(cells) + lines[row][len(lines[row].rstrip("\r\n")):]
+    return "".join(lines)
+
+
+def file_bytes(path):
+    """{relative name: bytes} of every file under a directory, or of the one file."""
+    files = sorted(path.rglob("*")) if path.is_dir() else [path]
+    return {str(f.relative_to(path)): f.read_bytes() for f in files if f.is_file()}
+
+
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -614,14 +629,35 @@ class TestErrorPaths:
          "data row 1: could not convert string to float: 'x'"),
         ("labeling.csv", lambda text: text.replace(text.splitlines()[3], "V0003,"),
          "data row 3: voyage 'V0003' has no label"),
-    ], ids=["no-eff-score-column", "header-only-summaries", "unparseable-cell", "blank-label"])
+        ("summaries.csv", lambda text: with_cell(text, 1, "eff_score", "nan"), "data row 1: 'nan' is not a finite number"),
+        ("voyage_gains.csv", lambda text: with_cell(text, 2, "gain_pct", "inf"),
+         "data row 2: 'inf' is not a finite number"),
+    ], ids=["no-eff-score-column", "header-only-summaries", "unparseable-cell", "blank-label", "nan-cell",
+            "infinite-voyage-gain"])
     def test_malformed_report_input_exits_1(self, pipeline_dir, tmp_path, capsys, name, edit, message):
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir, out)
+        (out / "report.json").write_text("earlier\n", encoding="utf-8")
         path = out / name
         path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8", newline="")
         assert main(["report", "--out", str(out), "--seed", "11"]) == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert (out / "report.json").read_text(encoding="utf-8") == "earlier\n"
+
+    @pytest.mark.parametrize("command, name, output", [
+        ("ingest", "onboard/fleet.csv", "store"),
+        ("ingest", "weather/WaveHeight.csv", "store"),
+        ("pathid", "labels.csv", "labeling.csv"),
+    ])
+    def test_byte_order_mark_ignored(self, pipeline_dir, tmp_path, command, name, output):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir / "fleet", out / "fleet")
+        if command == "pathid":
+            shutil.copytree(pipeline_dir / "store", out / "store")
+        path = out / "fleet" / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main([command, "--config", str(pipeline_dir / "cfg.json"), "--out", str(out), "--seed", "11"]) == 0
+        assert file_bytes(out / output) == file_bytes(pipeline_dir / output)
 
     @pytest.mark.parametrize("command, name", [("pathid", "fleet/labels.csv"), ("score", "store/manifest.json"),
                                                ("ingest", "fleet/onboard/zz.csv")])

@@ -323,15 +323,18 @@ class TestWriteTable:
         package = Path(voyagekit.__file__).parent
         writers = sorted(p.name for p in package.glob("*.py") if "csv.writer" in p.read_text(encoding="utf-8"))
         assert writers == ["store.py"]
-        # Only the CSV readers import csv, only errors.write_json dumps JSON to a file, and the
-        # labels file's writer and reader live in store, so report and synth do not load path_id.
+        # Only the CSV readers import csv, only errors.write_json formats a JSON file (json.dump, or
+        # json.dumps with an indent, as against a run-log line or a message), and the labels file's
+        # writer and reader live in store, so report and synth do not load path_id.
         imports, dumps = {}, []
         for path in package.glob("*.py"):
             nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
             imports[path.name] = {name for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))
                                   for name in [getattr(node, "module", None), *(a.name for a in node.names)]}
-            dumps += [path.name for node in nodes if isinstance(node, ast.Attribute) and node.attr == "dump"
-                      and isinstance(node.value, ast.Name) and node.value.id == "json"]
+            dumps += [path.name for node in nodes if isinstance(node, ast.Call)
+                      and isinstance(f := node.func, ast.Attribute) and isinstance(f.value, ast.Name)
+                      and f.value.id == "json" and (f.attr == "dump" or f.attr == "dumps"
+                                                   and any(k.arg == "indent" for k in node.keywords))]
         assert sorted(name for name, names in imports.items() if "csv" in names) == ["ingestion.py", "store.py"]
         assert dumps == ["errors.py"]
         assert not {"path_id"} & (imports["report.py"] | imports["synth.py"])

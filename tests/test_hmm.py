@@ -14,6 +14,7 @@ from voyagekit.hmm import (
     WeatherStateModel,
     _expected_counts,
     _time_major,
+    baum_welch,
     decode_states,
     fit_weather_hmm,
     state_speeds,
@@ -478,6 +479,36 @@ class TestFit:
                              make_sample(60.0, weather={"WindSpeed_cps": 3.0})])
         with pytest.raises(MissingDataError):
             fit_weather_hmm([v] * 200, seed=0)
+
+
+def start_model(sequences, k):
+    """k-state start: wind-speed-ordered equal groups, sticky uniform transitions."""
+    stacked = np.vstack(sequences)
+    groups = np.array_split(stacked[np.argsort(stacked[:, 0], kind="stable")], k)
+    trans = np.full((k, k), 0.1 / (k - 1))
+    np.fill_diagonal(trans, 0.9)
+    return WeatherStateModel(DEFAULT_FEATURES, np.full(k, 1.0 / k), trans,
+                             np.array([g.mean(axis=0) for g in groups]),
+                             np.array([g.var(axis=0) for g in groups]))
+
+
+class TestBaumWelchStateCounts:
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_fit_and_decode(self, k):
+        # Eight 60-step voyages and four 7-step ones, from the 3-state generator.
+        voyages = simulate_voyages(n_voyages=8, seed=k)[0] + simulate_voyages(4, length=7, seed=9)[0]
+        sequences = [v.columns(*DEFAULT_FEATURES) for v in voyages]
+        model = baum_welch(start_model(sequences, k), sequences)
+        history = np.array(model.loglik_history)
+        assert model.converged and 2 <= len(history) < 200
+        assert np.all(np.diff(history) >= -1e-9 * np.abs(history[:-1]))
+        assert model.transitions.shape == (k, k) and model.means.shape == (k, 2)
+        np.testing.assert_allclose(model.transitions.sum(axis=1), 1.0)
+        decoded = model.viterbi(sequences)
+        for states, obs in zip(decoded, sequences, strict=True):
+            assert states.shape == (len(obs),)
+            assert 0 <= states.min() and states.max() < k
+            np.testing.assert_array_equal(model.viterbi(obs), states)
 
 
 class TestPredict:

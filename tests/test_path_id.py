@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voyagekit import path_id
+from voyagekit import hmm, path_id
 from voyagekit.cli import split_train_test
 from voyagekit.errors import (
     ConfigurationError,
@@ -468,14 +468,91 @@ class TestGmmRows:
         from_gmm = align_labels(gmm_rows(matrix, 3, seed=0)[0], truth)
         assert from_kmeans == from_gmm == truth
 
-    def test_em_loglik_non_decreasing(self, three_bundles):
-        from voyagekit.path_id import _gmm_em_rows
+    def test_em_loglik_non_decreasing(self, three_bundles, monkeypatch):
+        fits = []
 
+        def recording(model, sequences, *args):
+            fits.append(hmm.baum_welch(model, sequences, *args))
+            return fits[-1]
+
+        monkeypatch.setattr(path_id, "baum_welch", recording)
         matrix, _ = three_bundles
         for seed in (0, 1, 2):
-            _, history = _gmm_em_rows(matrix.values, 3, seed)
-            diffs = np.diff(np.array(history))
-            assert np.all(diffs >= -1e-9 * np.abs(np.array(history[:-1])))
+            gmm_rows(matrix, 3, seed)
+        assert len(fits) == 3
+        for model in fits:
+            history = np.array(model.loglik_history)
+            assert np.all(np.diff(history) >= -1e-9 * np.abs(history[:-1]))
+
+    def test_matches_em_oracle_on_bundles(self, three_bundles):
+        matrix, _ = three_bundles
+        for k, seed in itertools.product(range(2, 6), (0, 1, 2)):
+            assert gmm_matches_oracle(matrix, k, seed)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "haversine"])
+    @pytest.mark.parametrize("fleet_seed", [1, 2, 7])
+    def test_matches_em_oracle_on_demo_fleets(self, fleet_seed, metric):
+        fleet = generate_fleet(default_fleet_spec(fleet_seed))
+        matrix = build_distance_matrix([Path.from_voyage(v) for v in fleet.voyages], metric)
+        for k in range(2, 6):
+            assert gmm_matches_oracle(matrix, k, seed=7)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_em_oracle_on_overlapping_groups(self, seed):
+        # Rows of overlapping groups in d of the n columns, the rest 0: EM takes 2-112 passes,
+        # and seed 3 reaches the 200-pass cap at every k.
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(10, 60)), int(rng.integers(1, 6))
+        values = np.zeros((n, n))
+        values[:, :d] = rng.normal(size=(n, d)) + rng.integers(0, 3, size=(n, 1)) * rng.uniform(0.5, 3)
+        matrix = DistanceMatrix(tuple(f"v{i}" for i in range(n)), values)
+        assert [gmm_matches_oracle(matrix, k, seed) for k in (2, 3, 4)] == [seed != 3] * 3
+
+
+def oracle_gmm_em(x, k, seed):
+    """Reference: diagonal-covariance EM on the rows written out as a mixture, from the
+    k-means groups; (labels from the last E-step, ll history, converged)."""
+    init_labels = path_id._kmeans(x, k, seed)[0]
+    weights = np.empty(k)
+    means = np.empty((k, x.shape[1]))
+    variances = np.empty((k, x.shape[1]))
+    for c in range(k):
+        group = x[init_labels == c]
+        weights[c] = len(group) / len(x)
+        means[c] = group.mean(axis=0)
+        variances[c] = np.maximum(group.var(axis=0), path_id.COVARIANCE_FLOOR)
+
+    def converged(history):
+        return len(history) > 1 and history[-1] - history[-2] < 1e-6
+
+    history = []
+    while len(history) < 200 and not converged(history):
+        log_p = -0.5 * (
+            np.log(2.0 * np.pi * variances)[None, :, :]
+            + (x[:, None, :] - means[None, :, :]) ** 2 / variances[None, :, :]
+        ).sum(axis=2) + np.log(weights)[None, :]
+        top = log_p.max(axis=1, keepdims=True)
+        norm = top[:, 0] + np.log(np.exp(log_p - top).sum(axis=1))
+        resp = np.exp(log_p - norm[:, None])
+        nk = resp.sum(axis=0)
+        nk[nk < 1e-12] = 1e-12
+        history.append(float(norm.sum()))
+        weights, means = nk / len(x), (resp.T @ x) / nk[:, None]
+        variances = np.maximum((resp.T @ (x**2)) / nk[:, None] - means**2, path_id.COVARIANCE_FLOOR)
+    return resp.argmax(axis=1), history, converged(history)
+
+
+def gmm_matches_oracle(matrix, k, seed):
+    """Assert gmm_rows' pass count and `converged` are the oracle's, and so are its labels
+    if the oracle converged; return whether it did."""
+    labels, history, converged = oracle_gmm_em(matrix.values, k, seed)
+    got_labels, passes, got_converged = gmm_rows(matrix, k, seed)
+    assert (passes, got_converged) == (len(history), converged)
+    # The oracle labels from its last E-step, gmm_rows under the last M-step: the two agree
+    # once a pass no longer moves the log-likelihood, but need not at the pass cap.
+    if converged:
+        assert got_labels == path_id._canonical_labels(labels, matrix.voyage_ids)
+    return converged
 
 
 class TestHaversineMatrix:
