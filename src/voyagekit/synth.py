@@ -14,14 +14,18 @@ files.
 Weather fields are built directly on the export lattice and evaluated by
 trilinear interpolation, so the weather a voyage "experiences" during
 generation is exactly what the ingestion pipeline reconstructs from the
-exported grid files.
+exported grid files. The lattice's hours are drawn for a bound on the
+fleet's span; once the fleet is sampled, each grid is cut to run from the
+hour before the first sample to the first hour after the last, so every
+sample keeps its interpolation cell and no unsampled trailing hour is
+exported.
 """
 
 from __future__ import annotations
 
 import math
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +78,15 @@ class SyntheticFleetSpec:
     def __post_init__(self):
         if not self.regimes:
             self.regimes = default_regimes()
+        for where, owner in (("", self), *((f"regime {r.name!r}: ", r) for r in self.regimes)):
+            for f in fields(owner):
+                value = getattr(owner, f.name)
+                if any(isinstance(x, float) and not math.isfinite(x)
+                       for x in (value if isinstance(value, tuple) else (value,))):
+                    raise ConfigurationError(f"{where}{f.name} must be finite, got {value!r}")
+                if f.name in _POSITIVE and value <= 0 or f.name in _NON_NEGATIVE and value < 0:
+                    bound = ">" if f.name in _POSITIVE else ">="
+                    raise ConfigurationError(f"{where}{f.name} must be {bound} 0, got {value!r}")
         if len(self.branches) < 2:
             raise ConfigurationError("need at least 2 branches")
         for b in self.branches:
@@ -81,14 +94,8 @@ class SyntheticFleetSpec:
                 raise ConfigurationError(
                     f"branch {b.name!r}: centerline needs >= 2 points"
                 )
-        if not (math.isfinite(self.noise_std_deg) and self.noise_std_deg >= 0):
-            raise ConfigurationError(f"noise std {self.noise_std_deg} must be >= 0")
-        if min(self.fuel_a, self.fuel_b, self.fuel_c) < 0:
-            raise ConfigurationError("fuel coefficients must be >= 0")
         if not _is_count(self.voyages_per_branch) or self.voyages_per_branch < 1:
             raise ConfigurationError(f"voyages_per_branch must be an integer >= 1, got {self.voyages_per_branch!r}")
-        if self.sample_period_s <= 0 or self.gap_s <= 0:
-            raise ConfigurationError("sample period and gap must be > 0")
         lo, hi = self.skill_range
         if not 0 < lo <= hi:
             raise ConfigurationError(f"bad skill range {self.skill_range}")
@@ -96,6 +103,11 @@ class SyntheticFleetSpec:
             raise ConfigurationError("exactly 3 weather regimes are required")
         if not _is_count(self.seed) or self.seed < 0:
             raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+
+# Bounds on spec and regime fields; grid_margin_deg may be negative (a lattice that misses a voyage).
+_POSITIVE = {"sample_period_s", "gap_s", "grid_step_deg", "dwell_hours", "base_sog"}
+_NON_NEGATIVE = {"noise_std_deg", "fuel_a", "fuel_b", "fuel_c", "sog_noise", "wind_std", "wave_std"}
 
 
 def _is_count(value) -> bool:
@@ -203,7 +215,8 @@ def generate_fleet(spec: SyntheticFleetSpec) -> FleetData:
     polylines = {b.name: _Polyline(b.centerline) for b in spec.branches}
     order = [b.name for _ in range(spec.voyages_per_branch) for b in spec.branches]
 
-    # Upper bound on the simulated span, for sizing the weather timeline.
+    # Upper bound on the simulated span, for sizing the regime chain (its draws fix every later
+    # draw); the exported grids are cut to the hours the fleet samples.
     min_sog = min(r.base_sog for r in spec.regimes) * spec.skill_range[0] * 0.5
     total_s = 0.0
     for name in order:
@@ -271,6 +284,9 @@ def generate_fleet(spec: SyntheticFleetSpec) -> FleetData:
         voyages.append(Voyage(*columns[: len(CORE_FIELDS)], channels, voyage_id=vid))
         labels[vid] = branch_name
 
+    # Export up to the first hour after the last sample: the last sample's cell is the last one kept.
+    keep = int(np.searchsorted(times, t[-1], side="right")) + 1
+    grids = [replace(grid, times=grid.times[:keep], values=grid.values[:keep]) for grid in grids]
     return FleetData(spec, voyages, labels, grids, _route_segments(all_points, pad))
 
 

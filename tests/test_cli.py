@@ -15,7 +15,7 @@ import voyagekit
 from conftest import tiny_fleet_spec
 from voyagekit import speed_opt, store
 from voyagekit.cli import main, split_train_test
-from voyagekit.synth import generate_fleet, write_fleet
+from voyagekit.synth import default_regimes, generate_fleet, write_fleet
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +141,37 @@ class TestSynthCommand:
         assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
             f"error: voyages_per_branch must be an integer >= 1, got {count!r}\n")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("sog_noise", -1, "sog_noise must be >= 0, got -1"),
+        ("grid_step_deg", 0, "grid_step_deg must be > 0, got 0"),
+        ("sample_period_s", float("nan"), "sample_period_s must be finite, got nan"),
+        ("grid_margin_deg", float("nan"), "grid_margin_deg must be finite, got nan"),
+        ("skill_range", [0.9, float("inf")], "skill_range must be finite, got (0.9, inf)"),
+        ("dwell_hours", 0, "regime 'calm': dwell_hours must be > 0, got 0"),
+        ("base_sog", 0, "regime 'calm': base_sog must be > 0, got 0"),
+        ("wind_std", -0.5, "regime 'calm': wind_std must be >= 0, got -0.5"),
+        ("wave_std", -0.1, "regime 'calm': wave_std must be >= 0, got -0.1"),
+        ("wave_mean", float("-inf"), "regime 'calm': wave_mean must be finite, got -inf"),
+    ])
+    def test_spec_bad_value_exits_2(self, tmp_path, capsys, field, value, message):
+        spec = {
+            "branches": [
+                {"name": "a", "centerline": [[0.0, 0.0], [0.0, 0.1]]},
+                {"name": "b", "centerline": [[0.05, 0.0], [0.05, 0.1]]},
+            ],
+            "voyages_per_branch": 1,
+            "regimes": [dataclasses.asdict(r) for r in default_regimes()],
+        }
+        if field in spec["regimes"][0]:  # every regime gets the value: the first one is named
+            for regime in spec["regimes"]:
+                regime[field] = value
+        else:
+            spec[field] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestPipelineOutputs:

@@ -10,7 +10,7 @@ from conftest import tiny_fleet_spec
 from voyagekit import synth
 from voyagekit.errors import ConfigurationError
 from voyagekit.geo import CORE_FIELDS, Voyage
-from voyagekit.ingestion import WeatherGrid, parse_weather_grid
+from voyagekit.ingestion import WeatherGrid, attach_weather, parse_weather_grid
 from voyagekit.store import ONBOARD_CHANNELS, write_table
 from voyagekit.synth import (
     DEG_PER_M,
@@ -166,8 +166,12 @@ def oracle_at(points, s):
     return points[i] + frac * (points[i + 1] - points[i]), direction
 
 
-def oracle_generate_fleet(spec):
-    """Reference: the generator as a per-sample loop, one interpolation per voyage and grid."""
+def oracle_generate_fleet(spec, all_hours=False):
+    """Reference: the generator as a per-sample loop, one interpolation per voyage and grid.
+
+    The grids are built over the whole regime chain, then cut to end at the
+    first hour after the fleet's last sample; `all_hours` skips the cut.
+    """
     rng = np.random.default_rng(spec.seed)
     lines = {b.name: np.asarray(b.centerline, dtype=float) for b in spec.branches}
     totals = {name: float(np.sqrt((np.diff(p, axis=0) ** 2).sum(axis=1)).sum()) for name, p in lines.items()}
@@ -254,6 +258,9 @@ def oracle_generate_fleet(spec):
         voyages.append(Voyage(ts, pos[:, 0], pos[:, 1], sogs, heading_list, fuel, channels, voyage_id=vid))
         labels[vid] = branch_name
         t += spec.gap_s
+    if not all_hours:
+        keep = int((voyages[-1].t[-1] - times[0]) // 3600.0) + 2
+        grids = [WeatherGrid(g.variable, g.times[:keep], lats, lons, g.values[:keep]) for g in grids]
     return FleetData(spec, voyages, labels, grids, synth._route_segments(all_points, pad))
 
 
@@ -286,34 +293,37 @@ def sized_default_spec(seed, voyages):
     return dataclasses.replace(default_fleet_spec(seed), voyages_per_branch=voyages // 3)
 
 
+ORACLE_SPECS = pytest.mark.parametrize(
+    "spec",
+    [
+        default_fleet_spec(1),
+        default_fleet_spec(7),
+        sized_default_spec(3, 60),
+        tiny_fleet_spec(),
+        dataclasses.replace(tiny_fleet_spec(seed=2), noise_std_deg=0.0),
+        dataclasses.replace(
+            tiny_fleet_spec(seed=5), sample_period_s=13.7, gap_s=901.3, skill_range=(0.5, 1.4)
+        ),
+        # Speed noise slower than the slowest regime: the first block of draws falls short.
+        dataclasses.replace(tiny_fleet_spec(seed=3), sog_noise=6.0),
+        dataclasses.replace(tiny_fleet_spec(seed=4), branches=[
+            Branch("mid", [(0.0, 0.0), (0.0, 0.1), (0.0, 0.1), (0.0, 0.2)]),  # a repeated point
+            Branch("north", [(0.0, 0.0), (0.12, 0.07), (0.12, 0.13), (0.0, 0.2)]),
+        ]),
+        dataclasses.replace(tiny_fleet_spec(seed=6, voyages_per_branch=2), branches=[
+            Branch("a", [(0.0, 0.0), (0.0, 0.2), (0.0, 0.2)]),  # a repeated end point
+            Branch("b", [(0.0, 0.0), (0.1, 0.1), (0.0, 0.2)]),
+        ]),
+    ],
+    ids=["default-1", "default-7", "default-60-voyages", "tiny", "zero-noise", "custom-timing",
+         "noisy-speed", "repeated-point", "repeated-end-point"],
+)
+
+
 class TestMatchesPerSampleOracle:
     """The columnar generator gives the per-sample loop's arrays and files, bit for bit."""
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            default_fleet_spec(1),
-            default_fleet_spec(7),
-            sized_default_spec(3, 60),
-            tiny_fleet_spec(),
-            dataclasses.replace(tiny_fleet_spec(seed=2), noise_std_deg=0.0),
-            dataclasses.replace(
-                tiny_fleet_spec(seed=5), sample_period_s=13.7, gap_s=901.3, skill_range=(0.5, 1.4)
-            ),
-            # Speed noise slower than the slowest regime: the first block of draws falls short.
-            dataclasses.replace(tiny_fleet_spec(seed=3), sog_noise=6.0),
-            dataclasses.replace(tiny_fleet_spec(seed=4), branches=[
-                Branch("mid", [(0.0, 0.0), (0.0, 0.1), (0.0, 0.1), (0.0, 0.2)]),  # a repeated point
-                Branch("north", [(0.0, 0.0), (0.12, 0.07), (0.12, 0.13), (0.0, 0.2)]),
-            ]),
-            dataclasses.replace(tiny_fleet_spec(seed=6, voyages_per_branch=2), branches=[
-                Branch("a", [(0.0, 0.0), (0.0, 0.2), (0.0, 0.2)]),  # a repeated end point
-                Branch("b", [(0.0, 0.0), (0.1, 0.1), (0.0, 0.2)]),
-            ]),
-        ],
-        ids=["default-1", "default-7", "default-60-voyages", "tiny", "zero-noise", "custom-timing",
-             "noisy-speed", "repeated-point", "repeated-end-point"],
-    )
+    @ORACLE_SPECS
     def test_arrays_and_files(self, spec, tmp_path):
         expected, got = oracle_generate_fleet(spec), generate_fleet(spec)
         assert got.labels == expected.labels
@@ -342,6 +352,26 @@ class TestMatchesPerSampleOracle:
             generate_fleet(spec)
         assert "does not cover voyage" in str(expected.value)
         assert str(got.value) == str(expected.value)
+
+
+class TestExportedHours:
+    """Each grid runs from the hour before the first sample to the first hour after the last."""
+
+    @ORACLE_SPECS
+    def test_grids_cut_after_last_sample(self, spec):
+        full, got = oracle_generate_fleet(spec, all_hours=True), generate_fleet(spec)
+        t_last = got.voyages[-1].t[-1]
+        keep = int((t_last - full.grids[0].times[0]) // 3600.0) + 2
+        for whole, grid in zip(full.grids, got.grids):
+            assert grid.times.tobytes() == whole.times[:keep].tobytes(), grid.variable
+            assert grid.values.tobytes() == whole.values[:keep].tobytes(), grid.variable
+            assert grid.times[-2] <= t_last < grid.times[-1]
+        for v in got.voyages:
+            core = Voyage(*(getattr(v, name) for name in CORE_FIELDS), {}, voyage_id=v.voyage_id)
+            attached, dropped, _ = attach_weather(core, got.grids)
+            assert dropped == 0, v.voyage_id
+            for name in WEATHER_VARIABLES:
+                assert attached.channels[name].tobytes() == v.channels[name].tobytes(), (v.voyage_id, name)
 
 
 class TestWholeFleetCalls:
