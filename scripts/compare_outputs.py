@@ -4,11 +4,11 @@
     python scripts/compare_outputs.py runs/before runs/after --tol 1e-12
 
 The trees must hold the same files. CSV cells, voyage-store .npy table
-cells (column names, then values) and JSON/JSON-lines values that are not
-numbers must be identical; numbers must satisfy
-|a - b| <= tol * max(1, |a|), with `a` taken from the first tree (two NaNs
-agree; an infinity agrees only with the same infinity). Any other file must
-be byte-identical. One line per file gives its worst scaled difference and
+cells (their column names are in store/manifest.json, compared as JSON) and
+JSON/JSON-lines values that are not numbers must be identical; numbers must
+satisfy |a - b| <= tol * max(1, |a|), with `a` taken from the first tree (two
+NaNs agree; an infinity agrees only with the same infinity). Any other file
+must be byte-identical. One line per file gives its worst scaled difference and
 where it is; the exit status is 1 on any mismatch.
 """
 
@@ -72,8 +72,7 @@ def _compare(a, b, where: str, tol: float, worst: list) -> None:
 
 def _load(path: Path):
     if path.suffix == ".npy":
-        table = np.load(path, allow_pickle=False)
-        return [list(table.dtype.names), *map(list, table.tolist())]
+        return np.load(path, allow_pickle=False).tolist()
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".csv":
         return list(csv.reader(text.splitlines()))

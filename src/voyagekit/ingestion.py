@@ -283,9 +283,9 @@ def resample_voyage(v: Voyage, period: float = 60.0) -> Voyage:
     from any sample of a bin is missing (NaN) in that bin. Empty bins are
     omitted and output timestamps are bin starts.
     """
-    if period <= 0:
-        raise ConfigurationError(f"resample period must be > 0, got {period}")
     t0 = v.t[0]
+    if not (period > 0 and (v.t[-1] - t0) // period < 2**63):  # bin indices must fit int64
+        raise ConfigurationError(f"resample_period_s {period} must be > 0 and give voyage {v.voyage_id!r} < 2**63 bins")
     k = ((v.t - t0) // period).astype(np.int64)
     # Samples are time-ordered, so each bin is a run of equal k.
     starts = np.flatnonzero(np.diff(k, prepend=-1))

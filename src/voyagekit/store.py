@@ -2,10 +2,12 @@
 
 The store is a JSON manifest plus one .npy table per voyage, saved by np.save
 and loaded with pickling off, so floats round-trip bit for bit and no text is
-parsed: a 1-D array of named little-endian float64 fields, the core columns and
-then, in name order, the channels with no missing (NaN) sample. A malformed
-voyage file raises InvalidInputError naming the file; a voyage listed twice
-names the manifest, a sample failing geo.valid_samples the voyage and sample.
+parsed: a C-order float64 array with one row per column, the core columns and
+then, in name order, the channels with no missing (NaN) sample, named in the
+voyage's manifest entry ("columns"). A malformed voyage file raises
+InvalidInputError naming the file; a voyage listed twice, or columns that are
+not distinct names starting with CORE_COLUMNS, name the manifest; a sample
+failing geo.valid_samples names the voyage and sample.
 write_table writes every output CSV, floats with repr to read back exactly;
 every CSV read opens through open_csv.
 """
@@ -139,10 +141,9 @@ def write_store(voyages: Sequence[Voyage], store_dir: str | Path, extra_meta: di
         missing = {name: int(np.isnan(values).sum()) for name, values in sorted(v.channels.items())}
         channels = [name for name, count in missing.items() if not count]
         left_out[v.voyage_id] = {name: count for name, count in missing.items() if count}
-        columns = [*(getattr(v, name) for name in CORE_FIELDS), *(v.channels[c] for c in channels)]
-        table = np.column_stack(columns).view([(c, "<f8") for c in [*CORE_COLUMNS, *channels]])[:, 0]
+        table = np.stack([*(getattr(v, name) for name in CORE_FIELDS), *(v.channels[c] for c in channels)])
         np.save(store / "voyages" / f"{v.voyage_id}.npy", table, allow_pickle=False)
-        entries.append({"voyage_id": v.voyage_id, "n_samples": len(v)})
+        entries.append({"voyage_id": v.voyage_id, "n_samples": len(v), "columns": [*CORE_COLUMNS, *channels]})
     manifest = {"voyages": entries}
     if extra_meta:
         manifest.update(extra_meta)
@@ -150,7 +151,7 @@ def write_store(voyages: Sequence[Voyage], store_dir: str | Path, extra_meta: di
     return left_out
 
 
-def _read_voyage(path: Path, voyage_id: str) -> Voyage:
+def _read_voyage(path: Path, voyage_id: str, columns: list[str], n_samples: int) -> Voyage:
     try:
         with open(path, "rb") as fh:
             if fh.read(len(NPY_MAGIC)) != NPY_MAGIC:  # np.load would try a pickle or a zip archive
@@ -159,17 +160,11 @@ def _read_voyage(path: Path, voyage_id: str) -> Voyage:
             table = np.load(fh, allow_pickle=False)
     except (OSError, EOFError, ValueError) as exc:
         raise InvalidInputError(f"{path}: not a voyage table ({exc})") from None
-    names = table.dtype.names
-    if names is None or table.ndim != 1 or table.dtype != np.dtype([(n, "<f8") for n in names]):
-        raise InvalidInputError(f"{path}: not a voyage table (expected one float64 field per column)")
-    if names[: len(CORE_COLUMNS)] != CORE_COLUMNS:
-        raise InvalidInputError(f"{path}: columns must start with {', '.join(CORE_COLUMNS)}")
-    columns = table.view(np.float64).reshape(len(table), len(names)).T
-    return Voyage(
-        *columns[: len(CORE_COLUMNS)],
-        channels=dict(zip(names[len(CORE_COLUMNS):], columns[len(CORE_COLUMNS):])),
-        voyage_id=voyage_id,
-    )
+    if table.dtype != np.float64 or table.shape != (len(columns), n_samples):
+        raise InvalidInputError(
+            f"{path}: not a voyage table (expected one float64 row per column, {len(columns)} rows of {n_samples})")
+    core = len(CORE_COLUMNS)
+    return Voyage(*table[:core], channels=dict(zip(columns[core:], table[core:])), voyage_id=voyage_id)
 
 
 def read_store(store_dir: str | Path) -> list[Voyage]:
@@ -179,17 +174,20 @@ def read_store(store_dir: str | Path) -> list[Voyage]:
         raise InvalidInputError(f"voyage store not found: {manifest_path}")
     try:
         with open(manifest_path, encoding="utf-8") as fh:
-            entries = json.load(fh)["voyages"]
-        ids = [entry["voyage_id"] for entry in entries]
-        repeated = [vid for vid, count in Counter(ids).items() if count > 1]
+            entries = [(e["voyage_id"], e["columns"], e["n_samples"]) for e in json.load(fh)["voyages"]]
+        repeated = [vid for vid, count in Counter(vid for vid, _, _ in entries).items() if count > 1]
     except (KeyError, OSError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"{manifest_path}: malformed manifest ({exc!r})") from None
     if repeated:
         raise InvalidInputError(f"{manifest_path}: voyage {repeated[0]} is listed more than once")
+    for vid, columns, _ in entries:
+        if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)
+                and len(set(columns)) == len(columns) and tuple(columns[: len(CORE_COLUMNS)]) == CORE_COLUMNS):
+            raise InvalidInputError(f"{manifest_path}: voyage {vid}: columns must be distinct names, core ones first")
     voyages = []
-    for vid in ids:
+    for vid, columns, n_samples in entries:
         path = store / "voyages" / f"{vid}.npy"
         if not path.exists():
             raise InvalidInputError(f"store manifest lists {vid} but {path} is missing")
-        voyages.append(_read_voyage(path, vid))
+        voyages.append(_read_voyage(path, vid, columns, n_samples))
     return voyages

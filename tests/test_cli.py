@@ -454,6 +454,16 @@ class TestIngestEdgeCases:
         assert len(manifest["voyages"]) == 2
 
 
+    @pytest.mark.parametrize("period, status", [(1e-300, 2), (1e-14, 0)])
+    def test_resample_period_too_small_for_voyage(self, tmp_path, capsys, period, status):
+        # 240 s / 1e-300 s is far past int64's bin indices; 240 s / 1e-14 s fits.
+        self.write_inputs(tmp_path, [f"{i * 60},0.0,0.0,5.0,90.0,50.0" for i in range(5)])
+        (tmp_path / "cfg.json").write_text(json.dumps({"resample_period_s": period}), encoding="utf-8")
+        assert main(["ingest", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == status
+        err = capsys.readouterr().err
+        if status:
+            assert err == "error: resample_period_s 1e-300 must be > 0 and give voyage 'V0001' < 2**63 bins\n"
+
     def test_channel_with_missing_sample_is_logged(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path), "--seed", "7"]) == 0
         onboard = tmp_path / "fleet" / "onboard" / "fleet.csv"
@@ -577,8 +587,10 @@ class TestErrorPaths:
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir / "store", out / "store")
         voyage = out / "store" / "voyages" / "V0002.npy"
+        [entry] = [e for e in json.loads((out / "store" / "manifest.json").read_text())["voyages"]
+                   if e["voyage_id"] == "V0002"]
         table = np.load(voyage, allow_pickle=False)
-        table[column][3] = np.nan
+        table[entry["columns"].index(column), 3] = np.nan
         np.save(voyage, table, allow_pickle=False)
         assert main([command, "--out", str(out), "--seed", "11"]) == 1
         err = capsys.readouterr().err

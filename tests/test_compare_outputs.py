@@ -1,6 +1,7 @@
 """scripts/compare_outputs.py: the cell-by-cell parity check between two --out trees."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -80,10 +81,13 @@ def test_changed_text_cell(monkeypatch, tmp_path, capsys):
     (0.5, ("Timestamp", "Longitude"), 1),
 ])
 def test_store_table_cells_against_tol(monkeypatch, tmp_path, lat, names, status):
-    for side, row, fields in (("a", (60.0, 0.5), ("Timestamp", "Latitude")), ("b", (60.0, lat), names)):
-        path = tmp_path / side / "store" / "voyages" / "V0001.npy"
-        path.parent.mkdir(parents=True)
-        np.save(path, np.array([row], dtype=[(name, "<f8") for name in fields]), allow_pickle=False)
+    # Table cells compare within tol; column names live in the manifest, so a renamed column differs there.
+    for side, rows, columns in (("a", (60.0, 0.5), ("Timestamp", "Latitude")), ("b", (60.0, lat), names)):
+        store = tmp_path / side / "store"
+        (store / "voyages").mkdir(parents=True)
+        np.save(store / "voyages" / "V0001.npy", np.array(rows)[:, None], allow_pickle=False)
+        manifest = {"voyages": [{"voyage_id": "V0001", "n_samples": 1, "columns": columns}]}
+        (store / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     assert run(monkeypatch, tmp_path) == status
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -346,7 +347,7 @@ def _npy_bytes(table):
     return buffer.getvalue()
 
 
-NOT_FLOAT64 = r"not a voyage table \(expected one float64 field per column\)"
+NOT_FLOAT64 = r"not a voyage table \(expected one float64 row per column"
 
 # Edge values that must survive the store bit for bit, within each column's sample rule.
 UNSIGNED_EDGES = [0.0, -0.0, 5e-324, 1.5, 1e308]
@@ -419,7 +420,7 @@ class TestStore:
             read_store(store)
 
     def test_non_numeric_cell(self, store):
-        self.corrupt(store, lambda table: table.astype([(n, "U32") for n in table.dtype.names]))
+        self.corrupt(store, lambda table: table.astype("U32"))
         with pytest.raises(InvalidInputError, match=r"V0002\.npy: not a voyage table \(expected one float64"):
             read_store(store)
 
@@ -428,18 +429,60 @@ class TestStore:
         (lambda table: _npy_bytes(table)[:20], r"not a voyage table \(EOF: reading array header"),
         (lambda table: np.array([{"Timestamp": 0.0}], dtype=object), r"not a voyage table \(Object arrays"),
         (lambda table: pickle.dumps(table), r"not a voyage table \(not an \.npy file\)"),
-        (lambda table: table.view(np.float64).reshape(len(table), -1), NOT_FLOAT64),
-        (lambda table: table.astype([(n, ">f8") for n in table.dtype.names]), NOT_FLOAT64),
-        (lambda table: table.astype([(n, "<f4") for n in table.dtype.names]), NOT_FLOAT64),
-        (lambda table: table[::-1].copy().reshape(-1, 1), NOT_FLOAT64),
-        (lambda table: table.astype([(n, "<f8") for n in reversed(table.dtype.names)]),
-         r"columns must start with Timestamp, Latitude, Longitude, SpeedOverGround, HeadingMagnetic"),
-    ], ids=["csv-text", "truncated-header", "object-array", "pickle", "unnamed-columns", "big-endian",
-            "float32", "two-dimensional", "header-order"])
-    def test_malformed_voyage_file(self, store, edit, message):
+        (lambda table: table.astype(">f8"), NOT_FLOAT64),
+        (lambda table: table.astype("<f4"), NOT_FLOAT64),
+        (lambda table: table.ravel(), NOT_FLOAT64),
+        (lambda table: table.T.copy(), NOT_FLOAT64),
+        (lambda table: table[:-1], NOT_FLOAT64),
+        (lambda table: table[:, :-1], NOT_FLOAT64),
+    ], ids=["csv-text", "truncated-header", "object-array", "pickle", "big-endian", "float32", "one-dimensional",
+            "transposed", "row-count", "sample-count"])
+    def test_malformed_voyage_file(self, store, edit, message, capsys):
         self.corrupt(store, edit)
         with pytest.raises(InvalidInputError, match=r"voyages/V0002\.npy: " + message):
             read_store(store)
+        assert main(["score", "--out", str(store.parent)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {store / 'voyages' / 'V0002.npy'}: not a voyage table")
+
+    def edit_manifest(self, store, edit):
+        """Apply edit to each voyage entry of the store's manifest."""
+        path = store / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        for entry in manifest["voyages"]:
+            edit(entry)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("edit", [
+        lambda entry: entry["columns"].append(entry["columns"][-1]),
+        lambda entry: entry["columns"].append(1.5),
+        lambda entry: entry.update(columns=",".join(entry["columns"])),
+        lambda entry: entry["columns"].reverse(),
+        lambda entry: entry["columns"].remove("EngineFuelRate"),
+    ], ids=["repeated-name", "non-string", "not-a-list", "core-not-first", "core-missing"])
+    def test_malformed_manifest_columns(self, store, edit, capsys):
+        manifest_path = self.edit_manifest(store, edit)
+        message = f"{manifest_path}: voyage V0001: columns must be distinct names, core ones first"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            read_store(store)
+        assert main(["score", "--out", str(store.parent)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("with_columns", [True, False], ids=["structured-table", "entry-without-columns"])
+    def test_parent_layout_store(self, store, with_columns, capsys):
+        # An older version's store: 1-D structured tables and manifest entries without "columns".
+        manifest_path = store / "manifest.json"
+        for entry in json.loads(manifest_path.read_text(encoding="utf-8"))["voyages"]:
+            path = store / "voyages" / f"{entry['voyage_id']}.npy"
+            table = np.load(path).T.copy().view([(name, "<f8") for name in entry["columns"]])[:, 0]
+            np.save(path, table, allow_pickle=False)
+        if not with_columns:
+            self.edit_manifest(store, lambda entry: entry.pop("columns"))
+        named = store / "voyages" / "V0001.npy" if with_columns else manifest_path
+        with pytest.raises(InvalidInputError, match=re.escape(str(named))):
+            read_store(store)
+        assert main(["score", "--out", str(store.parent)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {named}: ")
 
     def test_missing_voyage_file(self, store):
         (store / "voyages" / "V0002.npy").unlink()
@@ -458,11 +501,17 @@ class TestStore:
         assert [v.voyage_id for v in read_store(store)] == ids
 
     def test_table_layout(self, store):
+        [_, entry] = json.loads((store / "manifest.json").read_text(encoding="utf-8"))["voyages"]
         with open(store / "voyages" / "V0002.npy", "rb") as fh:
             table = np.load(fh, allow_pickle=False)
-        channels = sorted(read_store(store)[1].channels)
-        assert table.dtype == np.dtype([(n, "<f8") for n in [*CORE_COLUMNS, *channels]])
-        assert table.ndim == 1
+        voyage = read_store(store)[1]
+        assert entry["columns"] == [*CORE_COLUMNS, *sorted(voyage.channels)]
+        assert (table.dtype.str, table.shape, table.flags.c_contiguous) == (
+            "<f8", (len(entry["columns"]), entry["n_samples"]), True)
+        channels = entry["columns"][len(CORE_COLUMNS):]
+        rows = [*(getattr(voyage, name) for name in CORE_FIELDS), *map(voyage.channels.get, channels)]
+        assert np.array_equal(table, np.stack(rows))
+        assert all(row.base is voyage.t.base for row in rows)  # the reader's columns are rows of one loaded table
 
     @settings(max_examples=60, deadline=None)
     @given(voyages=st.lists(stored_voyages(), min_size=1, max_size=3, unique_by=lambda v: v.voyage_id))
@@ -482,7 +531,7 @@ class TestStore:
     def test_manifest_entry_keys(self, store):
         manifest_path = store / "manifest.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        assert [sorted(e) for e in manifest["voyages"]] == [["n_samples", "voyage_id"]] * 2
+        assert [sorted(e) for e in manifest["voyages"]] == [["columns", "n_samples", "voyage_id"]] * 2
         for entry in manifest["voyages"]:  # as an older version wrote them
             entry.update(origin="", destination="")
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
@@ -495,7 +544,7 @@ class TestStore:
 
     @pytest.mark.parametrize(
         "edit",
-        [lambda table: b"", lambda table: table.astype([(n, "U32") for n in table.dtype.names])],
+        [lambda table: b"", lambda table: table.astype("U32")],
         ids=["empty", "non-numeric"],
     )
     def test_cli_reports_malformed_store(self, store, edit, capsys):
