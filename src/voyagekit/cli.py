@@ -361,7 +361,10 @@ def main(argv: list[str] | None = None) -> int:
             overrides={"seed": args.seed, "out_dir": args.out,
                        "pathid_method": getattr(args, "method", None)},
         )
-        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+        try:
+            Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"out_dir {config.out_dir}: cannot create directory ({exc})") from exc
         if args.command == "synth":
             cmd_synth(config, args.spec)
         elif args.command == "ingest":

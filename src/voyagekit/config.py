@@ -1,21 +1,17 @@
-"""Run configuration: JSON file, VOYAGEKIT_* environment overrides, CLI flags."""
+"""Run configuration: JSON file, then CLI flags."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 from .efficiency import FEATURE_CASES
 from .errors import ConfigurationError, read_json
 from .geo import PORT_DWELL_MAX_SOG, PORT_DWELL_S
 from .hmm import DEFAULT_FEATURES
-
-ENV_PREFIX = "VOYAGEKIT_"
 
 PATHID_METHODS = ("kmeans", "gmm", "hierarchical", "segment-gmm")
 
@@ -89,23 +85,18 @@ class RunConfig:
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 #: Per field annotation: the JSON values a config file may give (a bool
-#: never counts), their description, and the parser of a VOYAGEKIT_* value.
+#: never counts) and their description.
 _FIELD_TYPES = {
-    "int": ((int,), "an integer", int),
-    "float": ((int, float), "a number", float),
-    "str": ((str,), "a string", str),
-    "str | None": ((str, type(None)), "a string or null", str),
-    "tuple[str, ...]": ((list,), "a list of strings",
-                        lambda raw: tuple(p.strip() for p in raw.split(",") if p.strip())),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "tuple[str, ...]": ((list,), "a list of strings"),
 }
 
 
-def load_config(
-    path: str | Path | None = None,
-    env: Mapping[str, str] | None = None,
-    overrides: dict | None = None,
-) -> RunConfig:
-    """Layered configuration: JSON file, then environment, then overrides."""
+def load_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
+    """Layered configuration: JSON file, then overrides (the CLI flags)."""
     values: dict = {}
     if path is not None:
         raw = read_json(path, "config file")
@@ -115,25 +106,13 @@ def load_config(
         if unknown:
             raise ConfigurationError(f"{path}: unknown config keys {sorted(unknown)}")
         for name, value in raw.items():
-            types, expected, _ = _FIELD_TYPES[_FIELDS[name].type]
+            types, expected = _FIELD_TYPES[_FIELDS[name].type]
             items = value if isinstance(value, list) else ()
             if not isinstance(value, types) or isinstance(value, bool) or any(
                 not isinstance(item, str) for item in items
             ):
                 raise ConfigurationError(f"{path}: {name} must be {expected}, got {json.dumps(value)}")
         values.update(raw)
-    env = os.environ if env is None else env
-    env_keys = {ENV_PREFIX + name.upper(): name for name in _FIELDS}
-    unknown = sorted(key for key in env if key.startswith(ENV_PREFIX) and key not in env_keys)
-    if unknown:
-        raise ConfigurationError(f"unknown environment variables {unknown}")
-    for key, name in env_keys.items():
-        if key in env:
-            _, expected, parse = _FIELD_TYPES[_FIELDS[name].type]
-            try:
-                values[name] = parse(env[key])
-            except ValueError as exc:
-                raise ConfigurationError(f"{key} must be {expected}, got {env[key]!r}") from exc
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     if "hmm_features" in values and not isinstance(values["hmm_features"], tuple):

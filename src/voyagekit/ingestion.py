@@ -281,8 +281,15 @@ def resample_voyage(v: Voyage, period: float = 60.0) -> Voyage:
     Numeric channels take the arithmetic mean per bin; headings and any
     *Direction* channel take the circular (vector) mean. A channel missing
     from any sample of a bin is missing (NaN) in that bin. Empty bins are
-    omitted and output timestamps are bin starts.
+    omitted and output timestamps are bin starts. A voyage that crosses
+    ±180° longitude raises InvalidInputError, as a mean across it is wrong.
     """
+    if len(jumps := np.flatnonzero(np.abs(np.diff(v.lon)) > 180.0)):
+        i = int(jumps[0])
+        raise InvalidInputError(
+            f"voyage {v.voyage_id!r} crosses ±180° longitude: samples {i} and {i + 1} "
+            f"have longitudes {v.lon[i]} and {v.lon[i + 1]}"
+        )
     t0 = v.t[0]
     if not (period > 0 and (v.t[-1] - t0) // period < 2**63):  # bin indices must fit int64
         raise ConfigurationError(f"resample_period_s {period} must be > 0 and give voyage {v.voyage_id!r} < 2**63 bins")

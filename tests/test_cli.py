@@ -13,7 +13,7 @@ import pytest
 
 import voyagekit
 from conftest import tiny_fleet_spec
-from voyagekit import speed_opt, store
+from voyagekit import path_id, speed_opt, store
 from voyagekit.cli import main, split_train_test
 from voyagekit.synth import default_regimes, generate_fleet, write_fleet
 
@@ -90,13 +90,11 @@ class TestSynthCommand:
         manifest = json.loads((tmp_path / "fleet" / "manifest.json").read_text())
         assert manifest["voyage_count"] == 4
 
-    @pytest.mark.parametrize("source", ["flag", "env", "file"])
-    def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, source):
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, source):
         args = ["synth", "--out", str(tmp_path)]
         if source == "flag":
             args += ["--seed", "-1"]
-        elif source == "env":
-            monkeypatch.setenv("VOYAGEKIT_SEED", "-1")
         else:
             (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1}), encoding="utf-8")
             args += ["--config", str(tmp_path / "cfg.json")]
@@ -222,6 +220,23 @@ class TestPipelineOutputs:
         assert {r["class"] for r in metrics} == {"mid", "north", "south"}
         for r in metrics:
             assert float(r["f1"]) == 1.0
+
+    @pytest.mark.parametrize("method", ["hierarchical", "kmeans", "gmm"])
+    def test_pathid_haversine(self, pipeline_dir, tmp_path, method):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        cfg = tmp_path / "haversine.json"
+        cfg.write_text(json.dumps({"pathid_metric": "haversine", "dendrogram_cutoff": 0.02, "kmeans_k": 3}),
+                       encoding="utf-8")
+        assert main(["pathid", "--method", method, "--config", str(cfg), "--out", str(out), "--seed", "11"]) == 0
+        assert [float(r["f1"]) for r in read_rows(out / "metrics.csv")] == [1.0, 1.0, 1.0]
+        paths = [path_id.Path.from_voyage(v) for v in store.read_store(out / "store")]
+        expected = path_id.build_distance_matrix(paths, "haversine")
+        rows = read_rows(out / "distance_matrix.csv")
+        assert tuple(r.pop("voyage_id") for r in rows) == expected.voyage_ids
+        values = np.array([[float(x) for x in r.values()] for r in rows])
+        assert np.array_equal(values, expected.values)
+        assert values.max() > 1000.0  # metres: the branches are kilometres apart
 
     def test_report_json_and_svg(self, pipeline_dir):
         report = json.loads((pipeline_dir / "report.json").read_text())
@@ -463,6 +478,14 @@ class TestIngestEdgeCases:
         err = capsys.readouterr().err
         if status:
             assert err == "error: resample_period_s 1e-300 must be > 0 and give voyage 'V0001' < 2**63 bins\n"
+
+    def test_antimeridian_crossing_exits_1(self, tmp_path, capsys):
+        lons = [179.8, -179.8, -179.6, -179.4, -179.2, -179.0]
+        self.write_inputs(tmp_path, [f"{i * 30},0.0,{lon},5.0,90.0,50.0" for i, lon in enumerate(lons)])
+        assert main(["ingest", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: voyage 'V0001' crosses ±180° longitude: samples 0 and 1 have longitudes 179.8 and -179.8\n")
+        assert not (tmp_path / "store").exists()
 
     def test_channel_with_missing_sample_is_logged(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path), "--seed", "7"]) == 0
@@ -728,25 +751,17 @@ class TestErrorPaths:
         assert len(read_rows(out / "labeling.csv")) == 12
         assert not (out / "metrics.csv").exists() and not (out / "confusion_matrix.csv").exists()
 
-    @pytest.mark.parametrize(
-        "name, raw, expected",
-        [
-            ("KNN_K", "abc", "an integer"),
-            ("TRAIN_FRACTION", "0.7x", "a number"),
-        ],
-    )
-    def test_malformed_env_value(self, tmp_path, capsys, monkeypatch, name, raw, expected):
-        monkeypatch.setenv(f"VOYAGEKIT_{name}", raw)
-        assert main(["score", "--out", str(tmp_path)]) == 2
-        assert f"VOYAGEKIT_{name} must be {expected}, got {raw!r}" in capsys.readouterr().err
 
-    def test_unknown_env_variable_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("VOYAGEKIT_KNNK", "3")
-        monkeypatch.setenv("VOYAGEKIT_COMPONENTS_PER_SEGMENT", "4")
-        assert main(["score", "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == (
-            "error: unknown environment variables "
-            "['VOYAGEKIT_COMPONENTS_PER_SEGMENT', 'VOYAGEKIT_KNNK']\n")
+@pytest.mark.parametrize("inside", [False, True], ids=["file", "under-file"])
+def test_out_not_a_directory_exits_2(tmp_path, capsys, inside):
+    target = tmp_path / "F"
+    target.write_text("x", encoding="utf-8")
+    out = target / "sub" if inside else target
+    assert main(["score", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: out_dir {out}: cannot create directory (") and err.count("\n") == 1
+    assert "Traceback" not in err and sorted(tmp_path.iterdir()) == [target]
+    assert target.read_text(encoding="utf-8") == "x"
 
 
 IMPORT_GUARD = """

@@ -26,54 +26,46 @@ FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "floa
 
 class TestConfig:
     def test_defaults(self):
-        config = load_config(env={})
+        config = load_config()
         assert config.feature_case == "IV"
         assert config.seed == 0
 
     def test_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 7, "knn_k": 3}), encoding="utf-8")
-        config = load_config(path, env={})
+        config = load_config(path)
         assert config.seed == 7 and config.knn_k == 3
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"knn": 3}), encoding="utf-8")
         with pytest.raises(ConfigurationError, match="knn"):
-            load_config(path, env={})
+            load_config(path)
 
-    def test_env_overrides_file(self, tmp_path):
+    def test_flags_override_file(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"seed": 7}), encoding="utf-8")
-        config = load_config(path, env={"VOYAGEKIT_SEED": "9"})
-        assert config.seed == 9
+        path.write_text(json.dumps({"seed": 7, "out_dir": "a", "pathid_method": "gmm"}), encoding="utf-8")
+        config = load_config(path, overrides={"seed": 11, "out_dir": None, "pathid_method": "kmeans"})
+        assert (config.seed, config.out_dir, config.pathid_method) == (11, "a", "kmeans")
 
-    def test_cli_overrides_env(self, tmp_path):
-        config = load_config(None, env={"VOYAGEKIT_SEED": "9"}, overrides={"seed": 11})
-        assert config.seed == 11
-
-    def test_env_typed_values(self):
-        config = load_config(
-            None,
-            env={
-                "VOYAGEKIT_TRAIN_FRACTION": "0.8",
-                "VOYAGEKIT_HMM_FEATURES": "WindSpeed_onb, WaveHeight",
-                "VOYAGEKIT_KNN_K": "4",
-            },
-        )
-        assert config.train_fraction == 0.8
-        assert config.hmm_features == ("WindSpeed_onb", "WaveHeight")
-        assert config.knn_k == 4
-
-    def test_unknown_env_variable(self):
-        env = {"VOYAGEKIT_KNNK": "3", "VOYAGEKIT_SEED": "9", "VOYAGEKIT_": "", "PATH": "/bin"}
-        with pytest.raises(ConfigurationError, match=r"\['VOYAGEKIT_', 'VOYAGEKIT_KNNK'\]"):
-            load_config(None, env=env)
-        assert load_config(None, env={"VOYAGEKIT_SEED": "9", "voyagekit_knnk": "3"}).seed == 9
+    def test_environment_is_not_read(self, tmp_path, monkeypatch):
+        # Settings come from the file and the flags only: variables that
+        # look like settings change nothing, and a run writes the same table.
+        summaries = {}
+        for name in ("plain", "env"):
+            if name == "env":
+                monkeypatch.setenv("VOYAGEKIT_SEED", "-1")
+                monkeypatch.setenv("VOYAGEKIT_KNNK", "3")
+                assert load_config() == RunConfig()
+            out = tmp_path / name
+            for command in ("synth", "ingest", "score"):
+                assert main([command, "--out", str(out)]) == 0, command
+            summaries[name] = (out / "summaries.csv").read_bytes()
+        assert summaries["env"] == summaries["plain"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            load_config(tmp_path / "nope.json", env={})
+            load_config(tmp_path / "nope.json")
 
     @pytest.mark.parametrize(
         "field,value",
@@ -93,12 +85,10 @@ class TestConfig:
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", FLOAT_FIELDS)
     def test_non_finite_float_rejected(self, tmp_path, field, raw):
-        with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
-            load_config(None, env={f"VOYAGEKIT_{field.upper()}": raw})
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({field: float(raw)}), encoding="utf-8")  # NaN, Infinity
         with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
-            load_config(path, env={})
+            load_config(path)
 
     @pytest.mark.parametrize(
         "field,value,message",
@@ -108,14 +98,14 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({field: value}), encoding="utf-8")
         with pytest.raises(ConfigurationError, match=f"^{field} must be {message}"):
-            load_config(path, env={})
-        with pytest.raises(ConfigurationError, match=f"^{field} must be {message}"):
-            load_config(None, env={f"VOYAGEKIT_{field.upper()}": str(value)})
-        assert load_config(None, env={"VOYAGEKIT_PORT_DWELL_S": "0"}).port_dwell_s == 0.0
+            load_config(path)
+        path.write_text(json.dumps({"port_dwell_s": 0}), encoding="utf-8")
+        assert load_config(path).port_dwell_s == 0.0
 
-    def test_non_finite_env_value_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("VOYAGEKIT_RESAMPLE_PERIOD_S", "nan")
-        assert main(["ingest", "--out", str(tmp_path)]) == 2
+    def test_non_finite_file_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"resample_period_s": NaN}', encoding="utf-8")
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "error: resample_period_s must be finite, got nan\n"
 
     @pytest.mark.parametrize(
@@ -147,14 +137,14 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({field: value}), encoding="utf-8")
         with pytest.raises(ConfigurationError, match=f"cfg.json: {field} must be"):
-            load_config(path, env={})
+            load_config(path)
 
     def test_json_types_accepted(self, tmp_path):
         path = tmp_path / "cfg.json"
         raw = {"dendrogram_cutoff": 1, "train_fraction": 0.8, "labels": None,
                "hmm_features": ["WaveHeight"]}
         path.write_text(json.dumps(raw), encoding="utf-8")
-        config = load_config(path, env={})
+        config = load_config(path)
         assert config.dendrogram_cutoff == 1 and config.hmm_features == ("WaveHeight",)
 
     def test_every_field_type_has_json_types(self):
@@ -164,14 +154,11 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(ConfigurationError, match="JSON object"):
-            load_config(path, env={})
+            load_config(path)
 
-    @pytest.mark.parametrize("source", ["file", "env"])
-    def test_empty_hmm_features_rejected(self, tmp_path, monkeypatch, capsys, source):
+    def test_empty_hmm_features_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"hmm_features": []} if source == "file" else {}), encoding="utf-8")
-        if source == "env":
-            monkeypatch.setenv("VOYAGEKIT_HMM_FEATURES", "")
+        cfg.write_text(json.dumps({"hmm_features": []}), encoding="utf-8")
         assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "error: hmm_features must name at least one" in capsys.readouterr().err
 
@@ -339,6 +326,13 @@ class TestWriteTable:
         assert sorted(name for name, names in imports.items() if "csv" in names) == ["ingestion.py", "store.py"]
         assert dumps == ["errors.py"]
         assert not {"path_id"} & (imports["report.py"] | imports["synth.py"])
+
+    def test_no_module_reads_the_environment(self):
+        # Run settings come from the config file and the flags only.
+        package = Path(voyagekit.__file__).parent
+        readers = sorted(p.name for p in package.glob("*.py")
+                         if re.search(r"\bos\.(environ|getenv)\b|\bfrom os import\b", p.read_text(encoding="utf-8")))
+        assert readers == []
 
 
 def _npy_bytes(table):

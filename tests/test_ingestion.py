@@ -548,6 +548,13 @@ class TestResample:
         span_out = out.t[-1] - out.t[0]
         assert abs(span_in - span_out) < 60.0
 
+    def test_antimeridian_crossing_raises(self):
+        lons = [179.8, -179.8, -179.6, -179.4, -179.2, -179.0]
+        v = voyage_of("V1", [make_sample(i * 30.0, lon=lon) for i, lon in enumerate(lons)])
+        with pytest.raises(InvalidInputError, match=r"^voyage 'V1' crosses ±180° longitude: "
+                                                    r"samples 0 and 1 have longitudes 179.8 and -179.8$"):
+            resample_voyage(v, period=60.0)
+
     def test_collapse_below_two_samples(self):
         v = voyage_of("V1", [make_sample(0.0), make_sample(10.0)])
         with pytest.raises(InsufficientDataError):
