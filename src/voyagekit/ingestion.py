@@ -13,6 +13,7 @@ trilinear interpolation over the enclosing (time, lat, lon) cell.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -136,9 +137,10 @@ class WeatherGrid:
 
     def __post_init__(self):
         for name, axis in (("time", self.times), ("lat", self.lats), ("lon", self.lons)):
-            if len(axis) < 2 or not np.all(np.diff(axis) > 0):  # NaN fails too
+            # NaN fails the order test; interpolate_many's domain test needs finite edges.
+            if len(axis) < 2 or not (np.all(np.diff(axis) > 0) and np.all(np.isfinite(axis))):
                 raise InvalidInputError(
-                    f"grid {self.variable!r}: {name} axis must be strictly increasing with >= 2 entries"
+                    f"grid {self.variable!r}: {name} axis must be finite and strictly increasing with >= 2 entries"
                 )
         expected = (len(self.times), len(self.lats), len(self.lons))
         if self.values.shape != expected:
@@ -157,52 +159,31 @@ class WeatherGrid:
         blends its corners along the short arc and returns degrees mod 360:
         corners at 350 and 10 blend to 0, not 180.
         """
-        t = np.asarray(times, dtype=float)
-        la = np.asarray(lats, dtype=float)
-        lo = np.asarray(lons, dtype=float)
-        status = np.zeros(t.shape, dtype=np.int8)
-        out = (
-            (t < self.times[0]) | (t > self.times[-1])
-            | (la < self.lats[0]) | (la > self.lats[-1])
-            | (lo < self.lons[0]) | (lo > self.lons[-1])
-            | ~np.isfinite(t) | ~np.isfinite(la) | ~np.isfinite(lo)
-        )
+        shape = np.shape(times)
+        out = np.zeros(shape, dtype=bool)
+        cells, fracs = [], []
+        for axis, q in zip((self.times, self.lats, self.lons), (times, lats, lons)):
+            q = np.asarray(q, dtype=float)
+            out |= ~((axis[0] <= q) & (q <= axis[-1]))  # NaN fails both tests, ±inf one
+            i = np.clip(np.searchsorted(axis, q, side="right") - 1, 0, len(axis) - 2)
+            cells.append(i)
+            fracs.append((q - axis[i]) / (axis[i + 1] - axis[i]))
+        status = np.zeros(shape, dtype=np.int8)
         status[out] = _OUT_OF_DOMAIN
 
-        def cell_index(axis: np.ndarray, q: np.ndarray) -> np.ndarray:
-            idx = np.searchsorted(axis, q, side="right") - 1
-            return np.clip(idx, 0, len(axis) - 2)
-
-        it = cell_index(self.times, t)
-        ila = cell_index(self.lats, la)
-        ilo = cell_index(self.lons, lo)
-
-        def frac(axis: np.ndarray, idx: np.ndarray, q: np.ndarray) -> np.ndarray:
-            lo_edge = axis[idx]
-            hi_edge = axis[idx + 1]
-            return (q - lo_edge) / (hi_edge - lo_edge)
-
-        ft = frac(self.times, it, t)
-        fla = frac(self.lats, ila, la)
-        flo = frac(self.lons, ilo, lo)
-
-        result = np.zeros(t.shape, dtype=float)
-        corner_missing = np.zeros(t.shape, dtype=bool)
-        angle, first = is_angle(self.variable), self.values[it, ila, ilo]
-        for dt in (0, 1):
-            for dla in (0, 1):
-                for dlo in (0, 1):
-                    corner = self.values[it + dt, ila + dla, ilo + dlo]
-                    if angle:  # along the short arc: within 180 degrees of the first corner
-                        corner = np.where(corner - first > 180.0, corner - 360.0,
-                                          np.where(corner - first < -180.0, corner + 360.0, corner))
-                    corner_missing |= ~np.isfinite(corner)
-                    w = (
-                        (ft if dt else 1.0 - ft)
-                        * (fla if dla else 1.0 - fla)
-                        * (flo if dlo else 1.0 - flo)
-                    )
-                    result = result + w * np.where(np.isfinite(corner), corner, 0.0)
+        result = np.zeros(shape, dtype=float)
+        corner_missing = np.zeros(shape, dtype=bool)
+        angle, first = is_angle(self.variable), self.values[tuple(cells)]
+        # Keep the corner order ((time, lat, lon) offsets 000, 001, ..., 111) and the
+        # left-to-right weight product: tests compare every output bit with a reference loop.
+        for offsets in itertools.product((0, 1), repeat=3):
+            corner = self.values[tuple(i + d for i, d in zip(cells, offsets))]
+            if angle:  # along the short arc: within 180 degrees of the first corner
+                corner = np.where(corner - first > 180.0, corner - 360.0,
+                                  np.where(corner - first < -180.0, corner + 360.0, corner))
+            corner_missing |= ~np.isfinite(corner)
+            w = math.prod(f if d else 1.0 - f for f, d in zip(fracs, offsets))
+            result = result + w * np.where(np.isfinite(corner), corner, 0.0)
         status[(status == _OK) & corner_missing] = _MISSING_CORNER
         result[status != _OK] = np.nan
         return (result % 360.0 if angle else result), status

@@ -24,6 +24,7 @@ exported.
 from __future__ import annotations
 
 import math
+import numbers
 import shutil
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -81,19 +82,30 @@ class SyntheticFleetSpec:
         for where, owner in (("", self), *((f"regime {r.name!r}: ", r) for r in self.regimes)):
             for f in fields(owner):
                 value = getattr(owner, f.name)
-                if any(isinstance(x, float) and not math.isfinite(x)
-                       for x in (value if isinstance(value, tuple) else (value,))):
+                items = value if isinstance(value, tuple) else (value,)
+                if "float" in f.type and not all(map(_is_number, items)):  # float and tuple[float, float] fields
+                    raise ConfigurationError(f"{where}{f.name} must be a number, got {value!r}")
+                if any(isinstance(x, float) and not math.isfinite(x) for x in items):
                     raise ConfigurationError(f"{where}{f.name} must be finite, got {value!r}")
                 if f.name in _POSITIVE and value <= 0 or f.name in _NON_NEGATIVE and value < 0:
                     bound = ">" if f.name in _POSITIVE else ">="
                     raise ConfigurationError(f"{where}{f.name} must be {bound} 0, got {value!r}")
         if len(self.branches) < 2:
             raise ConfigurationError("need at least 2 branches")
+        names = [b.name for b in self.branches]
         for b in self.branches:
+            if not isinstance(b.name, str) or not b.name or names.count(b.name) > 1:
+                raise ConfigurationError(f"branch names must be distinct non-empty strings, got {b.name!r}")
             if len(b.centerline) < 2:
                 raise ConfigurationError(
                     f"branch {b.name!r}: centerline needs >= 2 points"
                 )
+            for p in b.centerline:
+                if not (isinstance(p, (tuple, list)) and len(p) == 2
+                        and all(_is_number(x) and math.isfinite(x) for x in p)):
+                    raise ConfigurationError(
+                        f"branch {b.name!r}: centerline point {p!r} must be a pair of finite numbers"
+                    )
         if not _is_count(self.voyages_per_branch) or self.voyages_per_branch < 1:
             raise ConfigurationError(f"voyages_per_branch must be an integer >= 1, got {self.voyages_per_branch!r}")
         lo, hi = self.skill_range
@@ -112,6 +124,10 @@ _NON_NEGATIVE = {"noise_std_deg", "fuel_a", "fuel_b", "fuel_c", "sog_noise", "wi
 
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def default_regimes() -> tuple[WeatherRegime, WeatherRegime, WeatherRegime]:

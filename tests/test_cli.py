@@ -151,6 +151,11 @@ class TestSynthCommand:
         ("wind_std", -0.5, "regime 'calm': wind_std must be >= 0, got -0.5"),
         ("wave_std", -0.1, "regime 'calm': wave_std must be >= 0, got -0.1"),
         ("wave_mean", float("-inf"), "regime 'calm': wave_mean must be finite, got -inf"),
+        ("fuel_a", True, "fuel_a must be a number, got True"),
+        ("sog_noise", False, "sog_noise must be a number, got False"),
+        ("start_time", "x", "start_time must be a number, got 'x'"),
+        ("skill_range", [0.9, True], "skill_range must be a number, got (0.9, True)"),
+        ("base_sog", True, "regime 'calm': base_sog must be a number, got True"),
     ])
     def test_spec_bad_value_exits_2(self, tmp_path, capsys, field, value, message):
         spec = {
@@ -170,6 +175,32 @@ class TestSynthCommand:
         spec_path.write_text(json.dumps(spec), encoding="utf-8")
         assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("branch, message", [
+        ({"centerline": [[0.0, 0.0], [float("nan"), 0.1]]}, "branch 'b': centerline point (nan, 0.1)"),
+        ({"centerline": [[0.0, 0.0], [0.0, float("inf")]]}, "branch 'b': centerline point (0.0, inf)"),
+        ({"centerline": [[0.0, 0.0], [0.05, 0.1, 0.0]]}, "branch 'b': centerline point (0.05, 0.1, 0.0)"),
+        ({"centerline": [[0.0, 0.0], [0.05]]}, "branch 'b': centerline point (0.05,)"),
+        ({"centerline": [[0.0, 0.0], [True, 0.1]]}, "branch 'b': centerline point (True, 0.1)"),
+        ({"centerline": [[0.0, 0.0], ["0.05", 0.1]]}, "branch 'b': centerline point ('0.05', 0.1)"),
+        ({"name": 5}, "branch names must be distinct non-empty strings, got 5"),
+        ({"name": ""}, "branch names must be distinct non-empty strings, got ''"),
+        ({"name": "a"}, "branch names must be distinct non-empty strings, got 'a'"),
+    ], ids=["nan", "inf", "three-coordinates", "one-coordinate", "bool", "string", "int-name", "empty-name",
+            "same-name"])
+    def test_spec_bad_branch_exits_2(self, tmp_path, capsys, branch, message):
+        spec = {
+            "branches": [
+                {"name": "a", "centerline": [[0.0, 0.0], [0.0, 0.1]]},
+                {"name": "b", "centerline": [[0.05, 0.0], [0.05, 0.1]], **branch},
+            ],
+            "voyages_per_branch": 1,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 class TestPipelineOutputs:

@@ -19,7 +19,7 @@ from voyagekit.errors import (
     SchemaError,
     VoyagekitError,
 )
-from voyagekit.geo import GeoPoint, merge_tracks
+from voyagekit.geo import GeoPoint, is_angle, merge_tracks
 from voyagekit.ingestion import (
     WeatherGrid,
     attach_weather,
@@ -444,6 +444,104 @@ class TestTrilinear:
             WeatherGrid("x", np.array([0.0, 1.0]), np.array([0.0, np.nan]), np.array([0.0, 1.0]),
                         np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("edge", [math.inf, -math.inf])
+    def test_infinite_axis_rejected(self, edge):
+        lons = np.sort(np.array([0.0, edge]))
+        with pytest.raises(InvalidInputError, match="lon axis must be finite"):
+            WeatherGrid("x", np.array([0.0, 1.0]), np.array([0.0, 1.0]), lons, np.zeros((2, 2, 2)))
+
+
+def reference_interpolate_many(grid, times, lats, lons):
+    """WeatherGrid.interpolate_many written out per axis, with three nested corner loops."""
+    t = np.asarray(times, dtype=float)
+    la = np.asarray(lats, dtype=float)
+    lo = np.asarray(lons, dtype=float)
+    status = np.zeros(t.shape, dtype=np.int8)
+    out = (
+        (t < grid.times[0]) | (t > grid.times[-1])
+        | (la < grid.lats[0]) | (la > grid.lats[-1])
+        | (lo < grid.lons[0]) | (lo > grid.lons[-1])
+        | ~np.isfinite(t) | ~np.isfinite(la) | ~np.isfinite(lo)
+    )
+    status[out] = 1
+
+    def cell_index(axis, q):
+        idx = np.searchsorted(axis, q, side="right") - 1
+        return np.clip(idx, 0, len(axis) - 2)
+
+    it = cell_index(grid.times, t)
+    ila = cell_index(grid.lats, la)
+    ilo = cell_index(grid.lons, lo)
+
+    def frac(axis, idx, q):
+        lo_edge = axis[idx]
+        hi_edge = axis[idx + 1]
+        return (q - lo_edge) / (hi_edge - lo_edge)
+
+    ft = frac(grid.times, it, t)
+    fla = frac(grid.lats, ila, la)
+    flo = frac(grid.lons, ilo, lo)
+
+    result = np.zeros(t.shape, dtype=float)
+    corner_missing = np.zeros(t.shape, dtype=bool)
+    angle, first = is_angle(grid.variable), grid.values[it, ila, ilo]
+    for dt in (0, 1):
+        for dla in (0, 1):
+            for dlo in (0, 1):
+                corner = grid.values[it + dt, ila + dla, ilo + dlo]
+                if angle:
+                    corner = np.where(corner - first > 180.0, corner - 360.0,
+                                      np.where(corner - first < -180.0, corner + 360.0, corner))
+                corner_missing |= ~np.isfinite(corner)
+                w = (
+                    (ft if dt else 1.0 - ft)
+                    * (fla if dla else 1.0 - fla)
+                    * (flo if dlo else 1.0 - flo)
+                )
+                result = result + w * np.where(np.isfinite(corner), corner, 0.0)
+    status[(status == 0) & corner_missing] = 2
+    result[status != 0] = np.nan
+    return (result % 360.0 if angle else result), status
+
+
+@st.composite
+def grid_and_queries(draw):
+    """Axes of 2-5 nodes, cells with NaN and -0.0, and queries inside, on nodes, outside and non-finite."""
+    node = st.floats(-1e3, 1e3, allow_nan=False)
+    axes = []
+    for _ in range(3):
+        axis = np.array(sorted(draw(st.lists(node, min_size=2, max_size=5))))
+        assume(np.all(np.diff(axis) > 0))
+        axes.append(axis)
+    cell = st.floats(-720.0, 720.0) | st.sampled_from([-0.0, 0.0, 180.0, -180.0, math.nan])
+    if draw(st.booleans()):  # a few repeated values, so whole cells can be -0.0 or NaN
+        cell = st.sampled_from(draw(st.lists(cell, min_size=1, max_size=3)))
+    size = math.prod(map(len, axes))
+    values = np.array(draw(st.lists(cell, min_size=size, max_size=size)))
+    n = draw(st.integers(1, 12))
+    queries = []
+    for axis in axes:
+        lo, hi = float(axis[0]), float(axis[-1])
+        coordinate = (
+            st.floats(lo, hi) | st.sampled_from(axis.tolist()) | st.floats(lo - 50.0, hi + 50.0)
+            | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+        )
+        queries.append(np.array(draw(st.lists(coordinate, min_size=n, max_size=n))))
+    return axes, values.reshape([len(a) for a in axes]), queries
+
+
+class TestInterpolateManyMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_and_queries())
+    def test_bit_for_bit(self, case):
+        axes, values, queries = case
+        for variable in ("WindDirection_cps", "WindSpeed_cps"):
+            grid = WeatherGrid(variable, *axes, values)
+            with np.errstate(invalid="ignore"):  # an infinite query's weights
+                got, status = grid.interpolate_many(*queries)
+                want, want_status = reference_interpolate_many(grid, *queries)
+            assert got.tobytes() == want.tobytes()
+            assert status.dtype == want_status.dtype and status.tobytes() == want_status.tobytes()
 
 
 UNIT_AXES = (np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([0.0, 1.0]))
