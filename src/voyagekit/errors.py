@@ -1,6 +1,9 @@
-"""Exception hierarchy shared across the toolkit, the JSON file reader that raises into it, and the JSON writer."""
+"""Exception hierarchy shared across the toolkit, the field checker and JSON reader that raise into it, and the JSON writer."""
 
+import dataclasses
 import json
+import math
+import numbers
 from pathlib import Path
 
 
@@ -62,3 +65,41 @@ def write_json(path: str | Path, obj) -> None:
     The text is built before the file is opened, so a value JSON cannot hold leaves the file as it was."""
     text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     Path(path).write_text(text, encoding="utf-8")
+
+
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """A number, not a bool, that converts to a finite float (an int too large for one does not)."""
+    try:
+        return _real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+_HOLDS = {">": lambda value, limit: value > limit, ">=": lambda value, limit: value >= limit,
+          "in": lambda value, interval: interval[0] < value < interval[1]}
+
+
+def check_fields(obj, bounds: dict[str, tuple[str, object]], where: str = "") -> None:
+    """Check a dataclass's fields: an int holds an int, not a bool; a float holds a finite number (see
+    `is_finite_number`); a tuple[float, float] holds two; a ``bounds`` entry (op, limit), op ">", ">=" or "in"
+    (an open interval), holds. The first failure raises ConfigurationError("<where><field> must be ..., got <value!r>")."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        items = {"float": (value,), "tuple[float, float]": value}.get(f.type, ())
+        if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+            rule = "an integer"
+        elif f.type == "tuple[float, float]" and not (isinstance(value, tuple) and len(value) == 2):
+            rule = "two numbers"
+        elif not all(map(_real, items)):
+            rule = "a number"
+        elif not all(map(is_finite_number, items)):
+            rule = "finite"
+        elif f.name in bounds and not _HOLDS[bounds[f.name][0]](value, bounds[f.name][1]):
+            rule = "{} {}".format(*bounds[f.name])
+        else:
+            continue
+        raise ConfigurationError(f"{where}{f.name} must be {rule}, got {value!r}")

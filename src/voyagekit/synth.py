@@ -24,14 +24,13 @@ exported.
 from __future__ import annotations
 
 import math
-import numbers
 import shutil
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, read_json, write_json
+from .errors import ConfigurationError, check_fields, is_finite_number, read_json, write_json
 from .geo import CORE_FIELDS, RouteSegmentSpec, Voyage
 from .ingestion import WeatherGrid
 from .store import CORE_COLUMNS, ONBOARD_CHANNELS, WEATHER_VARIABLES, write_labeling, write_table
@@ -79,17 +78,9 @@ class SyntheticFleetSpec:
     def __post_init__(self):
         if not self.regimes:
             self.regimes = default_regimes()
-        for where, owner in (("", self), *((f"regime {r.name!r}: ", r) for r in self.regimes)):
-            for f in fields(owner):
-                value = getattr(owner, f.name)
-                items = value if isinstance(value, tuple) else (value,)
-                if "float" in f.type and not all(map(_is_number, items)):  # float and tuple[float, float] fields
-                    raise ConfigurationError(f"{where}{f.name} must be a number, got {value!r}")
-                if any(isinstance(x, float) and not math.isfinite(x) for x in items):
-                    raise ConfigurationError(f"{where}{f.name} must be finite, got {value!r}")
-                if f.name in _POSITIVE and value <= 0 or f.name in _NON_NEGATIVE and value < 0:
-                    bound = ">" if f.name in _POSITIVE else ">="
-                    raise ConfigurationError(f"{where}{f.name} must be {bound} 0, got {value!r}")
+        check_fields(self, _BOUNDS)
+        for r in self.regimes:
+            check_fields(r, _BOUNDS, where=f"regime {r.name!r}: ")
         if len(self.branches) < 2:
             raise ConfigurationError("need at least 2 branches")
         names = [b.name for b in self.branches]
@@ -97,37 +88,22 @@ class SyntheticFleetSpec:
             if not isinstance(b.name, str) or not b.name or names.count(b.name) > 1:
                 raise ConfigurationError(f"branch names must be distinct non-empty strings, got {b.name!r}")
             if len(b.centerline) < 2:
-                raise ConfigurationError(
-                    f"branch {b.name!r}: centerline needs >= 2 points"
-                )
+                raise ConfigurationError(f"branch {b.name!r}: centerline needs >= 2 points")
             for p in b.centerline:
-                if not (isinstance(p, (tuple, list)) and len(p) == 2
-                        and all(_is_number(x) and math.isfinite(x) for x in p)):
+                if not (isinstance(p, (tuple, list)) and len(p) == 2 and all(map(is_finite_number, p))):
                     raise ConfigurationError(
-                        f"branch {b.name!r}: centerline point {p!r} must be a pair of finite numbers"
-                    )
-        if not _is_count(self.voyages_per_branch) or self.voyages_per_branch < 1:
-            raise ConfigurationError(f"voyages_per_branch must be an integer >= 1, got {self.voyages_per_branch!r}")
+                        f"branch {b.name!r}: centerline point {p!r} must be a pair of finite numbers")
         lo, hi = self.skill_range
         if not 0 < lo <= hi:
             raise ConfigurationError(f"bad skill range {self.skill_range}")
         if len(self.regimes) != 3:
             raise ConfigurationError("exactly 3 weather regimes are required")
-        if not _is_count(self.seed) or self.seed < 0:
-            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 # Bounds on spec and regime fields; grid_margin_deg may be negative (a lattice that misses a voyage).
-_POSITIVE = {"sample_period_s", "gap_s", "grid_step_deg", "dwell_hours", "base_sog"}
-_NON_NEGATIVE = {"noise_std_deg", "fuel_a", "fuel_b", "fuel_c", "sog_noise", "wind_std", "wave_std"}
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+_BOUNDS = {name: (">", 0) for name in ("sample_period_s", "gap_s", "grid_step_deg", "dwell_hours", "base_sog")}
+_BOUNDS |= {name: (">=", 0) for name in ("noise_std_deg", "fuel_a", "fuel_b", "fuel_c", "sog_noise", "wind_std", "wave_std")}
+_BOUNDS |= {"seed": (">=", 0), "voyages_per_branch": (">=", 1)}
 
 
 def default_regimes() -> tuple[WeatherRegime, WeatherRegime, WeatherRegime]:
@@ -260,6 +236,9 @@ def generate_fleet(spec: SyntheticFleetSpec) -> FleetData:
     pad = spec.grid_margin_deg + 5.0 * spec.noise_std_deg
     lat_lo, lon_lo = all_points.min(axis=0) - pad
     lat_hi, lon_hi = all_points.max(axis=0) + pad
+    if lat_lo < -90.0 or lat_hi > 90.0:  # GeoPoint's latitude range; longitude may pass ±180°
+        raise ConfigurationError(f"centerline latitudes padded by grid_margin_deg + 5 * noise_std_deg ({pad:g}) "
+                                 f"span {lat_lo:g} to {lat_hi:g}, outside [-90, 90]")
     lats = np.arange(lat_lo, lat_hi + spec.grid_step_deg, spec.grid_step_deg)
     lons = np.arange(lon_lo, lon_hi + spec.grid_step_deg, spec.grid_step_deg)
     hours = np.arange(n_hours, dtype=float)

@@ -113,7 +113,8 @@ class TestSynthCommand:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec), encoding="utf-8")
         assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == f"error: seed must be a non-negative integer, got {seed!r}\n"
+        rule = ">= 0" if seed == -2 else "an integer"
+        assert capsys.readouterr().err == f"error: seed must be {rule}, got {seed!r}\n"
 
     @pytest.mark.parametrize("text", [None, "{bad"], ids=["missing", "not-json"])
     def test_unreadable_spec_file_exits_2(self, tmp_path, capsys, text):
@@ -137,8 +138,8 @@ class TestSynthCommand:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec), encoding="utf-8")
         assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: voyages_per_branch must be an integer >= 1, got {count!r}\n")
+        rule = ">= 1" if count == 0 else "an integer"
+        assert capsys.readouterr().err == f"error: voyages_per_branch must be {rule}, got {count!r}\n"
 
     @pytest.mark.parametrize("field, value, message", [
         ("sog_noise", -1, "sog_noise must be >= 0, got -1"),
@@ -156,6 +157,10 @@ class TestSynthCommand:
         ("start_time", "x", "start_time must be a number, got 'x'"),
         ("skill_range", [0.9, True], "skill_range must be a number, got (0.9, True)"),
         ("base_sog", True, "regime 'calm': base_sog must be a number, got True"),
+        ("skill_range", [0.9], "skill_range must be two numbers, got (0.9,)"),
+        ("skill_range", [0.9, 1.0, 1.1], "skill_range must be two numbers, got (0.9, 1.0, 1.1)"),
+        *(pytest.param(field, 10**400, f"{field} must be finite, got {10**400!r}", id=f"{field}-10**400")
+          for field in ("start_time", "fuel_a", "noise_std_deg")),
     ])
     def test_spec_bad_value_exits_2(self, tmp_path, capsys, field, value, message):
         spec = {
@@ -176,6 +181,42 @@ class TestSynthCommand:
         assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("source, float_field", [("config", "gap_threshold_s"), ("spec", "gap_s")])
+    @pytest.mark.parametrize("field, value, rule", [
+        ("seed", -1, ">= 0"), (None, float("nan"), "finite"), (None, 10**400, "finite"),
+    ], ids=["seed", "nan", "int-too-large"])
+    def test_config_and_spec_values_get_one_message(self, tmp_path, capsys, source, float_field, field, value, rule):
+        field = field or float_field
+        if source == "config":
+            path, text = tmp_path / "cfg.json", json.dumps({field: value})
+        else:
+            path, text = tmp_path / "spec.json", json.dumps({
+                "branches": [
+                    {"name": "a", "centerline": [[0.0, 0.0], [0.0, 0.1]]},
+                    {"name": "b", "centerline": [[0.05, 0.0], [0.05, 0.1]]},
+                ],
+                field: value,
+            })
+        path.write_text(text, encoding="utf-8")
+        assert main(["synth", f"--{source}", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {field} must be {rule}, got {value!r}\n"
+
+    def test_spec_lattice_past_a_pole_exits_2(self, tmp_path, capsys):
+        spec = {
+            "branches": [
+                {"name": "a", "centerline": [[0.0, 0.0], [0.0, 0.1]]},
+                {"name": "b", "centerline": [[0.05, 0.0], [0.05, 0.1]]},
+            ],
+            "noise_std_deg": 20.0,
+            "grid_step_deg": 10.0,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: centerline latitudes padded by grid_margin_deg + 5 * noise_std_deg (100.5) span -100.5 to "
+            "100.55, outside [-90, 90]\n")
+
     @pytest.mark.parametrize("branch, message", [
         ({"centerline": [[0.0, 0.0], [float("nan"), 0.1]]}, "branch 'b': centerline point (nan, 0.1)"),
         ({"centerline": [[0.0, 0.0], [0.0, float("inf")]]}, "branch 'b': centerline point (0.0, inf)"),
@@ -186,8 +227,9 @@ class TestSynthCommand:
         ({"name": 5}, "branch names must be distinct non-empty strings, got 5"),
         ({"name": ""}, "branch names must be distinct non-empty strings, got ''"),
         ({"name": "a"}, "branch names must be distinct non-empty strings, got 'a'"),
+        ({"centerline": [[0.0, 0.0], [0.05, 10**400]]}, f"branch 'b': centerline point (0.05, {10**400!r})"),
     ], ids=["nan", "inf", "three-coordinates", "one-coordinate", "bool", "string", "int-name", "empty-name",
-            "same-name"])
+            "same-name", "int-too-large"])
     def test_spec_bad_branch_exits_2(self, tmp_path, capsys, branch, message):
         spec = {
             "branches": [

@@ -90,6 +90,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
             load_config(path)
 
+    @pytest.mark.parametrize("field", ["resample_period_s", "gap_threshold_s", "dendrogram_cutoff"])
+    def test_int_too_large_for_a_float_rejected(self, tmp_path, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: 10**400}), encoding="utf-8")
+        with pytest.raises(ConfigurationError, match=f"^{field} must be finite, got 1000"):
+            load_config(path)
+
     @pytest.mark.parametrize(
         "field,value,message",
         [("port_dwell_s", -1.0, ">= 0"), ("port_max_sog", 0.0, "> 0"), ("port_max_sog", -0.5, "> 0")],

@@ -58,6 +58,21 @@ class TestSpecValidation:
 
 
 class TestGenerateFleet:
+    @pytest.mark.parametrize("lat, noise_std_deg", [(0.0, 1e6), (89.5, 0.1), (-89.5, 0.1)])
+    def test_lattice_past_a_pole_rejected(self, lat, noise_std_deg):
+        # Raised before the lattice is built: at noise_std_deg 1e6 it would hold 10^12 cells an hour.
+        branches = [Branch(b.name, [(la + lat, lo) for la, lo in b.centerline]) for b in tiny_fleet_spec().branches]
+        spec = dataclasses.replace(tiny_fleet_spec(), branches=branches, noise_std_deg=noise_std_deg,
+                                   grid_step_deg=10.0)
+        with pytest.raises(ConfigurationError, match=r"grid_margin_deg \+ 5 \* noise_std_deg .*, outside \[-90, 90\]$"):
+            generate_fleet(spec)
+
+    def test_lattice_past_180_longitude_allowed(self):
+        branches = [Branch(b.name, [(la, lo + 179.7) for la, lo in b.centerline]) for b in tiny_fleet_spec().branches]
+        fleet = generate_fleet(dataclasses.replace(tiny_fleet_spec(), branches=branches))
+        assert fleet.grids[0].lons[-1] > 180.0
+        assert max(v.lon.max() for v in fleet.voyages) > 179.85
+
     def test_counts_and_labels(self, tiny_fleet):
         assert len(tiny_fleet.voyages) == 12
         counts = {}
