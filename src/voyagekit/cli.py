@@ -173,12 +173,9 @@ def cmd_score(config: RunConfig) -> None:
     summaries = efficiency.summarize_voyages(voyages)
     clusters = efficiency.build_percentile_clusters(summaries)
     efficiency.write_summary_csv(summaries, clusters, out / "summaries.csv")
-    sizes = {name: len(ids) for name, ids in clusters.as_ordered()}
+    sizes = {name: len(ids) for name, ids in clusters.items()}
     log.log("score", "summaries_written", voyages=len(summaries), **sizes)
-    print(
-        "score: cluster sizes "
-        + ", ".join(f"{name}={sizes[name]}" for name, _ in clusters.as_ordered())
-    )
+    print("score: cluster sizes " + ", ".join(f"{name}={size}" for name, size in sizes.items()))
 
 
 def _safe_name(text: str) -> str:

@@ -47,6 +47,8 @@ SPEED_FLOOR = 0.1
 QUERY_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 #: Most feature rows estimate_fuel_time stacks into one regressor query. No result depends on it.
 PRICE_BLOCK_ROWS = 4096
+#: The nested Top-P% clusters, most exclusive first; cluster P is named f"Top{P}Pr".
+PERCENTILES = (10, 25, 50, 75)
 
 
 @dataclass
@@ -57,24 +59,6 @@ class VoyageSummary:
     fuel_norm: float = float("nan")
     time_norm: float = float("nan")
     eff_score: float = float("nan")
-
-
-@dataclass
-class PercentileClusters:
-    """Nested top-P% voyage-id sets; Top10Pr is the most exclusive."""
-
-    top75: set[str]
-    top50: set[str]
-    top25: set[str]
-    top10: set[str]
-
-    def as_ordered(self) -> list[tuple[str, set[str]]]:
-        return [
-            ("Top10Pr", self.top10),
-            ("Top25Pr", self.top25),
-            ("Top50Pr", self.top50),
-            ("Top75Pr", self.top75),
-        ]
 
 
 def voyage_totals(v: Voyage) -> tuple[float, float]:
@@ -91,16 +75,21 @@ def efficiency_score(fuel_norm: float, time_norm: float) -> float:
     return 1.0 - 2.0 * fuel_norm * time_norm / (fuel_norm + time_norm)
 
 
-def normalize_and_score(summaries: Sequence[VoyageSummary]) -> list[VoyageSummary]:
-    """Populate fuel_norm, time_norm, and eff_score against fleet maxima."""
-    if not summaries:
-        raise InvalidInputError("no voyage summaries to score")
-    max_fuel = max(s.fuel_total for s in summaries)
-    max_time = max(s.time_total for s in summaries)
+def fleet_maxima(totals: Sequence[tuple[float, float]]) -> tuple[float, float]:
+    """The largest fuel and the largest time of (fuel, time) totals, the score's normalisers."""
+    max_fuel, max_time = map(max, zip(*totals))
     if max_fuel <= 0 or max_time <= 0:
         raise DegenerateFleetError(
             f"fleet maxima degenerate (max fuel {max_fuel}, max time {max_time})"
         )
+    return max_fuel, max_time
+
+
+def normalize_and_score(summaries: Sequence[VoyageSummary]) -> list[VoyageSummary]:
+    """Populate fuel_norm, time_norm, and eff_score against fleet maxima."""
+    if not summaries:
+        raise InvalidInputError("no voyage summaries to score")
+    max_fuel, max_time = fleet_maxima([(s.fuel_total, s.time_total) for s in summaries])
     out = []
     for s in summaries:
         f = s.fuel_total / max_fuel
@@ -116,18 +105,14 @@ def summarize_voyages(voyages: Sequence[Voyage]) -> list[VoyageSummary]:
     )
 
 
-def build_percentile_clusters(summaries: Sequence[VoyageSummary]) -> PercentileClusters:
-    """Nested Top10/25/50/75 percent sets, ceil-sized, ties by voyage id."""
+def build_percentile_clusters(summaries: Sequence[VoyageSummary]) -> dict[str, set[str]]:
+    """Nested top-P% voyage-id sets by name, in PERCENTILES order; ceil-sized, ties by voyage id."""
     m = len(summaries)
     if m < 4:
         raise InsufficientDataError(f"need >= 4 voyages for percentile clusters, got {m}")
     ranked = sorted(summaries, key=lambda s: (-s.eff_score, s.voyage_id))
     ids = [s.voyage_id for s in ranked]
-
-    def top(pct: int) -> set[str]:
-        return set(ids[: math.ceil(pct / 100.0 * m)])
-
-    return PercentileClusters(top75=top(75), top50=top(50), top25=top(25), top10=top(10))
+    return {f"Top{pct}Pr": set(ids[: math.ceil(pct / 100.0 * m)]) for pct in PERCENTILES}
 
 
 def efficiency_gain(meas_score: float, pred_score: float) -> float:
@@ -271,19 +256,19 @@ def estimate_fuel_time(
 
 def write_summary_csv(
     summaries: Sequence[VoyageSummary],
-    clusters: PercentileClusters,
+    clusters: dict[str, set[str]],
     path: str | Path,
 ) -> None:
-    """Emit the per-voyage summary table with cluster membership columns."""
+    """Emit the per-voyage summary table with a top<P> membership column per cluster, widest first."""
     ordered = sorted(summaries, key=lambda s: s.voyage_id)
     floats = ("fuel_total", "time_total", "fuel_norm", "time_norm", "eff_score")
-    tops = ("top75", "top50", "top25", "top10")
+    pcts = PERCENTILES[::-1]
     write_table(
         path,
-        ["voyage_id", *floats, *tops],
+        ["voyage_id", *floats, *(f"top{pct}" for pct in pcts)],
         [
             [s.voyage_id for s in ordered],
             *(np.array([getattr(s, name) for s in ordered], dtype=float) for name in floats),
-            *([int(s.voyage_id in getattr(clusters, top)) for s in ordered] for top in tops),
+            *([int(s.voyage_id in clusters[f"Top{pct}Pr"]) for s in ordered] for pct in pcts),
         ],
     )

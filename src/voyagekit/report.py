@@ -11,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .efficiency import PERCENTILES
 from .errors import InvalidInputError, write_json
 from .store import read_labeling, read_table
 
@@ -31,7 +32,7 @@ REPORT_SCHEMA = {
                 "voyage_count": {"type": "integer", "minimum": 0},
                 "cluster_sizes": {
                     "type": "object",
-                    "required": ["Top10Pr", "Top25Pr", "Top50Pr", "Top75Pr"],
+                    "required": [f"Top{pct}Pr" for pct in PERCENTILES],
                     "additionalProperties": {"type": "integer"},
                 },
                 "eff_score": {
@@ -171,7 +172,7 @@ def build_report(out: Path, summaries: list[dict]) -> dict:
         "efficiency": {
             "voyage_count": len(summaries),
             "cluster_sizes": {
-                f"Top{pct}Pr": sum(r[f"top{pct}"] for r in summaries) for pct in (10, 25, 50, 75)
+                f"Top{pct}Pr": sum(r[f"top{pct}"] for r in summaries) for pct in PERCENTILES
             },
             "eff_score": {
                 "min": min(scores),
@@ -201,20 +202,19 @@ def write_report_outputs(out_dir: str | Path) -> list[str]:
     in, excepted) and a summaries.csv without data rows raise InvalidInputError.
     """
     out = Path(out_dir)
-    required = ["summaries.csv", "gains.csv", "state_gains.csv", "labeling.csv"]
+    required = ["summaries.csv", "gains.csv", "state_gains.csv", "voyage_gains.csv", "labeling.csv"]
     missing = [name for name in required if not (out / name).exists()]
     if missing:
         raise InvalidInputError(f"missing report inputs in {out}: {', '.join(missing)}")
-    counts = ("top10", "top25", "top50", "top75")
+    counts = tuple(f"top{pct}" for pct in PERCENTILES)
     summaries = _read(out / "summaries.csv", ("fuel_total", "time_total", "eff_score", *counts),
                       lambda r: {name: int(r[name]) if name in counts else _finite(r[name]) for name in r})
     if not summaries:
         raise InvalidInputError(f"{out / 'summaries.csv'}: no data rows")
-    voyage_gains_path = out / "voyage_gains.csv"  # read first: a rejected input leaves every output as it was
-    rows = _read(voyage_gains_path, ("cluster", "model", "gain_pct"),
-                 lambda r: {**r, "gain_pct": _finite(r["gain_pct"])}) if voyage_gains_path.exists() else None
+    # Read before any write: a rejected input leaves every output as it was.
+    rows = _read(out / "voyage_gains.csv", ("cluster", "model", "gain_pct"),
+                 lambda r: {**r, "gain_pct": _finite(r["gain_pct"])})
     write_json(out / "report.json", build_report(out, summaries))
-    written = ["report.json"]
 
     fuel_points = [(r["fuel_total"], r["eff_score"]) for r in summaries]
     time_points = [(r["time_total"], r["eff_score"]) for r in summaries]
@@ -226,20 +226,17 @@ def write_report_outputs(out_dir: str | Path) -> list[str]:
         svg_scatter(time_points, "total time [h]", "efficiency score", "Efficiency score vs total time"),
         encoding="utf-8",
     )
-    written += ["eff_vs_fuel.svg", "eff_vs_time.svg"]
 
-    if rows is not None:
-        first_cluster = rows[0]["cluster"] if rows else ""
-        series: dict[str, list[float]] = {}
-        for r in rows:
-            if r["cluster"] == first_cluster:
-                series.setdefault(r["model"], []).append(r["gain_pct"])
-        for values in series.values():
-            values.sort(reverse=True)
-        (out / "sorted_gains.svg").write_text(
-            svg_lines(series, "test voyage (sorted)", "efficiency gain [%]",
-                      f"Sorted gains, {first_cluster} training cluster"),
-            encoding="utf-8",
-        )
-        written.append("sorted_gains.svg")
-    return written
+    first_cluster = rows[0]["cluster"] if rows else ""
+    series: dict[str, list[float]] = {}
+    for r in rows:
+        if r["cluster"] == first_cluster:
+            series.setdefault(r["model"], []).append(r["gain_pct"])
+    for values in series.values():
+        values.sort(reverse=True)
+    (out / "sorted_gains.svg").write_text(
+        svg_lines(series, "test voyage (sorted)", "efficiency gain [%]",
+                  f"Sorted gains, {first_cluster} training cluster"),
+        encoding="utf-8",
+    )
+    return ["report.json", "eff_vs_fuel.svg", "eff_vs_time.svg", "sorted_gains.svg"]

@@ -21,10 +21,10 @@ from .efficiency import (
     FEATURE_CASES,
     EfficiencyEstimator,
     KnnRegressor,
-    PercentileClusters,
     efficiency_gain,
     efficiency_score,
     estimate_fuel_time,
+    fleet_maxima,
 )
 from .errors import (
     InsufficientDataError,
@@ -260,7 +260,7 @@ class GainReport:
 
 
 def run_optimization_benchmark(
-    clusters: PercentileClusters,
+    clusters: Mapping[str, set[str]],
     train_voyages: Sequence[Voyage],
     test_voyages: Sequence[Voyage],
     estimator: EfficiencyEstimator,
@@ -289,7 +289,7 @@ def run_optimization_benchmark(
         raise InvalidInputError("benchmark needs a non-empty test set")
     by_id = {v.voyage_id: v for v in train_voyages}
     test_ids = {v.voyage_id for v in test_voyages}
-    for cluster_name, member_ids in clusters.as_ordered():
+    for cluster_name, member_ids in clusters.items():
         if test_ids & member_ids:
             raise InvalidInputError(f"test voyages overlap training cluster {cluster_name}")
 
@@ -302,9 +302,7 @@ def run_optimization_benchmark(
 
     # Measured baselines, test voyages first: the gain loop zips them with test_voyages.
     measured = price([(v.sog, v) for v in (*test_voyages, *train_voyages)])
-    max_fuel, max_time = map(max, zip(*measured))
-    if max_fuel <= 0 or max_time <= 0:
-        raise InvalidInputError("measured fuel/time maxima are not positive")
+    max_fuel, max_time = fleet_maxima(measured)
 
     def score(fuel: float, hours: float) -> float:
         return efficiency_score(fuel / max_fuel, hours / max_time)
@@ -321,11 +319,10 @@ def run_optimization_benchmark(
     except VoyagekitError as exc:
         state_fit_failure = str(exc)
     if models is None:
-        models = {"kNN": KnnSpeedModel(k=knn_k, channels=knn_channels),
-                  "1NN-DTW": DtwSpeedModel(), "HMM": hmm}
+        models = dict(zip(MODEL_ORDER, (KnnSpeedModel(k=knn_k, channels=knn_channels), DtwSpeedModel(), hmm)))
 
     rows: list[ClusterModelGain] = []
-    for cluster_name, member_ids in clusters.as_ordered():
+    for cluster_name, member_ids in clusters.items():
         cluster_voyages = [by_id[vid] for vid in sorted(member_ids) if vid in by_id]
         for model_name, model in models.items():
             row = ClusterModelGain(cluster_name, model_name)

@@ -243,6 +243,7 @@ def generate_fleet(spec: SyntheticFleetSpec) -> FleetData:
     lons = np.arange(lon_lo, lon_hi + spec.grid_step_deg, spec.grid_step_deg)
     hours = np.arange(n_hours, dtype=float)
     times = spec.start_time - 3600.0 + hours * 3600.0
+    _check_increasing(spec, times)
 
     grids = [
         WeatherGrid(name, times, lats, lons,
@@ -260,6 +261,7 @@ def generate_fleet(spec: SyntheticFleetSpec) -> FleetData:
 
     # Each grid is sampled once for the whole fleet; the columns are then split per voyage.
     t, lat, lon, sog, heading = map(np.concatenate, zip(*tracks))
+    _check_increasing(spec, t)
     sampled = [grid.interpolate_many(t, lat, lon) for grid in grids]
     weather = dict(zip(WEATHER_VARIABLES, (values for values, _ in sampled)))
     fuel = spec.fuel_a + spec.fuel_b * sog**2 + spec.fuel_c * weather["WindSpeed_cps"]
@@ -283,6 +285,13 @@ def generate_fleet(spec: SyntheticFleetSpec) -> FleetData:
     keep = int(np.searchsorted(times, t[-1], side="right")) + 1
     grids = [replace(grid, times=grid.times[:keep], values=grid.values[:keep]) for grid in grids]
     return FleetData(spec, voyages, labels, grids, _route_segments(all_points, pad))
+
+
+def _check_increasing(spec: SyntheticFleetSpec, times: np.ndarray) -> None:
+    """Far enough from 0, adding an hour or a sample period to a float time rounds away to nothing."""
+    if not np.all(np.diff(times) > 0):
+        raise ConfigurationError(
+            f"start_time must leave the hourly grid and sample times strictly increasing, got {spec.start_time!r}")
 
 
 def _sail(

@@ -161,6 +161,10 @@ class TestSynthCommand:
         ("skill_range", [0.9, 1.0, 1.1], "skill_range must be two numbers, got (0.9, 1.0, 1.1)"),
         *(pytest.param(field, 10**400, f"{field} must be finite, got {10**400!r}", id=f"{field}-10**400")
           for field in ("start_time", "fuel_a", "noise_std_deg")),
+        # Adding a 60 s sample period to 1e18 rounds away; adding an hour to 1e300 too.
+        *(pytest.param("start_time", value, "start_time must leave the hourly grid and sample times strictly "
+                       f"increasing, got {value!r}", id=f"start_time-{name}")
+          for value, name in ((1e18, "1e18"), (1e300, "1e300"))),
     ])
     def test_spec_bad_value_exits_2(self, tmp_path, capsys, field, value, message):
         spec = {
@@ -541,6 +545,26 @@ class TestIngestEdgeCases:
         manifest = json.loads((tmp_path / "store" / "manifest.json").read_text())
         assert len(manifest["voyages"]) == 2
 
+    def test_voyages_dropped_by_resampling_and_weather(self, tmp_path):
+        # V0001 fits the grid; V0002's two samples share one 60 s bin; V0003 lies north of the grid.
+        rows = [f"{i * 60},0.5,0.5,5.0,90.0,50.0" for i in range(10)]
+        rows += ["10000,0.5,0.5,5.0,90.0,50.0", "10010,0.5,0.5,5.0,90.0,50.0"]
+        rows += [f"{20000 + i * 60},5.0,0.5,5.0,90.0,50.0" for i in range(5)]
+        self.write_inputs(tmp_path, rows)
+        (tmp_path / "fleet" / "weather" / "WaveHeight.csv").unlink()
+        lines = ["time,lat,lon,value"] + [
+            f"{t},{lat},{lon},2.5" for t in (0.0, 30000.0) for lat in (0.0, 1.0) for lon in (0.0, 1.0)]
+        (tmp_path / "fleet" / "weather" / "WindSpeed_cps.csv").write_text(
+            "\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["ingest", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "store" / "manifest.json").read_text())
+        assert len(manifest["voyages"]) == 1
+        assert manifest["dropped_voyages"] == 2
+        events = [json.loads(line) for line in (tmp_path / "run_log.jsonl").read_text().splitlines()]
+        assert [e["detail"] for e in events if e["event"] == "voyage_dropped"] == [
+            {"voyage_id": "V0002", "reason": "resampling left < 2 samples"},
+            {"voyage_id": "V0003", "reason": "weather alignment left < 2 samples"},
+        ]
 
     @pytest.mark.parametrize("period, status", [(1e-300, 2), (1e-14, 0)])
     def test_resample_period_too_small_for_voyage(self, tmp_path, capsys, period, status):
@@ -713,6 +737,15 @@ class TestErrorPaths:
         code = main(["report", "--out", str(out)])
         assert code == 1
         assert "gains.csv" in capsys.readouterr().err
+
+    def test_report_missing_voyage_gains_writes_nothing(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        (out / "voyage_gains.csv").unlink()
+        before = file_bytes(out)
+        assert main(["report", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: missing report inputs in {out}: voyage_gains.csv\n"
+        assert file_bytes(out) == before
 
     def test_ingest_missing_onboard(self, tmp_path, capsys):
         assert main(["ingest", "--out", str(tmp_path)]) == 2

@@ -125,19 +125,19 @@ class TestPercentileClusters:
 
     def test_ceil_sizes_distinct(self):
         clusters = build_percentile_clusters(self.summaries([i / 10 for i in range(10)]))
-        assert len(clusters.top10) == 1
-        assert len(clusters.top25) == 3
-        assert len(clusters.top50) == 5
-        assert len(clusters.top75) == 8
+        assert len(clusters["Top10Pr"]) == 1
+        assert len(clusters["Top25Pr"]) == 3
+        assert len(clusters["Top50Pr"]) == 5
+        assert len(clusters["Top75Pr"]) == 8
 
     def test_tie_break_by_voyage_id(self):
         clusters = build_percentile_clusters(self.summaries([0.5] * 8))
-        assert clusters.top10 == {"V0000"}
-        assert clusters.top25 == {"V0000", "V0001"}
+        assert clusters["Top10Pr"] == {"V0000"}
+        assert clusters["Top25Pr"] == {"V0000", "V0001"}
 
     def test_nesting(self):
         clusters = build_percentile_clusters(self.summaries([0.1, 0.9, 0.4, 0.7, 0.2]))
-        assert clusters.top10 <= clusters.top25 <= clusters.top50 <= clusters.top75
+        assert clusters["Top10Pr"] <= clusters["Top25Pr"] <= clusters["Top50Pr"] <= clusters["Top75Pr"]
 
     def test_too_few(self):
         with pytest.raises(InsufficientDataError):
@@ -149,10 +149,10 @@ class TestPercentileClusters:
 
         clusters = build_percentile_clusters(self.summaries(scores))
         m = len(scores)
-        for pct, ids in [(10, clusters.top10), (25, clusters.top25),
-                         (50, clusters.top50), (75, clusters.top75)]:
+        for pct, ids in [(10, clusters["Top10Pr"]), (25, clusters["Top25Pr"]),
+                         (50, clusters["Top50Pr"]), (75, clusters["Top75Pr"])]:
             assert len(ids) == math.ceil(pct / 100 * m)
-        assert clusters.top10 <= clusters.top25 <= clusters.top50 <= clusters.top75
+        assert clusters["Top10Pr"] <= clusters["Top25Pr"] <= clusters["Top50Pr"] <= clusters["Top75Pr"]
 
 
 class TestEfficiencyGain:

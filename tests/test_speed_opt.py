@@ -336,7 +336,7 @@ class TestKnnPredict:
             return original(self, *args)
 
         model = KnnSpeedModel()
-        for _, member_ids in clusters.as_ordered():
+        for _, member_ids in clusters.items():
             cluster = [by_id[vid] for vid in sorted(member_ids)]
             expected = [reference_knn_predict(t, cluster) for t in test]
             monkeypatch.setattr(KnnRegressor, "fit", counted)
@@ -488,7 +488,7 @@ class TestBenchmark:
         monkeypatch.setattr(speed_opt, "fit_weather_hmm", lambda *a, **k: fits.append(a))
         for model in (KnnSpeedModel, DtwSpeedModel):
             monkeypatch.setattr(model, "fit", lambda self, cluster: fits.append(cluster))
-        with pytest.raises(InvalidInputError, match="maxima are not positive"):
+        with pytest.raises(InvalidInputError, match="fleet maxima degenerate"):
             run_optimization_benchmark(clusters, train, test, idle)
         assert fits == []
 
@@ -573,7 +573,7 @@ class TestHmmFitReuse:
             monkeypatch.setattr(model, "fit", counted(model.fit))
         report = run_optimization_benchmark(clusters, train, test, estimator, hmm_seed=2)
         # Each model fits each cluster; the weather HMM is fitted once, on the training set.
-        sizes = [len(ids) for _, ids in clusters.as_ordered()]
+        sizes = [len(ids) for _, ids in clusters.items()]
         assert model_fits == [(model, n) for n in sizes
                               for model in ("KnnSpeedModel", "DtwSpeedModel", "HmmSpeedModel")]
         assert fit_calls == [(frozenset(v.voyage_id for v in train), (),
@@ -630,7 +630,7 @@ class TestHmmFitReuse:
         by_id = {v.voyage_id: v for v in train}
         rows = {r.cluster: r for r in report.rows if r.model == "HMM"}
         empty_states = 0
-        for name, ids in clusters.as_ordered():
+        for name, ids in clusters.items():
             members = [by_id[i] for i in sorted(ids)]
             states = np.concatenate([decode_states(v, weather) for v in members])
             sog = np.concatenate([v.sog for v in members])
@@ -754,7 +754,7 @@ def test_knn_channel_missing_in_cluster_is_insufficient(benchmark_inputs):
     clusters, train, test, _ = benchmark_inputs
     # A channel kNN reads but neither the case I estimator nor the state HMM does.
     channel = "CurrentSpeed"
-    top10 = min(clusters.top10)
+    top10 = min(clusters["Top10Pr"])
     train = [
         dataclasses.replace(
             v, channels={k: c for k, c in v.channels.items() if k != channel}
