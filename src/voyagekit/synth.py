@@ -288,7 +288,7 @@ def generate_fleet(spec: SyntheticFleetSpec) -> FleetData:
 
 
 def _check_increasing(spec: SyntheticFleetSpec, times: np.ndarray) -> None:
-    """Far enough from 0, adding an hour or a sample period to a float time rounds away to nothing."""
+    """Reject a start_time at which ``times`` stop increasing: far enough from 0, an added hour or sample period rounds away."""
     if not np.all(np.diff(times) > 0):
         raise ConfigurationError(
             f"start_time must leave the hourly grid and sample times strictly increasing, got {spec.start_time!r}")
